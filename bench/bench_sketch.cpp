@@ -1,12 +1,12 @@
-// Sketch-path benchmarks: Count-Min update/estimate throughput, accuracy vs
-// width (the memory/accuracy dial a deployment turns), commitment cost for
-// sketch windows, and the prove/verify cost of a verifiable point estimate.
+// Host-side Count-Min benchmarks: update/estimate throughput and accuracy
+// vs width (the memory/accuracy dial a deployment turns). The proven
+// round-sketch queries are measured by bench_sketch_query.
 #include <benchmark/benchmark.h>
 
 #include <map>
 
 #include "common/rng.h"
-#include "core/sketch_query.h"
+#include "netflow/sketch.h"
 #include "sim/workload.h"
 
 using namespace zkt;
@@ -75,66 +75,6 @@ BENCHMARK(BM_CountMinAccuracy)
     ->Arg(4096)
     ->Arg(16384)
     ->Iterations(1);
-
-void BM_SketchCommit(benchmark::State& state) {
-  netflow::CountMinSketch sketch(netflow::CountMinParams{
-      .width = static_cast<u32>(state.range(0)), .depth = 4, .seed = 1});
-  for (u64 f = 0; f < 1000; ++f) sketch.update(sim::synth_flow_key(f, 1), 1);
-  const auto key = crypto::schnorr_keygen_from_seed("sketch-bench");
-  for (auto _ : state) {
-    auto commitment = core::make_commitment_raw(
-        0, 1, sketch.hash(), sketch.total_updates(), key, 5000);
-    benchmark::DoNotOptimize(commitment);
-  }
-  state.counters["sketch_bytes"] =
-      static_cast<double>(sketch.canonical_bytes().size());
-}
-BENCHMARK(BM_SketchCommit)->Arg(1024)->Arg(16384);
-
-void BM_SketchQueryProve(benchmark::State& state) {
-  netflow::CountMinSketch sketch(netflow::CountMinParams{
-      .width = static_cast<u32>(state.range(0)), .depth = 4, .seed = 1});
-  for (u64 f = 0; f < 1000; ++f) sketch.update(sim::synth_flow_key(f, 1), 1);
-  const core::CommitmentRef ref{0, 1, sketch.hash(), sketch.total_updates()};
-  u64 cycles = 0;
-  for (auto _ : state) {
-    auto response = core::prove_sketch_query(ref, sketch,
-                                             sim::synth_flow_key(3, 1));
-    if (!response.ok()) state.SkipWithError("prove failed");
-    cycles = response.value().prove_info.cycles;
-    benchmark::DoNotOptimize(response);
-  }
-  state.counters["zkvm_cycles"] = static_cast<double>(cycles);
-}
-BENCHMARK(BM_SketchQueryProve)->Arg(1024)->Arg(16384)->Arg(65536);
-
-void BM_SketchQueryVerify(benchmark::State& state) {
-  netflow::CountMinSketch sketch(
-      netflow::CountMinParams{.width = 16384, .depth = 4, .seed = 1});
-  for (u64 f = 0; f < 1000; ++f) sketch.update(sim::synth_flow_key(f, 1), 1);
-  const core::CommitmentRef ref{0, 1, sketch.hash(), sketch.total_updates()};
-  core::CommitmentBoard board;
-  const auto key = crypto::schnorr_keygen_from_seed("sk-verify");
-  auto commitment = core::make_commitment_raw(0, 1, sketch.hash(),
-                                              sketch.total_updates(), key,
-                                              5000);
-  if (!board.publish(commitment.value()).ok()) {
-    state.SkipWithError("publish failed");
-    return;
-  }
-  auto response =
-      core::prove_sketch_query(ref, sketch, sim::synth_flow_key(3, 1));
-  if (!response.ok()) {
-    state.SkipWithError("prove failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto verified =
-        core::verify_sketch_query(response.value().receipt, board);
-    benchmark::DoNotOptimize(verified);
-  }
-}
-BENCHMARK(BM_SketchQueryVerify);
 
 }  // namespace
 

@@ -6,11 +6,11 @@ namespace zkt::core {
 
 namespace {
 constexpr u32 kSnapshotMagic = 0x5A4B4353;  // "ZKCS"
-// Version 2 appends the round-sketch section (u8 has_sketch [+ blob +
-// CRC]); version-1 snapshots still parse, with has_sketch = false.
+// Version 2 carries the round-sketch section (u8 has_sketch [+ blob + CRC]).
 constexpr u32 kSnapshotVersion = 2;
 constexpr u32 kShardedSnapshotMagic = 0x5A4B5353;  // "ZKSS"
-constexpr u32 kShardedSnapshotVersion = 1;
+// Version 2 writes the inner snapshots in place.
+constexpr u32 kShardedSnapshotVersion = 2;
 constexpr u32 kMaxSnapshotShards = 4096;
 }  // namespace
 
@@ -62,8 +62,7 @@ Result<std::optional<netflow::RoundSketch>> ChainSnapshot::restore_sketch()
   return std::optional<netflow::RoundSketch>{std::move(sketch.value())};
 }
 
-Bytes ChainSnapshot::to_bytes() const {
-  Writer w;
+void ChainSnapshot::write(Writer& w) const {
   w.u32v(kSnapshotMagic);
   w.u32v(kSnapshotVersion);
   w.u64v(round_id);
@@ -78,18 +77,16 @@ Bytes ChainSnapshot::to_bytes() const {
     w.blob(sketch_bytes);
     w.u32v(store::crc32(sketch_bytes));
   }
-  return std::move(w).take();
 }
 
-Result<ChainSnapshot> ChainSnapshot::from_bytes(BytesView data) {
-  Reader r(data);
+Result<ChainSnapshot> ChainSnapshot::read(Reader& r) {
   auto magic = r.u32v();
   if (!magic.ok() || magic.value() != kSnapshotMagic) {
     return Error{Errc::parse_error, "bad chain snapshot magic"};
   }
   auto version = r.u32v();
   if (!version.ok()) return version.error();
-  if (version.value() != 1 && version.value() != kSnapshotVersion) {
+  if (version.value() != kSnapshotVersion) {
     return Error{Errc::unsupported, "unknown chain snapshot version"};
   }
   ChainSnapshot snap;
@@ -112,26 +109,21 @@ Result<ChainSnapshot> ChainSnapshot::from_bytes(BytesView data) {
   if (store::crc32(snap.state_bytes) != crc.value()) {
     return Error{Errc::parse_error, "chain snapshot state failed CRC"};
   }
-  if (version.value() >= 2) {
-    auto has = r.u8v();
-    if (!has.ok()) return has.error();
-    if (has.value() > 1) {
-      return Error{Errc::parse_error, "bad chain snapshot sketch flag"};
-    }
-    snap.has_sketch = has.value() == 1;
-    if (snap.has_sketch) {
-      auto sketch = r.blob();
-      if (!sketch.ok()) return sketch.error();
-      snap.sketch_bytes = std::move(sketch.value());
-      auto scrc = r.u32v();
-      if (!scrc.ok()) return scrc.error();
-      if (store::crc32(snap.sketch_bytes) != scrc.value()) {
-        return Error{Errc::parse_error, "chain snapshot sketch failed CRC"};
-      }
-    }
+  auto has = r.u8v();
+  if (!has.ok()) return has.error();
+  if (has.value() > 1) {
+    return Error{Errc::parse_error, "bad chain snapshot sketch flag"};
   }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing bytes in chain snapshot"};
+  snap.has_sketch = has.value() == 1;
+  if (snap.has_sketch) {
+    auto sketch = r.blob();
+    if (!sketch.ok()) return sketch.error();
+    snap.sketch_bytes = std::move(sketch.value());
+    auto scrc = r.u32v();
+    if (!scrc.ok()) return scrc.error();
+    if (store::crc32(snap.sketch_bytes) != scrc.value()) {
+      return Error{Errc::parse_error, "chain snapshot sketch failed CRC"};
+    }
   }
   return snap;
 }
@@ -144,15 +136,21 @@ Bytes ShardedChainSnapshot::to_bytes() const {
   w.u64v(window_id);
   w.u32v(shard_count);
   w.varint(shards.size());
-  // Each inner snapshot keeps its own CRC, so the bundle needs no second
+  // Inner snapshots are written in place (no per-shard blob copy of the
+  // CLog state), and each keeps its own CRC, so the bundle needs no second
   // integrity layer.
-  for (const auto& shard : shards) w.blob(shard.to_bytes());
+  for (const auto& shard : shards) shard.write(w);
   return std::move(w).take();
 }
 
 Result<ShardedChainSnapshot> ShardedChainSnapshot::from_bytes(BytesView data) {
   Reader r(data);
   auto magic = r.u32v();
+  if (magic.ok() && magic.value() == kSnapshotMagic) {
+    return Error{Errc::unsupported,
+                 "bare chain snapshot where a snapshot bundle belongs (store "
+                 "written by an older release; there is no migration path)"};
+  }
   if (!magic.ok() || magic.value() != kShardedSnapshotMagic) {
     return Error{Errc::parse_error, "bad sharded chain snapshot magic"};
   }
@@ -179,9 +177,7 @@ Result<ShardedChainSnapshot> ShardedChainSnapshot::from_bytes(BytesView data) {
   }
   snap.shards.reserve(n.value());
   for (u64 i = 0; i < n.value(); ++i) {
-    auto blob = r.blob();
-    if (!blob.ok()) return blob.error();
-    auto inner = ChainSnapshot::from_bytes(blob.value());
+    auto inner = ChainSnapshot::read(r);
     if (!inner.ok()) return inner.error();
     snap.shards.push_back(std::move(inner.value()));
   }

@@ -1,16 +1,18 @@
-// ChainSnapshot: one durable record of the prover's chain position after an
+// ChainSnapshot: one durable record of one chain's position after an
 // aggregation round — the serialized CLog state plus the identifiers that
-// bind it to the round's receipt.
+// bind it to the round's receipt. ShardedChainSnapshot bundles the K
+// per-shard snapshots of one round; a plain chain is the K = 1 bundle.
 //
-// ProviderPipeline appends one to store::kTableChainState (k1 = window id,
-// k2 = round id) every checkpoint interval, *before* the round's receipt is
-// appended: a crash between the two leaves an orphan snapshot with no
-// matching receipt, which recover() simply skips in favor of an older one —
-// the receipts table never runs ahead of a usable snapshot for the same
-// round. See docs/RECOVERY.md for the full crash matrix.
+// ProviderPipeline appends one bundle to store::kTableChainState (k1 =
+// window id, k2 = round id) every checkpoint interval, *before* the round's
+// receipts are appended: a crash between the appends leaves an orphan
+// bundle with no matching receipts, which recover() simply skips in favor
+// of an older one — the receipts table never runs ahead of a usable
+// snapshot for the same round. See docs/RECOVERY.md for the full crash
+// matrix.
 //
 // The snapshot is self-checking (CRC over the state bytes) and
-// cross-checked at recovery: the claim digest must match the stored
+// cross-checked at recovery: each claim digest must match the stored
 // receipt, and the rebuilt state's Merkle root and entry count must match
 // that receipt's journal. A tampered snapshot therefore cannot silently
 // fork the chain — it fails recovery with a typed error instead.
@@ -34,9 +36,7 @@ struct ChainSnapshot {
   u64 entry_count = 0;    ///< CLog entries after the round
   Bytes state_bytes;      ///< CLogState::serialize output
   /// Proof-carrying round sketch after the round (DESIGN.md §10), CRC'd
-  /// like state_bytes. Version-1 snapshots (pre-sketch) parse with
-  /// has_sketch = false; recovery then rejects them for sketched chains,
-  /// the same way a claim-digest mismatch is rejected.
+  /// like state_bytes.
   bool has_sketch = false;
   Bytes sketch_bytes;  ///< RoundSketch canonical bytes when has_sketch
 
@@ -54,18 +54,17 @@ struct ChainSnapshot {
   /// Rebuild the round sketch (nullopt when the snapshot carries none).
   Result<std::optional<netflow::RoundSketch>> restore_sketch() const;
 
-  Bytes to_bytes() const;
-  static Result<ChainSnapshot> from_bytes(BytesView data);
+  /// Append / consume the serialized form in place (bundles embed it).
+  void write(Writer& w) const;
+  static Result<ChainSnapshot> read(Reader& r);
 };
 
-/// One durable record of a SHARDED round's chain position: the per-shard
-/// chain snapshots of one round, bundled so recovery adopts all K shard
-/// chains (or none) atomically. ProviderPipeline appends one to
-/// store::kTableShardState (k1 = window id, k2 = round id) per checkpoint
-/// interval, before the round's shard receipts — the same
-/// snapshot-before-receipt ordering the single-chain path uses, so a crash
-/// between the appends orphans the snapshot instead of stranding receipts
-/// ahead of any usable snapshot.
+/// One durable record of a round's chain position: the per-shard chain
+/// snapshots of one round, bundled so recovery adopts all K shard chains
+/// (or none) atomically. K = 1 (one ChainSnapshot) is the plain chain.
+/// from_bytes rejects a bare ChainSnapshot — the pre-bundle store layout —
+/// with Errc::unsupported, so an old store fails recovery typed instead of
+/// being skipped as unreadable.
 struct ShardedChainSnapshot {
   u64 round_id = 0;
   u64 window_id = 0;

@@ -30,7 +30,6 @@ const char* image_name(const zvm::ImageID& id) {
   if (id == grouped_query_image()) return "zkt.guest.query_grouped";
   if (id == shard_split_image()) return "zkt.guest.shard_split";
   if (id == join_image()) return "zkt.guest.join";
-  if (id == sketch_query_image()) return "zkt.guest.sketch_query";
   if (id == sketch_heavy_image()) return "zkt.guest.sketch_heavy";
   if (id == sketch_card_image()) return "zkt.guest.sketch_card";
   if (id == chain_summary_image()) return "zkt.guest.chain_summary";
@@ -151,16 +150,6 @@ void describe_journal(std::ostringstream& os, const zvm::Receipt& receipt) {
          << " -> " << short_hex(j.value().final_sketch_digest) << " ("
          << j.value().final_sketch_total << " updates)\n";
     }
-  } else if (kind == "zkt.guest.sketch_query") {
-    auto j = SketchQueryJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  sketch query: flow " << j.value().key.to_string()
-       << "\n    estimate " << j.value().estimate << " (sketch H="
-       << short_hex(j.value().commitment.rlog_hash) << ", "
-       << j.value().commitment.record_count << " updates)\n";
   } else if (kind == "zkt.guest.join") {
     auto j = JoinJournal::parse(receipt.journal);
     if (!j.ok()) {

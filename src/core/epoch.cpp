@@ -78,7 +78,7 @@ Result<EpochSeal> EpochSeal::from_bytes(BytesView data) {
   }
   seal.commitments.reserve(n.value());
   for (u64 i = 0; i < n.value(); ++i) {
-    auto ref = parse_commitment_ref(r, CommitmentKind::rlog);
+    auto ref = parse_commitment_ref(r);
     if (!ref.ok()) return ref.error();
     seal.commitments.push_back(ref.value());
   }

@@ -280,21 +280,14 @@ void write_commitment_ref(Writer& w, const CommitmentRef& ref) {
   w.u64v(ref.record_count);
 }
 
-Result<CommitmentRef> parse_commitment_ref(Reader& r,
-                                           CommitmentKind expected) {
+Result<CommitmentRef> parse_commitment_ref(Reader& r) {
   CommitmentRef ref;
   auto kind = r.u8v();
   if (!kind.ok()) return kind.error();
-  if (kind.value() > static_cast<u8>(CommitmentKind::sketch)) {
+  if (kind.value() != static_cast<u8>(CommitmentKind::rlog)) {
     return Error{Errc::parse_error, "unknown commitment kind"};
   }
-  ref.kind = static_cast<CommitmentKind>(kind.value());
-  if (ref.kind != expected) {
-    return Error{Errc::parse_error,
-                 expected == CommitmentKind::rlog
-                     ? "sketch commitment where an rlog commitment belongs"
-                     : "rlog commitment where a sketch commitment belongs"};
-  }
+  ref.kind = CommitmentKind::rlog;
   auto rid = r.u32v();
   if (!rid.ok()) return rid.error();
   ref.router_id = rid.value();
@@ -366,7 +359,7 @@ Result<AggJournal> AggJournal::parse(BytesView journal) {
   }
   j.commitments.resize(nc.value());
   for (auto& c : j.commitments) {
-    auto ref = parse_commitment_ref(r, CommitmentKind::rlog);
+    auto ref = parse_commitment_ref(r);
     if (!ref.ok()) return ref.error();
     c = ref.value();
   }

@@ -61,22 +61,21 @@ const zvm::ImageID& aggregation_image(RoundKind kind);
 // ---------------------------------------------------------------------------
 // Aggregation
 
-/// What a serialized CommitmentRef commits to. RLog-batch references and
-/// sketch references share the struct but live in separate commitment
-/// spaces; the serialized form carries this tag so one can never be parsed
-/// as the other (a sketch hash is not an RLog hash).
+/// What a serialized CommitmentRef commits to. Only router RLog batches
+/// exist today; the serialized form still carries the tag byte (every
+/// AGG1/AGGI, JOIN1 and EPSEAL1 journal includes it), so another commitment
+/// space could be added without two kinds ever parsing as each other.
 enum class CommitmentKind : u8 {
-  rlog = 0,    ///< hash of a router's canonical RLogBatch bytes
-  sketch = 1,  ///< hash of committed sketch bytes
+  rlog = 0,  ///< hash of a router's canonical RLogBatch bytes
 };
 
-/// Reference to one committed batch (or sketch) consumed by a round. The
-/// `kind` field defaults to rlog and sits last so positional initializers
-/// predating the tag keep working.
+/// Reference to one committed batch consumed by a round. The `kind` field
+/// defaults to rlog and sits last so positional initializers predating the
+/// tag keep working.
 struct CommitmentRef {
   u32 router_id = 0;
   u64 window_id = 0;
-  Digest32 rlog_hash;  ///< batch hash (kind=rlog) or sketch hash (kind=sketch)
+  Digest32 rlog_hash;  ///< hash of the batch's canonical bytes
   u64 record_count = 0;
   CommitmentKind kind = CommitmentKind::rlog;
 
@@ -84,12 +83,11 @@ struct CommitmentRef {
 };
 
 /// Canonical serialized form of a CommitmentRef, kind tag included. Every
-/// journal that embeds commitment references uses these (AGG1/AGGI,
-/// SPLIT1, JOIN1, CHAIN1 expect rlog; SKQ1 expects sketch); parse rejects
-/// a reference whose tag differs from `expected`, separating the two
-/// commitment spaces at the wire level.
+/// journal that embeds commitment references uses these (AGG1/AGGI, JOIN1,
+/// EPSEAL1; EPOCH1 hashes them into its commitments digest); parse rejects
+/// any tag other than rlog with parse_error "unknown commitment kind".
 void write_commitment_ref(Writer& w, const CommitmentRef& ref);
-Result<CommitmentRef> parse_commitment_ref(Reader& r, CommitmentKind expected);
+Result<CommitmentRef> parse_commitment_ref(Reader& r);
 
 /// One CLog entry touched by a round (public part: index + new leaf digest).
 struct UpdateRef {

@@ -254,7 +254,7 @@ Result<JoinJournal> JoinJournal::parse(BytesView journal) {
     }
     link.commitments.resize(nc.value());
     for (auto& c : link.commitments) {
-      auto parsed = parse_commitment_ref(r, CommitmentKind::rlog);
+      auto parsed = parse_commitment_ref(r);
       if (!parsed.ok()) return parsed.error();
       c = std::move(parsed.value());
     }

@@ -33,25 +33,28 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 ProviderPipeline::ProviderPipeline(store::LogStore& store,
                                    const CommitmentBoard& board,
                                    PipelineOptions options)
-    : store_(&store),
-      options_(std::move(options)),
-      aggregation_(board,
-                   AggregationOptions{.prove_options = options_.prove_options,
-                                      .mode = options_.agg_mode,
-                                      .sketch = options_.sketch}) {
-  if (options_.sharded.shard_count >= 2) {
-    ShardedOptions sharded = options_.sharded;
-    sharded.prove_options = options_.prove_options;
-    sharded.agg_mode = options_.agg_mode;
-    sharded.sketch = options_.sketch;
-    sharded_ =
-        std::make_unique<ShardedAggregationService>(board, std::move(sharded));
-  } else if (options_.epoch_every > 0) {
+    : store_(&store), options_(std::move(options)) {
+  ShardedOptions round_options = options_.sharded;
+  round_options.prove_options = options_.prove_options;
+  round_options.agg_mode = options_.agg_mode;
+  round_options.sketch = options_.sketch;
+  service_ = std::make_unique<ShardedAggregationService>(
+      board, std::move(round_options));
+  if (options_.epoch_every > 0 && !sharded()) {
     EpochLadderOptions ladder;
     ladder.epoch_every = options_.epoch_every;
     ladder.prove_options = options_.prove_options;
     epoch_ = std::make_unique<EpochLadder>(std::move(ladder));
   }
+}
+
+Status ProviderPipeline::check_options() const {
+  if (options_.epoch_every > 0 && sharded()) {
+    return Error{Errc::invalid_argument,
+                 "epoch seals require the plain (K = 1) chain (shard chains "
+                 "have no single round chain to seal)"};
+  }
+  return {};
 }
 
 Status ProviderPipeline::with_retry(
@@ -118,44 +121,22 @@ Status ProviderPipeline::load_batches(
   });
 }
 
-Status ProviderPipeline::persist_round(u64 window,
-                                       const AggregationRound& round) {
-  obs::Registry& metrics = obs::Registry::instance();
-  // Snapshot BEFORE receipt: a crash between the two appends leaves an
-  // orphan snapshot (skipped at recover()) rather than a receipt the next
-  // process would have to re-prove. See docs/RECOVERY.md.
-  const bool snapshot_due =
-      options_.checkpoint_every_n_rounds > 0 &&
-      rounds_since_snapshot_ + 1 >= options_.checkpoint_every_n_rounds;
-  if (snapshot_due) {
-    const ChainSnapshot snap = ChainSnapshot::capture(
-        round.round_id + 1, window, round.receipt.claim.digest(),
-        aggregation_.state(),
-        aggregation_.sketch_enabled() ? &aggregation_.sketch() : nullptr);
-    const Bytes payload = snap.to_bytes();
-    ZKT_TRY(with_retry("chain snapshot append", [&]() -> Status {
-      auto id = store_->append(store::kTableChainState, window,
-                               round.round_id, payload);
-      return id.ok() ? Status{} : Status(id.error());
-    }));
-    metrics.counter("core.pipeline.snapshots").add(1);
-  }
-  ZKT_TRY(with_retry("receipt append", [&]() -> Status {
-    auto id = store_->append(store::kTableReceipts, window, round.round_id,
-                             round.receipt.to_bytes());
+Status ProviderPipeline::append_row(const char* what, std::string_view table,
+                                    u64 k1, u64 k2, BytesView payload) {
+  return with_retry(what, [&]() -> Status {
+    auto id = store_->append(table, k1, k2, payload);
     return id.ok() ? Status{} : Status(id.error());
-  }));
-  rounds_since_snapshot_ = snapshot_due ? 0 : rounds_since_snapshot_ + 1;
-  return {};
+  });
 }
 
-Status ProviderPipeline::persist_sharded_round(u64 window,
-                                               const RoundResult& round) {
+Status ProviderPipeline::persist_chain(u64 window, const RoundResult& round) {
   obs::Registry& metrics = obs::Registry::instance();
-  // Same snapshot-before-receipt ordering as the single-chain path, per
-  // window: sharded snapshot, then the K shard receipts. The tree seal is
-  // appended later by persist_seal (its fold may still be running); a
-  // crash before it is repaired at recover() by re-folding.
+  const u32 shard_count = service_->shard_count();
+  // Snapshot BEFORE receipts: a crash between the appends leaves an orphan
+  // snapshot (skipped at recover()) rather than receipts the next process
+  // would have to re-prove. The tree seal is appended later by
+  // persist_seal (its fold may still be running); a crash before it is
+  // repaired at recover() by re-folding. See docs/RECOVERY.md.
   const bool snapshot_due =
       options_.checkpoint_every_n_rounds > 0 &&
       rounds_since_snapshot_ + 1 >= options_.checkpoint_every_n_rounds;
@@ -163,56 +144,45 @@ Status ProviderPipeline::persist_sharded_round(u64 window,
     ShardedChainSnapshot snap;
     snap.round_id = round.round_id;
     snap.window_id = window;
-    snap.shard_count = sharded_->shard_count();
-    for (u32 s = 0; s < sharded_->shard_count(); ++s) {
-      const AggregationService& shard = sharded_->shard_service(s);
+    snap.shard_count = shard_count;
+    for (u32 s = 0; s < shard_count; ++s) {
+      const AggregationService& shard = service_->shard_service(s);
       snap.shards.push_back(ChainSnapshot::capture(
           round.round_id, window,
-          round.shard_rounds[s].receipt.claim.digest(),
-          sharded_->shard_state(s),
+          round.shard_rounds[s].receipt.claim.digest(), shard.state(),
           shard.sketch_enabled() ? &shard.sketch() : nullptr));
     }
-    const Bytes payload = snap.to_bytes();
-    ZKT_TRY(with_retry("sharded snapshot append", [&]() -> Status {
-      auto id = store_->append(store::kTableShardState, window,
-                               round.round_id, payload);
-      return id.ok() ? Status{} : Status(id.error());
-    }));
+    ZKT_TRY(append_row("chain snapshot append", store::kTableChainState,
+                       window, round.round_id, snap.to_bytes()));
     metrics.counter("core.pipeline.snapshots").add(1);
   }
-  for (u32 s = 0; s < sharded_->shard_count(); ++s) {
-    const Bytes payload = round.shard_rounds[s].receipt.to_bytes();
-    ZKT_TRY(with_retry("shard receipt append", [&]() -> Status {
-      auto id = store_->append(store::kTableShardReceipts, window, s, payload);
-      return id.ok() ? Status{} : Status(id.error());
-    }));
+  for (u32 s = 0; s < shard_count; ++s) {
+    ZKT_TRY(append_row("receipt append", store::kTableReceipts, window, s,
+                       round.shard_rounds[s].receipt.to_bytes()));
   }
   rounds_since_snapshot_ = snapshot_due ? 0 : rounds_since_snapshot_ + 1;
   return {};
 }
 
-Status ProviderPipeline::persist_seal(u64 window, const RoundResult& round) {
-  if (!round.tree_seal.has_value()) return {};
-  const Bytes payload = round.tree_seal->to_bytes();
-  ZKT_TRY(with_retry("tree seal append", [&]() -> Status {
-    auto id = store_->append(store::kTableTreeSeals, window, round.round_id,
-                             payload);
-    return id.ok() ? Status{} : Status(id.error());
-  }));
+Status ProviderPipeline::persist_seal(u64 window, u64 round_id,
+                                      const zvm::Receipt& seal) {
+  ZKT_TRY(append_row("tree seal append", store::kTableTreeSeals, window,
+                     round_id, seal.to_bytes()));
   obs::Registry::instance().counter("core.pipeline.seals").add(1);
+  return {};
+}
+
+Status ProviderPipeline::persist_epoch_seal(const EpochSeal& seal) {
+  ZKT_TRY(append_row("epoch seal append", store::kTableEpochSeals, seal.level,
+                     seal.start_round, seal.to_bytes()));
+  obs::Registry::instance().counter("core.pipeline.epoch_seals").add(1);
   return {};
 }
 
 Status ProviderPipeline::persist_epoch_seals() {
   if (!epoch_) return {};
   for (const EpochSeal& seal : epoch_->take_completed()) {
-    const Bytes payload = seal.to_bytes();
-    ZKT_TRY(with_retry("epoch seal append", [&]() -> Status {
-      auto id = store_->append(store::kTableEpochSeals, seal.level,
-                               seal.start_round, payload);
-      return id.ok() ? Status{} : Status(id.error());
-    }));
-    obs::Registry::instance().counter("core.pipeline.epoch_seals").add(1);
+    ZKT_TRY(persist_epoch_seal(seal));
   }
   return {};
 }
@@ -226,7 +196,6 @@ Result<std::vector<EpochSeal>> ProviderPipeline::epoch_seals() {
 
 Status ProviderPipeline::recover_epoch_ladder(
     const std::vector<u64>& round_windows, RecoveryInfo& info) {
-  obs::Registry& metrics = obs::Registry::instance();
   // Latest stored seal per (level, start_round).
   std::map<std::pair<u64, u64>, Bytes> stored;
   ZKT_TRY(with_retry("epoch seal scan", [&]() -> Status {
@@ -289,15 +258,9 @@ Status ProviderPipeline::recover_epoch_ladder(
     seal.journal = response.value().journal;
     seal.commitments = std::move(response.value().commitments);
     commitments_digest = seal.journal.final_commitments_digest;
-    const Bytes payload = seal.to_bytes();
-    ZKT_TRY(with_retry("epoch seal append", [&]() -> Status {
-      auto id = store_->append(store::kTableEpochSeals, seal.level,
-                               seal.start_round, payload);
-      return id.ok() ? Status{} : Status(id.error());
-    }));
+    ZKT_TRY(persist_epoch_seal(seal));
     ZKT_TRY(epoch_->adopt(std::move(seal)));
     ++info.epoch_levels_refolded;
-    metrics.counter("core.pipeline.epoch_seals").add(1);
   }
 
   // Re-feed the unsealed tail so the next full epoch builds on schedule.
@@ -318,96 +281,26 @@ u64 ProviderPipeline::prune_aggregated() {
 Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
   obs::Registry& metrics = obs::Registry::instance();
   obs::ScopedSpan span("pipeline_aggregate_pending");
+  ZKT_TRY(check_options());
 
   auto pending = pending_windows();
   if (!pending.ok()) return pending.error();
+  const std::vector<u64>& windows = pending.value();
   // Pending-window lag before this run: how far the provider's proof chain
   // trails the routers' committed windows.
   metrics.gauge("core.pipeline.pending_windows")
-      .set(static_cast<double>(pending.value().size()));
+      .set(static_cast<double>(windows.size()));
 
-  return sharded_ ? aggregate_pending_sharded(std::move(pending.value()))
-                  : aggregate_pending_plain(std::move(pending.value()));
-}
-
-Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_plain(
-    std::vector<u64> windows) {
-  obs::Registry& metrics = obs::Registry::instance();
-  std::vector<RoundResult> rounds;
-  for (u64 window : windows) {
-    const auto round_start = std::chrono::steady_clock::now();
-    std::vector<netflow::RLogBatch> batches;
-    if (Status loaded = load_batches(window, batches); !loaded.ok()) {
-      return loaded.error();
-    }
-    auto round = aggregation_.aggregate(batches);
-    if (!round.ok()) return round.error();
-
-    if (Status persisted = persist_round(window, round.value());
-        !persisted.ok()) {
-      return persisted.error();
-    }
-    receipts_.push_back(round.value().receipt);
-    last_window_ = window;
-    if (epoch_) {
-      // The ladder proves asynchronously — feed() only buffers/dispatches.
-      // Finished seals are drained and persisted here, between rounds.
-      if (Status fed = epoch_->feed(round.value().receipt, window);
-          !fed.ok()) {
-        return fed.error();
-      }
-      if (Status persisted = persist_epoch_seals(); !persisted.ok()) {
-        return persisted.error();
-      }
-    }
-
-    RoundResult result;
-    result.round_id = round.value().round_id;
-    result.total_cycles = round.value().prove_info.cycles;
-    result.wall_ms = elapsed_ms(round_start);
-    result.shard_rounds.push_back(std::move(round.value()));
-    rounds.push_back(std::move(result));
-
-    metrics.histogram("core.pipeline.round_ms").record(rounds.back().wall_ms);
-    metrics.histogram("core.pipeline.batches_per_round")
-        .record(static_cast<double>(batches.size()));
-    metrics.counter("core.pipeline.windows_aggregated").add(1);
-    metrics.gauge("core.pipeline.pending_windows")
-        .set(static_cast<double>(windows.size() - rounds.size()));
-  }
-  if (epoch_) {
-    // Quiesce the ladder so this call's seals are durable before returning
-    // (a caller that exits right after aggregate_pending loses nothing).
-    if (Status settled = epoch_->settle(); !settled.ok()) {
-      return settled.error();
-    }
-    if (Status persisted = persist_epoch_seals(); !persisted.ok()) {
-      return persisted.error();
-    }
-  }
-  if (options_.prune_aggregated && !rounds.empty()) {
-    prune_aggregated();
-  }
-  return rounds;
-}
-
-Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
-    std::vector<u64> windows) {
-  if (options_.epoch_every > 0) {
-    return Error{Errc::invalid_argument,
-                 "epoch seals require single-chain mode (shard chains have "
-                 "no single round chain to seal)"};
-  }
-  obs::Registry& metrics = obs::Registry::instance();
   common::ThreadPool& pool = common::ThreadPool::shared();
   const u32 depth = std::max<u32>(options_.sharded.pipeline_depth, 1);
 
-  // Window i+1 loads + split-proves on a pool worker while window i's
-  // shards prove on this thread, and window i's tree folds on a worker
-  // while window i+1 proves. Chain LINKING stays here, in window order
-  // (commit_staged / prove_shards / persist), so every depth produces
-  // byte-identical receipts; results are drained from `sealing` in window
-  // order.
+  // Window i+1 loads + stages (split-proves, at K >= 2) on a pool worker
+  // while window i's shards prove on this thread, and window i's tree folds
+  // on a worker while window i+1 proves. Chain LINKING stays here, in
+  // window order (commit_staged / prove_shards / persist), so every depth
+  // produces byte-identical receipts; results are drained from `sealing`
+  // in window order. At K = 1 staging and folding are no-ops and this is
+  // the plain chain's loop.
   struct StagedEntry {
     u64 window = 0;
     std::shared_ptr<std::vector<netflow::RLogBatch>> batches;
@@ -422,6 +315,14 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
   std::deque<SealEntry> sealing;
   std::vector<RoundResult> rounds;
   size_t next_window = 0;
+
+  // Steps with nothing to do — staging at K = 1, folding with the fold
+  // disabled — run inline at the future's get() instead of queueing behind
+  // pool work such as epoch-seal proving.
+  auto schedule = [&pool](bool offload, auto task) {
+    return offload ? pool.submit(std::move(task))
+                   : std::async(std::launch::deferred, std::move(task));
+  };
 
   // On a terminal error every in-flight future must finish before the
   // deques (and the service) can be torn down.
@@ -444,8 +345,8 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
       entry.window = windows[next_window];
       entry.batches = std::make_shared<std::vector<netflow::RLogBatch>>();
       ZKT_TRY(load_batches(entry.window, *entry.batches));
-      entry.staged = pool.submit(
-          [service = sharded_.get(), batches = entry.batches] {
+      entry.staged = schedule(
+          sharded(), [service = service_.get(), batches = entry.batches] {
             return service->stage(*batches);
           });
       staging.push_back(std::move(entry));
@@ -463,8 +364,9 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
     metrics.histogram("core.pipeline.fold_wait_ms")
         .record(elapsed_ms(wait_start));
     ZKT_TRY(folded);
-    ZKT_TRY(persist_seal(entry.window, *entry.round));
     if (entry.round->tree_seal.has_value()) {
+      ZKT_TRY(persist_seal(entry.window, entry.round->round_id,
+                           *entry.round->tree_seal));
       tree_seals_.push_back(*entry.round->tree_seal);
     }
     rounds.push_back(std::move(*entry.round));
@@ -490,13 +392,13 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
     metrics.histogram("core.pipeline.stage_ms")
         .record(staged.value().split_ms);
 
-    if (Status committed = sharded_->commit_staged(staged.value());
+    if (Status committed = service_->commit_staged(staged.value());
         !committed.ok()) {
       settle_inflight();
       return committed.error();
     }
     const auto prove_start = std::chrono::steady_clock::now();
-    auto round = sharded_->prove_shards(std::move(staged.value()));
+    auto round = service_->prove_shards(std::move(staged.value()));
     if (!round.ok()) {
       settle_inflight();
       return round.error();
@@ -505,19 +407,31 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
     // order, because chains link round i+1 onto round i. Pipelining can
     // only hide stage_ms and fold_wait_ms around it.
     metrics.histogram("core.pipeline.prove_ms").record(elapsed_ms(prove_start));
-    if (Status persisted = persist_sharded_round(entry.window, round.value());
+    if (Status persisted = persist_chain(entry.window, round.value());
         !persisted.ok()) {
       settle_inflight();
       return persisted.error();
     }
     last_window_ = entry.window;
+    if (!sharded()) receipts_.push_back(round.value().primary().receipt);
+    if (epoch_) {
+      // The ladder proves asynchronously — feed() only buffers/dispatches.
+      // Finished seals are drained and persisted here, between rounds.
+      Status fed = epoch_->feed(receipts_.back(), entry.window);
+      if (fed.ok()) fed = persist_epoch_seals();
+      if (!fed.ok()) {
+        settle_inflight();
+        return fed.error();
+      }
+    }
 
     SealEntry seal;
     seal.window = entry.window;
     seal.round = std::make_shared<RoundResult>(std::move(round.value()));
-    seal.folded = pool.submit([service = sharded_.get(), r = seal.round] {
-      return service->fold_round(*r);
-    });
+    seal.folded = schedule(service_->fold_enabled(),
+                           [service = service_.get(), r = seal.round] {
+                             return service->fold_round(*r);
+                           });
     sealing.push_back(std::move(seal));
     set_inflight();
 
@@ -542,208 +456,76 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending_sharded(
       return drained.error();
     }
   }
+  if (epoch_) {
+    // Quiesce the ladder so this call's seals are durable before returning
+    // (a caller that exits right after aggregate_pending loses nothing).
+    ZKT_TRY(epoch_->settle());
+    ZKT_TRY(persist_epoch_seals());
+  }
   if (options_.prune_aggregated && !rounds.empty()) {
     prune_aggregated();
   }
   return rounds;
 }
 
+Result<std::optional<std::vector<zvm::Receipt>>>
+ProviderPipeline::load_receipts(u64 window) const {
+  std::vector<zvm::Receipt> receipts;
+  for (u32 s = 0; s < service_->shard_count(); ++s) {
+    const std::vector<store::StoredRow> rows =
+        store_->scan_exact(store::kTableReceipts, window, s);
+    if (rows.empty()) return std::optional<std::vector<zvm::Receipt>>{};
+    auto receipt = zvm::Receipt::from_bytes(rows.back().payload);
+    if (!receipt.ok()) return receipt.error();
+    receipts.push_back(std::move(receipt.value()));
+  }
+  return std::optional<std::vector<zvm::Receipt>>{std::move(receipts)};
+}
+
 Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
+  obs::Registry& metrics = obs::Registry::instance();
   obs::ScopedSpan span("pipeline_recover");
   if (has_rounds() || last_window_.has_value()) {
     return Error{Errc::invalid_argument,
                  "recover() must run before any aggregation"};
   }
-  return sharded_ ? recover_sharded() : recover_plain();
-}
-
-Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_plain() {
-  obs::Registry& metrics = obs::Registry::instance();
-  if (store_->row_count(store::kTableShardState) > 0 ||
-      store_->row_count(store::kTableShardReceipts) > 0) {
-    return Error{Errc::invalid_argument,
-                 "store holds sharded chain rows; a single-chain pipeline "
-                 "cannot recover it (configure matching shards)"};
+  ZKT_TRY(check_options());
+  // The pre-bundle layout kept sharded chains in tables of their own; such
+  // a store must fail typed rather than look empty.
+  for (const char* legacy : {"shard_state", "shard_receipts"}) {
+    if (store_->row_count(legacy) > 0) {
+      return Error{Errc::unsupported,
+                   std::string("store holds a legacy '") + legacy +
+                       "' table (written by an older release; there is no "
+                       "migration path)"};
+    }
   }
 
   RecoveryInfo info;
+  const u32 shard_count = service_->shard_count();
 
   std::vector<store::StoredRow> snapshot_rows;
-  Status scanned = with_retry("chain-state scan", [&]() -> Status {
+  ZKT_TRY(with_retry("chain-state scan", [&]() -> Status {
     snapshot_rows.clear();
     return store_->for_each(store::kTableChainState, 0, ~0ULL,
                             [&](const store::StoredRow& row) {
                               snapshot_rows.push_back(row);
                             });
-  });
-  if (!scanned.ok()) return scanned.error();
+  }));
 
-  // Adopt the newest snapshot whose receipt checks out. Orphans (snapshot
-  // appended, crash before its receipt) and unreadable rows are skipped in
-  // favor of an older snapshot; a snapshot that *contradicts* its receipt
-  // fails terminally below, inside restore().
-  std::optional<ChainSnapshot> adopted;
-  for (auto it = snapshot_rows.rbegin();
-       it != snapshot_rows.rend() && !adopted.has_value(); ++it) {
-    auto snap = ChainSnapshot::from_bytes(it->payload);
-    if (!snap.ok()) {
-      ZKT_LOG(warn) << "skipping unreadable chain snapshot (row " << it->id
-                    << "): " << snap.error().to_string();
-      ++info.snapshots_skipped;
-      continue;
-    }
-    auto receipt_row = store_->latest(store::kTableReceipts,
-                                      snap.value().window_id);
-    if (!receipt_row.has_value()) {
-      // Crash between snapshot append and receipt append.
-      ++info.snapshots_skipped;
-      continue;
-    }
-    auto receipt = zvm::Receipt::from_bytes(receipt_row->payload);
-    if (!receipt.ok()) return receipt.error();
-    if (receipt.value().claim.digest() != snap.value().claim_digest) {
-      ZKT_LOG(warn) << "skipping chain snapshot for window "
-                    << snap.value().window_id
-                    << ": stored receipt has a different claim digest";
-      ++info.snapshots_skipped;
-      continue;
-    }
-    auto state = snap.value().restore_state();
-    if (!state.ok()) return state.error();
-    auto sketch = snap.value().restore_sketch();
-    if (!sketch.ok()) return sketch.error();
-    ZKT_TRY(aggregation_.restore(std::move(state.value()),
-                                 std::move(receipt.value()),
-                                 snap.value().round_id,
-                                 std::move(sketch.value())));
-    adopted = std::move(snap.value());
-  }
-  if (adopted.has_value()) {
-    info.resumed = true;
-    info.rounds_restored = adopted->round_id;
-    last_window_ = adopted->window_id;
-  }
-
-  // Roll forward over receipts proven after the adopted snapshot (or from
-  // genesis when no snapshot was usable) by replaying their raw batches —
-  // verified against the receipts' journals, never re-proven.
-  std::vector<store::StoredRow> receipt_rows;
-  scanned = with_retry("receipt scan", [&]() -> Status {
-    receipt_rows.clear();
-    return store_->for_each(store::kTableReceipts, 0, ~0ULL,
-                            [&](const store::StoredRow& row) {
-                              receipt_rows.push_back(row);
-                            });
-  });
-  if (!scanned.ok()) return scanned.error();
-  std::sort(receipt_rows.begin(), receipt_rows.end(),
-            [](const store::StoredRow& a, const store::StoredRow& b) {
-              return std::tie(a.k1, a.id) < std::tie(b.k1, b.id);
-            });
-
-  std::vector<u64> round_windows;  // round index -> window id
-  for (const auto& row : receipt_rows) {
-    auto receipt = zvm::Receipt::from_bytes(row.payload);
-    if (!receipt.ok()) return receipt.error();
-    if (adopted.has_value() && row.k1 <= adopted->window_id) {
-      // Part of the chain the snapshot already vouches for.
-      receipts_.push_back(std::move(receipt.value()));
-      round_windows.push_back(row.k1);
-      continue;
-    }
-    std::vector<netflow::RLogBatch> batches;
-    if (Status loaded = load_batches(row.k1, batches); !loaded.ok()) {
-      return loaded.error();
-    }
-    if (batches.empty()) {
-      return Error{Errc::chain_broken,
-                   "receipt for window " + std::to_string(row.k1) +
-                       " has no raw logs to replay (pruned before a chain "
-                       "snapshot covered it?)"};
-    }
-    ZKT_TRY(aggregation_.replay_round(batches, receipt.value()));
-    receipts_.push_back(std::move(receipt.value()));
-    round_windows.push_back(row.k1);
-    last_window_ = row.k1;
-    ++info.rounds_replayed;
-    info.resumed = true;
-  }
-
-  if (epoch_) {
-    ZKT_TRY(recover_epoch_ladder(round_windows, info));
-  }
-
-  info.last_window = last_window_;
-  if (info.resumed) {
-    metrics.counter("core.pipeline.recoveries").add(1);
-    metrics.gauge("core.pipeline.recovered_rounds")
-        .set(static_cast<double>(info.rounds_restored + info.rounds_replayed));
-    ZKT_LOG(info) << "pipeline recovered: " << info.rounds_restored
-                  << " rounds from snapshot, " << info.rounds_replayed
-                  << " replayed, resuming after window "
-                  << (last_window_.has_value() ? std::to_string(*last_window_)
-                                               : std::string("none"));
-  }
-  return info;
-}
-
-Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
-  obs::Registry& metrics = obs::Registry::instance();
-  if (options_.epoch_every > 0) {
-    return Error{Errc::invalid_argument,
-                 "epoch seals require single-chain mode (shard chains have "
-                 "no single round chain to seal)"};
-  }
-  if (store_->row_count(store::kTableChainState) > 0 ||
-      store_->row_count(store::kTableReceipts) > 0) {
-    return Error{Errc::invalid_argument,
-                 "store holds single-chain rows; a sharded pipeline cannot "
-                 "recover it (drop --shards to recover)"};
-  }
-
-  RecoveryInfo info;
-  const u32 shard_count = sharded_->shard_count();
-
-  // The latest stored receipt per (window, shard); nullopt when any shard's
-  // receipt is missing (a crash mid-persist left the window incomplete).
-  auto load_shard_receipts =
-      [&](u64 window) -> Result<std::optional<std::vector<zvm::Receipt>>> {
-    std::vector<zvm::Receipt> receipts;
-    for (u32 s = 0; s < shard_count; ++s) {
-      std::vector<store::StoredRow> rows;
-      Status scanned = with_retry("shard receipt scan", [&]() -> Status {
-        rows = store_->scan_exact(store::kTableShardReceipts, window, s);
-        return {};
-      });
-      if (!scanned.ok()) return scanned.error();
-      if (rows.empty()) return std::optional<std::vector<zvm::Receipt>>{};
-      auto receipt = zvm::Receipt::from_bytes(rows.back().payload);
-      if (!receipt.ok()) return receipt.error();
-      receipts.push_back(std::move(receipt.value()));
-    }
-    return std::optional<std::vector<zvm::Receipt>>{std::move(receipts)};
-  };
-
-  std::vector<store::StoredRow> snapshot_rows;
-  Status scanned = with_retry("shard-state scan", [&]() -> Status {
-    snapshot_rows.clear();
-    return store_->for_each(store::kTableShardState, 0, ~0ULL,
-                            [&](const store::StoredRow& row) {
-                              snapshot_rows.push_back(row);
-                            });
-  });
-  if (!scanned.ok()) return scanned.error();
-
-  // Adopt the newest sharded snapshot whose K shard receipts all exist and
-  // match its claim digests; orphans and unreadable rows are skipped. A
-  // shard-count mismatch is terminal — recovering a 4-shard store with
-  // --shards 8 must not silently fork the chains.
+  // Adopt the newest snapshot bundle whose K receipts all exist and match
+  // its claim digests. Orphans (bundle appended, crash before its
+  // receipts) and unreadable rows are skipped in favor of an older bundle;
+  // a bundle that *contradicts* its receipts fails terminally inside
+  // restore(). A shard-count mismatch is terminal too — recovering a
+  // 4-shard store with --shards 8 must not silently fork the chains.
   std::optional<ShardedChainSnapshot> adopted;
   for (auto it = snapshot_rows.rbegin();
        it != snapshot_rows.rend() && !adopted.has_value(); ++it) {
     auto snap = ShardedChainSnapshot::from_bytes(it->payload);
     if (!snap.ok()) {
-      ZKT_LOG(warn) << "skipping unreadable sharded snapshot (row " << it->id
+      if (snap.error().code == Errc::unsupported) return snap.error();
+      ZKT_LOG(warn) << "skipping unreadable chain snapshot (row " << it->id
                     << "): " << snap.error().to_string();
       ++info.snapshots_skipped;
       continue;
@@ -756,26 +538,26 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
                        std::to_string(shard_count) +
                        " (the shard count cannot change across restarts)"};
     }
-    auto receipts = load_shard_receipts(snap.value().window_id);
+    auto receipts = load_receipts(snap.value().window_id);
     if (!receipts.ok()) return receipts.error();
     if (!receipts.value().has_value()) {
-      // Crash between snapshot append and the shard receipts.
+      // Crash between the snapshot append and the receipts.
       ++info.snapshots_skipped;
       continue;
     }
-    bool digests_match = snap.value().shards.size() == shard_count;
+    bool digests_match = true;
     for (u32 s = 0; digests_match && s < shard_count; ++s) {
       digests_match = snap.value().shards[s].claim_digest ==
                       (*receipts.value())[s].claim.digest();
     }
     if (!digests_match) {
-      ZKT_LOG(warn) << "skipping sharded snapshot for window "
+      ZKT_LOG(warn) << "skipping chain snapshot for window "
                     << snap.value().window_id
-                    << ": stored shard receipts have different claim digests";
+                    << ": stored receipts have different claim digests";
       ++info.snapshots_skipped;
       continue;
     }
-    ZKT_TRY(sharded_->restore(snap.value(), std::move(*receipts.value())));
+    ZKT_TRY(service_->restore(snap.value(), std::move(*receipts.value())));
     adopted = std::move(snap.value());
   }
   if (adopted.has_value()) {
@@ -784,22 +566,21 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
     last_window_ = adopted->window_id;
   }
 
-  // Windows with stored shard receipts, ascending. A receipt row for a
-  // shard id past the configured count is the no-snapshot face of the
-  // shard-count mismatch above — also terminal.
+  // Windows with stored receipts, ascending. A receipt row for a shard id
+  // past the configured count is the no-snapshot face of the shard-count
+  // mismatch above — also terminal.
   std::vector<u64> receipt_windows;
   u64 max_shard_seen = 0;
-  scanned = with_retry("shard receipt window scan", [&]() -> Status {
+  ZKT_TRY(with_retry("receipt window scan", [&]() -> Status {
     receipt_windows.clear();
     max_shard_seen = 0;
-    return store_->for_each(store::kTableShardReceipts, 0, ~0ULL,
+    return store_->for_each(store::kTableReceipts, 0, ~0ULL,
                             [&](const store::StoredRow& row) {
                               receipt_windows.push_back(row.k1);
                               max_shard_seen =
                                   std::max(max_shard_seen, row.k2);
                             });
-  });
-  if (!scanned.ok()) return scanned.error();
+  }));
   if (!receipt_windows.empty() && max_shard_seen >= shard_count) {
     return Error{Errc::invalid_argument,
                  "store holds receipts for shard " +
@@ -814,9 +595,10 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
       std::unique(receipt_windows.begin(), receipt_windows.end()),
       receipt_windows.end());
 
+  std::vector<u64> round_windows;  // K = 1: round index -> window id
   for (size_t i = 0; i < receipt_windows.size(); ++i) {
     const u64 window = receipt_windows[i];
-    auto receipts = load_shard_receipts(window);
+    auto receipts = load_receipts(window);
     if (!receipts.ok()) return receipts.error();
     if (!receipts.value().has_value()) {
       // Incomplete persist. Only tolerable at the chain tip, where the
@@ -837,112 +619,32 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
       // Roll forward: replay the window's raw batches against the stored
       // receipts — verified against each shard's journal, never re-proven.
       std::vector<netflow::RLogBatch> batches;
-      if (Status loaded = load_batches(window, batches); !loaded.ok()) {
-        return loaded.error();
-      }
+      ZKT_TRY(load_batches(window, batches));
       if (batches.empty()) {
         return Error{Errc::chain_broken,
-                     "shard receipts for window " + std::to_string(window) +
+                     "receipts for window " + std::to_string(window) +
                          " have no raw logs to replay (pruned before a "
                          "snapshot covered them?)"};
       }
-      ZKT_TRY(sharded_->replay_round(batches, *receipts.value()));
+      ZKT_TRY(service_->replay_round(batches, *receipts.value()));
       last_window_ = window;
       ++info.rounds_replayed;
       info.resumed = true;
     }
 
-    if (sharded_->fold_enabled()) {
-      auto seal_row = store_->latest(store::kTableTreeSeals, window);
-      if (seal_row.has_value()) {
-        auto seal = zvm::Receipt::from_bytes(seal_row->payload);
-        if (!seal.ok()) return seal.error();
-        tree_seals_.push_back(std::move(seal.value()));
-      } else {
-        // Crash after the shard receipts, before the seal: re-fold from the
-        // verified receipts (proof work is O(K) joins, not a re-prove of
-        // the round) and persist what the crashed process could not.
-        FoldOptions fold_options;
-        fold_options.fanout = sharded_->options().join_fanout;
-        fold_options.prove_options = sharded_->options().prove_options;
-        fold_options.prove_options.assumptions.clear();
-        std::vector<netflow::RoundSketch> leaf_sketches;
-        auto leaf_journal =
-            AggJournal::parse((*receipts.value())[0].journal);
-        if (!leaf_journal.ok()) return leaf_journal.error();
-        if (leaf_journal.value().has_sketch) {
-          // Sketched leaves need this window's round-sketch bytes fed back
-          // to the join guests. The live shard services hold them only when
-          // the chain position matches (the window we just replayed, or the
-          // adopted snapshot's own window); an older window rebuilds them by
-          // replaying every stored window's raw batches through the same
-          // shard split and (window, router) fold order the guests used —
-          // and the rebuild is only trusted after it reproduces each
-          // shard's proven sketch digest.
-          const bool state_matches =
-              !covered ||
-              (adopted.has_value() && window == adopted->window_id);
-          if (state_matches) {
-            for (u32 s = 0; s < shard_count; ++s) {
-              leaf_sketches.push_back(sharded_->shard_service(s).sketch());
-            }
-          } else {
-            leaf_sketches.assign(
-                shard_count,
-                netflow::RoundSketch{leaf_journal.value().sketch_params});
-            for (u64 w : receipt_windows) {
-              if (w > window) break;
-              std::vector<netflow::RLogBatch> replay;
-              if (Status loaded = load_batches(w, replay); !loaded.ok()) {
-                return loaded.error();
-              }
-              if (replay.empty()) {
-                return Error{Errc::chain_broken,
-                             "window " + std::to_string(window) +
-                                 " is missing its tree seal and its shard "
-                                 "sketches cannot be rebuilt (raw logs "
-                                 "pruned before a seal covered them?)"};
-              }
-              std::sort(
-                  replay.begin(), replay.end(),
-                  [](const netflow::RLogBatch& a,
-                     const netflow::RLogBatch& b) {
-                    return std::tie(a.window_id, a.router_id) <
-                           std::tie(b.window_id, b.router_id);
-                  });
-              for (const auto& batch : replay) {
-                for (const auto& record : batch.records) {
-                  leaf_sketches[shard_of(record.key, shard_count)].update(
-                      record.key, record.packets);
-                }
-              }
-            }
-            for (u32 s = 0; s < shard_count; ++s) {
-              auto shard_journal =
-                  AggJournal::parse((*receipts.value())[s].journal);
-              if (!shard_journal.ok()) return shard_journal.error();
-              if (!shard_journal.value().has_sketch ||
-                  shard_journal.value().sketch_digest !=
-                      leaf_sketches[s].hash()) {
-                return Error{Errc::hash_mismatch,
-                             "rebuilt shard sketches disagree with the "
-                             "proven digests for window " +
-                                 std::to_string(window)};
-              }
-            }
-          }
-          fold_options.leaf_sketches = leaf_sketches;
-        }
-        auto folded = fold_receipts(*receipts.value(), fold_options);
-        if (!folded.ok()) return folded.error();
-        RoundResult refold;
-        refold.round_id = info.rounds_restored + info.rounds_replayed;
-        refold.tree_seal = std::move(folded.value().root);
-        ZKT_TRY(persist_seal(window, refold));
-        tree_seals_.push_back(*refold.tree_seal);
-        ++info.seals_refolded;
-      }
+    if (!sharded()) {
+      receipts_.push_back(std::move(receipts.value()->front()));
+      round_windows.push_back(window);
+    } else if (service_->fold_enabled()) {
+      const bool live_sketches =
+          !covered || (adopted.has_value() && window == adopted->window_id);
+      ZKT_TRY(recover_tree_seal(window, *receipts.value(), live_sketches,
+                                receipt_windows, info));
     }
+  }
+
+  if (epoch_) {
+    ZKT_TRY(recover_epoch_ladder(round_windows, info));
   }
 
   info.last_window = last_window_;
@@ -950,7 +652,7 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
     metrics.counter("core.pipeline.recoveries").add(1);
     metrics.gauge("core.pipeline.recovered_rounds")
         .set(static_cast<double>(info.rounds_restored + info.rounds_replayed));
-    ZKT_LOG(info) << "sharded pipeline recovered: " << info.rounds_restored
+    ZKT_LOG(info) << "pipeline recovered: " << info.rounds_restored
                   << " rounds from snapshot, " << info.rounds_replayed
                   << " replayed, " << info.seals_refolded
                   << " seals re-folded, resuming after window "
@@ -958,6 +660,90 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover_sharded() {
                                                : std::string("none"));
   }
   return info;
+}
+
+Status ProviderPipeline::recover_tree_seal(
+    u64 window, const std::vector<zvm::Receipt>& receipts, bool live_sketches,
+    const std::vector<u64>& receipt_windows, RecoveryInfo& info) {
+  auto seal_row = store_->latest(store::kTableTreeSeals, window);
+  if (seal_row.has_value()) {
+    auto seal = zvm::Receipt::from_bytes(seal_row->payload);
+    if (!seal.ok()) return seal.error();
+    tree_seals_.push_back(std::move(seal.value()));
+    return {};
+  }
+
+  // Crash after the shard receipts, before the seal: re-fold from the
+  // verified receipts (proof work is O(K) joins, not a re-prove of the
+  // round) and persist what the crashed process could not.
+  const u32 shard_count = service_->shard_count();
+  FoldOptions fold_options;
+  fold_options.fanout = service_->options().join_fanout;
+  fold_options.prove_options = service_->options().prove_options;
+  fold_options.prove_options.assumptions.clear();
+  auto leaf_journal = AggJournal::parse(receipts[0].journal);
+  if (!leaf_journal.ok()) return leaf_journal.error();
+  std::vector<netflow::RoundSketch> leaf_sketches;  // fold_options views it
+  if (leaf_journal.value().has_sketch) {
+    // Sketched leaves need this window's round-sketch bytes fed back to the
+    // join guests. The live shard services hold them only when the chain
+    // position matches (the window just replayed, or the adopted
+    // snapshot's own window); an older window rebuilds them by replaying
+    // every stored window's raw batches through the same shard split and
+    // (window, router) fold order the guests used — and the rebuild is only
+    // trusted after it reproduces each shard's proven sketch digest.
+    if (live_sketches) {
+      for (u32 s = 0; s < shard_count; ++s) {
+        leaf_sketches.push_back(service_->shard_service(s).sketch());
+      }
+    } else {
+      leaf_sketches.assign(
+          shard_count, netflow::RoundSketch{leaf_journal.value().sketch_params});
+      for (u64 w : receipt_windows) {
+        if (w > window) break;
+        std::vector<netflow::RLogBatch> replay;
+        ZKT_TRY(load_batches(w, replay));
+        if (replay.empty()) {
+          return Error{Errc::chain_broken,
+                       "window " + std::to_string(window) +
+                           " is missing its tree seal and its shard sketches "
+                           "cannot be rebuilt (raw logs pruned before a seal "
+                           "covered them?)"};
+        }
+        std::sort(replay.begin(), replay.end(),
+                  [](const netflow::RLogBatch& a,
+                     const netflow::RLogBatch& b) {
+                    return std::tie(a.window_id, a.router_id) <
+                           std::tie(b.window_id, b.router_id);
+                  });
+        for (const auto& batch : replay) {
+          for (const auto& record : batch.records) {
+            leaf_sketches[shard_of(record.key, shard_count)].update(
+                record.key, record.packets);
+          }
+        }
+      }
+      for (u32 s = 0; s < shard_count; ++s) {
+        auto shard_journal = AggJournal::parse(receipts[s].journal);
+        if (!shard_journal.ok()) return shard_journal.error();
+        if (!shard_journal.value().has_sketch ||
+            shard_journal.value().sketch_digest != leaf_sketches[s].hash()) {
+          return Error{Errc::hash_mismatch,
+                       "rebuilt shard sketches disagree with the proven "
+                       "digests for window " +
+                           std::to_string(window)};
+        }
+      }
+    }
+    fold_options.leaf_sketches = leaf_sketches;
+  }
+  auto folded = fold_receipts(receipts, fold_options);
+  if (!folded.ok()) return folded.error();
+  ZKT_TRY(persist_seal(window, info.rounds_restored + info.rounds_replayed,
+                       folded.value().root));
+  tree_seals_.push_back(std::move(folded.value().root));
+  ++info.seals_refolded;
+  return {};
 }
 
 }  // namespace zkt::core

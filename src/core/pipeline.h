@@ -5,26 +5,27 @@
 // packaged as a library component (the zkt-prove tool and the simulator
 // integration tests drive it).
 //
-// Sharded mode (options.sharded.shard_count >= 2) routes every window
-// through ShardedAggregationService instead: split proofs, K parallel shard
-// chains, and (with a join fanout) ONE tree seal per round. With
+// One round shape: every window runs through ShardedAggregationService as
+// stage -> commit_staged -> prove_shards -> persist -> fold. A plain chain
+// is the K = 1 round (options.sharded.shard_count <= 1): no split proof, no
+// fold, one receipt per window. K >= 2 adds split proofs, K parallel shard
+// chains and (with a join fanout) ONE tree seal per round. With
 // options.sharded.pipeline_depth > 1 the pipeline overlaps windows —
-// window i+1 loads and split-proves on a pool worker while window i's
-// shards prove, and window i's tree folds while window i+1 proves. Chain
-// LINKING stays strictly serial (prove_shards runs in window order on the
-// caller's thread), so receipts and auditor decisions are byte-identical
-// at every depth; depth 1 is exactly the sequential loop.
+// window i+1 loads and stages on a pool worker while window i's shards
+// prove, and window i's tree folds while window i+1 proves. Chain LINKING
+// stays strictly serial (prove_shards runs in window order on the caller's
+// thread), so receipts and auditor decisions are byte-identical at every
+// depth; depth 1 is exactly the sequential loop.
 //
 // Crash safety: every checkpoint interval the pipeline appends a
-// core::ChainSnapshot (serialized CLog state + round identifiers) to
-// store::kTableChainState — sharded rounds append a ShardedChainSnapshot
-// to store::kTableShardState instead — and recover() resumes a restarted
-// process from the newest snapshot whose receipt(s) check out, rolling
-// forward over receipts proven after it without re-proving (see
-// docs/RECOVERY.md). Per window the persist order is snapshot, then
-// receipt(s), then (sharded) the tree seal: a crash leaves an orphan
-// snapshot or a missing seal — never a receipt ahead of a usable
-// snapshot — and missing seals are re-folded from the stored shard
+// core::ShardedChainSnapshot bundle (the K serialized CLog states + round
+// identifiers) to store::kTableChainState, and recover() resumes a
+// restarted process from the newest bundle whose receipts check out,
+// rolling forward over receipts proven after it without re-proving (see
+// docs/RECOVERY.md). Per window the persist order is snapshot, then the K
+// receipts, then the tree seal (K >= 2) or epoch seals (K = 1): a crash
+// leaves an orphan snapshot or a missing seal — never a receipt ahead of a
+// usable snapshot — and missing seals are re-folded from the stored
 // receipts at recovery.
 //
 // Failure policy: transient store errors (io_error) are retried with
@@ -67,22 +68,21 @@ struct PipelineOptions {
   /// windows (the paper's retention model). Leave off when recover() must
   /// be able to roll forward past the last snapshot.
   bool prune_aggregated = false;
-  /// Sharded-proving shape: shard_count >= 2 enables sharded mode,
-  /// join_fanout >= 2 folds each round into a tree seal, pipeline_depth > 1
-  /// overlaps windows (see the header comment). prove_options/agg_mode in
-  /// here are IGNORED — the pipeline copies its own prove_options/agg_mode
-  /// in, so one knob configures both modes.
+  /// Round shape: shard_count >= 2 splits every window over K shard
+  /// chains (1 = the plain chain), join_fanout >= 2 folds each K >= 2 round
+  /// into a tree seal, pipeline_depth > 1 overlaps windows (see the header
+  /// comment). prove_options/agg_mode/sketch in here are IGNORED — the
+  /// pipeline copies its own in, so one knob configures every K.
   ShardedOptions sharded;
-  /// Proof-carrying round sketch (DESIGN.md §10), applied to whichever mode
-  /// runs (single chain, or every shard chain). Copied over
-  /// sharded.sketch, like prove_options/agg_mode. nullopt disables it.
+  /// Proof-carrying round sketch (DESIGN.md §10), applied to every shard
+  /// chain (the one chain at K = 1). nullopt disables it.
   std::optional<netflow::SketchParams> sketch = netflow::SketchParams{};
   /// Epoch-seal ladder (DESIGN.md §11): every N rounds a chain-summary seal
   /// is proven asynchronously and merged into a binary-counter ladder, so a
   /// cold verifier catches up via Auditor::catch_up in O(log T) seal
-  /// verifications instead of O(T) replay. 0 disables the ladder. Single-
-  /// chain mode only — combining it with sharded mode is a terminal error
-  /// (shard chains have no single round chain to seal).
+  /// verifications instead of O(T) replay. 0 disables the ladder. K = 1
+  /// only — with K >= 2 aggregate_pending() and recover() fail with
+  /// invalid_argument (shard chains have no single round chain to seal).
   u64 epoch_every = 0;
 };
 
@@ -100,7 +100,7 @@ class ProviderPipeline {
     /// Rounds rolled forward from receipts proven after that snapshot.
     u64 rounds_replayed = 0;
     /// Snapshots that were skipped (orphaned by a crash before their
-    /// receipt was appended, or unreadable).
+    /// receipts were appended, or unreadable).
     u64 snapshots_skipped = 0;
     /// Sharded rounds whose tree seal was missing from the store (crash
     /// after the shard receipts, before the seal) and was re-folded from
@@ -123,18 +123,19 @@ class ProviderPipeline {
   /// before the first aggregate_pending(). Integrity violations (snapshot/
   /// receipt mismatch, missing raw logs for a later receipt) are terminal
   /// typed errors; a store with no chain state recovers to a fresh start.
-  /// The store must match the pipeline's mode: single-chain rows in a
-  /// sharded pipeline (or vice versa) are a terminal error, not a fresh
-  /// start.
+  /// The store must match the pipeline's shard count (a snapshot bundle or
+  /// receipt row for another K is invalid_argument), and a store in the
+  /// pre-bundle layout fails with unsupported — never a fresh start.
   Result<RecoveryInfo> recover();
 
   /// Aggregate every committed window newer than the last one processed,
-  /// in ascending window order. Each round persists a chain snapshot (per
-  /// options.checkpoint_every_n_rounds), then the round's receipt(s), then
-  /// (sharded+fold) its tree seal. Returns the rounds proven in this call
-  /// (possibly empty). Stops at — and returns — the first terminal failure
-  /// (a tampered window blocks the chain, by design); transient store
-  /// errors are retried per options.retry first.
+  /// in ascending window order. Each round persists a snapshot bundle (per
+  /// options.checkpoint_every_n_rounds), then its K receipts, then its tree
+  /// seal (K >= 2 with a fold) or epoch seals (K = 1 with a ladder). Returns
+  /// the rounds proven in this call (possibly empty). Stops at — and
+  /// returns — the first terminal failure (a tampered window blocks the
+  /// chain, by design); transient store errors are retried per
+  /// options.retry first.
   Result<std::vector<RoundResult>> aggregate_pending();
 
   /// Windows present in the store's rlogs table that have not been
@@ -142,27 +143,27 @@ class ProviderPipeline {
   /// retries) — an unreadable store is not "no pending work".
   Result<std::vector<u64>> pending_windows() const;
 
-  bool sharded() const { return sharded_ != nullptr; }
-  bool has_rounds() const {
-    return sharded_ ? sharded_->has_rounds() : aggregation_.has_rounds();
+  /// Whether rounds split over K >= 2 shard chains.
+  bool sharded() const { return service_->shard_count() >= 2; }
+  bool has_rounds() const { return service_->has_rounds(); }
+  /// Shard 0's chain service. Meaningful as "the" chain at K = 1 only.
+  const AggregationService& aggregation() const {
+    return service_->shard_service(0);
   }
-  /// The single-chain service (plain mode only).
-  const AggregationService& aggregation() const { return aggregation_; }
-  /// The sharded service; null in plain mode.
+  /// The round service every window runs through (never null).
   const ShardedAggregationService* sharded_service() const {
-    return sharded_.get();
+    return service_.get();
   }
   const PipelineOptions& options() const { return options_; }
 
-  /// All receipts in the chain, in round order — including rounds recovered
-  /// from the store by recover(). Plain mode: the aggregation chain.
-  /// Sharded mode: empty (per-shard chains live in the store; the seals
-  /// below are the round-level proof objects).
+  /// The K = 1 receipt chain, in round order — including rounds recovered
+  /// from the store by recover(). Empty at K >= 2 (per-shard chains live in
+  /// the store; the seals below are the round-level proof objects).
   const std::vector<zvm::Receipt>& receipts() const { return receipts_; }
 
-  /// Tree seals of folded sharded rounds, in window order — including seals
-  /// recovered (or re-folded) by recover(). Empty unless sharded mode with
-  /// a join fanout.
+  /// Tree seals of folded K >= 2 rounds, in window order — including seals
+  /// recovered (or re-folded) by recover(). Empty unless K >= 2 with a join
+  /// fanout.
   const std::vector<zvm::Receipt>& tree_seals() const { return tree_seals_; }
 
   /// The live epoch-seal ladder, settled (waits for in-flight seal proving
@@ -170,8 +171,6 @@ class ProviderPipeline {
   /// what Auditor::catch_up and save_epoch_seals take. Empty vector when
   /// options.epoch_every is 0.
   Result<std::vector<EpochSeal>> epoch_seals();
-  /// The ladder builder; null unless options.epoch_every > 0 (plain mode).
-  const EpochLadder* epoch_ladder() const { return epoch_.get(); }
 
   /// Drop raw logs whose windows have been aggregated under proof — the
   /// paper's retention model (§2.2: "raw logs are often discarded after a
@@ -184,20 +183,33 @@ class ProviderPipeline {
   /// Run `op` (returning Status) with bounded retry on transient errors.
   Status with_retry(const char* what,
                     const std::function<Status()>& op) const;
-  Status persist_round(u64 window, const AggregationRound& round);
-  Status persist_sharded_round(u64 window, const RoundResult& round);
-  Status persist_seal(u64 window, const RoundResult& round);
+  /// The one configuration check: epoch seals need the K = 1 chain.
+  Status check_options() const;
+  /// Append one row with bounded retry.
+  Status append_row(const char* what, std::string_view table, u64 k1, u64 k2,
+                    BytesView payload);
+  /// Append the round's snapshot bundle (when due), then its K receipts.
+  Status persist_chain(u64 window, const RoundResult& round);
+  Status persist_seal(u64 window, u64 round_id, const zvm::Receipt& seal);
+  Status persist_epoch_seal(const EpochSeal& seal);
   Status load_batches(u64 window,
                       std::vector<netflow::RLogBatch>& batches) const;
-  Result<std::vector<RoundResult>> aggregate_pending_plain(
-      std::vector<u64> windows);
-  Result<std::vector<RoundResult>> aggregate_pending_sharded(
-      std::vector<u64> windows);
-  Result<RecoveryInfo> recover_plain();
-  Result<RecoveryInfo> recover_sharded();
+  /// The latest stored receipt per (window, shard); nullopt when any
+  /// shard's receipt is missing (a crash mid-persist).
+  Result<std::optional<std::vector<zvm::Receipt>>> load_receipts(
+      u64 window) const;
+  /// Recovery for a K >= 2 round: adopt its stored tree seal, or re-fold
+  /// a missing one from the verified shard receipts. `live_sketches` says
+  /// the shard services sit at this window (their sketches are the round's);
+  /// otherwise the sketches are rebuilt from `receipt_windows`' raw logs.
+  Status recover_tree_seal(u64 window,
+                           const std::vector<zvm::Receipt>& receipts,
+                           bool live_sketches,
+                           const std::vector<u64>& receipt_windows,
+                           RecoveryInfo& info);
   /// Drain finished ladder seals into kTableEpochSeals (append-only).
   Status persist_epoch_seals();
-  /// Rebuild the ladder after recover_plain restored the receipt chain:
+  /// Rebuild the ladder after recover() restored the K = 1 receipt chain:
   /// adopt every stored seal that validates, re-fold missing levels, then
   /// re-feed the unsealed tail into the ladder buffer. `round_windows` maps
   /// round index -> window id (parallel to receipts_).
@@ -206,12 +218,10 @@ class ProviderPipeline {
 
   store::LogStore* store_;
   PipelineOptions options_;
-  AggregationService aggregation_;
-  /// Non-null iff options.sharded.shard_count >= 2.
-  std::unique_ptr<ShardedAggregationService> sharded_;
+  std::unique_ptr<ShardedAggregationService> service_;
   std::vector<zvm::Receipt> receipts_;
   std::vector<zvm::Receipt> tree_seals_;
-  /// Non-null iff options.epoch_every > 0 (plain mode).
+  /// Non-null iff options.epoch_every > 0 and K = 1.
   std::unique_ptr<EpochLadder> epoch_;
   std::optional<u64> last_window_;
   u64 rounds_since_snapshot_ = 0;

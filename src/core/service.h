@@ -32,33 +32,32 @@ struct AggregationRound {
   zvm::ProveInfo prove_info;
 };
 
-/// The unified result of one proving round — one shape whether the round
-/// ran on the single-chain path, the sharded path, or the sharded path with
-/// a join-tree fold (each fills the parts it produced):
+/// The result of one proving round — one shape for every shard count K
+/// (each round fills the parts it produced):
 ///
-///   single chain:  shard_rounds = {the round}; no splits, no seal.
-///   sharded:       one shard_round per shard + the round's split receipts.
-///   sharded+fold:  additionally tree_seal — ONE receipt that transitively
-///                  verifies every shard round (see core/join.h).
-///
-/// Replaces the former ShardedAggregationService::Round and the bare
-/// AggregationRound rounds ProviderPipeline used to return.
+///   K = 1 (plain chain): shard_rounds = {the round}; no splits, no seal.
+///   K >= 2:              one shard_round per shard + the round's split
+///                        receipts.
+///   K >= 2 + fold:       additionally tree_seal — ONE receipt that
+///                        transitively verifies every shard round (see
+///                        core/join.h).
 struct RoundResult {
   u64 round_id = 0;
-  /// Shard fan-out this window was proven with, pinned at stage time (1 on
-  /// the single-chain path). Split journals bind the same value in-trace,
+  /// Shard fan-out this window was proven with, pinned at stage time (1 for
+  /// the plain chain). Split journals bind the same value in-trace,
   /// so adaptive resharding can only take effect where a chain starts —
   /// never mid-window (see ShardedOptions::adaptive_shards).
   u32 shard_count = 1;
-  /// Split receipts, one per source batch (sharded path only).
+  /// Split receipts, one per source batch (K >= 2 only).
   std::vector<zvm::Receipt> split_receipts;
-  /// Per-shard aggregation rounds in shard order; exactly one element on
-  /// the single-chain path.
+  /// Per-shard aggregation rounds in shard order; exactly one element at
+  /// K = 1.
   std::vector<AggregationRound> shard_rounds;
   /// The round's join-tree seal, when folding ran (sharded, >= 2 shards).
   std::optional<zvm::Receipt> tree_seal;
-  /// Per-shard round sketches in shard order, captured when the shard
-  /// chains carry the proof-carrying sketch (empty otherwise). Snapshotted
+  /// Per-shard round sketches in shard order, captured on K >= 2 rounds
+  /// whose chains carry the proof-carrying sketch (empty otherwise — a
+  /// single chain's sketch lives in its AggregationService). Snapshotted
   /// at prove time so a pipelined fold of window i is immune to window i+1
   /// advancing the shard services underneath it.
   std::vector<netflow::RoundSketch> shard_sketches;
@@ -69,8 +68,8 @@ struct RoundResult {
   double wall_ms = 0;
   u64 total_cycles = 0;
 
-  /// The single-chain round. Only meaningful when shard_rounds has exactly
-  /// one element (the unsharded pipeline).
+  /// The plain chain's round. Only meaningful at K = 1 (shard_rounds has
+  /// exactly one element).
   const AggregationRound& primary() const { return shard_rounds.front(); }
   AggregationRound& primary() { return shard_rounds.front(); }
 };

@@ -196,13 +196,19 @@ ShardedAggregationService::ShardedAggregationService(
   if (options_.adaptive_shards.has_value()) {
     adaptive_.emplace(shard_count_, *options_.adaptive_shards);
   }
+  const AggregationOptions shard_options{.prove_options =
+                                             options_.prove_options,
+                                         .mode = options_.agg_mode,
+                                         .sketch = options_.sketch};
+  if (shard_count_ == 1) {
+    // The degenerate round: one chain straight over the main board.
+    shards_.push_back(std::make_unique<AggregationService>(board, shard_options));
+    return;
+  }
   for (u32 s = 0; s < shard_count_; ++s) {
     shard_boards_.push_back(std::make_unique<CommitmentBoard>());
     shards_.push_back(std::make_unique<AggregationService>(
-        *shard_boards_.back(),
-        AggregationOptions{.prove_options = options_.prove_options,
-                           .mode = options_.agg_mode,
-                           .sketch = options_.sketch}));
+        *shard_boards_.back(), shard_options));
     // Prover-internal keys for the shard boards' plumbing; external trust
     // rests on the split receipts, not these signatures.
     shard_keys_.push_back(crypto::schnorr_keygen_from_seed(
@@ -212,6 +218,12 @@ ShardedAggregationService::ShardedAggregationService(
 
 Result<ShardedAggregationService::StagedRound> ShardedAggregationService::
     stage(std::span<const netflow::RLogBatch> batches) const {
+  if (shard_count_ == 1) {
+    // Nothing to split: the single chain consumes the batches as committed.
+    StagedRound staged;
+    staged.batches = batches;
+    return staged;
+  }
   const auto start = std::chrono::steady_clock::now();
   obs::Registry& metrics = obs::Registry::instance();
   obs::ScopedSpan span("sharded_stage");
@@ -269,11 +281,12 @@ Result<ShardedAggregationService::StagedRound> ShardedAggregationService::
 }
 
 Status ShardedAggregationService::commit_staged(const StagedRound& staged) {
-  if (staged.sub_commitments.size() != shard_count_) {
+  // One shard board per shard when K >= 2; none for the K = 1 chain.
+  if (staged.sub_commitments.size() != shard_boards_.size()) {
     return Error{Errc::invalid_argument,
                  "staged round has the wrong shard count"};
   }
-  for (u32 s = 0; s < shard_count_; ++s) {
+  for (size_t s = 0; s < shard_boards_.size(); ++s) {
     for (const auto& commitment : staged.sub_commitments[s]) {
       ZKT_TRY(shard_boards_[s]->publish(commitment));
     }
@@ -309,7 +322,10 @@ Result<RoundResult> ShardedAggregationService::prove_shards(
   pool.parallel_for(shard_count_, 1, [&](size_t first, size_t last) {
     for (size_t s = first; s < last; ++s) {
       const auto shard_start = std::chrono::steady_clock::now();
-      results[s] = shards_[s]->aggregate(staged.shard_batches[s]);
+      results[s] = shards_[s]->aggregate(
+          shard_count_ == 1 ? staged.batches
+                            : std::span<const netflow::RLogBatch>(
+                                  staged.shard_batches[s]));
       shard_wall_ms[s] = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - shard_start)
                              .count();
@@ -327,7 +343,8 @@ Result<RoundResult> ShardedAggregationService::prove_shards(
     round.shard_rounds.push_back(std::move(results[s].value()));
     // Snapshot the shard's post-round sketch now: a pipelined fold_round of
     // this window must not read shard state window i+1 already advanced.
-    if (options_.sketch.has_value()) {
+    // A K = 1 round has nothing to fold and skips the copy.
+    if (shard_count_ >= 2 && options_.sketch.has_value()) {
       round.shard_sketches.push_back(shards_[s]->sketch());
     }
   }
@@ -433,6 +450,11 @@ Status ShardedAggregationService::replay_round(
   if (shard_receipts.size() != shard_count_) {
     return Error{Errc::invalid_argument,
                  "replay_round() needs one receipt per shard"};
+  }
+  if (shard_count_ == 1) {
+    ZKT_TRY(shards_[0]->replay_round(batches, shard_receipts[0]));
+    ++rounds_;
+    return {};
   }
   for (u32 s = 0; s < shard_count_; ++s) {
     std::vector<netflow::RLogBatch> subs;
@@ -588,6 +610,11 @@ Status ShardedAuditor::accept_shard_link(
 }
 
 Status ShardedAuditor::accept_round(const RoundResult& round) {
+  if (shard_count_ < 2 || round.shard_count < 2) {
+    return Error{Errc::invalid_argument,
+                 "single-chain rounds carry no split proofs; audit their "
+                 "receipts with Auditor"};
+  }
   std::map<std::tuple<u32, u64, u32>, ShardRef> expected;
 
   if (round.tree_seal.has_value()) {

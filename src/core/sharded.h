@@ -17,6 +17,11 @@
 // prove in parallel on common::ThreadPool, which is exactly the §7 speedup;
 // the fold is log-depth and pool-parallel too.
 //
+// A plain chain is the K = 1 round: no split proof, no shard board, no
+// fold — shard 0's AggregationService aggregates the window's batches
+// against the main board, so its receipts are exactly those of a bare
+// AggregationService. ProviderPipeline runs every K through this service.
+//
 // A round decomposes into stage -> commit_staged -> prove_shards ->
 // fold_round so ProviderPipeline can overlap windows: stage() is const and
 // thread-safe (window i+1 stages on a worker while window i proves), and
@@ -162,7 +167,10 @@ class ShardedAggregationService {
   /// attest. Produced by stage(), consumed by commit_staged() +
   /// prove_shards().
   struct StagedRound {
-    std::vector<zvm::Receipt> split_receipts;  ///< one per source batch
+    /// K = 1 only: the window's batches, borrowed from the stage() caller,
+    /// who keeps them alive until prove_shards() returns.
+    std::span<const netflow::RLogBatch> batches;
+    std::vector<zvm::Receipt> split_receipts;  ///< one per source batch (K >= 2)
     /// Sub-batches per shard: shard_batches[s][b] pairs with
     /// sub_commitments[s][b] (split output order = source batch order).
     std::vector<std::vector<netflow::RLogBatch>> shard_batches;
@@ -172,14 +180,15 @@ class ShardedAggregationService {
   };
 
   /// Split-prove every batch and derive the per-shard sub-batches and
-  /// sub-commitments WITHOUT publishing them. Reads only construction-time
+  /// sub-commitments WITHOUT publishing them (K = 1: just borrow the
+  /// batches; there is nothing to split). Reads only construction-time
   /// state (the main board, the shard keys) — thread-safe against
   /// commit_staged/prove_shards/fold_round of OTHER windows, which is what
   /// lets the pipeline stage window i+1 on a pool worker.
   Result<StagedRound> stage(std::span<const netflow::RLogBatch> batches) const;
 
-  /// Publish a staged round's sub-commitments to the shard boards. Serial
-  /// (call from one thread, in window order).
+  /// Publish a staged round's sub-commitments to the shard boards (a no-op
+  /// at K = 1). Serial (call from one thread, in window order).
   Status commit_staged(const StagedRound& staged);
 
   /// Prove one round over a committed stage: every shard chain advances one
@@ -234,9 +243,6 @@ class ShardedAggregationService {
   u64 rounds_completed() const { return rounds_; }
   bool has_rounds() const { return rounds_ > 0; }
   const ShardedOptions& options() const { return options_; }
-  const CLogState& shard_state(u32 shard) const {
-    return shards_[shard]->state();
-  }
   const AggregationService& shard_service(u32 shard) const {
     return *shards_[shard];
   }
@@ -248,7 +254,8 @@ class ShardedAggregationService {
   ShardedOptions options_;
   u32 shard_count_;
   /// Per-shard boards holding the split-derived sub-commitments, and the
-  /// per-shard aggregation chains on top of them.
+  /// per-shard aggregation chains on top of them. At K = 1 there are no
+  /// shard boards or keys: the one chain runs on the main board.
   std::vector<std::unique_ptr<CommitmentBoard>> shard_boards_;
   // zkt-lint: shared(one chain per shard; parallel_for workers touch disjoint entries only)
   std::vector<std::unique_ptr<AggregationService>> shards_;
@@ -261,7 +268,9 @@ class ShardedAggregationService {
 /// round's shard chains against the split outputs — through the round's
 /// tree seal when present (one join receipt transitively verifies all K
 /// shard chains; the journal's leaf links carry each shard's chain fields
-/// in shard order), or per-shard receipts otherwise.
+/// in shard order), or per-shard receipts otherwise. K >= 2 only: a K = 1
+/// round is a plain chain round, audited by Auditor (accept_round rejects
+/// it with invalid_argument).
 class ShardedAuditor {
  public:
   ShardedAuditor(const CommitmentBoard& board, u32 shard_count);

@@ -6,64 +6,9 @@ namespace zkt::core {
 
 namespace {
 
-using netflow::CountMinSketch;
-using netflow::FlowKey;
 using netflow::RoundSketch;
 using zvm::AluOp;
 using zvm::Env;
-
-Status sketch_query_guest(Env& env) {
-  SketchQueryJournal journal;
-  journal.commitment.kind = CommitmentKind::sketch;
-  auto rid = env.read_u32();
-  if (!rid.ok()) return rid.error();
-  journal.commitment.router_id = rid.value();
-  auto wid = env.read_u64();
-  if (!wid.ok()) return wid.error();
-  journal.commitment.window_id = wid.value();
-  auto chash = env.read_digest();
-  if (!chash.ok()) return chash.error();
-  journal.commitment.rlog_hash = chash.value();
-  auto updates = env.read_u64();
-  if (!updates.ok()) return updates.error();
-  journal.commitment.record_count = updates.value();
-
-  auto sketch_bytes = env.read_blob();
-  if (!sketch_bytes.ok()) return sketch_bytes.error();
-
-  auto key_bytes = env.read_bytes(13);
-  if (!key_bytes.ok()) return key_bytes.error();
-  {
-    Reader kr(key_bytes.value());
-    auto key = FlowKey::deserialize(kr);
-    if (!key.ok()) return key.error();
-    journal.key = key.value();
-  }
-  if (env.input_remaining() != 0) {
-    return Error{Errc::guest_abort, "trailing bytes in sketch query input"};
-  }
-
-  // 1. Sketch authenticity.
-  const Digest32 h = env.sha256(sketch_bytes.value());
-  ZKT_TRY(env.assert_eq(h, journal.commitment.rlog_hash,
-                        "sketch hash vs published commitment"));
-
-  Reader sr(sketch_bytes.value());
-  auto sketch = CountMinSketch::deserialize(sr);
-  if (!sketch.ok()) return sketch.error();
-  ZKT_TRY(env.assert_true(
-      sketch.value().total_updates() == journal.commitment.record_count,
-      "sketch total vs commitment"));
-
-  // 2. Recompute the estimate with traced hashing + arithmetic.
-  journal.estimate = cms_point_estimate_traced(env, sketch.value(),
-                                               journal.key);
-
-  Writer jw;
-  journal.write(jw);
-  env.commit_raw(jw.bytes());
-  return {};
-}
 
 /// Shared head of both round-sketch query guests: bind the aggregation
 /// receipt, read the sketch blob, authenticate it against the journal's
@@ -246,36 +191,6 @@ Result<std::pair<zvm::Receipt, zvm::ProveInfo>> prove_round_sketch(
 
 }  // namespace
 
-void SketchQueryJournal::write(Writer& w) const {
-  w.str("SKQ1");
-  write_commitment_ref(w, commitment);
-  key.serialize(w);
-  w.u64v(estimate);
-}
-
-Result<SketchQueryJournal> SketchQueryJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "SKQ1") {
-    return Error{Errc::parse_error, "bad sketch query journal magic"};
-  }
-  SketchQueryJournal j;
-  auto commitment = parse_commitment_ref(r, CommitmentKind::sketch);
-  if (!commitment.ok()) return commitment.error();
-  j.commitment = commitment.value();
-  auto key = netflow::FlowKey::deserialize(r);
-  if (!key.ok()) return key.error();
-  j.key = key.value();
-  auto estimate = r.u64v();
-  if (!estimate.ok()) return estimate.error();
-  j.estimate = estimate.value();
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing sketch query journal"};
-  }
-  return j;
-}
-
 void SketchHeavyJournal::write(Writer& w) const {
   w.str("SKHH");
   w.fixed(agg_claim_digest.bytes);
@@ -378,12 +293,6 @@ Result<SketchCardinalityJournal> SketchCardinalityJournal::parse(
   return j;
 }
 
-zvm::ImageID sketch_query_image() {
-  static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
-      "zkt.guest.sketch_query", 1, sketch_query_guest);
-  return id;
-}
-
 zvm::ImageID sketch_heavy_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.sketch_heavy", 1, sketch_heavy_guest);
@@ -394,55 +303,6 @@ zvm::ImageID sketch_card_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.sketch_card", 1, sketch_card_guest);
   return id;
-}
-
-Result<SketchQueryResponse> prove_sketch_query(
-    const CommitmentRef& ref, const netflow::CountMinSketch& sketch,
-    const netflow::FlowKey& key, const zvm::ProveOptions& options) {
-  Writer input;
-  input.u32v(ref.router_id);
-  input.u64v(ref.window_id);
-  input.fixed(ref.rlog_hash.bytes);
-  input.u64v(ref.record_count);
-  input.blob(sketch.canonical_bytes());
-  key.serialize(input);
-
-  zvm::Prover prover;
-  zvm::ProveInfo info;
-  auto receipt =
-      prover.prove(sketch_query_image(), input.bytes(), options, &info);
-  if (!receipt.ok()) return receipt.error();
-  auto journal = SketchQueryJournal::parse(receipt.value().journal);
-  if (!journal.ok()) return journal.error();
-
-  SketchQueryResponse response;
-  response.receipt = std::move(receipt.value());
-  response.journal = std::move(journal.value());
-  response.prove_info = info;
-  return response;
-}
-
-Result<SketchQueryJournal> verify_sketch_query(
-    const zvm::Receipt& receipt, const CommitmentBoard& board,
-    const netflow::FlowKey* expected_key) {
-  zvm::Verifier verifier;
-  ZKT_TRY(verifier.verify(receipt, sketch_query_image()));
-  auto journal = SketchQueryJournal::parse(receipt.journal);
-  if (!journal.ok()) return journal.error();
-  const SketchQueryJournal& j = journal.value();
-
-  auto published = board.get(j.commitment.router_id, j.commitment.window_id);
-  if (!published.has_value() ||
-      published->rlog_hash != j.commitment.rlog_hash ||
-      published->record_count != j.commitment.record_count) {
-    return Error{Errc::commitment_missing,
-                 "sketch query does not match the bulletin board"};
-  }
-  if (expected_key != nullptr && !(j.key == *expected_key)) {
-    return Error{Errc::proof_invalid,
-                 "receipt answers a different flow than requested"};
-  }
-  return journal;
 }
 
 bool sketch_heavy_bound_ok(u64 threshold, u64 capacity, u64 total) {

@@ -1,13 +1,8 @@
-// Verifiable sketch queries: prove answers against a committed sketch
-// without revealing the sketch, in time flat in the CLog size.
+// Verifiable round-sketch queries: prove answers against the sketch an
+// aggregation round committed, without revealing it, in time flat in the
+// CLog size.
 //
-// Three guests share the module:
-//
-//   sketch_query — point estimate against a standalone published Count-Min
-//       commitment (routers may publish sketch commitments exactly as they
-//       do RLog hashes; the paper's design is logging-algorithm agnostic).
-//       Proves the sketch bytes hash to the commitment and the estimate is
-//       min over rows of counter[row][H(seed,row,key) mod w].
+// Two guests share the module:
 //
 //   sketch_heavy — heavy hitters above threshold T against the ROUND
 //       sketch an aggregation receipt carries (DESIGN.md §10): binds the
@@ -23,56 +18,16 @@
 //       one entry per flow); the guest additionally derives the Count-Min
 //       nonzero-counter lower bound and proves the two consistent.
 //
-// The client learns only the journal — never the sketch bytes.
+// The client learns only the journal — never the sketch bytes. Per-flow
+// questions go to the selective exact point query (core/query.h).
 #pragma once
 
-#include "core/commitment.h"
 #include "core/guests.h"
 #include "netflow/sketch.h"
 #include "zvm/prover.h"
 #include "zvm/verifier.h"
 
 namespace zkt::core {
-
-/// Public journal of a sketch point-query proof.
-struct SketchQueryJournal {
-  /// The published sketch commitment (kind == CommitmentKind::sketch):
-  /// rlog_hash holds the sketch hash and record_count the sketch's total
-  /// update count. The serialized form carries the kind tag, so a sketch
-  /// journal can never be parsed as an RLog reference or vice versa.
-  CommitmentRef commitment;
-  netflow::FlowKey key;
-  u64 estimate = 0;
-
-  void write(Writer& w) const;
-  static Result<SketchQueryJournal> parse(BytesView journal);
-};
-
-zvm::ImageID sketch_query_image();
-
-struct SketchQueryResponse {
-  zvm::Receipt receipt;
-  SketchQueryJournal journal;
-  zvm::ProveInfo prove_info;
-};
-
-/// Prover side: prove the estimate for `key` against `sketch`, whose hash
-/// must already be published as `ref` (taken from the sketch commitment
-/// board).
-Result<SketchQueryResponse> prove_sketch_query(
-    const CommitmentRef& ref, const netflow::CountMinSketch& sketch,
-    const netflow::FlowKey& key, const zvm::ProveOptions& options = {});
-
-/// Verifier side: check the receipt, that its commitment matches the given
-/// board, and (optionally) that it answers the expected key. Returns the
-/// proven journal.
-Result<SketchQueryJournal> verify_sketch_query(
-    const zvm::Receipt& receipt, const CommitmentBoard& board,
-    const netflow::FlowKey* expected_key = nullptr);
-
-// ---------------------------------------------------------------------------
-// Round-sketch queries (against the sketch digest an aggregation round
-// carries in its journal).
 
 /// One reported heavy hitter: the Space-Saving entry plus the Count-Min
 /// cross-estimate at the same key. The proven bracket is

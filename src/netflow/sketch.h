@@ -4,16 +4,11 @@
 // The paper's design is logging-algorithm agnostic ("can use any logging or
 // sketching algorithm", §1) and its lineage is the sketching literature
 // (UnivMon, NitroSketch, TrustSketch). This module provides the sketch
-// substrate: routers can maintain a Count-Min sketch per commitment window,
-// publish its hash exactly like an RLog commitment, and the provider can
-// later prove sketch queries inside the zkVM (see core/sketch_query.h).
-//
-// Beyond standalone commitments, RoundSketch bundles a Count-Min sketch
-// with a Space-Saving tracker into the proof-carrying round state the
-// aggregation guests fold every touched flow into: its digest rides in the
-// per-round claim next to the CLog root, and the sketch query guests prove
-// heavy-hitter / cardinality answers against that digest alone
-// (DESIGN.md §10).
+// substrate. RoundSketch bundles a Count-Min sketch with a Space-Saving
+// tracker into the proof-carrying round state the aggregation guests fold
+// every touched flow into: its digest rides in the per-round claim next to
+// the CLog root, and the sketch query guests prove heavy-hitter /
+// cardinality answers against that digest alone (DESIGN.md §10).
 //
 // All structures have canonical serializations so their hashes are stable
 // commitment targets, and all counter arithmetic saturates at 2^64-1 — the

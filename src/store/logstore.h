@@ -137,28 +137,25 @@ class LogStore {
   FaultInjector* faults_ = nullptr;
 };
 
-// Conventional table names used by the telemetry pipeline.
+// Conventional table names used by the telemetry pipeline. The prover keeps
+// ONE table family for every shard count K (a plain chain is K = 1):
+// chain_state + receipts, plus tree_seals (K >= 2 with a fold) and
+// epoch_seals (K = 1 with a ladder).
 inline constexpr const char* kTableRlogs = "rlogs";
 inline constexpr const char* kTableCommitments = "commitments";
 inline constexpr const char* kTableClogs = "clogs";
+/// Aggregation receipts (k1 = window id, k2 = shard id; latest row per
+/// (window, shard) wins on recovery). A plain chain writes shard 0 only.
 inline constexpr const char* kTableReceipts = "receipts";
-/// Per-round prover chain snapshots (serialized core::ChainSnapshot,
-/// k1 = window id, k2 = round id) — what ProviderPipeline::recover() resumes
-/// from.
+/// Per-round prover chain snapshots (serialized core::ShardedChainSnapshot
+/// bundles of K per-shard snapshots, k1 = window id, k2 = round id) — what
+/// ProviderPipeline::recover() resumes from.
 inline constexpr const char* kTableChainState = "chain_state";
-/// Sharded-mode counterpart of kTableChainState: serialized
-/// core::ShardedChainSnapshot rows (k1 = window id, k2 = round id). A store
-/// holds chain_state rows or shard_state rows, never both — mixing the
-/// single-chain and sharded pipelines over one store is a recovery error.
-inline constexpr const char* kTableShardState = "shard_state";
-/// Per-shard aggregation receipts of sharded rounds (k1 = window id,
-/// k2 = shard id; latest row per (window, shard) wins on recovery).
-inline constexpr const char* kTableShardReceipts = "shard_receipts";
 /// Join-tree seals of folded sharded rounds (k1 = window id, k2 = round
 /// id) — one receipt per round that transitively verifies every shard
 /// receipt of that round (see core/join.h).
 inline constexpr const char* kTableTreeSeals = "tree_seals";
-/// Epoch-ladder seals of the single-chain pipeline (serialized
+/// Epoch-ladder seals of the plain (K = 1) chain (serialized
 /// core::EpochSeal rows, k1 = ladder level, k2 = start round; latest row per
 /// key wins on recovery). Append-only — superseded levels keep their rows;
 /// recover() re-validates each seal it adopts and re-folds any level the

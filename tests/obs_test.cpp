@@ -253,10 +253,11 @@ TEST(ObsIntegration, PipelineRoundPopulatesCatalogMetrics) {
   const double* entries = snap.find_gauge("core.agg.entries");
   ASSERT_NE(entries, nullptr);
   EXPECT_GT(*entries, 0.0);
-  // Nested prover spans hang off the pipeline root.
-  EXPECT_NE(
-      snap.find_counter("span.pipeline_aggregate_pending/agg_round.calls"),
-      nullptr);
+  // Nested prover spans hang off the pipeline root (every window, K = 1
+  // included, proves inside the round service's sharded_prove span).
+  EXPECT_NE(snap.find_counter(
+                "span.pipeline_aggregate_pending/sharded_prove/agg_round.calls"),
+            nullptr);
 }
 
 }  // namespace

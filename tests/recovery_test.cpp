@@ -245,10 +245,14 @@ TEST_F(RecoveryTest, OrphanSnapshotWithoutReceiptIsSkipped) {
   store_window(store, board, 2, 1);
   ASSERT_TRUE(pipeline.aggregate_pending().ok());
   // Simulate a crash between snapshot append and receipt append: a
-  // chain_state row for a window that has no receipt.
-  const ChainSnapshot orphan =
-      ChainSnapshot::capture(3, 99, pipeline.receipts().back().claim.digest(),
-                             pipeline.aggregation().state());
+  // chain_state row (a K = 1 bundle) for a window that has no receipt.
+  const ShardedChainSnapshot orphan{
+      .round_id = 3,
+      .window_id = 99,
+      .shard_count = 1,
+      .shards = {ChainSnapshot::capture(
+          3, 99, pipeline.receipts().back().claim.digest(),
+          pipeline.aggregation().state())}};
   ASSERT_TRUE(
       store.append(store::kTableChainState, 99, 3, orphan.to_bytes()).ok());
 
@@ -258,6 +262,35 @@ TEST_F(RecoveryTest, OrphanSnapshotWithoutReceiptIsSkipped) {
   EXPECT_EQ(recovery.value().snapshots_skipped, 1u);
   EXPECT_EQ(recovery.value().rounds_restored, 2u);  // older snapshot adopted
   EXPECT_EQ(recovery.value().last_window, 2u);
+}
+
+TEST_F(RecoveryTest, PreBundleStoreLayoutsFailTyped) {
+  // Stores written before a plain chain became the K = 1 round: a bare
+  // chain snapshot in chain_state, or rows in the old sharded tables. Both
+  // fail recovery typed — never a silent fresh start.
+  CommitmentBoard board;
+  {
+    store::LogStore store;
+    Writer bare;
+    ChainSnapshot::capture(1, 1, Digest32{}, CLogState{}).write(bare);
+    ASSERT_TRUE(
+        store.append(store::kTableChainState, 1, 0, bare.bytes()).ok());
+    ProviderPipeline pipeline(store, board);
+    auto recovery = pipeline.recover();
+    ASSERT_FALSE(recovery.ok());
+    EXPECT_EQ(recovery.error().code, Errc::unsupported);
+  }
+  for (const char* legacy : {"shard_state", "shard_receipts"}) {
+    SCOPED_TRACE(legacy);
+    store::LogStore store;
+    ASSERT_TRUE(store.append(legacy, 1, 0, Bytes{0}).ok());
+    PipelineOptions options;
+    options.sharded.shard_count = 2;
+    ProviderPipeline pipeline(store, board, options);
+    auto recovery = pipeline.recover();
+    ASSERT_FALSE(recovery.ok());
+    EXPECT_EQ(recovery.error().code, Errc::unsupported);
+  }
 }
 
 // The acceptance sweep: arm every fault point at every interesting

@@ -1,5 +1,6 @@
 // Sharded aggregation tests: split-proof soundness, shard assignment,
-// end-to-end sharded rounds, sharded audit acceptance, and tamper rejection.
+// end-to-end sharded rounds, the K = 1 round as the plain chain, sharded
+// audit acceptance, and tamper rejection.
 #include <gtest/gtest.h>
 
 #include "core/sharded.h"
@@ -102,9 +103,7 @@ TEST_P(ShardedE2E, RoundsAggregateAndAudit) {
     ASSERT_TRUE(round.ok()) << round.error().to_string();
     EXPECT_EQ(round.value().split_receipts.size(), 2u);
     EXPECT_EQ(round.value().shard_rounds.size(), shard_count);
-    // >= 2 shards fold into one tree seal; a single chain has nothing to
-    // fold.
-    EXPECT_EQ(round.value().tree_seal.has_value(), shard_count >= 2);
+    EXPECT_TRUE(round.value().tree_seal.has_value());
     auto accepted = auditor.accept_round(round.value());
     ASSERT_TRUE(accepted.ok()) << accepted.to_string();
   }
@@ -128,13 +127,44 @@ TEST_P(ShardedE2E, RoundsAggregateAndAudit) {
 
   u64 shard_total = 0;
   for (u32 s = 0; s < shard_count; ++s) {
-    shard_total += service.shard_state(s).entry_count();
+    shard_total += service.shard_service(s).state().entry_count();
   }
   EXPECT_EQ(shard_total, expected_flows);
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedE2E,
-                         ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedE2E, ::testing::Values(2, 4));
+
+TEST(Sharded, SingleShardIsThePlainChain) {
+  // K = 1 is the degenerate round: no split proof, no shard board, no fold —
+  // and receipts byte-identical to a bare AggregationService's.
+  Fixture fx;
+  ShardedAggregationService service(fx.board, ShardedOptions{.shard_count = 1});
+  AggregationService plain(fx.board);
+  std::optional<RoundResult> last;
+  for (u64 window = 1; window <= 2; ++window) {
+    std::vector<RLogBatch> batches = {fx.committed(0, window, 20),
+                                      fx.committed(1, window, 15)};
+    auto round = service.aggregate(batches);
+    ASSERT_TRUE(round.ok()) << round.error().to_string();
+    auto reference = plain.aggregate(batches);
+    ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+    EXPECT_EQ(round.value().shard_count, 1u);
+    EXPECT_TRUE(round.value().split_receipts.empty());
+    EXPECT_FALSE(round.value().tree_seal.has_value());
+    EXPECT_TRUE(round.value().shard_sketches.empty());
+    ASSERT_EQ(round.value().shard_rounds.size(), 1u);
+    EXPECT_EQ(round.value().primary().receipt.to_bytes(),
+              reference.value().receipt.to_bytes());
+    last = std::move(round.value());
+  }
+  EXPECT_EQ(service.shard_service(0).state().root(), plain.state().root());
+
+  // Its rounds are audited by Auditor; ShardedAuditor refuses them.
+  ShardedAuditor auditor(fx.board, 1);
+  auto rejected = auditor.accept_round(*last);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), Errc::invalid_argument);
+}
 
 TEST(Sharded, ShardedTotalsMatchUnsharded) {
   Fixture fx;
@@ -153,7 +183,7 @@ TEST(Sharded, ShardedTotalsMatchUnsharded) {
   for (u32 s = 0; s < 4; ++s) {
     sharded_sum +=
         evaluate_query(Query::sum(QField::bytes),
-                       sharded.shard_state(s).entries())
+                       sharded.shard_service(s).state().entries())
             .sum;
   }
   EXPECT_EQ(sharded_sum, reference.sum);

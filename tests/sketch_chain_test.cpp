@@ -317,7 +317,10 @@ TEST(SketchSnapshot, RoundTripCarriesSketchAndRestores) {
       1, 1, round.value().receipt.claim.digest(), fx.service.state(),
       &fx.service.sketch());
   ASSERT_TRUE(snap.has_sketch);
-  auto reparsed = ChainSnapshot::from_bytes(snap.to_bytes());
+  Writer w;
+  snap.write(w);
+  Reader r(w.bytes());
+  auto reparsed = ChainSnapshot::read(r);
   ASSERT_TRUE(reparsed.ok()) << reparsed.error().to_string();
   auto sketch = reparsed.value().restore_sketch();
   ASSERT_TRUE(sketch.ok()) << sketch.error().to_string();

@@ -1,12 +1,10 @@
 // Sketch tests: Count-Min guarantees (no underestimation, error bounds,
-// merge semantics, serialization) and Space-Saving heavy-hitter guarantees,
-// plus the verifiable sketch-query path.
+// merge semantics, serialization) and Space-Saving heavy-hitter guarantees.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/rng.h"
-#include "core/sketch_query.h"
 #include "netflow/sketch.h"
 #include "sim/workload.h"
 
@@ -269,93 +267,3 @@ TEST(RoundSketch, MergeRejectsParamsSwap) {
 
 }  // namespace
 }  // namespace zkt::netflow
-
-namespace zkt::core {
-namespace {
-
-using netflow::CountMinParams;
-using netflow::CountMinSketch;
-using netflow::FlowKey;
-
-struct SketchFixture {
-  CommitmentBoard board;
-  crypto::SchnorrKeyPair key = crypto::schnorr_keygen_from_seed("sketch-q");
-  CountMinSketch sketch{CountMinParams{.width = 256, .depth = 4, .seed = 11}};
-  CommitmentRef ref;
-
-  SketchFixture() {
-    for (u64 f = 0; f < 100; ++f) {
-      sketch.update(sim::synth_flow_key(f, 11), f + 1);
-    }
-    auto commitment = make_commitment_raw(0, 1, sketch.hash(),
-                                          sketch.total_updates(), key, 5000);
-    EXPECT_TRUE(commitment.ok());
-    EXPECT_TRUE(board.publish(commitment.value()).ok());
-    ref = CommitmentRef{0, 1, sketch.hash(), sketch.total_updates()};
-  }
-};
-
-TEST(SketchQuery, ProveAndVerify) {
-  SketchFixture fx;
-  const FlowKey target = sim::synth_flow_key(42, 11);
-  auto response = prove_sketch_query(fx.ref, fx.sketch, target);
-  ASSERT_TRUE(response.ok()) << response.error().to_string();
-  EXPECT_EQ(response.value().journal.estimate, fx.sketch.estimate(target));
-  EXPECT_GE(response.value().journal.estimate, 43u);  // never underestimates
-
-  auto verified =
-      verify_sketch_query(response.value().receipt, fx.board, &target);
-  ASSERT_TRUE(verified.ok()) << verified.error().to_string();
-  EXPECT_EQ(verified.value().estimate, fx.sketch.estimate(target));
-}
-
-TEST(SketchQuery, TamperedSketchFailsProving) {
-  SketchFixture fx;
-  CountMinSketch doctored = fx.sketch;
-  doctored.update(sim::synth_flow_key(42, 11), 1);  // post-commitment edit
-  auto response =
-      prove_sketch_query(fx.ref, doctored, sim::synth_flow_key(42, 11));
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.error().code, Errc::guest_abort);
-}
-
-TEST(SketchQuery, WrongKeyRejectedByVerifier) {
-  SketchFixture fx;
-  const FlowKey asked = sim::synth_flow_key(1, 11);
-  const FlowKey other = sim::synth_flow_key(2, 11);
-  auto response = prove_sketch_query(fx.ref, fx.sketch, other);
-  ASSERT_TRUE(response.ok());
-  auto verified = verify_sketch_query(response.value().receipt, fx.board,
-                                      &asked);
-  ASSERT_FALSE(verified.ok());
-  EXPECT_EQ(verified.error().code, Errc::proof_invalid);
-}
-
-TEST(SketchQuery, UnpublishedCommitmentRejected) {
-  SketchFixture fx;
-  CommitmentBoard empty_board;
-  auto response =
-      prove_sketch_query(fx.ref, fx.sketch, sim::synth_flow_key(1, 11));
-  ASSERT_TRUE(response.ok());
-  auto verified =
-      verify_sketch_query(response.value().receipt, empty_board, nullptr);
-  ASSERT_FALSE(verified.ok());
-  EXPECT_EQ(verified.error().code, Errc::commitment_missing);
-}
-
-TEST(SketchQuery, DoctoredEstimateRejected) {
-  SketchFixture fx;
-  const FlowKey target = sim::synth_flow_key(3, 11);
-  auto response = prove_sketch_query(fx.ref, fx.sketch, target);
-  ASSERT_TRUE(response.ok());
-  auto forged = response.value().receipt;
-  SketchQueryJournal j = response.value().journal;
-  j.estimate /= 2;
-  Writer w;
-  j.write(w);
-  forged.journal = std::move(w).take();
-  EXPECT_FALSE(verify_sketch_query(forged, fx.board, &target).ok());
-}
-
-}  // namespace
-}  // namespace zkt::core

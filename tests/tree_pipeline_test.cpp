@@ -1,6 +1,6 @@
 // Sharded pipeline tests: end-to-end windows through split -> shard chains
 // -> tree seal, pipeline-depth equivalence (byte-identical receipts at
-// every depth), crash-restart recovery over the sharded tables (verified
+// every depth), crash-restart recovery over the chain tables (verified
 // prefix adopted, receipts replayed never re-proven, missing seals
 // re-folded), mixed-mode store rejection, and the sharded fault-injection
 // sweep with crash points inside the fold persist and while the next
@@ -97,13 +97,11 @@ TEST_F(TreePipelineTest, ShardedWindowsSealAndAudit) {
   ASSERT_EQ(rounds.value().size(), 3u);
   EXPECT_EQ(pipeline.tree_seals().size(), 3u);
 
-  // Persisted shape: one sharded snapshot + K shard receipts + one seal
-  // per window; none of the single-chain tables.
-  EXPECT_EQ(store.row_count(store::kTableShardState), 3u);
-  EXPECT_EQ(store.row_count(store::kTableShardReceipts), 6u);
+  // Persisted shape: one snapshot bundle + K receipts + one seal per
+  // window, in the same table family a plain chain uses.
+  EXPECT_EQ(store.row_count(store::kTableChainState), 3u);
+  EXPECT_EQ(store.row_count(store::kTableReceipts), 6u);
   EXPECT_EQ(store.row_count(store::kTableTreeSeals), 3u);
-  EXPECT_EQ(store.row_count(store::kTableChainState), 0u);
-  EXPECT_EQ(store.row_count(store::kTableReceipts), 0u);
 
   // Every round audits through its tree seal (the stock verifier path).
   ShardedAuditor auditor(board, 2);
@@ -174,7 +172,7 @@ TEST_F(TreePipelineTest, KillAndRestartResumesShardedChain) {
   ASSERT_TRUE(store.recover().ok());
   store_window(store, board, 3);
   const u64 receipt_rows_before =
-      store.row_count(store::kTableShardReceipts);
+      store.row_count(store::kTableReceipts);
   ProviderPipeline pipeline(store, board, sharded_options(2));
   auto recovery = pipeline.recover();
   ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
@@ -185,14 +183,13 @@ TEST_F(TreePipelineTest, KillAndRestartResumesShardedChain) {
   EXPECT_EQ(recovery.value().last_window, 2u);
   EXPECT_EQ(pipeline.tree_seals().size(), 2u);
   // Recovery adopted the stored proofs — it appended nothing.
-  EXPECT_EQ(store.row_count(store::kTableShardReceipts),
+  EXPECT_EQ(store.row_count(store::kTableReceipts),
             receipt_rows_before);
 
   auto rounds = pipeline.aggregate_pending();
   ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
   ASSERT_EQ(rounds.value().size(), 1u);
   EXPECT_EQ(pipeline.tree_seals().size(), 3u);
-  ShardedAuditor auditor(board, 2);
   // The post-restart round chains onto the recovered state, so its links
   // carry has_prev — a fresh auditor rejects it only if the chain forked.
   // Audit it with adopted context: links[s].prev_* must equal process 1's
@@ -228,9 +225,9 @@ TEST_F(TreePipelineTest, ReceiptsPastSnapshotReplayedNotReproven) {
 
   store::LogStore store(config());
   ASSERT_TRUE(store.recover().ok());
-  EXPECT_EQ(store.row_count(store::kTableShardState), 1u);
+  EXPECT_EQ(store.row_count(store::kTableChainState), 1u);
   const u64 receipt_rows_before =
-      store.row_count(store::kTableShardReceipts);
+      store.row_count(store::kTableReceipts);
   ProviderPipeline pipeline(store, board, options);
   auto recovery = pipeline.recover();
   ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
@@ -239,7 +236,7 @@ TEST_F(TreePipelineTest, ReceiptsPastSnapshotReplayedNotReproven) {
   EXPECT_EQ(recovery.value().last_window, 3u);
   EXPECT_EQ(pipeline.tree_seals().size(), 3u);
   // Replay adopted the stored receipts verbatim — nothing re-proven.
-  EXPECT_EQ(store.row_count(store::kTableShardReceipts),
+  EXPECT_EQ(store.row_count(store::kTableReceipts),
             receipt_rows_before);
   EXPECT_TRUE(pipeline.pending_windows().value().empty());
 }
@@ -257,7 +254,7 @@ TEST_F(TreePipelineTest, MissingSealIsRefoldedOnRecovery) {
   }
   ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, ~0ULL), 1u);
   const u64 receipt_rows_before =
-      store.row_count(store::kTableShardReceipts);
+      store.row_count(store::kTableReceipts);
 
   ProviderPipeline pipeline(store, board, sharded_options(2));
   auto recovery = pipeline.recover();
@@ -265,7 +262,7 @@ TEST_F(TreePipelineTest, MissingSealIsRefoldedOnRecovery) {
   EXPECT_EQ(recovery.value().seals_refolded, 1u);
   EXPECT_EQ(pipeline.tree_seals().size(), 1u);
   EXPECT_EQ(store.row_count(store::kTableTreeSeals), 1u);
-  EXPECT_EQ(store.row_count(store::kTableShardReceipts),
+  EXPECT_EQ(store.row_count(store::kTableReceipts),
             receipt_rows_before);
   zvm::Verifier verifier;
   EXPECT_TRUE(verify_join_receipt(verifier, pipeline.tree_seals()[0]).ok());
@@ -324,7 +321,7 @@ TEST_F(TreePipelineTest, ShardCountMismatchOnRecoveryIsTerminal) {
   // Re-check with fewer shards than the store holds: receipt rows for
   // shard ids past the configured count make the mismatch visible even
   // without a snapshot.
-  ASSERT_EQ(store.drop_rows(store::kTableShardState, ~0ULL), 1u);
+  ASSERT_EQ(store.drop_rows(store::kTableChainState, ~0ULL), 1u);
   auto narrower_recovery = narrower.recover();
   ASSERT_FALSE(narrower_recovery.ok());
   EXPECT_EQ(narrower_recovery.error().code, Errc::invalid_argument);

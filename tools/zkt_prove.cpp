@@ -192,31 +192,23 @@ int main(int argc, char** argv) {
     return finish(flags, data_dir, 2);
   }
   for (const auto& round : rounds.value()) {
-    if (sharded) {
-      u64 entries = 0;
-      for (const auto& shard : round.shard_rounds) {
-        entries += shard.journal.new_entry_count;
-      }
-      std::printf(
-          "  round %llu: %zu shards, %llu entries, %llu cycles, %.1f ms%s\n",
-          (unsigned long long)round.round_id, round.shard_rounds.size(),
-          (unsigned long long)entries, (unsigned long long)round.total_cycles,
-          round.wall_ms, round.tree_seal.has_value() ? ", sealed" : "");
-    } else {
-      const core::AggJournal& journal = round.primary().journal;
-      std::printf("  window %llu: %llu entries, %llu cycles, %.1f ms\n",
-                  (unsigned long long)(journal.commitments.empty()
-                                           ? 0ULL
-                                           : journal.commitments[0].window_id),
-                  (unsigned long long)journal.new_entry_count,
-                  (unsigned long long)round.primary().prove_info.cycles,
-                  round.primary().prove_info.total_ms);
+    u64 entries = 0;
+    for (const auto& shard : round.shard_rounds) {
+      entries += shard.journal.new_entry_count;
     }
+    const auto& commitments = round.shard_rounds.front().journal.commitments;
+    std::printf(
+        "  window %llu: %zu shard(s), %llu entries, %llu cycles, %.1f ms%s\n",
+        (unsigned long long)(commitments.empty() ? 0
+                                                 : commitments[0].window_id),
+        round.shard_rounds.size(), (unsigned long long)entries,
+        (unsigned long long)round.total_cycles, round.wall_ms,
+        round.tree_seal.has_value() ? ", sealed" : "");
   }
   if (sharded) {
-    // Sharded chains persist through the store (shard_receipts /
-    // tree_seals tables); the seals are additionally saved as the round
-    // proof objects a verifier consumes.
+    // Sharded chains persist through the store (receipts / tree_seals
+    // tables); the seals are additionally saved as the round proof objects
+    // a verifier consumes.
     const std::string seals_path = data_dir + "/tree_seals.bin";
     if (auto s = core::save_receipts(pipeline.tree_seals(), seals_path);
         !s.ok()) {

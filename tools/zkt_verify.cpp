@@ -5,8 +5,7 @@
 //
 // Usage:
 //   zkt-verify --data-dir DIR [--query "sum(hop_sum) where ..."]
-//              [--sketch-query] [--stream] [--batch N] [--sequential]
-//              [--catch-up]
+//              [--sketch-query] [--stream] [--batch N] [--catch-up]
 //              [--pool-threads N] [--backend scalar|shani|avx2]
 //              [--metrics] [--metrics-json [PATH]]
 //
@@ -20,8 +19,6 @@
 //                  (pool fan-out + chain-continuity dedup);
 //   --stream     — pull receipts straight off the file in --batch windows
 //                  (default 64): O(1) memory however long the chain is;
-//   --sequential — the pre-batching one-receipt-at-a-time walk, with
-//                  per-round output;
 //   --catch-up   — cold-verifier sync off DIR/epoch_seals.bin (written by
 //                  zkt-prove --epoch-every): verify the O(log T) ladder
 //                  seals, adopt the sealed head, and replay only the
@@ -184,35 +181,19 @@ int main(int argc, char** argv) {
     std::printf("zkt-verify: %zu commitments, %zu aggregation receipts\n",
                 board.size(), receipts.value().size());
 
-    if (flags.has("sequential")) {
-      // The pre-batching walk, one verified round per line.
-      for (size_t i = 0; i < receipts.value().size(); ++i) {
-        auto accepted = auditor.accept_round(receipts.value()[i]);
-        if (!accepted.ok()) {
-          std::printf("round %zu: REJECTED — %s\n", i,
-                      accepted.error().to_string().c_str());
-          return finish(flags, data_dir, 2);
-        }
-        std::printf("round %zu: OK (%zu batches, %llu entries, root %s...)\n",
-                    i, accepted.value().commitments.size(),
-                    (unsigned long long)accepted.value().new_entry_count,
-                    accepted.value().new_root.hex().substr(0, 12).c_str());
+    // Batched pass: N receipts per round-trip over the pool, decisions
+    // identical to a one-receipt-at-a-time accept_round walk.
+    std::span<const zvm::Receipt> pending(receipts.value());
+    while (!pending.empty()) {
+      const size_t n = std::min<size_t>(pending.size(), batch_size);
+      auto accepted = auditor.accept_rounds(pending.first(n), &stats);
+      if (!accepted.ok()) {
+        std::printf("round %llu: REJECTED — %s\n",
+                    (unsigned long long)auditor.rounds_accepted(),
+                    accepted.error().to_string().c_str());
+        return finish(flags, data_dir, 2);
       }
-    } else {
-      // Batched pass: N receipts per round-trip over the pool, decisions
-      // identical to the sequential walk.
-      std::span<const zvm::Receipt> pending(receipts.value());
-      while (!pending.empty()) {
-        const size_t n = std::min<size_t>(pending.size(), batch_size);
-        auto accepted = auditor.accept_rounds(pending.first(n), &stats);
-        if (!accepted.ok()) {
-          std::printf("round %llu: REJECTED — %s\n",
-                      (unsigned long long)auditor.rounds_accepted(),
-                      accepted.error().to_string().c_str());
-          return finish(flags, data_dir, 2);
-        }
-        pending = pending.subspan(n);
-      }
+      pending = pending.subspan(n);
     }
   }
   std::printf("aggregation chain VERIFIED: %llu rounds, final state root %s"
