@@ -50,6 +50,16 @@ Result<Bytes> Reader::blob() {
   return raw(static_cast<size_t>(len.value()));
 }
 
+Result<BytesView> Reader::blob_view() {
+  auto len = varint();
+  if (!len.ok()) return len.error();
+  if (len.value() > remaining())
+    return Error{Errc::parse_error, "blob length exceeds buffer"};
+  const BytesView out = data_.subspan(pos_, static_cast<size_t>(len.value()));
+  pos_ += out.size();
+  return out;
+}
+
 Result<std::string> Reader::str() {
   auto b = blob();
   if (!b.ok()) return b.error();

@@ -79,6 +79,9 @@ class Reader {
 
   /// Read a varint-length-prefixed blob.
   Result<Bytes> blob();
+  /// The same, as a view into the reader's buffer (no copy; valid while
+  /// that buffer is).
+  Result<BytesView> blob_view();
 
   Result<std::string> str();
 

@@ -128,28 +128,16 @@ std::vector<CLogUpdate> CLogState::apply_records(
   return updates;
 }
 
-void CLogState::serialize(Writer& w) const {
-  w.varint(entries_.size());
-  for (const auto& entry : entries_) entry.serialize(w);
-}
-
-Result<CLogState> CLogState::deserialize(Reader& r) {
-  auto count = r.varint();
-  if (!count.ok()) return count.error();
-  CLogState state;
-  state.entries_.reserve(count.value());
-  for (u64 i = 0; i < count.value(); ++i) {
-    auto entry = netflow::FlowRecord::deserialize(r);
-    if (!entry.ok()) return entry.error();
-    if (!state.entries_.empty() &&
-        !(state.entries_.back().key < entry.value().key)) {
+Result<CLogState> CLogState::from_entries(std::vector<CLogEntry> entries) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (!(entries[i - 1].key < entries[i].key)) {
       // Strict ascending order doubles as the duplicate-key check and
       // guarantees the implicit key index is valid on adoption.
-      return Error{Errc::parse_error,
-                   "serialized CLog entries not strictly key-sorted"};
+      return Error{Errc::parse_error, "CLog entries not strictly key-sorted"};
     }
-    state.entries_.push_back(std::move(entry.value()));
   }
+  CLogState state;
+  state.entries_ = std::move(entries);
   std::vector<Digest32> leaves;
   leaves.reserve(state.entries_.size());
   for (const auto& entry : state.entries_) {

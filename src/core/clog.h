@@ -83,13 +83,11 @@ class CLogState {
   /// (the guest input representing the previous aggregation state).
   std::vector<Bytes> entry_bytes() const;
 
-  /// Serialize the whole state (entry list, in key-sorted index order —
-  /// the serialized order *is* the persisted key index). The Merkle tree
-  /// is a derived structure and is rebuilt on deserialize, so the snapshot
-  /// stays small and cannot disagree with its entries. Deserialize rejects
-  /// entry lists that are not strictly ascending by flow key.
-  void serialize(Writer& w) const;
-  static Result<CLogState> deserialize(Reader& r);
+  /// Adopt an entry list in index order (key-sorted: the persisted order
+  /// *is* the key index) and build its tree. The tree is derived, so a
+  /// persisted entry list stays small and cannot disagree with it. Rejects
+  /// lists that are not strictly ascending by flow key.
+  static Result<CLogState> from_entries(std::vector<CLogEntry> entries);
 
   /// Deep self-check: entries strictly ascending by key (the implicit key
   /// index is intact) and the cached tree levels match a from-scratch

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <thread>
+#include <utility>
 
 #include "common/log.h"
 #include "common/thread_pool.h"
@@ -140,27 +141,47 @@ Status ProviderPipeline::persist_chain(u64 window, const RoundResult& round) {
   const bool snapshot_due =
       options_.checkpoint_every_n_rounds > 0 &&
       rounds_since_snapshot_ + 1 >= options_.checkpoint_every_n_rounds;
+  // Until every row of this round lands, the next bundle has no base.
+  const std::optional<u64> base = std::exchange(snapshot_base_, std::nullopt);
+  u64 snapshot_bytes = 0;
+  bool full = false;
   if (snapshot_due) {
-    ShardedChainSnapshot snap;
-    snap.round_id = round.round_id;
-    snap.window_id = window;
-    snap.shard_count = shard_count;
-    for (u32 s = 0; s < shard_count; ++s) {
-      const AggregationService& shard = service_->shard_service(s);
-      snap.shards.push_back(ChainSnapshot::capture(
-          round.round_id, window,
-          round.shard_rounds[s].receipt.claim.digest(), shard.state(),
-          shard.sketch_enabled() ? &shard.sketch() : nullptr));
+    // A delta, unless this process has no full bundle to extend yet or the
+    // deltas since the last full bundle would outweigh it: writes stay
+    // amortised O(touched entries) per round, and recovery reads at most
+    // about two full bundles.
+    Bytes payload;
+    full = !base.has_value();
+    if (!full) {
+      payload = service_->capture(window, base).to_bytes();
+      full = delta_bytes_since_full_ + payload.size() > full_snapshot_bytes_;
     }
+    if (full) payload = service_->capture(window, std::nullopt).to_bytes();
+    snapshot_bytes = payload.size();
     ZKT_TRY(append_row("chain snapshot append", store::kTableChainState,
-                       window, round.round_id, snap.to_bytes()));
+                       window, round.round_id, payload));
     metrics.counter("core.pipeline.snapshots").add(1);
+    if (full) metrics.counter("core.pipeline.snapshots_full").add(1);
+    metrics.histogram("core.pipeline.snapshot_bytes")
+        .record(static_cast<double>(snapshot_bytes));
   }
   for (u32 s = 0; s < shard_count; ++s) {
     ZKT_TRY(append_row("receipt append", store::kTableReceipts, window, s,
                        round.shard_rounds[s].receipt.to_bytes()));
   }
-  rounds_since_snapshot_ = snapshot_due ? 0 : rounds_since_snapshot_ + 1;
+  if (!snapshot_due) {
+    snapshot_base_ = base;
+    ++rounds_since_snapshot_;
+    return {};
+  }
+  snapshot_base_ = round.round_id;
+  rounds_since_snapshot_ = 0;
+  if (full) {
+    full_snapshot_bytes_ = snapshot_bytes;
+    delta_bytes_since_full_ = 0;
+  } else {
+    delta_bytes_since_full_ += snapshot_bytes;
+  }
   return {};
 }
 
@@ -504,66 +525,134 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
   RecoveryInfo info;
   const u32 shard_count = service_->shard_count();
 
-  std::vector<store::StoredRow> snapshot_rows;
+  // Index every chain_state row by its identifiers alone: peek() decodes
+  // no entries and checks no CRC, and nothing is copied. Unreadable rows
+  // are skipped; an unsupported layout or a bundle written for another
+  // shard count is terminal — recovering a 4-shard store with --shards 8
+  // must not silently fork the chains.
+  struct SnapshotRow {
+    u64 id = 0;
+    u64 k1 = 0;
+    u64 k2 = 0;
+    ShardedChainSnapshot head;  ///< peek()ed: no entries, no sketch
+  };
+  std::vector<SnapshotRow> rows;
+  u64 unreadable = 0;
+  Status terminal;
   ZKT_TRY(with_retry("chain-state scan", [&]() -> Status {
-    snapshot_rows.clear();
-    return store_->for_each(store::kTableChainState, 0, ~0ULL,
-                            [&](const store::StoredRow& row) {
-                              snapshot_rows.push_back(row);
-                            });
+    rows.clear();
+    unreadable = 0;
+    terminal = {};
+    return store_->for_each(
+        store::kTableChainState, 0, ~0ULL, [&](const store::StoredRow& row) {
+          if (!terminal.ok()) return;
+          auto head = ShardedChainSnapshot::peek(row.payload);
+          if (!head.ok()) {
+            if (head.error().code == Errc::unsupported) {
+              terminal = head.error();
+              return;
+            }
+            ZKT_LOG(warn) << "skipping unreadable chain snapshot (row "
+                          << row.id << "): " << head.error().to_string();
+            ++unreadable;
+            return;
+          }
+          if (head.value().shard_count != shard_count) {
+            terminal = Error{
+                Errc::invalid_argument,
+                "store was written with " +
+                    std::to_string(head.value().shard_count) +
+                    " shards but the pipeline is configured with " +
+                    std::to_string(shard_count) +
+                    " (the shard count cannot change across restarts)"};
+            return;
+          }
+          rows.push_back({row.id, row.k1, row.k2, std::move(head.value())});
+        });
   }));
+  ZKT_TRY(terminal);
 
-  // Adopt the newest snapshot bundle whose K receipts all exist and match
-  // its claim digests. Orphans (bundle appended, crash before its
-  // receipts) and unreadable rows are skipped in favor of an older bundle;
-  // a bundle that *contradicts* its receipts fails terminally inside
-  // restore(). A shard-count mismatch is terminal too — recovering a
-  // 4-shard store with --shards 8 must not silently fork the chains.
-  std::optional<ShardedChainSnapshot> adopted;
-  for (auto it = snapshot_rows.rbegin();
-       it != snapshot_rows.rend() && !adopted.has_value(); ++it) {
-    auto snap = ShardedChainSnapshot::from_bytes(it->payload);
-    if (!snap.ok()) {
-      if (snap.error().code == Errc::unsupported) return snap.error();
-      ZKT_LOG(warn) << "skipping unreadable chain snapshot (row " << it->id
-                    << "): " << snap.error().to_string();
-      ++info.snapshots_skipped;
-      continue;
-    }
-    if (snap.value().shard_count != shard_count) {
-      return Error{Errc::invalid_argument,
-                   "store was written with " +
-                       std::to_string(snap.value().shard_count) +
-                       " shards but the pipeline is configured with " +
-                       std::to_string(shard_count) +
-                       " (the shard count cannot change across restarts)"};
-    }
-    auto receipts = load_receipts(snap.value().window_id);
+  // A bundle is usable when its window's K receipts all exist and carry its
+  // claim digests. Orphans (bundle appended, crash before its receipts)
+  // fail this and are skipped.
+  auto checks_out = [&](const ShardedChainSnapshot& head) -> Result<bool> {
+    auto receipts = load_receipts(head.window_id);
     if (!receipts.ok()) return receipts.error();
-    if (!receipts.value().has_value()) {
-      // Crash between the snapshot append and the receipts.
-      ++info.snapshots_skipped;
-      continue;
+    if (!receipts.value().has_value()) return false;
+    for (u32 s = 0; s < shard_count; ++s) {
+      if (head.shards[s].claim_digest !=
+          (*receipts.value())[s].claim.digest()) {
+        ZKT_LOG(warn) << "skipping chain snapshot for window "
+                      << head.window_id
+                      << ": stored receipts have different claim digests";
+        return false;
+      }
     }
-    bool digests_match = true;
-    for (u32 s = 0; digests_match && s < shard_count; ++s) {
-      digests_match = snap.value().shards[s].claim_digest ==
-                      (*receipts.value())[s].claim.digest();
+    return true;
+  };
+  // Decode one indexed row — the only payload copies recovery makes.
+  auto decode = [&](const SnapshotRow& row)
+      -> std::optional<ShardedChainSnapshot> {
+    for (const auto& stored :
+         store_->scan_exact(store::kTableChainState, row.k1, row.k2)) {
+      if (stored.id != row.id) continue;
+      auto snap = ShardedChainSnapshot::from_bytes(stored.payload);
+      if (snap.ok()) return std::move(snap.value());
+      ZKT_LOG(warn) << "skipping unreadable chain snapshot (row " << row.id
+                    << "): " << snap.error().to_string();
     }
-    if (!digests_match) {
-      ZKT_LOG(warn) << "skipping chain snapshot for window "
-                    << snap.value().window_id
-                    << ": stored receipts have different claim digests";
-      ++info.snapshots_skipped;
-      continue;
+    return std::nullopt;
+  };
+
+  // Take the newest usable full bundle and extend it with the deltas after
+  // it that chain onto it (base = the previous link's round) and check
+  // out; anything else after it is skipped. Deltas whose base was dropped
+  // never link, so they fall back to an older full bundle or to raw-log
+  // replay below — never an error.
+  std::vector<ShardedChainSnapshot> chain;
+  size_t base_row = rows.size();
+  for (size_t f = rows.size(); f-- > 0 && chain.empty();) {
+    if (!rows[f].head.is_full()) continue;
+    auto usable = checks_out(rows[f].head);
+    if (!usable.ok()) return usable.error();
+    if (!usable.value()) continue;
+    auto full = decode(rows[f]);
+    if (!full.has_value()) continue;
+    chain.push_back(std::move(*full));
+    base_row = f;
+    for (size_t d = f + 1; d < rows.size(); ++d) {
+      const ShardedChainSnapshot& head = rows[d].head;
+      if (head.is_full() || head.base_round_id() != chain.back().round_id) {
+        continue;
+      }
+      auto linked = checks_out(head);
+      if (!linked.ok()) return linked.error();
+      if (!linked.value()) continue;
+      auto delta = decode(rows[d]);
+      if (delta.has_value()) chain.push_back(std::move(*delta));
     }
-    ZKT_TRY(service_->restore(snap.value(), std::move(*receipts.value())));
-    adopted = std::move(snap.value());
   }
-  if (adopted.has_value()) {
+  // Skipped: unreadable rows, and readable ones newer than the adopted base
+  // that did not link (every readable row when none was adopted).
+  info.snapshots_skipped =
+      unreadable + (chain.empty() ? rows.size()
+                                  : rows.size() - base_row - chain.size());
+
+  // Fold the chain into one full position (the tree is rebuilt once) and
+  // hand it to restore(), whose cross-checks against the newest link's
+  // receipts are terminal: a bundle that *contradicts* its receipts halts.
+  std::optional<u64> adopted_window;
+  if (!chain.empty()) {
+    auto receipts = load_receipts(chain.back().window_id);
+    if (!receipts.ok()) return receipts.error();
+    auto collapsed = ShardedChainSnapshot::collapse(std::move(chain));
+    if (!collapsed.ok()) return collapsed.error();
+    ZKT_TRY(service_->restore(collapsed.value(),
+                              std::move(*receipts.value())));
     info.resumed = true;
-    info.rounds_restored = adopted->round_id;
-    last_window_ = adopted->window_id;
+    info.rounds_restored = collapsed.value().round_id;
+    adopted_window = collapsed.value().window_id;
+    last_window_ = adopted_window;
   }
 
   // Windows with stored receipts, ascending. A receipt row for a shard id
@@ -614,7 +703,7 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
     }
 
     const bool covered =
-        adopted.has_value() && window <= adopted->window_id;
+        adopted_window.has_value() && window <= *adopted_window;
     if (!covered) {
       // Roll forward: replay the window's raw batches against the stored
       // receipts — verified against each shard's journal, never re-proven.
@@ -636,8 +725,7 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
       receipts_.push_back(std::move(receipts.value()->front()));
       round_windows.push_back(window);
     } else if (service_->fold_enabled()) {
-      const bool live_sketches =
-          !covered || (adopted.has_value() && window == adopted->window_id);
+      const bool live_sketches = !covered || window == adopted_window;
       ZKT_TRY(recover_tree_seal(window, *receipts.value(), live_sketches,
                                 receipt_windows, info));
     }

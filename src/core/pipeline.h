@@ -18,12 +18,14 @@
 // depth; depth 1 is exactly the sequential loop.
 //
 // Crash safety: every checkpoint interval the pipeline appends a
-// core::ShardedChainSnapshot bundle (the K serialized CLog states + round
-// identifiers) to store::kTableChainState, and recover() resumes a
-// restarted process from the newest bundle whose receipts check out,
-// rolling forward over receipts proven after it without re-proving (see
-// docs/RECOVERY.md). Per window the persist order is snapshot, then the K
-// receipts, then the tree seal (K >= 2) or epoch seals (K = 1): a crash
+// core::ShardedChainSnapshot bundle (per shard, the whole CLog or a delta of
+// the entries changed since the previous bundle, + round identifiers) to
+// store::kTableChainState, and recover() resumes a restarted process from
+// the newest full bundle whose receipts check out, extended by the deltas
+// that chain onto it, rolling forward over receipts proven after it without
+// re-proving (see docs/RECOVERY.md). Per window the persist order is
+// snapshot, then the K receipts, then the tree seal (K >= 2) or epoch seals
+// (K = 1): a crash
 // leaves an orphan snapshot or a missing seal — never a receipt ahead of a
 // usable snapshot — and missing seals are re-folded from the stored
 // receipts at recovery.
@@ -117,7 +119,8 @@ class ProviderPipeline {
   };
 
   /// Resume a previous process's chain from the store: adopt the newest
-  /// chain snapshot whose receipt verifies (claim digest AND journal root
+  /// full snapshot bundle whose receipts check out, extended by the delta
+  /// bundles that chain onto it (claim digests per bundle; journal root
   /// against the rebuilt state), then roll forward over receipts proven
   /// after it by replaying their raw batches — no re-proving. Only valid
   /// before the first aggregate_pending(). Integrity violations (snapshot/
@@ -188,7 +191,8 @@ class ProviderPipeline {
   /// Append one row with bounded retry.
   Status append_row(const char* what, std::string_view table, u64 k1, u64 k2,
                     BytesView payload);
-  /// Append the round's snapshot bundle (when due), then its K receipts.
+  /// Append the round's snapshot bundle (when due; full or delta), then its
+  /// K receipts.
   Status persist_chain(u64 window, const RoundResult& round);
   Status persist_seal(u64 window, u64 round_id, const zvm::Receipt& seal);
   Status persist_epoch_seal(const EpochSeal& seal);
@@ -225,6 +229,11 @@ class ProviderPipeline {
   std::unique_ptr<EpochLadder> epoch_;
   std::optional<u64> last_window_;
   u64 rounds_since_snapshot_ = 0;
+  /// Round of this process's last chain_state row whose receipts all
+  /// landed: the next delta's base. nullopt = the next row is full.
+  std::optional<u64> snapshot_base_;
+  u64 full_snapshot_bytes_ = 0;     ///< size of the last full bundle
+  u64 delta_bytes_since_full_ = 0;  ///< delta bytes written after it
 };
 
 }  // namespace zkt::core

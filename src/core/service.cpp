@@ -291,6 +291,7 @@ Result<AggregationRound> AggregationService::aggregate_impl(
   // Mirror the guest's state transition on the host copy.
   for (size_t idx : order) {
     state_.apply_records(batches[idx].records);
+    note_touched(batches[idx].records);
   }
   if (state_.root() != journal.value().new_root ||
       state_.entry_count() != journal.value().new_entry_count) {
@@ -398,10 +399,32 @@ Status AggregationService::restore(CLogState state, zvm::Receipt last_receipt,
     sketch_ = netflow::RoundSketch{};
   }
   state_ = std::move(state);
+  touched_.clear();
   last_receipt_ = std::move(last_receipt);
   last_kind_ = journal.value().kind;
   rounds_ = rounds_completed;
   return {};
+}
+
+void AggregationService::note_touched(
+    std::span<const netflow::FlowRecord> records) {
+  for (const auto& record : records) touched_.insert(record.key);
+}
+
+ChainSnapshot AggregationService::capture(std::optional<u64> delta_base) {
+  const netflow::RoundSketch* sketch =
+      sketch_params_.has_value() ? &sketch_ : nullptr;
+  const Digest32 claim = last_receipt_->claim.digest();
+  ChainSnapshot snap;
+  if (delta_base.has_value()) {
+    std::vector<netflow::FlowKey> changed(touched_.begin(), touched_.end());
+    std::sort(changed.begin(), changed.end());
+    snap = ChainSnapshot::delta(*delta_base, claim, state_, changed, sketch);
+  } else {
+    snap = ChainSnapshot::full(claim, state_, sketch);
+  }
+  touched_.clear();
+  return snap;
 }
 
 Status AggregationService::replay_round(
@@ -483,6 +506,7 @@ Status AggregationService::replay_round(
   }
 
   state_ = std::move(next);
+  for (size_t idx : order) note_touched(batches[idx].records);
   sketch_ = std::move(next_sketch);
   last_receipt_ = receipt;
   last_kind_ = journal.kind;

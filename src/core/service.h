@@ -15,7 +15,9 @@
 #include <initializer_list>
 #include <optional>
 #include <span>
+#include <unordered_set>
 
+#include "core/chain_snapshot.h"
 #include "core/clog.h"
 #include "core/commitment.h"
 #include "core/guests.h"
@@ -160,6 +162,13 @@ class AggregationService {
                  u64 rounds_completed,
                  std::optional<netflow::RoundSketch> sketch = std::nullopt);
 
+  /// Snapshot the chain position after the last round (requires one): the
+  /// whole CLog when `delta_base` is nullopt, otherwise a delta body
+  /// extending the chain_state row of round `*delta_base` — the entries
+  /// whose keys any round touched since the previous capture. Either way
+  /// the touched-key tracking restarts here.
+  ChainSnapshot capture(std::optional<u64> delta_base);
+
   /// Roll the chain forward over an ALREADY-PROVEN round whose receipt was
   /// recovered from storage: check the receipt chains onto the current head
   /// (previous claim digest, root, entry count), apply the batches to the
@@ -206,6 +215,9 @@ class AggregationService {
   Result<AggregationRound> aggregate_impl(
       std::span<const netflow::RLogBatch> batches);
 
+  /// Record the keys of records applied to state_ (see touched_).
+  void note_touched(std::span<const netflow::FlowRecord> records);
+
   /// Fold the round's records into a copy of the sketch mirror, in the
   /// guest's exact order (Space-Saving is order-sensitive).
   netflow::RoundSketch folded_sketch(
@@ -223,6 +235,9 @@ class AggregationService {
   /// nullopt = sketches disabled; may be adopted from a recovered chain.
   std::optional<netflow::SketchParams> sketch_params_;
   netflow::RoundSketch sketch_;  ///< host mirror of the chained sketch
+  /// Keys whose entries changed since the last capture() — a delta
+  /// snapshot's upserts. Bounded by the CLog's entry count.
+  std::unordered_set<netflow::FlowKey, netflow::FlowKeyHasher> touched_;
 };
 
 struct QueryResponse {

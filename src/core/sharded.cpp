@@ -408,12 +408,26 @@ Result<RoundResult> ShardedAggregationService::aggregate(
   return round;
 }
 
+ShardedChainSnapshot ShardedAggregationService::capture(
+    u64 window_id, std::optional<u64> delta_base) {
+  ShardedChainSnapshot snap;
+  snap.round_id = rounds_;
+  snap.window_id = window_id;
+  snap.shard_count = shard_count_;
+  for (auto& shard : shards_) snap.shards.push_back(shard->capture(delta_base));
+  return snap;
+}
+
 Status ShardedAggregationService::restore(
     const ShardedChainSnapshot& snap,
     std::vector<zvm::Receipt> shard_receipts) {
   if (rounds_ != 0) {
     return Error{Errc::invalid_argument,
                  "restore() requires a fresh sharded service"};
+  }
+  if (!snap.is_full()) {
+    return Error{Errc::invalid_argument,
+                 "restore() takes a full snapshot bundle"};
   }
   if (snap.shard_count != shard_count_ ||
       snap.shards.size() != shard_count_) {

@@ -214,9 +214,16 @@ class ShardedAggregationService {
         std::span<const netflow::RLogBatch>(batches.begin(), batches.size()));
   }
 
+  /// The snapshot bundle of the last proven round (window `window_id`):
+  /// every shard's AggregationService::capture — full bodies when
+  /// `delta_base` is nullopt, otherwise deltas extending the chain_state
+  /// row of round `*delta_base`.
+  ShardedChainSnapshot capture(u64 window_id, std::optional<u64> delta_base);
+
   /// Adopt a recovered chain position: restore every shard chain from the
   /// bundle's per-shard snapshots and receipts. Only valid on a fresh
-  /// service; snap.shard_count must match this service's.
+  /// service; snap must be full (ShardedChainSnapshot::collapse folds
+  /// deltas in) and snap.shard_count must match this service's.
   Status restore(const ShardedChainSnapshot& snap,
                  std::vector<zvm::Receipt> shard_receipts);
 

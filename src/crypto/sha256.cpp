@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/sha256_backend.h"
+
 namespace zkt::crypto {
 
 namespace {
@@ -50,8 +52,8 @@ Sha256State Sha256State::initial() {
                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}};
 }
 
-Sha256State sha256_compress(const Sha256State& state,
-                            const std::array<u8, 64>& block) {
+Sha256State sha256_compress_portable(const Sha256State& state,
+                                     const std::array<u8, 64>& block) {
   u32 w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<u32>(block[4 * i + 0]) << 24) |

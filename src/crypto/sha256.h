@@ -25,7 +25,10 @@ struct Sha256State {
   static Sha256State initial();
 };
 
-/// One application of the SHA-256 compression function on a 64-byte block.
+/// One application of the SHA-256 compression function on a 64-byte block,
+/// on the active backend: the SHA-NI single-block path when it is selected,
+/// otherwise the portable code. Bit-identical either way; single-block calls
+/// are not counted in sha256_backend_stats (which counts batches).
 Sha256State sha256_compress(const Sha256State& state,
                             const std::array<u8, 64>& block);
 

@@ -21,7 +21,9 @@
 //
 // Host-side only: guests hash through zvm::Env one traced compression at a
 // time and never reach this header (see .zkt-lint.toml guest-determinism
-// excludes).
+// excludes). That single-block crypto::sha256_compress() — and so the
+// streaming Sha256 — also runs on the active backend (SHA-NI when selected),
+// which changes no digest or trace row.
 #pragma once
 
 #include <optional>
@@ -53,10 +55,15 @@ Sha256Backend sha256_active_backend();
 /// selection unchanged — if the requested backend is not available.
 bool sha256_force_backend(std::optional<Sha256Backend> backend);
 
+/// The portable FIPS 180-4 compression function: the scalar backend, and
+/// the reference every other backend is checked against.
+Sha256State sha256_compress_portable(const Sha256State& state,
+                                     const std::array<u8, 64>& block);
+
 /// Apply one compression per independent lane:
 ///   states[i] <- compress(states[i], blocks[i])
 /// states and blocks must have equal length. Bit-identical to calling
-/// sha256_compress() per lane, on every backend.
+/// sha256_compress_portable() per lane, on every backend.
 void sha256_compress_many(std::span<Sha256State> states,
                           std::span<const std::array<u8, 64>> blocks);
 

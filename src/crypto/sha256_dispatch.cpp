@@ -24,7 +24,7 @@ namespace zkt::crypto {
 void sha256_compress_many_scalar(Sha256State* states,
                                  const std::array<u8, 64>* blocks, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    states[i] = sha256_compress(states[i], blocks[i]);
+    states[i] = sha256_compress_portable(states[i], blocks[i]);
   }
 }
 
@@ -199,14 +199,18 @@ Sha256Backend sha256_active_backend() {
   const u8 forced = forced_backend().load(std::memory_order_relaxed);
   if (forced != kAuto) return static_cast<Sha256Backend>(forced);
   // SHA-NI beats the 8-way AVX2 interleave per block on every CPU shipping
-  // both, so prefer it even for wide batches.
-  if (sha256_backend_available(Sha256Backend::shani)) {
-    return Sha256Backend::shani;
-  }
-  if (sha256_backend_available(Sha256Backend::avx2)) {
-    return Sha256Backend::avx2;
-  }
-  return Sha256Backend::scalar;
+  // both, so prefer it even for wide batches. Resolved once: every
+  // single-block sha256_compress() asks.
+  static const Sha256Backend automatic = [] {
+    if (sha256_backend_available(Sha256Backend::shani)) {
+      return Sha256Backend::shani;
+    }
+    if (sha256_backend_available(Sha256Backend::avx2)) {
+      return Sha256Backend::avx2;
+    }
+    return Sha256Backend::scalar;
+  }();
+  return automatic;
 }
 
 bool sha256_force_backend(std::optional<Sha256Backend> backend) {
@@ -224,6 +228,20 @@ Sha256BackendStats sha256_backend_stats(Sha256Backend backend) {
   const BackendCounters& c = counters(backend);
   return Sha256BackendStats{c.blocks.load(std::memory_order_relaxed),
                             c.batches.load(std::memory_order_relaxed)};
+}
+
+Sha256State sha256_compress(const Sha256State& state,
+                            const std::array<u8, 64>& block) {
+  // One block gains nothing from the 8-lane AVX2 interleave, so only SHA-NI
+  // replaces the portable rounds here.
+#if defined(ZKT_HAVE_SHA256_SHANI)
+  if (sha256_active_backend() == Sha256Backend::shani) {
+    Sha256State out = state;
+    sha256_compress_many_shani(&out, &block, 1);
+    return out;
+  }
+#endif
+  return sha256_compress_portable(state, block);
 }
 
 void sha256_compress_many(std::span<Sha256State> states,

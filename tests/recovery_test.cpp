@@ -40,30 +40,76 @@ class RecoveryTest : public ::testing::Test {
     return store::StoreConfig{.wal_path = wal_path_.string()};
   }
 
-  RLogBatch make_batch(u64 window, u32 router) const {
+  /// One record per flow; flow f of router r has source port 1000 + f, so
+  /// every window's first flow merges into the same CLog entry.
+  RLogBatch make_batch(u64 window, u32 router, u32 flows = 1) const {
     RLogBatch batch;
     batch.router_id = router;
     batch.window_id = window;
-    FlowRecord record;
-    PacketObservation pkt;
-    pkt.key = {router + 1, 0x0A0A0A0A, 1000, 443, 6};
-    pkt.timestamp_ms = window * 5000;
-    pkt.bytes = 100 + window;
-    record.observe(pkt);
-    batch.records.push_back(record);
+    for (u32 f = 0; f < flows; ++f) {
+      FlowRecord record;
+      PacketObservation pkt;
+      pkt.key = {router + 1, 0x0A0A0A0A, static_cast<u16>(1000 + f), 443, 6};
+      pkt.timestamp_ms = window * 5000;
+      pkt.bytes = 100 + window;
+      record.observe(pkt);
+      batch.records.push_back(record);
+    }
     return batch;
   }
 
   void store_window(store::LogStore& store, CommitmentBoard& board,
-                    u64 window, u32 routers) {
+                    u64 window, u32 routers, u32 flows = 1) {
     for (u32 r = 0; r < routers; ++r) {
-      RLogBatch batch = make_batch(window, r);
+      RLogBatch batch = make_batch(window, r, flows);
       ASSERT_TRUE(
           board.publish(make_commitment(batch, key_, window).value()).ok());
       ASSERT_TRUE(store
                       .append(store::kTableRlogs, window, r,
                               batch.canonical_bytes())
                       .ok());
+    }
+  }
+
+  /// Body kinds of the chain_state rows, oldest first: 'F' full, 'D' delta.
+  static std::string snapshot_kinds(const store::LogStore& store) {
+    std::string kinds;
+    for (const auto& row : store.scan(store::kTableChainState, 0, ~0ULL)) {
+      auto head = ShardedChainSnapshot::peek(row.payload);
+      kinds += !head.ok() ? '?' : head.value().is_full() ? 'F' : 'D';
+    }
+    return kinds;
+  }
+
+  /// A small sketch, so a one-entry delta is far smaller than a full bundle
+  /// of a 128-entry CLog and several deltas fit before the next full one.
+  static PipelineOptions delta_options() {
+    PipelineOptions options;
+    options.sketch = netflow::SketchParams{
+        .cm = {.width = 16, .depth = 2, .seed = 7}, .heavy_capacity = 4};
+    return options;
+  }
+
+  /// The K = 1 chain head a recovery must land on exactly.
+  struct Head {
+    Digest32 root;
+    u64 entries = 0;
+    Bytes sketch;
+
+    explicit Head(const ProviderPipeline& pipeline)
+        : root(pipeline.aggregation().state().root()),
+          entries(pipeline.aggregation().state().entry_count()),
+          sketch(pipeline.aggregation().sketch().canonical_bytes()) {}
+    bool operator==(const Head&) const = default;
+  };
+
+  static void expect_chain_audits(const CommitmentBoard& board,
+                                  const ProviderPipeline& pipeline,
+                                  u64 rounds) {
+    ASSERT_EQ(pipeline.receipts().size(), rounds);
+    Auditor auditor(board);
+    for (const auto& receipt : pipeline.receipts()) {
+      ASSERT_TRUE(auditor.accept_round(receipt).ok());
     }
   }
 
@@ -250,9 +296,8 @@ TEST_F(RecoveryTest, OrphanSnapshotWithoutReceiptIsSkipped) {
       .round_id = 3,
       .window_id = 99,
       .shard_count = 1,
-      .shards = {ChainSnapshot::capture(
-          3, 99, pipeline.receipts().back().claim.digest(),
-          pipeline.aggregation().state())}};
+      .shards = {ChainSnapshot::full(pipeline.receipts().back().claim.digest(),
+                                     pipeline.aggregation().state())}};
   ASSERT_TRUE(
       store.append(store::kTableChainState, 99, 3, orphan.to_bytes()).ok());
 
@@ -264,6 +309,186 @@ TEST_F(RecoveryTest, OrphanSnapshotWithoutReceiptIsSkipped) {
   EXPECT_EQ(recovery.value().last_window, 2u);
 }
 
+TEST_F(RecoveryTest, FullBundleAndDeltasRecoverTheLiveHeadExactly) {
+  CommitmentBoard board;
+  const PipelineOptions options = delta_options();
+  std::optional<Head> live;
+  {
+    store::LogStore store(config());
+    ASSERT_TRUE(store.recover().ok());
+    store_window(store, board, 1, 1, /*flows=*/128);
+    for (u64 w = 2; w <= 5; ++w) store_window(store, board, w, 1);
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    // Each steady round touches one of 128 entries: one full bundle, then
+    // deltas of a single upsert each.
+    EXPECT_EQ(snapshot_kinds(store), "FDDDD");
+    live.emplace(pipeline);
+  }
+
+  store::LogStore store(config());
+  ASSERT_TRUE(store.recover().ok());
+  ProviderPipeline pipeline(store, board, options);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().rounds_restored, 5u);
+  EXPECT_EQ(recovery.value().rounds_replayed, 0u);
+  EXPECT_EQ(recovery.value().snapshots_skipped, 0u);
+  EXPECT_EQ(recovery.value().last_window, 5u);
+  EXPECT_TRUE(Head(pipeline) == *live);
+
+  // The restarted process's first snapshot is full; the chain continues.
+  store_window(store, board, 6, 1);
+  ASSERT_TRUE(pipeline.aggregate_pending().ok());
+  EXPECT_EQ(snapshot_kinds(store), "FDDDDF");
+  expect_chain_audits(board, pipeline, 6);
+}
+
+TEST_F(RecoveryTest, OrphanDeltaIsSkipped) {
+  CommitmentBoard board;
+  const PipelineOptions options = delta_options();
+  store::LogStore store;
+  store_window(store, board, 1, 1, /*flows=*/128);
+  store_window(store, board, 2, 1);
+  store_window(store, board, 3, 1);
+  {
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    ASSERT_EQ(snapshot_kinds(store), "FDD");
+    // A crash between window 4's delta append and its receipt append.
+    store_window(store, board, 4, 1);
+    const netflow::FlowKey touched = make_batch(4, 0).records[0].key;
+    const ShardedChainSnapshot orphan{
+        .round_id = 4,
+        .window_id = 4,
+        .shard_count = 1,
+        .shards = {ChainSnapshot::delta(
+            3, pipeline.receipts().back().claim.digest(),
+            pipeline.aggregation().state(), {&touched, 1})}};
+    ASSERT_TRUE(
+        store.append(store::kTableChainState, 4, 4, orphan.to_bytes()).ok());
+  }
+
+  ProviderPipeline pipeline(store, board, options);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().snapshots_skipped, 1u);
+  EXPECT_EQ(recovery.value().rounds_restored, 3u);
+  EXPECT_EQ(recovery.value().last_window, 3u);
+  auto rounds = pipeline.aggregate_pending();  // window 4, proven afresh
+  ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
+  ASSERT_EQ(rounds.value().size(), 1u);
+  expect_chain_audits(board, pipeline, 4);
+}
+
+TEST_F(RecoveryTest, DroppingRowsOlderThanTheNewestFullBundleStillRecovers) {
+  // The default sketch outweighs a few entries, so two deltas exceed a full
+  // bundle: the rows alternate full, delta, full, delta.
+  CommitmentBoard board;
+  store::LogStore store;
+  store_window(store, board, 1, 1, /*flows=*/8);
+  for (u64 w = 2; w <= 4; ++w) store_window(store, board, w, 1);
+  std::optional<Head> live;
+  {
+    ProviderPipeline pipeline(store, board);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    live.emplace(pipeline);
+  }
+  ASSERT_EQ(snapshot_kinds(store), "FDFD");
+  // Retention may drop every row older than the newest full bundle (the
+  // one of window 3).
+  ASSERT_EQ(store.drop_rows(store::kTableChainState, 2), 2u);
+
+  ProviderPipeline pipeline(store, board);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().rounds_restored, 4u);
+  EXPECT_EQ(recovery.value().rounds_replayed, 0u);
+  EXPECT_EQ(recovery.value().snapshots_skipped, 0u);
+  EXPECT_TRUE(Head(pipeline) == *live);
+  expect_chain_audits(board, pipeline, 4);
+}
+
+TEST_F(RecoveryTest, DeltasWhoseBaseWasDroppedFallBackNeverFail) {
+  CommitmentBoard board;
+  store::LogStore store;
+  store_window(store, board, 1, 1, /*flows=*/8);
+  for (u64 w = 2; w <= 4; ++w) store_window(store, board, w, 1);
+  std::optional<Head> live;
+  {
+    ProviderPipeline pipeline(store, board);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    live.emplace(pipeline);
+  }
+  ASSERT_EQ(snapshot_kinds(store), "FDFD");
+
+  // To an older base: without window 3's full bundle, window 4's delta
+  // links onto nothing; the window 1 + 2 chain is adopted and windows 3-4
+  // replay from the raw logs.
+  {
+    store::LogStore copy;
+    for (const char* table : {store::kTableRlogs, store::kTableReceipts,
+                              store::kTableChainState}) {
+      for (const auto& row : store.scan(table, 0, ~0ULL)) {
+        if (table == store::kTableChainState && row.k1 == 3) continue;
+        ASSERT_TRUE(copy.append(table, row.k1, row.k2, row.payload).ok());
+      }
+    }
+    ASSERT_EQ(snapshot_kinds(copy), "FDD");
+    ProviderPipeline pipeline(copy, board);
+    auto recovery = pipeline.recover();
+    ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+    EXPECT_EQ(recovery.value().rounds_restored, 2u);
+    EXPECT_EQ(recovery.value().rounds_replayed, 2u);
+    EXPECT_EQ(recovery.value().snapshots_skipped, 1u);
+    EXPECT_TRUE(Head(pipeline) == *live);
+    expect_chain_audits(board, pipeline, 4);
+  }
+
+  // To raw-log replay: with every full bundle gone, the lone delta is
+  // skipped and the whole chain replays.
+  ASSERT_EQ(store.drop_rows(store::kTableChainState, 3), 3u);
+  ASSERT_EQ(snapshot_kinds(store), "D");
+  ProviderPipeline pipeline(store, board);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().rounds_restored, 0u);
+  EXPECT_EQ(recovery.value().rounds_replayed, 4u);
+  EXPECT_EQ(recovery.value().snapshots_skipped, 1u);
+  EXPECT_TRUE(Head(pipeline) == *live);
+  expect_chain_audits(board, pipeline, 4);
+}
+
+TEST_F(RecoveryTest, PrunedStoreRecoversFromTheDeltaChainAlone) {
+  CommitmentBoard board;
+  PipelineOptions options = delta_options();
+  options.prune_aggregated = true;
+  std::optional<Head> live;
+  {
+    store::LogStore store(config());
+    ASSERT_TRUE(store.recover().ok());
+    store_window(store, board, 1, 1, /*flows=*/128);
+    for (u64 w = 2; w <= 4; ++w) store_window(store, board, w, 1);
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    EXPECT_EQ(store.row_count(store::kTableRlogs), 0u);
+    EXPECT_EQ(snapshot_kinds(store), "FDDD");
+    live.emplace(pipeline);
+  }
+
+  store::LogStore store(config());
+  ASSERT_TRUE(store.recover().ok());
+  ProviderPipeline pipeline(store, board, options);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().rounds_restored, 4u);
+  EXPECT_EQ(recovery.value().rounds_replayed, 0u);
+  EXPECT_TRUE(Head(pipeline) == *live);
+  store_window(store, board, 5, 1);
+  ASSERT_TRUE(pipeline.aggregate_pending().ok());
+  expect_chain_audits(board, pipeline, 5);
+}
+
 TEST_F(RecoveryTest, PreBundleStoreLayoutsFailTyped) {
   // Stores written before a plain chain became the K = 1 round: a bare
   // chain snapshot in chain_state, or rows in the old sharded tables. Both
@@ -271,8 +496,9 @@ TEST_F(RecoveryTest, PreBundleStoreLayoutsFailTyped) {
   CommitmentBoard board;
   {
     store::LogStore store;
-    Writer bare;
-    ChainSnapshot::capture(1, 1, Digest32{}, CLogState{}).write(bare);
+    Writer bare;  // the leading magic of a bare "ZKCS" snapshot
+    bare.u32v(0x5A4B4353);
+    bare.u32v(2);
     ASSERT_TRUE(
         store.append(store::kTableChainState, 1, 0, bare.bytes()).ok());
     ProviderPipeline pipeline(store, board);
@@ -324,6 +550,23 @@ TEST_F(RecoveryTest, FaultSweepEveryCrashPointRecoversOrFailsTyped) {
   options.retry.base_backoff = std::chrono::milliseconds(1);
   options.retry.max_backoff = std::chrono::milliseconds(2);
 
+  // A 3-entry CLog that each later round touches once: the snapshots run
+  // full, delta, full, so crashes land inside both kinds of row and in a
+  // delta chain.
+  auto populate = [&](store::LogStore& store, CommitmentBoard& board) {
+    store_window(store, board, 1, 1, /*flows=*/3);
+    store_window(store, board, 2, 1);
+    store_window(store, board, 3, 1);
+  };
+  {
+    CommitmentBoard board;
+    store::LogStore store;
+    populate(store, board);
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    ASSERT_EQ(snapshot_kinds(store), "FDF");
+  }
+
   for (const auto& test_case : cases) {
     SCOPED_TRACE(std::string(store::fault_point_name(test_case.point)) +
                  " after " + std::to_string(test_case.after_n) + " hits");
@@ -335,9 +578,7 @@ TEST_F(RecoveryTest, FaultSweepEveryCrashPointRecoversOrFailsTyped) {
     {
       store::LogStore store(config());
       ASSERT_TRUE(store.recover().ok());
-      store_window(store, board, 1, 1);
-      store_window(store, board, 2, 1);
-      store_window(store, board, 3, 1);
+      populate(store, board);
       faults.arm(test_case.point, test_case.after_n);
       store.set_fault_injector(&faults);
       ProviderPipeline pipeline(store, board, options);

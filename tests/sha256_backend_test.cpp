@@ -103,7 +103,7 @@ TEST(Sha256BackendTest, CompressManyMatchesScalarPerLane) {
       }
       std::vector<Sha256State> expected = states;
       for (size_t i = 0; i < lanes; ++i) {
-        expected[i] = sha256_compress(expected[i], blocks[i]);
+        expected[i] = sha256_compress_portable(expected[i], blocks[i]);
       }
       sha256_compress_many(states, blocks);
       for (size_t i = 0; i < lanes; ++i) {
@@ -111,6 +111,41 @@ TEST(Sha256BackendTest, CompressManyMatchesScalarPerLane) {
             << sha256_backend_name(b) << " lane " << i << " of " << lanes;
       }
     }
+  }
+}
+
+TEST(Sha256BackendTest, SingleBlockAndStreamingMatchPortableCompressor) {
+  // The single-block sha256_compress — under the streaming Sha256, Merkle
+  // node/leaf hashing and traced guest rows — runs on the active backend.
+  // Under every forced backend it must equal the portable compressor at
+  // every length through the padding boundaries (55/56/63/64/65), and it
+  // must not count as a batched call.
+  Xoshiro256 rng(300);
+  const Bytes data = random_bytes(rng, 300);
+  for (Sha256Backend b : available_backends()) {
+    ScopedBackend pin(b);
+    ASSERT_TRUE(pin.forced());
+    const Sha256BackendStats stats_before = sha256_backend_stats(b);
+    for (size_t len = 0; len <= data.size(); ++len) {
+      const BytesView msg(data.data(), len);
+      Sha256State expected = Sha256State::initial();
+      sha256_padded_blocks(msg, [&](const std::array<u8, 64>& block) {
+        EXPECT_EQ(sha256_compress(expected, block).h,
+                  sha256_compress_portable(expected, block).h)
+            << sha256_backend_name(b) << " len " << len;
+        expected = sha256_compress_portable(expected, block);
+      });
+      // Two updates, so the buffered partial-block path runs too.
+      Sha256 streaming;
+      streaming.update(msg.subspan(0, len / 3));
+      streaming.update(msg.subspan(len / 3));
+      EXPECT_EQ(streaming.finalize(), expected.to_digest())
+          << sha256_backend_name(b) << " len " << len;
+    }
+    const Sha256BackendStats stats_after = sha256_backend_stats(b);
+    EXPECT_EQ(stats_after.blocks, stats_before.blocks) << sha256_backend_name(b);
+    EXPECT_EQ(stats_after.batches, stats_before.batches)
+        << sha256_backend_name(b);
   }
 }
 

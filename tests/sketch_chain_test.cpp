@@ -313,16 +313,18 @@ TEST(SketchSnapshot, RoundTripCarriesSketchAndRestores) {
   auto round = fx.service.aggregate({fx.committed(0, 1, 12)});
   ASSERT_TRUE(round.ok()) << round.error().to_string();
 
-  const ChainSnapshot snap = ChainSnapshot::capture(
-      1, 1, round.value().receipt.claim.digest(), fx.service.state(),
-      &fx.service.sketch());
-  ASSERT_TRUE(snap.has_sketch);
-  Writer w;
-  snap.write(w);
-  Reader r(w.bytes());
-  auto reparsed = ChainSnapshot::read(r);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.error().to_string();
-  auto sketch = reparsed.value().restore_sketch();
+  const ShardedChainSnapshot snap{
+      .round_id = 1,
+      .window_id = 1,
+      .shard_count = 1,
+      .shards = {ChainSnapshot::full(round.value().receipt.claim.digest(),
+                                     fx.service.state(),
+                                     &fx.service.sketch())}};
+  ASSERT_TRUE(snap.shards[0].has_sketch);
+  auto bundle = ShardedChainSnapshot::from_bytes(snap.to_bytes());
+  ASSERT_TRUE(bundle.ok()) << bundle.error().to_string();
+  const ChainSnapshot& reparsed = bundle.value().shards[0];
+  auto sketch = reparsed.restore_sketch();
   ASSERT_TRUE(sketch.ok()) << sketch.error().to_string();
   ASSERT_TRUE(sketch.value().has_value());
   EXPECT_EQ(sketch.value()->hash(), fx.service.sketch().hash());
@@ -330,7 +332,7 @@ TEST(SketchSnapshot, RoundTripCarriesSketchAndRestores) {
   // A fresh service restored from the snapshot continues the chain.
   AggregationService resumed(fx.board,
                              AggregationOptions{.sketch = small_params()});
-  auto state = reparsed.value().restore_state();
+  auto state = reparsed.restore_state();
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE(resumed
                   .restore(std::move(state.value()), round.value().receipt, 1,

@@ -49,11 +49,12 @@ class TreePipelineTest : public ::testing::Test {
     return options;
   }
 
-  RLogBatch make_batch(u64 window, u32 router) const {
+  /// `flows` records; flow f has the same key in every window.
+  RLogBatch make_batch(u64 window, u32 router, u32 flows = 8) const {
     RLogBatch batch;
     batch.router_id = router;
     batch.window_id = window;
-    for (u32 f = 0; f < 8; ++f) {
+    for (u32 f = 0; f < flows; ++f) {
       FlowRecord record;
       PacketObservation pkt;
       pkt.key = {0x0A000000 + f * 13 + router, 0x0B0B0B0B,
@@ -67,9 +68,9 @@ class TreePipelineTest : public ::testing::Test {
   }
 
   void store_window(store::LogStore& store, CommitmentBoard& board,
-                    u64 window, u32 routers = 1) {
+                    u64 window, u32 routers = 1, u32 flows = 8) {
     for (u32 r = 0; r < routers; ++r) {
-      RLogBatch batch = make_batch(window, r);
+      RLogBatch batch = make_batch(window, r, flows);
       ASSERT_TRUE(
           board.publish(make_commitment(batch, key_, window).value()).ok());
       ASSERT_TRUE(store
@@ -77,6 +78,17 @@ class TreePipelineTest : public ::testing::Test {
                               batch.canonical_bytes())
                       .ok());
     }
+  }
+
+  /// Body kinds of the chain_state bundles, oldest first: 'F' full, 'D'
+  /// delta.
+  static std::string snapshot_kinds(const store::LogStore& store) {
+    std::string kinds;
+    for (const auto& row : store.scan(store::kTableChainState, 0, ~0ULL)) {
+      auto head = ShardedChainSnapshot::peek(row.payload);
+      kinds += !head.ok() ? '?' : head.value().is_full() ? 'F' : 'D';
+    }
+    return kinds;
   }
 
   crypto::SchnorrKeyPair key_ = crypto::schnorr_keygen_from_seed("tree-pipe");
@@ -205,6 +217,62 @@ TEST_F(TreePipelineTest, KillAndRestartResumesShardedChain) {
     EXPECT_TRUE(link.has_prev);
     EXPECT_GE(link.new_entry_count, link.prev_entry_count);
   }
+}
+
+TEST_F(TreePipelineTest, FullBundleAndDeltasRecoverEveryShardExactly) {
+  // A 128-flow genesis, then rounds touching two flows: one full bundle,
+  // then delta bundles whose shards carry only their own changed entries
+  // (possibly none).
+  CommitmentBoard board;
+  PipelineOptions options = sharded_options(2);
+  options.sketch = netflow::SketchParams{
+      .cm = {.width = 16, .depth = 2, .seed = 7}, .heavy_capacity = 4};
+  struct ShardHead {
+    Digest32 root;
+    u64 entries = 0;
+    Bytes sketch;
+    bool operator==(const ShardHead&) const = default;
+  };
+  auto heads = [](const ProviderPipeline& pipeline) {
+    std::vector<ShardHead> out;
+    for (u32 s = 0; s < 2; ++s) {
+      const AggregationService& shard =
+          pipeline.sharded_service()->shard_service(s);
+      out.push_back({shard.state().root(), shard.state().entry_count(),
+                     shard.sketch().canonical_bytes()});
+    }
+    return out;
+  };
+  std::vector<ShardHead> live;
+  {
+    store::LogStore store(config());
+    ASSERT_TRUE(store.recover().ok());
+    store_window(store, board, 1, 1, /*flows=*/128);
+    for (u64 w = 2; w <= 5; ++w) store_window(store, board, w, 1, 2);
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    EXPECT_EQ(snapshot_kinds(store), "FDDDD");
+    live = heads(pipeline);
+  }
+
+  store::LogStore store(config());
+  ASSERT_TRUE(store.recover().ok());
+  ProviderPipeline pipeline(store, board, options);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().rounds_restored, 5u);
+  EXPECT_EQ(recovery.value().rounds_replayed, 0u);
+  EXPECT_EQ(recovery.value().seals_refolded, 0u);
+  EXPECT_EQ(pipeline.tree_seals().size(), 5u);
+  EXPECT_TRUE(heads(pipeline) == live);
+
+  store_window(store, board, 6, 1, 2);
+  auto rounds = pipeline.aggregate_pending();
+  ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
+  ASSERT_EQ(rounds.value().size(), 1u);
+  ASSERT_TRUE(rounds.value()[0].tree_seal.has_value());
+  zvm::Verifier verifier;
+  EXPECT_TRUE(verify_join_receipt(verifier, *rounds.value()[0].tree_seal).ok());
 }
 
 TEST_F(TreePipelineTest, ReceiptsPastSnapshotReplayedNotReproven) {
@@ -356,6 +424,22 @@ TEST_F(TreePipelineTest, FaultSweepShardedCrashPointsRecoverOrFailTyped) {
   options.retry.base_backoff = std::chrono::milliseconds(1);
   options.retry.max_backoff = std::chrono::milliseconds(2);
 
+  // A 16-entry genesis, then two touched flows per window: the bundles run
+  // full, delta, full, so crashes land in both kinds of row.
+  auto populate = [&](store::LogStore& store, CommitmentBoard& board) {
+    store_window(store, board, 1, 1, /*flows=*/16);
+    store_window(store, board, 2, 1, 2);
+    store_window(store, board, 3, 1, 2);
+  };
+  {
+    CommitmentBoard board;
+    store::LogStore store;
+    populate(store, board);
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    ASSERT_EQ(snapshot_kinds(store), "FDF");
+  }
+
   for (const auto& test_case : cases) {
     SCOPED_TRACE(std::string(store::fault_point_name(test_case.point)) +
                  " after " + std::to_string(test_case.after_n) + " hits");
@@ -368,9 +452,7 @@ TEST_F(TreePipelineTest, FaultSweepShardedCrashPointsRecoverOrFailTyped) {
     {
       store::LogStore store(config());
       ASSERT_TRUE(store.recover().ok());
-      store_window(store, board, 1);
-      store_window(store, board, 2);
-      store_window(store, board, 3);
+      populate(store, board);
       faults.arm(test_case.point, test_case.after_n);
       store.set_fault_injector(&faults);
       ProviderPipeline pipeline(store, board, options);
