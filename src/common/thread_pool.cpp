@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -141,12 +140,7 @@ void ThreadPool::parallel_for(size_t n, size_t grain,
   // parallel_for issued from inside a pool task cannot deadlock waiting for
   // helpers stuck behind the very task that is waiting.
   for (std::future<void>& f : helpers) {
-    while (f.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!run_one()) {
-        f.wait_for(std::chrono::microseconds(200));
-      }
-    }
+    help_wait(f);
     try {
       f.get();
     } catch (...) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -89,6 +90,17 @@ class ThreadPool {
       return std::nullopt;
     }
     return future;
+  }
+
+  /// Wait until `future` is ready, running other queued tasks meanwhile
+  /// instead of sleeping, so a wait issued from inside a pool task cannot
+  /// deadlock on work queued behind it. Does not call get().
+  template <typename T>
+  void help_wait(const std::future<T>& future) {
+    while (future.wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready) {
+      if (!run_one()) future.wait_for(std::chrono::microseconds(200));
+    }
   }
 
   /// Run body(begin, end) over subranges covering [0, n). Chunks are claimed

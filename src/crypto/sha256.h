@@ -71,7 +71,7 @@ constexpr u64 sha256_compression_count(u64 n) {
 
 /// Invoke fn on every 64-byte block of the FIPS-180-4 padded message.
 /// Folding sha256_compress over these blocks from the initial state yields
-/// sha256(data); the zkVM uses this to emit one trace row per compression.
+/// sha256(data).
 void sha256_padded_blocks(BytesView data,
                           const std::function<void(const std::array<u8, 64>&)>& fn);
 

@@ -70,7 +70,9 @@ Result<FlowKey> FlowKey::deserialize(Reader& r) {
 }
 
 Bytes FlowKey::canonical_bytes() const {
-  Writer w;
+  Bytes out;
+  out.reserve(kCanonicalSize);
+  Writer w(std::move(out));
   serialize(w);
   return std::move(w).take();
 }
@@ -165,7 +167,9 @@ Result<FlowRecord> FlowRecord::deserialize(Reader& r) {
 }
 
 Bytes FlowRecord::canonical_bytes() const {
-  Writer w;
+  Bytes out;
+  out.reserve(kCanonicalSize);
+  Writer w(std::move(out));
   serialize(w);
   return std::move(w).take();
 }

@@ -36,6 +36,9 @@ struct FlowKey {
   void serialize(Writer& w) const;
   static Result<FlowKey> deserialize(Reader& r);
 
+  /// Size of the canonical encoding.
+  static constexpr size_t kCanonicalSize = 13;
+
   /// Canonical 13-byte encoding (used for hashing and as map keys).
   Bytes canonical_bytes() const;
   std::string to_string() const;
@@ -95,6 +98,9 @@ struct FlowRecord {
   // NOTE: floating-point views (average RTT/jitter, loss rate, throughput)
   // live in netflow/stats.h — this header is guest-reachable and must stay
   // float-free so guest traces remain replayable (rule guest-determinism).
+
+  /// Size of canonical_bytes(): the key, eleven u64 fields, the flag byte.
+  static constexpr size_t kCanonicalSize = FlowKey::kCanonicalSize + 11 * 8 + 1;
 
   void serialize(Writer& w) const;
   static Result<FlowRecord> deserialize(Reader& r);

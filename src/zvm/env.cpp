@@ -1,14 +1,18 @@
 #include "zvm/env.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "crypto/sha256.h"
 
 namespace zkt::zvm {
 
-Env::Env(BytesView input, std::span<const Receipt> assumption_receipts)
+Env::Env(BytesView input, std::span<const Receipt> assumption_receipts,
+         u64 max_segment_rows)
     : input_(input.begin(), input.end()),
       reader_(BytesView(input_.data(), input_.size())),
+      max_segment_rows_(std::max<u64>(max_segment_rows, 1)),
+      segments_(1),
       assumption_receipts_(assumption_receipts) {}
 
 Result<u8> Env::read_u8() { return reader_.u8v(); }
@@ -35,41 +39,80 @@ void Env::commit_digest(const Digest32& d) { journal_.fixed(d.bytes); }
 void Env::commit_string(std::string_view s) { journal_.str(s); }
 void Env::commit_raw(BytesView data) { journal_.raw(data); }
 
-Digest32 Env::traced_sha256_with_prefix(u8 tag, bool use_tag, BytesView a,
-                                        BytesView b) {
-  Bytes buf;
-  buf.reserve((use_tag ? 1 : 0) + a.size() + b.size());
-  if (use_tag) buf.push_back(tag);
-  append(buf, a);
-  append(buf, b);
+void Env::record(const EncodedRow& row) {
+  if (segments_.back().rows() == max_segment_rows_) {
+    // Open the next segment. Only the first one grows from empty: a later
+    // one exists because a full segment came before it, so reserve a full
+    // segment's worth of the largest rows.
+    TraceSegment& next = segments_.emplace_back();
+    next.bytes.reserve(max_segment_rows_ * EncodedRow::kMaxBytes);
+    next.ends.reserve(max_segment_rows_);
+  }
+  TraceSegment& segment = segments_.back();
+  const BytesView bytes = row.view();
+  segment.bytes.insert(segment.bytes.end(), bytes.begin(), bytes.end());
+  segment.ends.push_back(segment.bytes.size());
+  ++cycles_;
+  if (segment.rows() == max_segment_rows_ && sink_) sink_(segment);
+}
 
+Digest32 Env::traced_sha256(std::optional<u8> tag, BytesView a,
+                            BytesView b) {
+  // Lay (tag || a || b) into 64-byte blocks with FIPS 180-4 padding,
+  // recording one compression row per block.
   crypto::Sha256State state = crypto::Sha256State::initial();
-  crypto::sha256_padded_blocks(buf, [&](const std::array<u8, 64>& block) {
-    RowSha256 row;
+  RowSha256 row{};
+  size_t filled = 0;
+  auto compress = [&] {
     row.state_in = state;
-    row.block = block;
-    state = crypto::sha256_compress(state, block);
+    state = crypto::sha256_compress(state, row.block);
     row.state_out = state;
-    trace_.push_back(TraceRow{row});
-  });
+    record(encode_row(row));
+    ++sha_rows_;
+    filled = 0;
+  };
+  auto absorb_bytes = [&](BytesView data) {
+    while (!data.empty()) {
+      const size_t take = std::min(row.block.size() - filled, data.size());
+      std::copy_n(data.begin(), take, row.block.begin() + filled);
+      filled += take;
+      data = data.subspan(take);
+      if (filled == row.block.size()) compress();
+    }
+  };
+  if (tag.has_value()) absorb_bytes(BytesView(&*tag, 1));
+  absorb_bytes(a);
+  absorb_bytes(b);
+
+  const u64 bit_len = (u64{tag.has_value()} + a.size() + b.size()) * 8;
+  row.block[filled++] = 0x80;
+  if (filled > 56) {
+    std::fill(row.block.begin() + filled, row.block.end(), u8{0});
+    compress();
+  }
+  std::fill(row.block.begin() + filled, row.block.begin() + 56, u8{0});
+  for (int i = 0; i < 8; ++i) {
+    row.block[56 + i] = static_cast<u8>(bit_len >> (56 - 8 * i));
+  }
+  compress();
   return state.to_digest();
 }
 
 Digest32 Env::sha256(BytesView data) {
-  return traced_sha256_with_prefix(0, false, data, {});
+  return traced_sha256(std::nullopt, data, {});
 }
 
 Digest32 Env::hash_node(const Digest32& left, const Digest32& right) {
-  return traced_sha256_with_prefix(0x01, true, left.view(), right.view());
+  return traced_sha256(u8{0x01}, left.view(), right.view());
 }
 
 Digest32 Env::hash_leaf(BytesView data) {
-  return traced_sha256_with_prefix(0x00, true, data, {});
+  return traced_sha256(u8{0x00}, data, {});
 }
 
 u64 Env::alu(AluOp op, u64 a, u64 b) {
-  RowAlu row{op, a, b, alu_eval(op, a, b)};
-  trace_.push_back(TraceRow{row});
+  const RowAlu row{op, a, b, alu_eval(op, a, b)};
+  record(encode_row(row));
   return row.c;
 }
 
@@ -77,7 +120,7 @@ Status Env::assert_true(bool cond, std::string_view context) {
   RowAssert row;
   row.cond = cond ? 1 : 0;
   row.context = crypto::sha256(context);
-  trace_.push_back(TraceRow{row});
+  record(encode_row(row));
   if (!cond) {
     return Error{Errc::guest_abort, std::string("assertion failed: ") +
                                         std::string(context)};
@@ -87,8 +130,7 @@ Status Env::assert_true(bool cond, std::string_view context) {
 
 Status Env::assert_eq(const Digest32& a, const Digest32& b,
                       std::string_view context) {
-  RowAssertEqDigest row{a, b};
-  trace_.push_back(TraceRow{row});
+  record(encode_row(RowAssertEqDigest{a, b}));
   if (a != b) {
     return Error{Errc::guest_abort,
                  std::string("digest mismatch: ") + std::string(context)};
@@ -165,8 +207,7 @@ Status Env::verify_assumption(const Digest32& image_id,
   for (const auto& receipt : assumption_receipts_) {
     if (receipt.claim.image_id == image_id &&
         receipt.claim.digest() == claim_digest) {
-      RowAssume row{image_id, claim_digest};
-      trace_.push_back(TraceRow{row});
+      record(encode_row(RowAssume{image_id, claim_digest}));
       assumptions_.push_back(Assumption{image_id, claim_digest});
       return {};
     }
@@ -196,15 +237,13 @@ void Env::end_region() {
 
 Digest32 Env::bind_input() {
   const Digest32 d = sha256(BytesView(input_.data(), input_.size()));
-  RowBindDigest row{BindTarget::input, d};
-  trace_.push_back(TraceRow{row});
+  record(encode_row(RowBindDigest{BindTarget::input, d}));
   return d;
 }
 
 Digest32 Env::bind_journal() {
   const Digest32 d = sha256(journal_.bytes());
-  RowBindDigest row{BindTarget::journal, d};
-  trace_.push_back(TraceRow{row});
+  record(encode_row(RowBindDigest{BindTarget::journal, d}));
   return d;
 }
 

@@ -5,12 +5,17 @@
 //                                     compression call)
 //   env::verify (assumptions)      -> Env::verify_assumption
 //
-// Every provable operation appends a TraceRow; the final trace is what the
-// prover commits to and the verifier samples. Reads consume the private
-// input stream (already bound to the claim by traced hashing); commits
-// append to the public journal.
+// Every provable operation records one trace row, once, as its encoded
+// bytes (zvm/op.h), into a log cut into segments of max_segment_rows rows.
+// Each segment goes to the segment sink the moment it fills, so the prover
+// can Merkle-commit it while the guest keeps executing; the whole trace is
+// what the prover commits to and the verifier samples. Reads consume the
+// private input stream (already bound to the claim by traced hashing);
+// commits append to the public journal.
 #pragma once
 
+#include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,11 +29,40 @@
 
 namespace zkt::zvm {
 
+/// Rows per trace segment unless the prover asks for another size
+/// (ProveOptions::max_segment_rows).
+constexpr u64 kDefaultSegmentRows = 1ULL << 14;
+
+/// One continuation segment of the trace: its rows' encoded bytes back to
+/// back, and where each row ends.
+struct TraceSegment {
+  Bytes bytes;
+  std::vector<u64> ends;
+
+  u64 rows() const { return ends.size(); }
+  /// Encoded bytes of row `index` (< rows()).
+  BytesView row(u64 index) const {
+    const u64 begin = index == 0 ? 0 : ends[index - 1];
+    return BytesView(bytes.data() + begin, ends[index] - begin);
+  }
+};
+
 class Env {
  public:
+  /// Called once per segment, in trace order, the moment it holds
+  /// max_segment_rows rows. A full segment is never written again and never
+  /// moves while its Env lives, so the sink may hand it to another thread.
+  using SegmentSink = std::function<void(const TraceSegment&)>;
+
   /// Host-side: construct over the guest input and the receipts backing any
-  /// assumptions the guest will make.
-  Env(BytesView input, std::span<const Receipt> assumption_receipts);
+  /// assumptions the guest will make. The trace is cut into segments of
+  /// `max_segment_rows` rows (at least 1).
+  Env(BytesView input, std::span<const Receipt> assumption_receipts,
+      u64 max_segment_rows = kDefaultSegmentRows);
+  // The input reader views input_, and the sink hands full segments to
+  // other threads: an Env stays where it was built.
+  Env(const Env&) = delete;
+  Env& operator=(const Env&) = delete;
 
   // ---- Input (private) ----
   Result<u8> read_u8();
@@ -82,7 +116,9 @@ class Env {
                            const Digest32& claim_digest);
 
   /// Trace rows executed so far (the zvm's cycle counter).
-  u64 cycles() const { return trace_.size(); }
+  u64 cycles() const { return cycles_; }
+  /// Of those, SHA-256 compression rows.
+  u64 sha_rows() const { return sha_rows_; }
 
   // ---- Profiling regions (host-side metadata, not part of the proof) ----
   /// Attribute subsequent cycles to a named region until end_region().
@@ -101,17 +137,34 @@ class Env {
   Digest32 bind_input();
   /// Hash the journal with traced rows and a bind row; returns the digest.
   Digest32 bind_journal();
-  const std::vector<TraceRow>& trace() const { return trace_; }
   const std::vector<Assumption>& assumptions() const { return assumptions_; }
+  /// Install the sink full segments go to (see SegmentSink).
+  void set_segment_sink(SegmentSink sink) { sink_ = std::move(sink); }
+
+  // ---- Trace log ----
+  /// The trace so far, in order; every segment but the last is full.
+  const std::deque<TraceSegment>& segments() const { return segments_; }
+  /// Encoded bytes of trace row `index` (< cycles()).
+  BytesView row(u64 index) const {
+    return segments_[index / max_segment_rows_].row(index % max_segment_rows_);
+  }
 
  private:
-  Digest32 traced_sha256_with_prefix(u8 tag, bool use_tag, BytesView a,
-                                     BytesView b);
+  /// Append one encoded row to the open segment; hands the segment to the
+  /// sink when it fills.
+  void record(const EncodedRow& row);
+  /// SHA-256 of (tag byte, if any) || a || b, one traced row per
+  /// compression, without materializing the concatenation.
+  Digest32 traced_sha256(std::optional<u8> tag, BytesView a, BytesView b);
 
   Bytes input_;
   Reader reader_;
   Writer journal_;
-  std::vector<TraceRow> trace_;
+  u64 max_segment_rows_;
+  std::deque<TraceSegment> segments_;  // deque: full segments never move
+  SegmentSink sink_;
+  u64 cycles_ = 0;
+  u64 sha_rows_ = 0;
   std::vector<Assumption> assumptions_;
   std::span<const Receipt> assumption_receipts_;
   std::vector<std::pair<std::string, u64>> regions_;

@@ -1,5 +1,7 @@
 #include "zvm/op.h"
 
+#include <algorithm>
+
 #include "crypto/merkle.h"
 
 namespace zkt::zvm {
@@ -28,9 +30,34 @@ OpKind TraceRow::kind() const {
 
 namespace {
 
-void write_state(Writer& w, const crypto::Sha256State& s) {
-  for (u32 word : s.h) w.u32v(word);
-}
+/// Fills an EncodedRow front to back. Every row kind has a fixed size no
+/// larger than EncodedRow::kMaxBytes, so no write needs a bounds check.
+class RowWriter {
+ public:
+  RowWriter(EncodedRow& out, OpKind kind) : out_(out) {
+    out_.size = 0;
+    u8v(static_cast<u8>(kind));
+  }
+
+  void u8v(u8 v) { out_.bytes[out_.size++] = v; }
+  void u32v(u32 v) {
+    for (int i = 0; i < 4; ++i) u8v(static_cast<u8>(v >> (8 * i)));
+  }
+  void u64v(u64 v) {
+    for (int i = 0; i < 8; ++i) u8v(static_cast<u8>(v >> (8 * i)));
+  }
+  void state(const crypto::Sha256State& s) {
+    for (u32 word : s.h) u32v(word);
+  }
+  template <size_t N>
+  void fixed(const std::array<u8, N>& a) {
+    std::copy(a.begin(), a.end(), out_.bytes.begin() + out_.size);
+    out_.size += N;
+  }
+
+ private:
+  EncodedRow& out_;
+};
 
 Result<crypto::Sha256State> read_state(Reader& r) {
   crypto::Sha256State s;
@@ -44,36 +71,66 @@ Result<crypto::Sha256State> read_state(Reader& r) {
 
 }  // namespace
 
-void TraceRow::serialize(Writer& w) const {
-  w.u8v(static_cast<u8>(kind()));
-  std::visit(
-      [&w](const auto& row) {
-        using T = std::decay_t<decltype(row)>;
-        if constexpr (std::is_same_v<T, RowSha256>) {
-          write_state(w, row.state_in);
-          w.fixed(row.block);
-          write_state(w, row.state_out);
-        } else if constexpr (std::is_same_v<T, RowAlu>) {
-          w.u8v(static_cast<u8>(row.op));
-          w.u64v(row.a);
-          w.u64v(row.b);
-          w.u64v(row.c);
-        } else if constexpr (std::is_same_v<T, RowAssert>) {
-          w.u64v(row.cond);
-          w.fixed(row.context.bytes);
-        } else if constexpr (std::is_same_v<T, RowAssertEqDigest>) {
-          w.fixed(row.a.bytes);
-          w.fixed(row.b.bytes);
-        } else if constexpr (std::is_same_v<T, RowBindDigest>) {
-          w.u8v(static_cast<u8>(row.target));
-          w.fixed(row.computed.bytes);
-        } else if constexpr (std::is_same_v<T, RowAssume>) {
-          w.fixed(row.image_id.bytes);
-          w.fixed(row.claim_digest.bytes);
-        }
-      },
-      op);
+EncodedRow encode_row(const RowSha256& row) {
+  EncodedRow out;
+  RowWriter w(out, OpKind::sha256_compress);
+  w.state(row.state_in);
+  w.fixed(row.block);
+  w.state(row.state_out);
+  return out;
 }
+
+EncodedRow encode_row(const RowAlu& row) {
+  EncodedRow out;
+  RowWriter w(out, OpKind::alu);
+  w.u8v(static_cast<u8>(row.op));
+  w.u64v(row.a);
+  w.u64v(row.b);
+  w.u64v(row.c);
+  return out;
+}
+
+EncodedRow encode_row(const RowAssert& row) {
+  EncodedRow out;
+  RowWriter w(out, OpKind::assert_true);
+  w.u64v(row.cond);
+  w.fixed(row.context.bytes);
+  return out;
+}
+
+EncodedRow encode_row(const RowAssertEqDigest& row) {
+  EncodedRow out;
+  RowWriter w(out, OpKind::assert_eq_digest);
+  w.fixed(row.a.bytes);
+  w.fixed(row.b.bytes);
+  return out;
+}
+
+EncodedRow encode_row(const RowBindDigest& row) {
+  EncodedRow out;
+  RowWriter w(out, OpKind::bind_digest);
+  w.u8v(static_cast<u8>(row.target));
+  w.fixed(row.computed.bytes);
+  return out;
+}
+
+EncodedRow encode_row(const RowAssume& row) {
+  EncodedRow out;
+  RowWriter w(out, OpKind::assume);
+  w.fixed(row.image_id.bytes);
+  w.fixed(row.claim_digest.bytes);
+  return out;
+}
+
+namespace {
+
+EncodedRow encode(const TraceRow& row) {
+  return std::visit([](const auto& r) { return encode_row(r); }, row.op);
+}
+
+}  // namespace
+
+void TraceRow::serialize(Writer& w) const { w.raw(encode(*this).view()); }
 
 Result<TraceRow> TraceRow::deserialize(Reader& r) {
   auto kind_byte = r.u8v();
@@ -150,9 +207,7 @@ Result<TraceRow> TraceRow::deserialize(Reader& r) {
 }
 
 Digest32 TraceRow::leaf_digest() const {
-  Writer w;
-  serialize(w);
-  return crypto::MerkleTree::hash_leaf(w.bytes());
+  return crypto::MerkleTree::hash_leaf(encode(*this).view());
 }
 
 Status TraceRow::check() const {

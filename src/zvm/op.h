@@ -92,6 +92,27 @@ struct RowAssume {
   Digest32 claim_digest;
 };
 
+/// One row's encoding: its kind byte, then its fields, little-endian. These
+/// bytes are the row's Merkle leaf preimage and what an opening carries.
+struct EncodedRow {
+  /// The largest row kind, sha256_compress: 1 + 32 + 64 + 32 bytes.
+  static constexpr size_t kMaxBytes = 129;
+
+  std::array<u8, kMaxBytes> bytes{};
+  size_t size = 0;
+
+  BytesView view() const { return BytesView(bytes.data(), size); }
+};
+
+/// The byte layout of each row kind, defined once: Env records these bytes
+/// straight into its trace log, and TraceRow::serialize writes the same.
+EncodedRow encode_row(const RowSha256& row);
+EncodedRow encode_row(const RowAlu& row);
+EncodedRow encode_row(const RowAssert& row);
+EncodedRow encode_row(const RowAssertEqDigest& row);
+EncodedRow encode_row(const RowBindDigest& row);
+EncodedRow encode_row(const RowAssume& row);
+
 struct TraceRow {
   std::variant<RowSha256, RowAlu, RowAssert, RowAssertEqDigest, RowBindDigest,
                RowAssume>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <future>
 #include <optional>
 #include <string>
 
@@ -22,10 +24,82 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Rows serialized and hashed per MerkleTree::hash_leaves() batch. Bounds the
-/// transient serialization buffer to a few hundred KiB per worker while still
-/// keeping the SIMD lanes of the batched SHA-256 backends full.
+/// Rows leaf-hashed per MerkleTree::hash_leaves() batch: enough to keep the
+/// SIMD lanes of the batched SHA-256 backends full, few enough that the
+/// batch's lane states and blocks stay in cache.
 constexpr u64 kLeafBatchRows = 512;
+
+/// Leaf-hash one segment's rows straight from the trace log and build its
+/// Merkle tree.
+crypto::MerkleTree commit_segment(const TraceSegment& segment) {
+  const auto start = std::chrono::steady_clock::now();
+  obs::Registry& metrics = obs::Registry::instance();
+  obs::Histogram& batch_rows = metrics.histogram("zvm.prover.leaf_batch_rows");
+  std::vector<Digest32> leaves;
+  leaves.reserve(segment.rows());
+  std::vector<BytesView> views;
+  for (u64 batch = 0; batch < segment.rows(); batch += kLeafBatchRows) {
+    const u64 batch_end = std::min(segment.rows(), batch + kLeafBatchRows);
+    views.clear();
+    for (u64 i = batch; i < batch_end; ++i) views.push_back(segment.row(i));
+    const auto digests = crypto::MerkleTree::hash_leaves(views);
+    leaves.insert(leaves.end(), digests.begin(), digests.end());
+    batch_rows.record(static_cast<double>(views.size()));
+  }
+  crypto::MerkleTree tree(std::move(leaves));
+  metrics.histogram("zvm.prover.segment_commit_ms").record(ms_since(start));
+  return tree;
+}
+
+/// Merkle-commits a trace segment by segment: each full segment on the
+/// shared pool while the guest keeps executing (inline when the pool's queue
+/// is full), the last one on the caller once execution ends. Destruction
+/// waits for every commit still in flight, help-running queued tasks
+/// meanwhile, so declared after the Env whose segments the commits read it
+/// drains first on every exit path: guest abort, error return, exception.
+class SegmentCommitter {
+ public:
+  SegmentCommitter() = default;
+  SegmentCommitter(const SegmentCommitter&) = delete;
+  SegmentCommitter& operator=(const SegmentCommitter&) = delete;
+  ~SegmentCommitter() {
+    for (const std::future<void>& commit : pending_) pool_.help_wait(commit);
+  }
+
+  /// Commit the next, full segment on the pool, or here when the queue is
+  /// full. `segment` must not change or move until the commit finishes
+  /// (Env guarantees that for full segments).
+  void submit(const TraceSegment& segment) {
+    crypto::MerkleTree* tree = &trees_.emplace_back();
+    auto commit = [tree, rows = &segment] { *tree = commit_segment(*rows); };
+    if (auto future = pool_.try_submit(commit)) {
+      pending_.push_back(std::move(*future));
+    } else {
+      commit();
+    }
+  }
+
+  /// Commit the last segment on the calling thread.
+  void commit_last(const TraceSegment& segment) {
+    trees_.push_back(commit_segment(segment));
+  }
+
+  /// Wait for every background commit (rethrowing the first failure) and
+  /// return the trees in segment order.
+  const std::deque<crypto::MerkleTree>& finish() {
+    for (std::future<void>& commit : pending_) {
+      pool_.help_wait(commit);
+      commit.get();
+    }
+    pending_.clear();
+    return trees_;
+  }
+
+ private:
+  common::ThreadPool& pool_ = common::ThreadPool::shared();
+  std::deque<crypto::MerkleTree> trees_;  // deque: a slot never moves
+  std::vector<std::future<void>> pending_;
+};
 
 /// crypto cannot depend on obs (layer DAG), so backend/pool activity is
 /// published into the metrics registry here, by the caller.
@@ -107,7 +181,10 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
   }
 
   phase.emplace("execute");
-  Env env(input, options.assumptions);
+  Env env(input, options.assumptions, options.max_segment_rows);
+  SegmentCommitter committer;  // after env: drains before env's log is freed
+  env.set_segment_sink(
+      [&committer](const TraceSegment& segment) { committer.submit(segment); });
   Claim claim;
   claim.image_id = image_id;
   claim.input_digest = env.bind_input();
@@ -127,73 +204,14 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
   const auto commit_start = std::chrono::steady_clock::now();
   phase.emplace("commit");
 
-  const auto& trace = env.trace();
-  u64 sha_rows = 0;
-  for (const auto& row : trace) {
-    if (row.kind() == OpKind::sha256_compress) ++sha_rows;
+  // Full segments went to the pool as they filled; commit the last, partial
+  // one here (an empty trace is one empty segment).
+  const std::deque<TraceSegment>& segments = env.segments();
+  if (segments.back().rows() < options.max_segment_rows) {
+    committer.commit_last(segments.back());
   }
-
-  // Split into segments and commit each on the shared bounded pool. Leaves
-  // are hashed streaming-style: rows are serialized in small batches into a
-  // per-segment scratch buffer that is reused, so peak memory is
-  // O(kLeafBatchRows * row_size) per worker instead of one retained copy of
-  // the entire serialized trace. Rows needed for Fiat–Shamir openings are
-  // re-serialized later (serialization is deterministic).
-  const u64 total_rows = trace.size();
-  const u64 segment_count =
-      std::max<u64>(1, (total_rows + options.max_segment_rows - 1) /
-                           options.max_segment_rows);
-  std::vector<crypto::MerkleTree> trees(segment_count);
-  std::vector<u64> seg_start(segment_count), seg_rows(segment_count);
-  {
-    obs::Histogram& segment_commit_ms =
-        metrics.histogram("zvm.prover.segment_commit_ms");
-    obs::Histogram& leaf_batch_rows =
-        metrics.histogram("zvm.prover.leaf_batch_rows");
-    // zkt-lint: shared(writes only segment seg's disjoint slots of trees/seg_start/seg_rows; histogram records are atomic)
-    auto build_segment = [&](u64 seg) {
-      const auto seg_begin_time = std::chrono::steady_clock::now();
-      const u64 begin = seg * options.max_segment_rows;
-      const u64 end = std::min(total_rows, begin + options.max_segment_rows);
-      seg_start[seg] = begin;
-      seg_rows[seg] = end - begin;
-      std::vector<Digest32> leaves;
-      leaves.reserve(end - begin);
-      std::vector<size_t> offsets;
-      std::vector<BytesView> views;
-      for (u64 batch = begin; batch < end; batch += kLeafBatchRows) {
-        const u64 batch_end = std::min(end, batch + kLeafBatchRows);
-        Writer scratch;
-        offsets.clear();
-        for (u64 i = batch; i < batch_end; ++i) {
-          offsets.push_back(scratch.bytes().size());
-          trace[i].serialize(scratch);
-        }
-        offsets.push_back(scratch.bytes().size());
-        // Views are taken only once the batch buffer has stopped growing.
-        const Bytes& buf = scratch.bytes();
-        views.clear();
-        for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-          views.emplace_back(buf.data() + offsets[i],
-                             offsets[i + 1] - offsets[i]);
-        }
-        auto digests = crypto::MerkleTree::hash_leaves(views);
-        leaves.insert(leaves.end(), digests.begin(), digests.end());
-        leaf_batch_rows.record(static_cast<double>(views.size()));
-      }
-      trees[seg] = crypto::MerkleTree(std::move(leaves));
-      segment_commit_ms.record(ms_since(seg_begin_time));
-    };
-    if (segment_count > 1) {
-      common::ThreadPool::shared().parallel_for(
-          segment_count, 1,
-          [&](size_t first, size_t last) {
-            for (size_t seg = first; seg < last; ++seg) build_segment(seg);
-          });
-    } else {
-      build_segment(0);
-    }
-  }
+  const std::deque<crypto::MerkleTree>& trees = committer.finish();
+  const u64 segment_count = trees.size();
 
   Receipt receipt;
   receipt.claim = claim;
@@ -203,7 +221,7 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
   receipt.composite.segments.resize(segment_count);
   for (u64 seg = 0; seg < segment_count; ++seg) {
     receipt.composite.segments[seg].trace_root = trees[seg].root();
-    receipt.composite.segments[seg].row_count = seg_rows[seg];
+    receipt.composite.segments[seg].row_count = segments[seg].rows();
   }
 
   // Fiat–Shamir challenges bind the full root list, then open per segment.
@@ -222,9 +240,8 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
     for (u64 idx : indices) {
       SealOpening opening;
       opening.row_index = idx;
-      Writer w;
-      trace[seg_start[seg] + idx].serialize(w);
-      opening.row_bytes = std::move(w).take();
+      const BytesView row = segments[seg].row(idx);
+      opening.row_bytes.assign(row.begin(), row.end());
       opening.proof = trees[seg].prove(idx);
       segment.openings.push_back(std::move(opening));
     }
@@ -249,7 +266,7 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
 
   metrics.counter("zvm.prover.proofs").add(1);
   metrics.counter("zvm.prover.cycles").add(claim.cycle_count);
-  metrics.counter("zvm.prover.sha_rows").add(sha_rows);
+  metrics.counter("zvm.prover.sha_rows").add(env.sha_rows());
   metrics.counter("zvm.prover.segments").add(segment_count);
   metrics.histogram("zvm.prover.execute_ms").record(execute_ms);
   metrics.histogram("zvm.prover.commit_ms").record(ms_since(commit_start));
@@ -258,7 +275,7 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
 
   if (info != nullptr) {
     info->cycles = claim.cycle_count;
-    info->sha_rows = sha_rows;
+    info->sha_rows = env.sha_rows();
     info->segments = segment_count;
     info->execute_ms = execute_ms;
     info->commit_ms = ms_since(commit_start);

@@ -2,11 +2,17 @@
 //
 // Pipeline (mirrors a zkVM prover):
 //   1. bind the private input into the claim (traced hashing),
-//   2. execute the guest, recording the operation trace,
+//   2. execute the guest, recording the operation trace once, as row bytes;
+//      each segment of max_segment_rows rows is handed to the shared pool
+//      the moment it fills and Merkle-committed there while the guest keeps
+//      executing,
 //   3. bind the public journal into the claim,
-//   4. Merkle-commit to the trace,
+//   4. commit the last, partial segment and wait for the others,
 //   5. derive Fiat–Shamir query indices and open those rows,
 //   6. optionally wrap the composite seal into a constant-size succinct seal.
+// Overlapping commitment with execution changes only when the hashing runs:
+// segment boundaries, roots, openings and receipt bytes are the same at
+// every pool width.
 //
 // A guest abort (failed assertion — e.g. an RLog hash mismatch during
 // aggregation) aborts proving with the guest's error: tampered data makes
@@ -25,8 +31,9 @@ struct ProveOptions {
   u32 num_queries = 32;
   /// Maximum rows per trace segment (the continuation size). Long guests
   /// are split into ceil(rows / max_segment_rows) segments, each committed
-  /// and opened independently (and in parallel when there are several).
-  u64 max_segment_rows = 1ULL << 14;
+  /// and opened independently; every full one is committed while the guest
+  /// is still executing.
+  u64 max_segment_rows = kDefaultSegmentRows;
   /// Receipts backing the guest's verify_assumption calls.
   std::vector<Receipt> assumptions;
 };
@@ -35,8 +42,10 @@ struct ProveInfo {
   u64 cycles = 0;        ///< trace rows (the zvm cost unit)
   u64 sha_rows = 0;      ///< SHA-256 compression rows
   u64 segments = 0;      ///< trace segments sealed
-  double execute_ms = 0; ///< guest execution + trace recording
-  double commit_ms = 0;  ///< trace Merkle commitment + openings
+  double execute_ms = 0; ///< guest execution + trace recording (full
+                         ///< segments are committed meanwhile)
+  double commit_ms = 0;  ///< the rest after bind_journal: last segment's
+                         ///< commitment, waiting for the others, openings
   double total_ms = 0;
   /// Per-phase cycle attribution from the guest's profiling regions
   /// (first-seen order; cycles outside any region are not listed).

@@ -1,14 +1,16 @@
 // Golden proof bytes: SHA-256 digests over the serialized proof objects of
-// two pinned ProviderPipeline chains —
+// pinned ProviderPipeline chains —
 //   (a) a plain chain: a full genesis round, then rounds that take the
 //       incremental guest, with an epoch ladder (every receipt plus the
 //       settled epoch seals);
-//   (b) a 2-shard chain folded with fanout 2 at pipeline depth 2 (every
+//   (b) the same plain chain proven in 256-row trace segments, so every
+//       proof commits several segments while its guest is still executing;
+//   (c) a 2-shard chain folded with fanout 2 at pipeline depth 2 (every
 //       split receipt, shard receipt and tree seal).
-// A refactor of the round pipeline must leave both digests unchanged. Each
-// chain is checked on the default SHA-256 backend and pinned to the scalar
-// backend; a second ctest registration reruns the binary with a one-worker
-// pool (ZKT_POOL_THREADS=1).
+// A refactor of the round pipeline or the prover must leave every digest
+// unchanged. Each chain is checked on the default SHA-256 backend and pinned
+// to the scalar backend; a second ctest registration reruns the binary with
+// a one-worker pool (ZKT_POOL_THREADS=1).
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
@@ -23,6 +25,8 @@ using netflow::RLogBatch;
 
 constexpr const char* kPlainChainDigest =
     "b03b1b0e82d36ea04f55003be53b3baa2651008a412d6c4b1d616e381ffd6978";
+constexpr const char* kPlainChainSegmentedDigest =
+    "3b28cd82e46edd929b1360f5428802c8f7d500313b9c37096d919dfecf4ddf07";
 constexpr const char* kShardedChainDigest =
     "dc3a31c4b7ef1865985d3ce4f0b683b71a3b27b89053e7defb1d8f7dc7925866";
 
@@ -59,7 +63,8 @@ void append(Bytes& out, const Bytes& bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-std::string plain_chain_digest() {
+std::string plain_chain_digest(
+    u64 max_segment_rows = zvm::kDefaultSegmentRows) {
   Deployment d;
   // Genesis: 64 flows over two routers. Then three windows that each merge
   // a few resident flows and add one new one — delta rounds.
@@ -73,15 +78,20 @@ std::string plain_chain_digest() {
 
   PipelineOptions options;
   options.epoch_every = 2;
+  options.prove_options.max_segment_rows = max_segment_rows;
   ProviderPipeline pipeline(d.store, d.board, options);
   auto rounds = pipeline.aggregate_pending();
   EXPECT_TRUE(rounds.ok()) << rounds.error().to_string();
   if (!rounds.ok()) return {};
   EXPECT_EQ(rounds.value().size(), 4u);
   for (size_t i = 0; i < rounds.value().size(); ++i) {
-    EXPECT_EQ(rounds.value()[i].primary().journal.kind,
+    const AggregationRound& round = rounds.value()[i].primary();
+    EXPECT_EQ(round.journal.kind,
               i == 0 ? RoundKind::full : RoundKind::incremental)
         << "round " << i;
+    if (max_segment_rows < zvm::kDefaultSegmentRows) {
+      EXPECT_GT(round.prove_info.segments, 1u) << "round " << i;
+    }
   }
   auto seals = pipeline.epoch_seals();
   EXPECT_TRUE(seals.ok()) << seals.error().to_string();
@@ -146,6 +156,15 @@ TEST(GoldenReceipts, PlainChainDefaultBackend) {
 TEST(GoldenReceipts, PlainChainScalarBackend) {
   ScalarSha256 scalar;
   EXPECT_EQ(plain_chain_digest(), kPlainChainDigest);
+}
+
+TEST(GoldenReceipts, PlainChainSegmentedDefaultBackend) {
+  EXPECT_EQ(plain_chain_digest(256), kPlainChainSegmentedDigest);
+}
+
+TEST(GoldenReceipts, PlainChainSegmentedScalarBackend) {
+  ScalarSha256 scalar;
+  EXPECT_EQ(plain_chain_digest(256), kPlainChainSegmentedDigest);
 }
 
 TEST(GoldenReceipts, ShardedChainDefaultBackend) {

@@ -50,7 +50,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FlowKey, CanonicalBytesAndOrdering) {
   const FlowKey a{1, 2, 3, 4, 6};
   const FlowKey b{1, 2, 3, 5, 6};
-  EXPECT_EQ(a.canonical_bytes().size(), 13u);
+  EXPECT_EQ(a.canonical_bytes().size(), FlowKey::kCanonicalSize);
+  EXPECT_EQ(FlowKey::kCanonicalSize, 13u);
   EXPECT_NE(a.canonical_bytes(), b.canonical_bytes());
   EXPECT_LT(a, b);
   EXPECT_EQ(a, (FlowKey{1, 2, 3, 4, 6}));
@@ -163,6 +164,11 @@ TEST(FlowRecord, SerializationRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(r.done());
   EXPECT_EQ(parsed.value(), rec);
+
+  // canonical_bytes() is the same encoding, of the fixed canonical size.
+  EXPECT_EQ(rec.canonical_bytes(), w.bytes());
+  EXPECT_EQ(rec.canonical_bytes().size(), FlowRecord::kCanonicalSize);
+  EXPECT_EQ(FlowRecord::kCanonicalSize, 102u);
 }
 
 TEST(FlowRecord, ThroughputUsesDuration) {

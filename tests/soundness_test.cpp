@@ -60,12 +60,18 @@ Receipt make_cheating_receipt(u64 rows, u32 num_queries, u64 bad_row,
   claim.journal_digest = env.bind_journal();
   claim.cycle_count = env.cycles();
 
-  // Serialize rows, then corrupt one ALU row's result.
+  // Decode the recorded rows, then corrupt one ALU row's result.
   std::vector<Bytes> row_bytes;
   std::vector<Digest32> leaves;
   u64 seen_alu = 0;
-  for (const auto& row : env.trace()) {
-    TraceRow copy = row;
+  for (u64 i = 0; i < env.cycles(); ++i) {
+    Reader r(env.row(i));
+    auto row = TraceRow::deserialize(r);
+    if (!row.ok()) {
+      ADD_FAILURE() << "row " << i << ": " << row.error().to_string();
+      return {};
+    }
+    TraceRow copy = row.value();
     if (auto* alu = std::get_if<RowAlu>(&copy.op)) {
       if (seen_alu++ == bad_row) {
         alu->c += 1;  // the lie

@@ -3,7 +3,15 @@
 // serialization, and the assumption (receipt chaining) mechanism.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
+#include <set>
+#include <stdexcept>
+#include <thread>
+
+#include "common/thread_pool.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "zvm/env.h"
 #include "zvm/image.h"
 #include "zvm/prover.h"
@@ -182,6 +190,72 @@ TEST(Env, JournalFraming) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(Env, SegmentsCutAtMaxRowsAndSinkSeesEachFullOne) {
+  Env env({}, {}, /*max_segment_rows=*/4);
+  std::vector<u64> sunk_rows;
+  env.set_segment_sink([&](const TraceSegment& segment) {
+    sunk_rows.push_back(segment.rows());
+  });
+  for (u64 i = 0; i < 10; ++i) env.alu(AluOp::add, i, 1);
+  EXPECT_EQ(sunk_rows, (std::vector<u64>{4, 4}));
+  ASSERT_EQ(env.segments().size(), 3u);
+  EXPECT_EQ(env.segments()[2].rows(), 2u);
+
+  for (u64 i = 0; i < env.cycles(); ++i) {
+    const BytesView row = env.row(i);
+    const BytesView in_segment = env.segments()[i / 4].row(i % 4);
+    EXPECT_EQ(Bytes(row.begin(), row.end()),
+              Bytes(in_segment.begin(), in_segment.end()));
+    Reader r(row);
+    auto parsed = TraceRow::deserialize(r);
+    ASSERT_TRUE(parsed.ok()) << i;
+    const auto* alu = std::get_if<RowAlu>(&parsed.value().op);
+    ASSERT_NE(alu, nullptr) << i;
+    EXPECT_EQ(alu->a, i);
+    EXPECT_EQ(alu->c, i + 1);
+  }
+}
+
+TEST(Env, RecordedRowsRoundTripThroughTraceRow) {
+  // One row of every kind, recorded through the Env API; each decodes with
+  // TraceRow::deserialize and re-serializes to exactly the recorded bytes.
+  Receipt inner;
+  inner.claim.image_id = sha256(std::string_view("inner image"));
+  inner.claim.input_digest = sha256(std::string_view("inner input"));
+  Env env(bytes_of("input"), std::span<const Receipt>(&inner, 1));
+  env.bind_input();
+  env.sha256(Bytes(100, 0x5a));
+  env.alu(AluOp::mul, 6, 7);
+  ASSERT_TRUE(env.assert_true(true, "holds").ok());
+  const Digest32 d = sha256(std::string_view("d"));
+  ASSERT_TRUE(env.assert_eq(d, d, "same").ok());
+  ASSERT_TRUE(
+      env.verify_assumption(inner.claim.image_id, inner.claim.digest()).ok());
+  env.commit_u64(42);
+  env.bind_journal();
+
+  std::set<OpKind> kinds;
+  u64 sha_rows = 0;
+  for (u64 i = 0; i < env.cycles(); ++i) {
+    const BytesView recorded = env.row(i);
+    Reader r(recorded);
+    auto row = TraceRow::deserialize(r);
+    ASSERT_TRUE(row.ok()) << i;
+    EXPECT_TRUE(r.done()) << i;
+    EXPECT_TRUE(row.value().check().ok()) << i;
+    Writer w;
+    row.value().serialize(w);
+    EXPECT_EQ(w.bytes(), Bytes(recorded.begin(), recorded.end())) << i;
+    EXPECT_EQ(row.value().leaf_digest(),
+              crypto::MerkleTree::hash_leaf(recorded))
+        << i;
+    kinds.insert(row.value().kind());
+    if (row.value().kind() == OpKind::sha256_compress) ++sha_rows;
+  }
+  EXPECT_EQ(kinds.size(), 6u);
+  EXPECT_EQ(env.sha_rows(), sha_rows);
+}
+
 // ---------------------------------------------------------------------------
 // Trace rows
 
@@ -264,6 +338,93 @@ TEST(ProveVerify, GuestAbortFailsProving) {
   auto receipt = prover.prove(register_adder(), adder_input(40, 2, "x"));
   ASSERT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.error().code, Errc::guest_abort);
+}
+
+// A guest that records kAbortRows ALU rows — more than four 64-row segments,
+// so several segment commits are queued — then fails.
+constexpr u64 kAbortSegmentRows = 64;
+constexpr u64 kAbortRows = 4 * kAbortSegmentRows + 40;
+u64 g_abort_cycles = 0;  // cycles recorded when the guest gave up
+
+Status long_then_abort_guest(Env& env) {
+  for (u64 i = 0; i < kAbortRows; ++i) env.alu(AluOp::add, i, i);
+  g_abort_cycles = env.cycles() + 1;  // + the failing assertion's row
+  return env.assert_true(false, "gives up late");
+}
+
+Status long_then_throw_guest(Env& env) {
+  for (u64 i = 0; i < kAbortRows; ++i) env.alu(AluOp::add, i, i);
+  g_abort_cycles = env.cycles();
+  throw std::runtime_error("guest threw");
+}
+
+/// Occupies every worker of the shared pool until destroyed, so segment
+/// commits submitted meanwhile stay queued: only a caller that help-waits
+/// for them can run them.
+class PoolBlocker {
+ public:
+  PoolBlocker() {
+    common::ThreadPool& pool = common::ThreadPool::shared();
+    const std::shared_future<void> release = release_.get_future().share();
+    for (size_t i = 0; i < pool.thread_count(); ++i) {
+      blockers_.push_back(pool.submit([this, release] {
+        started_.fetch_add(1);
+        release.wait();
+      }));
+    }
+    while (started_.load() < pool.thread_count()) std::this_thread::yield();
+  }
+  ~PoolBlocker() {
+    release_.set_value();
+    for (auto& blocker : blockers_) blocker.get();
+  }
+
+ private:
+  std::promise<void> release_;
+  std::atomic<size_t> started_{0};
+  std::vector<std::future<void>> blockers_;
+};
+
+/// Run `prove_and_check` (a prove with 64-row segments) while every pool
+/// worker is busy, and return how many segment commits ran before it came
+/// back.
+template <typename ProveAndCheck>
+u64 commits_during_failed_prove(ProveAndCheck prove_and_check) {
+  obs::Histogram& commits =
+      obs::Registry::instance().histogram("zvm.prover.segment_commit_ms");
+  PoolBlocker blocker;
+  const u64 before = commits.count();
+  ProveOptions options;
+  options.max_segment_rows = kAbortSegmentRows;
+  prove_and_check(Prover(), options);
+  return commits.count() - before;
+}
+
+TEST(ProveVerify, GuestAbortDrainsQueuedSegmentCommits) {
+  static const ImageID image = ImageRegistry::instance().add(
+      "test.long_then_abort", 1, long_then_abort_guest);
+  const u64 commits = commits_during_failed_prove(
+      [](const Prover& prover, const ProveOptions& options) {
+        auto receipt = prover.prove(image, {}, options);
+        ASSERT_FALSE(receipt.ok());
+        EXPECT_EQ(receipt.error().code, Errc::guest_abort);
+      });
+  // Every full segment was queued, and every one had finished by the time
+  // prove() returned; the partial tail is never committed.
+  EXPECT_GE(g_abort_cycles / kAbortSegmentRows, 4u);
+  EXPECT_EQ(commits, g_abort_cycles / kAbortSegmentRows);
+}
+
+TEST(ProveVerify, GuestExceptionDrainsQueuedSegmentCommits) {
+  static const ImageID image = ImageRegistry::instance().add(
+      "test.long_then_throw", 1, long_then_throw_guest);
+  const u64 commits = commits_during_failed_prove(
+      [](const Prover& prover, const ProveOptions& options) {
+        EXPECT_THROW((void)prover.prove(image, {}, options),
+                     std::runtime_error);
+      });
+  EXPECT_GE(g_abort_cycles / kAbortSegmentRows, 4u);
+  EXPECT_EQ(commits, g_abort_cycles / kAbortSegmentRows);
 }
 
 TEST(ProveVerify, UnknownImageFails) {
