@@ -1,13 +1,56 @@
 #include "core/clog.h"
 
 #include <algorithm>
+#include <cassert>
 
+#include "common/serial.h"
+#include "common/thread_pool.h"
 #include "crypto/ct.h"
 
 namespace zkt::core {
 
+namespace {
+
+// Entries leaf-hashed per MerkleTree::hash_leaves batch (full SIMD lanes,
+// one contiguous encoding buffer), and the batches one pool chunk takes:
+// inputs of more than one chunk fan out over the shared pool.
+constexpr size_t kLeafBatch = 512;
+constexpr size_t kBatchesPerChunk = 4;
+
+}  // namespace
+
 Digest32 clog_leaf_digest(const CLogEntry& entry) {
   return crypto::MerkleTree::hash_leaf(entry.canonical_bytes());
+}
+
+std::vector<Digest32> clog_leaf_digests(std::span<const CLogEntry> entries) {
+  constexpr size_t kSize = CLogEntry::kCanonicalSize;
+  // zkt-lint: shared(each chunk writes only its own batches' slots; read after parallel_for joins)
+  std::vector<Digest32> leaves(entries.size());
+  const size_t batches = (entries.size() + kLeafBatch - 1) / kLeafBatch;
+  common::ThreadPool::shared().parallel_for(
+      batches, kBatchesPerChunk, [&](size_t first, size_t last) {
+        std::vector<BytesView> views;
+        for (size_t b = first; b < last; ++b) {
+          const size_t begin = b * kLeafBatch;
+          const size_t end = std::min(entries.size(), begin + kLeafBatch);
+          Bytes buffer;
+          buffer.reserve((end - begin) * kSize);
+          Writer w(std::move(buffer));
+          for (size_t i = begin; i < end; ++i) entries[i].serialize(w);
+          const Bytes encoded = std::move(w).take();
+          assert(encoded.size() == (end - begin) * kSize);
+          views.clear();
+          for (size_t i = 0; i < end - begin; ++i) {
+            views.emplace_back(encoded.data() + i * kSize, kSize);
+          }
+          const std::vector<Digest32> digests =
+              crypto::MerkleTree::hash_leaves(views);
+          std::copy(digests.begin(), digests.end(),
+                    leaves.begin() + static_cast<ptrdiff_t>(begin));
+        }
+      });
+  return leaves;
 }
 
 u64 CLogState::lower_bound(const netflow::FlowKey& key) const {
@@ -23,109 +66,125 @@ std::optional<u64> CLogState::find(const netflow::FlowKey& key) const {
   return std::nullopt;
 }
 
-std::vector<CLogUpdate> CLogState::apply_records(
-    std::span<const netflow::FlowRecord> records) {
-  // Batched application. The naive per-record form (vector::insert plus
-  // MerkleTree::insert_leaf) re-hashes the whole tree suffix for every
-  // inserted key — O(n) per record, quadratic over an insert-heavy round,
-  // which is exactly the genesis / full-rebuild shape. Instead: merge in
-  // place, park created entries on the side, and splice + rebuild the tree
-  // once at the end — O((n + k) + k log k) total. The returned updates are
-  // bit-identical to sequential application: each index is the entry's
-  // position at the moment its record was applied, which is its fixed
-  // position among the original entries plus the number of earlier-created
-  // batch keys that sort below it (a Fenwick tree over the batch's
-  // key-compressed ranks).
-  std::vector<CLogUpdate> updates;
-  updates.reserve(records.size());
-  if (records.empty()) return updates;
+CLogTransition CLogState::plan(
+    std::span<const netflow::FlowRecord> records) const {
+  return plan(
+      std::span<const std::span<const netflow::FlowRecord>>(&records, 1));
+}
 
-  std::vector<netflow::FlowKey> keys;
-  keys.reserve(records.size());
-  for (const auto& record : records) keys.push_back(record.key);
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  const size_t unique_count = keys.size();
-  auto rank_of = [&](const netflow::FlowKey& key) {
-    return static_cast<size_t>(
-        std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
+CLogTransition CLogState::plan(
+    std::span<const std::span<const netflow::FlowRecord>> batches) const {
+  CLogTransition t;
+  t.base_root_ = root();
+  t.base_count_ = entries_.size();
+
+  // Each record in application order, with the slot its key occupies (or
+  // would be inserted at) in this state.
+  struct Item {
+    const netflow::FlowRecord* record;
+    u64 slot;
+    bool resident;
   };
+  size_t record_count = 0;
+  for (const auto& batch : batches) record_count += batch.size();
+  std::vector<Item> items;
+  items.reserve(record_count);
+  bool merge_only = true;
+  for (const auto& batch : batches) {
+    for (const auto& record : batch) {
+      const u64 slot = lower_bound(record.key);
+      const bool resident =
+          slot < entries_.size() && entries_[slot].key == record.key;
+      merge_only = merge_only && resident;
+      items.push_back(Item{&record, slot, resident});
+    }
+  }
+  // Group by key. Stable, so each key's records keep their application
+  // order: merging them in that order is what the guest proves.
+  std::stable_sort(items.begin(), items.end(),
+                   [](const Item& a, const Item& b) {
+                     return a.record->key < b.record->key;
+                   });
 
-  // Original positions never move during the batch: merges edit in place
-  // and created entries are spliced in afterwards.
-  std::vector<u64> orig_pos(unique_count);
-  std::vector<bool> orig_match(unique_count);
-  for (size_t r = 0; r < unique_count; ++r) {
-    orig_pos[r] = lower_bound(keys[r]);
-    orig_match[r] =
-        orig_pos[r] < entries_.size() && entries_[orig_pos[r]].key == keys[r];
+  if (merge_only) {
+    for (size_t i = 0; i < items.size();) {
+      const u64 slot = items[i].slot;
+      CLogEntry entry = entries_[slot];
+      for (; i < items.size() && items[i].slot == slot; ++i) {
+        entry.merge(*items[i].record);
+      }
+      t.touched_.push_back(CLogTouch{entries_[slot].key, slot, false});
+      t.merged_.push_back(std::move(entry));
+    }
+    const std::vector<Digest32> digests = clog_leaf_digests(t.merged_);
+    std::vector<std::pair<u64, Digest32>> leaves(digests.size());
+    for (size_t j = 0; j < digests.size(); ++j) {
+      leaves[j] = {t.touched_[j].index, digests[j]};
+    }
+    t.patch_ = tree_.plan_patch(std::move(leaves));
+    return t;
   }
 
-  // Fenwick tree counting created keys by rank (1-based internally).
-  std::vector<u64> fen(unique_count + 1, 0);
-  auto fen_add = [&](size_t rank) {
-    for (size_t i = rank + 1; i <= unique_count; i += i & (0 - i)) ++fen[i];
+  // A new key shifts every larger entry: build the whole next state.
+  t.full_ = true;
+  t.next_entries_.reserve(entries_.size() + items.size());
+  const auto resident_at = [this](u64 slot) {
+    return entries_.begin() + static_cast<ptrdiff_t>(slot);
   };
-  auto fen_count_below = [&](size_t rank) {
-    u64 sum = 0;
-    for (size_t i = rank; i > 0; i -= i & (0 - i)) sum += fen[i];
-    return sum;
-  };
-
-  std::vector<std::optional<CLogEntry>> created(unique_count);
-  u64 created_count = 0;
-  for (const auto& record : records) {
-    const size_t r = rank_of(record.key);
-    CLogUpdate update;
-    update.index = orig_pos[r] + fen_count_below(r);
-    if (orig_match[r]) {
-      update.created = false;
-      entries_[orig_pos[r]].merge(record);
-      update.new_leaf = clog_leaf_digest(entries_[orig_pos[r]]);
-    } else if (created[r].has_value()) {
-      update.created = false;
-      created[r]->merge(record);
-      update.new_leaf = clog_leaf_digest(*created[r]);
+  u64 next_resident = 0;
+  for (size_t i = 0; i < items.size();) {
+    const Item& first = items[i];
+    // Copy the untouched entries that sort below this key.
+    t.next_entries_.insert(t.next_entries_.end(), resident_at(next_resident),
+                           resident_at(first.slot));
+    next_resident = first.slot;
+    CLogEntry entry;
+    if (first.resident) {
+      entry = entries_[next_resident++];
     } else {
-      update.created = true;
-      created[r] = record;
-      fen_add(r);
-      ++created_count;
-      update.new_leaf = clog_leaf_digest(record);
+      entry = *first.record;
+      ++i;
     }
-    updates.push_back(update);
-  }
-
-  if (created_count == 0) {
-    // Merge-only round: per-leaf path refresh is O(k log n), far cheaper
-    // than a rebuild when the round touches a sliver of a large state.
-    for (const auto& update : updates) {
-      tree_.update_leaf(update.index, update.new_leaf);
+    for (; i < items.size() && items[i].record->key == first.record->key;
+         ++i) {
+      entry.merge(*items[i].record);
     }
-    return updates;
+    t.touched_.push_back(
+        CLogTouch{first.record->key, t.next_entries_.size(), !first.resident});
+    t.next_entries_.push_back(std::move(entry));
   }
+  t.next_entries_.insert(t.next_entries_.end(), resident_at(next_resident),
+                         entries_.end());
+  t.next_tree_ = crypto::MerkleTree(clog_leaf_digests(t.next_entries_));
+  return t;
+}
 
-  std::vector<CLogEntry> merged;
-  merged.reserve(entries_.size() + created_count);
-  size_t next_original = 0;
-  for (size_t r = 0; r < unique_count; ++r) {
-    if (!created[r].has_value()) continue;
-    while (next_original < entries_.size() &&
-           entries_[next_original].key < keys[r]) {
-      merged.push_back(std::move(entries_[next_original++]));
-    }
-    merged.push_back(std::move(*created[r]));
+Status CLogState::commit(CLogTransition&& transition) {
+  if (transition.base_count_ != entries_.size() ||
+      transition.base_root_ != root()) {
+    return Error{Errc::invalid_argument,
+                 "CLog transition was planned against another state"};
   }
-  while (next_original < entries_.size()) {
-    merged.push_back(std::move(entries_[next_original++]));
+  if (transition.full_) {
+    entries_ = std::move(transition.next_entries_);
+    tree_ = std::move(transition.next_tree_);
+    return {};
   }
-  entries_ = std::move(merged);
+  for (size_t i = 0; i < transition.touched_.size(); ++i) {
+    entries_[transition.touched_[i].index] = std::move(transition.merged_[i]);
+  }
+  tree_.apply_patch(transition.patch_);
+  return {};
+}
 
-  std::vector<Digest32> leaves;
-  leaves.reserve(entries_.size());
-  for (const auto& entry : entries_) leaves.push_back(clog_leaf_digest(entry));
-  tree_ = crypto::MerkleTree(std::move(leaves));
-  return updates;
+Digest32 CLogTransition::root() const {
+  if (full_) return next_tree_.root();
+  if (patch_.levels.empty()) return base_root_;
+  return patch_.levels.back().front().second;
+}
+
+u64 CLogTransition::entry_count() const {
+  return full_ ? next_entries_.size() : base_count_;
 }
 
 Result<CLogState> CLogState::from_entries(std::vector<CLogEntry> entries) {
@@ -138,12 +197,7 @@ Result<CLogState> CLogState::from_entries(std::vector<CLogEntry> entries) {
   }
   CLogState state;
   state.entries_ = std::move(entries);
-  std::vector<Digest32> leaves;
-  leaves.reserve(state.entries_.size());
-  for (const auto& entry : state.entries_) {
-    leaves.push_back(clog_leaf_digest(entry));
-  }
-  state.tree_ = crypto::MerkleTree(std::move(leaves));
+  state.tree_ = crypto::MerkleTree(clog_leaf_digests(state.entries_));
   return state;
 }
 
@@ -156,10 +210,7 @@ Status CLogState::check_consistency() const {
   if (tree_.leaf_count() != entries_.size()) {
     return Error{Errc::merkle_mismatch, "CLog tree leaf count vs entries"};
   }
-  std::vector<Digest32> leaves;
-  leaves.reserve(entries_.size());
-  for (const auto& entry : entries_) leaves.push_back(clog_leaf_digest(entry));
-  const crypto::MerkleTree fresh(std::move(leaves));
+  const crypto::MerkleTree fresh(clog_leaf_digests(entries_));
   if (!crypto::ct_equal(fresh.root(), tree_.root())) {
     return Error{Errc::merkle_mismatch, "CLog cached tree diverged"};
   }

@@ -13,10 +13,13 @@
 //
 // CLogState is the host-side (prover's) copy of this structure; the zkVM
 // guest independently recomputes the same roots from its verified inputs, so
-// a host that tampers with its copy simply fails to produce a proof.
+// a host that tampers with its copy simply fails to produce a proof. A round
+// changes it in two steps: plan() computes the transition without touching
+// the state (so it can run beside the proof), commit() adopts it.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -34,13 +37,19 @@ using CLogEntry = netflow::FlowRecord;
 /// entry's canonical serialization).
 Digest32 clog_leaf_digest(const CLogEntry& entry);
 
-/// One entry modified or created by an aggregation round. Indices refer to
-/// the state *after* the update was applied (sorted positions).
-struct CLogUpdate {
-  u64 index = 0;
-  bool created = false;  ///< true if the entry was newly inserted
-  Digest32 new_leaf;
+/// clog_leaf_digest of every entry, in order, through the batched SHA-256
+/// lanes (MerkleTree::hash_leaves); large inputs fan out over the shared
+/// pool. Bit-identical to the per-entry form.
+std::vector<Digest32> clog_leaf_digests(std::span<const CLogEntry> entries);
+
+/// One entry a transition changes.
+struct CLogTouch {
+  netflow::FlowKey key;
+  u64 index = 0;         ///< the entry's position in the state it produces
+  bool created = false;  ///< true if the round inserted the key
 };
+
+class CLogTransition;
 
 class CLogState {
  public:
@@ -72,12 +81,23 @@ class CLogState {
   /// key >= `key` (== entry_count() if all keys are smaller).
   u64 lower_bound(const netflow::FlowKey& key) const;
 
-  /// Apply one batch of raw records (already authenticated by the caller):
-  /// merge into existing entries or insert new ones at their sorted
-  /// position. Returns the updates performed, in application order, with
-  /// indices as of the moment each update was applied.
-  std::vector<CLogUpdate> apply_records(
-      std::span<const netflow::FlowRecord> records);
+  /// Plan one round: merge `batches`' records (already authenticated by
+  /// the caller), batch by batch and record by record, into existing
+  /// entries or insert new keys at their sorted position. Returns the
+  /// transition without modifying this state, so a plan may run on another
+  /// thread while nothing writes the state. A merge-only round (every key
+  /// already resident) yields a patch: the touched entries plus every dirty
+  /// tree node, each hashed once. A round with a new key yields the whole
+  /// next state.
+  CLogTransition plan(
+      std::span<const std::span<const netflow::FlowRecord>> batches) const;
+  /// plan() for a round of one batch.
+  CLogTransition plan(std::span<const netflow::FlowRecord> records) const;
+
+  /// Adopt a transition planned against this exact state (same root and
+  /// entry count). Fails with invalid_argument, changing nothing, when the
+  /// state moved since the plan.
+  Status commit(CLogTransition&& transition);
 
   /// Canonical serialization of every entry, in index (= key-sorted) order
   /// (the guest input representing the previous aggregation state).
@@ -98,6 +118,34 @@ class CLogState {
  private:
   std::vector<CLogEntry> entries_;  // strictly ascending by FlowKey
   crypto::MerkleTree tree_;
+};
+
+/// A planned CLog round (CLogState::plan): the state it produces, held as a
+/// patch or as the whole next state, until CLogState::commit adopts it.
+class CLogTransition {
+ public:
+  /// Root and entry count of the state this transition produces.
+  Digest32 root() const;
+  u64 entry_count() const;
+  /// True when the round only merged into resident entries.
+  bool merge_only() const { return !full_; }
+  /// Every key the round's records name, ascending.
+  const std::vector<CLogTouch>& touched() const { return touched_; }
+
+ private:
+  friend class CLogState;
+
+  Digest32 base_root_;
+  u64 base_count_ = 0;
+  std::vector<CLogTouch> touched_;
+  bool full_ = false;
+  // Merge-only: the touched entries' new values (parallel to touched_) and
+  // the tree patch over their leaves.
+  std::vector<CLogEntry> merged_;
+  crypto::MerklePatch patch_;
+  // New key: the whole next state.
+  std::vector<CLogEntry> next_entries_;
+  crypto::MerkleTree next_tree_;
 };
 
 }  // namespace zkt::core

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <future>
 #include <numeric>
 
 #include "common/log.h"
+#include "common/thread_pool.h"
 #include "core/auditor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -179,17 +181,18 @@ bool AggregationService::pick_incremental(const DeltaShape& shape) const {
 
 Result<DeltaAggregateInput> AggregationService::build_delta_input(
     std::span<const netflow::RLogBatch> batches) const {
-  return build_delta_input_ordered(batches, batch_order(batches));
+  const std::vector<size_t> order = batch_order(batches);
+  return build_delta_input_ordered(batches, order,
+                                   delta_shape(batches, order));
 }
 
 Result<DeltaAggregateInput> AggregationService::build_delta_input_ordered(
     std::span<const netflow::RLogBatch> batches,
-    std::span<const size_t> order) const {
+    std::span<const size_t> order, const DeltaShape& shape) const {
   if (!last_receipt_.has_value() || state_.entry_count() == 0) {
     return Error{Errc::invalid_argument,
                  "delta rounds need a previous round over non-empty state"};
   }
-  DeltaShape shape = delta_shape(batches, order);
   if (shape.opened.empty()) {
     return Error{Errc::invalid_argument,
                  "round touches no entry; nothing to prove incrementally"};
@@ -236,23 +239,145 @@ Result<DeltaAggregateInput> AggregationService::build_delta_input_ordered(
   return input;
 }
 
+/// The host mirror of one round, computed from the pre-round state alone.
+struct AggregationService::RoundMirror {
+  CLogTransition clog;
+  /// The folded sketch and the digests before and after the fold (sketch
+  /// chains only).
+  std::optional<netflow::RoundSketch> sketch;
+  Digest32 prev_sketch_digest;
+  Digest32 sketch_digest;
+};
+
+/// A round's mirror running on the shared pool (or already done, when the
+/// pool's queue was full). The mirror borrows the caller's batches and
+/// order and the service's state, so destruction help-waits for it on
+/// every exit path (guest abort, error return, exception) before those can
+/// go away or change.
+class AggregationService::PendingMirror {
+ public:
+  explicit PendingMirror(std::future<RoundMirror> running)
+      : running_(std::move(running)) {}
+  PendingMirror(const PendingMirror&) = delete;
+  PendingMirror& operator=(const PendingMirror&) = delete;
+  ~PendingMirror() {
+    if (running_.valid()) common::ThreadPool::shared().help_wait(running_);
+  }
+
+  /// Wait for the mirror, running queued pool tasks meanwhile (never a
+  /// blocking get() inside a pool task), and take it; rethrows the
+  /// mirror's exception.
+  RoundMirror take() {
+    common::ThreadPool::shared().help_wait(running_);
+    return running_.get();
+  }
+
+ private:
+  std::future<RoundMirror> running_;
+};
+
+AggregationService::RoundMirror AggregationService::mirror_round(
+    const CLogState& state,
+    const std::optional<netflow::SketchParams>& sketch_params,
+    const netflow::RoundSketch& sketch,
+    std::span<const netflow::RLogBatch> batches,
+    std::span<const size_t> order) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::span<const netflow::FlowRecord>> records;
+  records.reserve(order.size());
+  for (size_t idx : order) records.emplace_back(batches[idx].records);
+
+  RoundMirror mirror;
+  mirror.clog = state.plan(records);
+  if (sketch_params.has_value()) {
+    mirror.prev_sketch_digest = sketch.hash();
+    netflow::RoundSketch next = sketch;
+    for (const auto& batch : records) {
+      for (const auto& record : batch) next.update(record.key, record.packets);
+    }
+    mirror.sketch_digest = next.hash();
+    mirror.sketch = std::move(next);
+  }
+  // Recorded here, not by the caller, so a mirror that only ran inside the
+  // guard's drain (an aborted round) still leaves its sample.
+  obs::Registry::instance()
+      .histogram("core.agg.mirror_ms")
+      .record(ms_since(start));
+  return mirror;
+}
+
+AggregationService::PendingMirror AggregationService::start_mirror(
+    std::span<const netflow::RLogBatch> batches,
+    std::span<const size_t> order) const {
+  auto running = common::ThreadPool::shared().try_submit(
+      [this, batches, order] {
+        return mirror_round(state_, sketch_params_, sketch_, batches, order);
+      });
+  if (running.has_value()) return PendingMirror(std::move(*running));
+  std::promise<RoundMirror> done;
+  done.set_value(mirror_round(state_, sketch_params_, sketch_, batches, order));
+  return PendingMirror(done.get_future());
+}
+
+Status AggregationService::settle(PendingMirror& pending,
+                                  const AggJournal& journal) {
+  const auto wait_start = std::chrono::steady_clock::now();
+  RoundMirror mirror = pending.take();
+  obs::Registry::instance()
+      .histogram("core.agg.mirror_wait_ms")
+      .record(ms_since(wait_start));
+
+  if (mirror.clog.root() != journal.new_root ||
+      mirror.clog.entry_count() != journal.new_entry_count) {
+    return Error{Errc::merkle_mismatch,
+                 "host state diverged from the proven aggregation"};
+  }
+  // Host and guest must agree bit for bit on the folded sketch bytes.
+  if (journal.has_sketch != sketch_params_.has_value()) {
+    return Error{Errc::proof_invalid,
+                 "journal sketch flag disagrees with service options"};
+  }
+  if (sketch_params_.has_value()) {
+    if (journal.prev_sketch_digest != mirror.prev_sketch_digest) {
+      return Error{Errc::hash_mismatch,
+                   "proven round chained onto a different sketch"};
+    }
+    if (journal.sketch_digest != mirror.sketch_digest) {
+      return Error{Errc::hash_mismatch,
+                   "host sketch diverged from the proven fold"};
+    }
+  }
+
+  const std::vector<CLogTouch> touched = mirror.clog.touched();
+  ZKT_TRY(state_.commit(std::move(mirror.clog)));
+  for (const CLogTouch& touch : touched) touched_.insert(touch.key);
+  if (mirror.sketch.has_value()) sketch_ = std::move(*mirror.sketch);
+  return {};
+}
+
 Result<AggregationRound> AggregationService::aggregate_impl(
     std::span<const netflow::RLogBatch> batches) {
   const std::vector<size_t> order = batch_order(batches);
+  // The host mirror runs beside the proof; it only reads, and is awaited
+  // (by settle, or by its destructor on every early return) before
+  // anything it reads can change.
+  PendingMirror mirror = start_mirror(batches, order);
 
   // Pick the guest for this round. Genesis and empty-state rounds always go
   // through the full rebuild; otherwise mode_ decides (with auto_select
   // comparing estimated traced-hash costs).
-  bool incremental = false;
+  std::optional<DeltaShape> shape;
   if (mode_ != AggMode::full && last_receipt_.has_value() &&
       state_.entry_count() > 0) {
-    incremental = pick_incremental(delta_shape(batches, order));
+    shape = delta_shape(batches, order);
+    if (!pick_incremental(*shape)) shape.reset();
   }
+  const bool incremental = shape.has_value();
 
   Bytes input_bytes;
   zvm::ImageID image;
   if (incremental) {
-    auto delta = build_delta_input_ordered(batches, order);
+    auto delta = build_delta_input_ordered(batches, order, *shape);
     if (!delta.ok()) return delta.error();
     input_bytes = delta.value().to_bytes();
     image = guest_images().aggregate_incremental;
@@ -287,36 +412,7 @@ Result<AggregationRound> AggregationService::aggregate_impl(
 
   auto journal = AggJournal::parse(receipt.value().journal);
   if (!journal.ok()) return journal.error();
-
-  // Mirror the guest's state transition on the host copy.
-  for (size_t idx : order) {
-    state_.apply_records(batches[idx].records);
-    note_touched(batches[idx].records);
-  }
-  if (state_.root() != journal.value().new_root ||
-      state_.entry_count() != journal.value().new_entry_count) {
-    return Error{Errc::merkle_mismatch,
-                 "host state diverged from proven aggregation"};
-  }
-
-  // Mirror the sketch fold and cross-check the chained digests — host and
-  // guest must agree bit for bit on the folded sketch bytes.
-  if (journal.value().has_sketch != sketch_params_.has_value()) {
-    return Error{Errc::proof_invalid,
-                 "journal sketch flag disagrees with service options"};
-  }
-  if (sketch_params_.has_value()) {
-    if (journal.value().prev_sketch_digest != sketch_.hash()) {
-      return Error{Errc::hash_mismatch,
-                   "proven round chained onto a different sketch"};
-    }
-    netflow::RoundSketch next_sketch = folded_sketch(batches, order);
-    if (journal.value().sketch_digest != next_sketch.hash()) {
-      return Error{Errc::hash_mismatch,
-                   "host sketch diverged from the proven fold"};
-    }
-    sketch_ = std::move(next_sketch);
-  }
+  ZKT_TRY(settle(mirror, journal.value()));
 
   last_receipt_ = receipt.value();
   last_kind_ = journal.value().kind;
@@ -331,18 +427,6 @@ Result<AggregationRound> AggregationService::aggregate_impl(
                 << round.journal.new_entry_count << " entries, "
                 << info.cycles << " cycles, " << info.total_ms << " ms";
   return round;
-}
-
-netflow::RoundSketch AggregationService::folded_sketch(
-    std::span<const netflow::RLogBatch> batches,
-    std::span<const size_t> order) const {
-  netflow::RoundSketch next = sketch_;
-  for (size_t idx : order) {
-    for (const auto& record : batches[idx].records) {
-      next.update(record.key, record.packets);
-    }
-  }
-  return next;
 }
 
 Status AggregationService::restore(CLogState state, zvm::Receipt last_receipt,
@@ -406,11 +490,6 @@ Status AggregationService::restore(CLogState state, zvm::Receipt last_receipt,
   return {};
 }
 
-void AggregationService::note_touched(
-    std::span<const netflow::FlowRecord> records) {
-  for (const auto& record : records) touched_.insert(record.key);
-}
-
 ChainSnapshot AggregationService::capture(std::optional<u64> delta_base) {
   const netflow::RoundSketch* sketch =
       sketch_params_.has_value() ? &sketch_ : nullptr;
@@ -430,6 +509,11 @@ ChainSnapshot AggregationService::capture(std::optional<u64> delta_base) {
 Status AggregationService::replay_round(
     std::span<const netflow::RLogBatch> batches,
     const zvm::Receipt& receipt) {
+  const std::vector<size_t> order = batch_order(batches);
+  // Mirror the batches while the seal is checked; nothing is adopted unless
+  // every check below and the mirror's own agree.
+  PendingMirror mirror = start_mirror(batches, order);
+
   zvm::Verifier verifier;
   ZKT_TRY(verify_aggregation_receipt(verifier, receipt));
   auto parsed = AggJournal::parse(receipt.journal);
@@ -451,12 +535,15 @@ Status AggregationService::replay_round(
     return Error{Errc::merkle_mismatch,
                  "replayed receipt's previous root mismatches host state"};
   }
+  if (journal.has_sketch != sketch_params_.has_value()) {
+    return Error{Errc::chain_broken,
+                 "replayed receipt disagrees about sketch carriage"};
+  }
 
   // The stored batches must be byte-identical to what the round proved:
   // same (window, router) sequence, same committed hashes. Tampering with
   // raw logs after the fact still halts the chain here, just without the
   // cost of re-proving.
-  const std::vector<size_t> order = batch_order(batches);
   if (order.size() != journal.commitments.size()) {
     return Error{Errc::chain_broken,
                  "replayed round has a different batch count than proven"};
@@ -475,39 +562,8 @@ Status AggregationService::replay_round(
     }
   }
 
-  // Apply on a scratch copy so a journal mismatch cannot poison the chain.
-  CLogState next = state_;
-  for (size_t idx : order) {
-    next.apply_records(batches[idx].records);
-  }
-  if (next.root() != journal.new_root ||
-      next.entry_count() != journal.new_entry_count) {
-    return Error{Errc::merkle_mismatch,
-                 "replayed batches do not reproduce the proven root"};
-  }
-
-  // Replay the sketch fold the same way: the stored batches must reproduce
-  // the exact sketch digest the round proved.
-  if (journal.has_sketch != sketch_params_.has_value()) {
-    return Error{Errc::chain_broken,
-                 "replayed receipt disagrees about sketch carriage"};
-  }
-  netflow::RoundSketch next_sketch = sketch_;
-  if (journal.has_sketch) {
-    if (journal.prev_sketch_digest != sketch_.hash()) {
-      return Error{Errc::hash_mismatch,
-                   "replayed receipt chained onto a different sketch"};
-    }
-    next_sketch = folded_sketch(batches, order);
-    if (journal.sketch_digest != next_sketch.hash()) {
-      return Error{Errc::hash_mismatch,
-                   "replayed batches do not reproduce the proven sketch"};
-    }
-  }
-
-  state_ = std::move(next);
-  for (size_t idx : order) note_touched(batches[idx].records);
-  sketch_ = std::move(next_sketch);
+  // The stored batches must reproduce the proven root and sketch digest.
+  ZKT_TRY(settle(mirror, journal));
   last_receipt_ = receipt;
   last_kind_ = journal.kind;
   ++rounds_;

@@ -171,10 +171,11 @@ class AggregationService {
 
   /// Roll the chain forward over an ALREADY-PROVEN round whose receipt was
   /// recovered from storage: check the receipt chains onto the current head
-  /// (previous claim digest, root, entry count), apply the batches to the
-  /// host state, verify the result against the receipt's journal, and adopt
-  /// the receipt as the new head — no re-proving. Rejects (chain_broken /
-  /// merkle_mismatch) any receipt that does not extend this exact chain.
+  /// (previous claim digest, root, entry count), mirror the batches the way
+  /// aggregate() does, check the mirror against the receipt's journal, and
+  /// only then adopt both — no re-proving. Rejects (chain_broken /
+  /// merkle_mismatch / hash_mismatch) any receipt that does not extend this
+  /// exact chain, leaving the service untouched.
   Status replay_round(std::span<const netflow::RLogBatch> batches,
                       const zvm::Receipt& receipt);
 
@@ -210,30 +211,49 @@ class AggregationService {
                          std::span<const size_t> order) const;
   Result<DeltaAggregateInput> build_delta_input_ordered(
       std::span<const netflow::RLogBatch> batches,
-      std::span<const size_t> order) const;
+      std::span<const size_t> order, const DeltaShape& shape) const;
   bool pick_incremental(const DeltaShape& shape) const;
   Result<AggregationRound> aggregate_impl(
       std::span<const netflow::RLogBatch> batches);
 
-  /// Record the keys of records applied to state_ (see touched_).
-  void note_touched(std::span<const netflow::FlowRecord> records);
-
-  /// Fold the round's records into a copy of the sketch mirror, in the
-  /// guest's exact order (Space-Saving is order-sensitive).
-  netflow::RoundSketch folded_sketch(
+  /// The host mirror of one round: the planned CLog transition, the folded
+  /// sketch and both sketch digests (defined in service.cpp).
+  struct RoundMirror;
+  /// A mirror running on the shared pool; destruction waits for it.
+  class PendingMirror;
+  /// Mirror a round: plan the CLog transition and fold the sketch in the
+  /// guest's exact record order (Space-Saving is order-sensitive). Reads
+  /// its arguments only.
+  static RoundMirror mirror_round(
+      const CLogState& state,
+      const std::optional<netflow::SketchParams>& sketch_params,
+      const netflow::RoundSketch& sketch,
       std::span<const netflow::RLogBatch> batches,
-      std::span<const size_t> order) const;
+      std::span<const size_t> order);
+  /// Start mirroring `batches` in `order` on the shared pool (inline when
+  /// its queue is full). The mirror borrows both spans and reads state_,
+  /// sketch_params_ and sketch_, none of which may change until it is
+  /// awaited.
+  PendingMirror start_mirror(std::span<const netflow::RLogBatch> batches,
+                             std::span<const size_t> order) const;
+  /// Await the mirror, check it against the proven journal, and only when
+  /// root, entry count and sketch digests all agree advance state_,
+  /// sketch_ and touched_ together. On any error nothing changes.
+  Status settle(PendingMirror& pending, const AggJournal& journal);
 
   const CommitmentBoard* board_;
   zvm::ProveOptions prove_options_;
   AggMode mode_ = AggMode::auto_select;
   double incremental_threshold_ = 0.75;
+  // zkt-lint: shared(read-only while a round's mirror runs; only the caller writes it, after awaiting the mirror)
   CLogState state_;
   std::optional<zvm::Receipt> last_receipt_;
   RoundKind last_kind_ = RoundKind::full;
   u64 rounds_ = 0;
   /// nullopt = sketches disabled; may be adopted from a recovered chain.
+  // zkt-lint: shared(read-only while a round's mirror runs; only the caller writes it, after awaiting the mirror)
   std::optional<netflow::SketchParams> sketch_params_;
+  // zkt-lint: shared(read-only while a round's mirror runs; only the caller writes it, after awaiting the mirror)
   netflow::RoundSketch sketch_;  ///< host mirror of the chained sketch
   /// Keys whose entries changed since the last capture() — a delta
   /// snapshot's upserts. Bounded by the CLog's entry count.

@@ -110,10 +110,18 @@ const Digest32& MerkleTree::empty_leaf() {
   return kEmpty;
 }
 
-Digest32 MerkleTree::empty_subtree_root(u32 height) {
-  Digest32 e = empty_leaf();
-  for (u32 i = 0; i < height; ++i) e = hash_node(e, e);
-  return e;
+const Digest32& MerkleTree::empty_subtree_root(u32 height) {
+  // Heights 0..64 cover every tree a u64 leaf index can address.
+  static const std::array<Digest32, 65> kRoots = [] {
+    std::array<Digest32, 65> roots;
+    roots[0] = empty_leaf();
+    for (size_t h = 1; h < roots.size(); ++h) {
+      roots[h] = hash_node(roots[h - 1], roots[h - 1]);
+    }
+    return roots;
+  }();
+  assert(height < kRoots.size());
+  return kRoots[height];
 }
 
 MerkleTree::MerkleTree(std::vector<Digest32> leaves)
@@ -132,17 +140,29 @@ void MerkleTree::rebuild() {
 
 void MerkleTree::build_above() {
   levels_.resize(1);
-  while (levels_.back().size() > 1) {
+  for (u32 height = 0; levels_.back().size() > 1; ++height) {
     const auto& below = levels_.back();
-    std::vector<Digest32> above(below.size() / 2);
-    const std::span<const Digest32> src(below);
-    const std::span<Digest32> dst(above);
-    if (above.size() >= kParallelPairs &&
+    // Trailing pairs whose two children both equal this height's empty
+    // root are padding: their parent is the next empty root, taken from
+    // the table instead of hashed. The test is on values, not on
+    // leaf_count_, so a padding slot that was overwritten still hashes.
+    const Digest32& empty = empty_subtree_root(height);
+    size_t live = below.size() / 2;
+    while (live > 0 && ct_equal(below[2 * live - 1], empty) &&
+           ct_equal(below[2 * live - 2], empty)) {
+      --live;
+    }
+    std::vector<Digest32> above(below.size() / 2,
+                                empty_subtree_root(height + 1));
+    const std::span<const Digest32> src =
+        std::span<const Digest32>(below).first(2 * live);
+    const std::span<Digest32> dst = std::span<Digest32>(above).first(live);
+    if (live >= kParallelPairs &&
         common::ThreadPool::shared().thread_count() > 1) {
       // Level-parallel: disjoint pair ranges, so chunks never overlap and
       // the digests are identical to the sequential build.
       common::ThreadPool::shared().parallel_for(
-          above.size(), kPairGrain, [&](size_t begin, size_t end) {
+          live, kPairGrain, [&](size_t begin, size_t end) {
             hash_pairs(src.subspan(2 * begin, 2 * (end - begin)),
                        dst.subspan(begin, end - begin));
           });
@@ -190,6 +210,56 @@ void MerkleTree::update_leaf(u64 index, const Digest32& new_leaf) {
     levels_[level + 1][parent] =
         hash_node(levels_[level][parent * 2], levels_[level][parent * 2 + 1]);
     idx = parent;
+  }
+}
+
+MerklePatch MerkleTree::plan_patch(
+    std::vector<std::pair<u64, Digest32>> leaves) const {
+  MerklePatch patch;
+  if (leaves.empty()) return patch;
+  assert(!levels_.empty() && leaves.back().first < levels_[0].size());
+  patch.levels.reserve(levels_.size());
+  patch.levels.push_back(std::move(leaves));
+  std::vector<Digest32> pairs;
+  std::vector<Digest32> parents;
+  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
+    // Pair every dirty node with its sibling (dirty too, or the current
+    // one), then hash the level's parents in one batch.
+    const auto& dirty = patch.levels[level];
+    const std::vector<Digest32>& current = levels_[level];
+    std::vector<std::pair<u64, Digest32>> above;
+    above.reserve(dirty.size());
+    pairs.clear();
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      assert(i == 0 || dirty[i - 1].first < dirty[i].first);
+      const u64 index = dirty[i].first;
+      if (index & 1) {
+        pairs.push_back(current[index - 1]);
+        pairs.push_back(dirty[i].second);
+      } else {
+        pairs.push_back(dirty[i].second);
+        const bool sibling_dirty =
+            i + 1 < dirty.size() && dirty[i + 1].first == index + 1;
+        pairs.push_back(sibling_dirty ? dirty[++i].second
+                                      : current[index + 1]);
+      }
+      above.emplace_back(index >> 1, Digest32{});
+    }
+    parents.resize(above.size());
+    hash_pairs(pairs, parents);
+    for (size_t j = 0; j < above.size(); ++j) above[j].second = parents[j];
+    patch.levels.push_back(std::move(above));
+  }
+  return patch;
+}
+
+void MerkleTree::apply_patch(const MerklePatch& patch) {
+  if (patch.levels.empty()) return;
+  assert(patch.levels.size() == levels_.size());
+  for (size_t level = 0; level < patch.levels.size(); ++level) {
+    for (const auto& [index, digest] : patch.levels[level]) {
+      levels_[level][index] = digest;
+    }
   }
 }
 

@@ -9,7 +9,8 @@
 //
 // Leaves are padded to a power of two with a distinguished empty digest.
 // Leaf and internal node hashes are domain-separated (0x00 / 0x01 prefixes)
-// so a leaf can never be confused with an interior node.
+// so a leaf can never be confused with an interior node. Builds take every
+// all-padding pair from a table of empty-subtree roots instead of hashing it.
 #pragma once
 
 #include <vector>
@@ -64,6 +65,15 @@ struct MerkleMultiProof {
   size_t byte_size() const { return 16 + 4 + indices.size() * 8 + 2 + siblings.size() * 32; }
 };
 
+/// New digests for every node a multi-leaf update changes, level by level:
+/// levels[h] holds (index, digest) for the changed nodes at height h,
+/// ascending by index; levels[0] are the new leaves and levels.back() the
+/// new root. Planned without touching the tree (MerkleTree::plan_patch),
+/// applied later (MerkleTree::apply_patch); empty for an empty update.
+struct MerklePatch {
+  std::vector<std::vector<std::pair<u64, Digest32>>> levels;
+};
+
 class MerkleTree {
  public:
   MerkleTree() = default;
@@ -86,9 +96,10 @@ class MerkleTree {
   /// The digest used to pad the leaf layer to a power of two.
   static const Digest32& empty_leaf();
   /// Root of the all-empty subtree of the given height (height 0 is the
-  /// empty leaf itself). Doubling a tree's capacity maps its root r to
-  /// hash_node(r, empty_subtree_root(old_depth)).
-  static Digest32 empty_subtree_root(u32 height);
+  /// empty leaf itself, height <= 64), from a table computed once. Doubling
+  /// a tree's capacity maps its root r to hash_node(r,
+  /// empty_subtree_root(old_depth)).
+  static const Digest32& empty_subtree_root(u32 height);
 
   /// Root digest. For an empty tree, returns the hash of the empty leaf.
   Digest32 root() const;
@@ -102,6 +113,17 @@ class MerkleTree {
 
   /// Replace the leaf at `index` and recompute the path to the root.
   void update_leaf(u64 index, const Digest32& new_leaf);
+
+  /// Plan replacing several leaves at once: `leaves` holds (slot, digest)
+  /// pairs strictly ascending by slot, each slot < capacity(). Every dirty
+  /// ancestor is hashed once, level by level through hash_pairs, so paths
+  /// that share a prefix share its hashes. Does not modify the tree.
+  MerklePatch plan_patch(std::vector<std::pair<u64, Digest32>> leaves) const;
+
+  /// Write a patch planned against this exact tree (same leaves and
+  /// capacity). Afterwards the tree equals one that applied the patch's
+  /// leaves one by one with update_leaf.
+  void apply_patch(const MerklePatch& patch);
 
   /// Append a leaf; returns its index. Doubles capacity when full.
   u64 append_leaf(const Digest32& leaf);

@@ -30,22 +30,35 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 constexpr u64 kLeafBatchRows = 512;
 
 /// Leaf-hash one segment's rows straight from the trace log and build its
-/// Merkle tree.
-crypto::MerkleTree commit_segment(const TraceSegment& segment) {
+/// Merkle tree. With `fan_out` the leaf batches spread over the shared pool
+/// (the last segment, which the caller commits while nothing else is left
+/// to overlap); otherwise they run here (a full segment, already a pool
+/// task of its own).
+crypto::MerkleTree commit_segment(const TraceSegment& segment, bool fan_out) {
   const auto start = std::chrono::steady_clock::now();
   obs::Registry& metrics = obs::Registry::instance();
+  // zkt-lint: shared(histogram records are atomic)
   obs::Histogram& batch_rows = metrics.histogram("zvm.prover.leaf_batch_rows");
-  std::vector<Digest32> leaves;
-  leaves.reserve(segment.rows());
-  std::vector<BytesView> views;
-  for (u64 batch = 0; batch < segment.rows(); batch += kLeafBatchRows) {
-    const u64 batch_end = std::min(segment.rows(), batch + kLeafBatchRows);
-    views.clear();
-    for (u64 i = batch; i < batch_end; ++i) views.push_back(segment.row(i));
-    const auto digests = crypto::MerkleTree::hash_leaves(views);
-    leaves.insert(leaves.end(), digests.begin(), digests.end());
-    batch_rows.record(static_cast<double>(views.size()));
-  }
+  // zkt-lint: shared(each chunk writes only its own batches' slots; read after parallel_for joins)
+  std::vector<Digest32> leaves(segment.rows());
+  const size_t batches =
+      (segment.rows() + kLeafBatchRows - 1) / kLeafBatchRows;
+  // One chunk of every batch keeps a full segment's work on this thread.
+  const size_t grain = fan_out ? 1 : std::max<size_t>(batches, 1);
+  common::ThreadPool::shared().parallel_for(
+      batches, grain, [&](size_t first, size_t last) {
+        std::vector<BytesView> views;
+        for (size_t b = first; b < last; ++b) {
+          const u64 begin = b * kLeafBatchRows;
+          const u64 end = std::min(segment.rows(), begin + kLeafBatchRows);
+          views.clear();
+          for (u64 i = begin; i < end; ++i) views.push_back(segment.row(i));
+          const auto digests = crypto::MerkleTree::hash_leaves(views);
+          std::copy(digests.begin(), digests.end(),
+                    leaves.begin() + static_cast<ptrdiff_t>(begin));
+          batch_rows.record(static_cast<double>(views.size()));
+        }
+      });
   crypto::MerkleTree tree(std::move(leaves));
   metrics.histogram("zvm.prover.segment_commit_ms").record(ms_since(start));
   return tree;
@@ -71,7 +84,9 @@ class SegmentCommitter {
   /// (Env guarantees that for full segments).
   void submit(const TraceSegment& segment) {
     crypto::MerkleTree* tree = &trees_.emplace_back();
-    auto commit = [tree, rows = &segment] { *tree = commit_segment(*rows); };
+    auto commit = [tree, rows = &segment] {
+      *tree = commit_segment(*rows, /*fan_out=*/false);
+    };
     if (auto future = pool_.try_submit(commit)) {
       pending_.push_back(std::move(*future));
     } else {
@@ -79,9 +94,10 @@ class SegmentCommitter {
     }
   }
 
-  /// Commit the last segment on the calling thread.
+  /// Commit the last segment from the calling thread, its leaf batches
+  /// fanned out over the pool.
   void commit_last(const TraceSegment& segment) {
-    trees_.push_back(commit_segment(segment));
+    trees_.push_back(commit_segment(segment, /*fan_out=*/true));
   }
 
   /// Wait for every background commit (rethrowing the first failure) and

@@ -61,7 +61,7 @@ struct Chain {
   }
 
   void round(const std::vector<FlowRecord>& records, bool full) {
-    state.apply_records(records);
+    ASSERT_TRUE(state.commit(state.plan(records)).ok());
     for (const auto& r : records) sketch.update(r.key, r.packets);
     const Digest32 claim = crypto::sha256(
         "round " + std::to_string(bundles.size() + 1));

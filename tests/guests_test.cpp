@@ -178,7 +178,7 @@ TEST_P(RandomizedAggregation, GuestMatchesReferenceState) {
     ASSERT_TRUE(auditor.accept_round(round_result.value().receipt).ok());
 
     // Reference: sorted identically (single batch: original order).
-    reference.apply_records(batch.records);
+    ASSERT_TRUE(reference.commit(reference.plan(batch.records)).ok());
     EXPECT_EQ(service.state().root(), reference.root());
     EXPECT_EQ(round_result.value().journal.new_root, reference.root());
     EXPECT_EQ(auditor.current_root(), reference.root());

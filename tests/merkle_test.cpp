@@ -3,7 +3,11 @@
 // padding/depth edge cases live at power-of-two boundaries.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+
 #include "common/serial.h"
+#include "crypto/chacha20.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 
@@ -447,6 +451,112 @@ TEST(Merkle, EmptySubtreeRootMatchesBuiltEmptyTrees) {
   EXPECT_EQ(MerkleTree::empty_subtree_root(0), MerkleTree::empty_leaf());
   std::vector<Digest32> empties(8, MerkleTree::empty_leaf());
   EXPECT_EQ(MerkleTree::empty_subtree_root(3), MerkleTree(empties).root());
+}
+
+/// Every level of a padded tree, hashed pair by pair with no shortcuts.
+std::vector<std::vector<Digest32>> naive_levels(std::vector<Digest32> leaves) {
+  const u64 padded = std::bit_ceil(std::max<u64>(leaves.size(), 1));
+  leaves.resize(padded, MerkleTree::empty_leaf());
+  std::vector<std::vector<Digest32>> levels{std::move(leaves)};
+  while (levels.back().size() > 1) {
+    const auto& below = levels.back();
+    std::vector<Digest32> above(below.size() / 2);
+    for (size_t i = 0; i < above.size(); ++i) {
+      above[i] = MerkleTree::hash_node(below[2 * i], below[2 * i + 1]);
+    }
+    levels.push_back(std::move(above));
+  }
+  return levels;
+}
+
+void expect_matches_naive(const MerkleTree& tree,
+                          const std::vector<Digest32>& leaves) {
+  const auto levels = naive_levels(leaves);
+  ASSERT_EQ(tree.root(), levels.back()[0]) << leaves.size();
+  if (leaves.empty()) return;
+  // The last real leaf's path runs along the padding boundary at every
+  // level: its siblings are exactly the nodes the padding shortcut fills.
+  const u64 last = leaves.size() - 1;
+  const MerkleProof proof = tree.prove(last);
+  ASSERT_EQ(proof.siblings.size(), levels.size() - 1);
+  u64 idx = last;
+  for (size_t level = 0; level + 1 < levels.size(); ++level) {
+    EXPECT_EQ(proof.siblings[level], levels[level][idx ^ 1])
+        << leaves.size() << " level " << level;
+    idx >>= 1;
+  }
+}
+
+TEST(Merkle, PaddedBuildsMatchNaiveLevelByLevelHashing) {
+  for (u64 n = 0; n <= 300; ++n) {
+    expect_matches_naive(MerkleTree(make_leaves(n, 7)), make_leaves(n, 7));
+  }
+  for (u32 k = 2; k <= 14; ++k) {
+    for (const u64 n : {(u64{1} << k) - 1, (u64{1} << k) + 1}) {
+      expect_matches_naive(MerkleTree(make_leaves(n, k)), make_leaves(n, k));
+    }
+  }
+}
+
+TEST(Merkle, PaddingShortcutIsValueBased) {
+  // A padding slot overwritten with a real digest must be hashed like any
+  // other node when the tree is rebuilt around it (grow_capacity rebuilds
+  // every level above the leaves).
+  const auto leaves = make_leaves(5);
+  MerkleTree tree(leaves);
+  const Digest32 stray = MerkleTree::hash_leaf(bytes_of("stray"));
+  tree.update_leaf(6, stray);  // slot 6 of capacity 8: padding
+  tree.grow_capacity(32);
+  std::vector<Digest32> expected = leaves;
+  expected.resize(32, MerkleTree::empty_leaf());
+  expected[6] = stray;
+  EXPECT_EQ(tree.root(), naive_levels(expected).back()[0]);
+}
+
+TEST(Merkle, EmptySubtreeTableMatchesIteratedHashing) {
+  Digest32 e = MerkleTree::empty_leaf();
+  for (u32 height = 0; height <= 64; ++height) {
+    EXPECT_EQ(MerkleTree::empty_subtree_root(height), e) << height;
+    e = MerkleTree::hash_node(e, e);
+  }
+}
+
+TEST(Merkle, MultiLeafPatchEqualsSequentialUpdates) {
+  ChaChaDrbg drbg(std::string_view("merkle-patch"));
+  for (const u64 n : {1u, 2u, 3u, 8u, 9u, 100u, 1000u}) {
+    MerkleTree tree(make_leaves(n));
+    for (int trial = 0; trial < 8; ++trial) {
+      // Random strictly ascending slots, padding slots included.
+      std::map<u64, Digest32> chosen;
+      const u64 picks = 1 + drbg.uniform(std::min<u64>(tree.capacity(), 40));
+      for (u64 i = 0; i < picks; ++i) {
+        chosen[drbg.uniform(tree.capacity())] = drbg.next_digest();
+      }
+      std::vector<std::pair<u64, Digest32>> leaves(chosen.begin(),
+                                                   chosen.end());
+
+      MerkleTree sequential = tree;
+      for (const auto& [index, digest] : leaves) {
+        sequential.update_leaf(index, digest);
+      }
+      const Digest32 root_before = tree.root();
+      const MerklePatch patch = tree.plan_patch(leaves);
+      EXPECT_EQ(tree.root(), root_before);  // planning changes nothing
+      ASSERT_EQ(patch.levels.size(), tree.depth() + 1);
+      EXPECT_EQ(patch.levels.back().at(0).second, sequential.root());
+
+      tree.apply_patch(patch);
+      EXPECT_EQ(tree.root(), sequential.root()) << n;
+      for (u64 i = 0; i < tree.capacity(); ++i) {
+        ASSERT_EQ(tree.prove(i).siblings, sequential.prove(i).siblings)
+            << n << " slot " << i;
+      }
+    }
+  }
+  MerkleTree tree(make_leaves(4));
+  const Digest32 root = tree.root();
+  tree.apply_patch(tree.plan_patch({}));
+  EXPECT_EQ(tree.root(), root);
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <optional>
 #include <thread>
 
 #include "core/auditor.h"
 #include "core/service.h"
+#include "common/thread_pool.h"
 #include "core/sharded.h"
+#include "obs/metrics.h"
 
 namespace zkt::core {
 namespace {
@@ -94,6 +98,133 @@ TEST(Service, FailedRoundLeavesStateUntouched) {
   // And the service still works for honest data afterwards.
   auto good2 = fx.committed(1, 2, {4});
   EXPECT_TRUE(service.aggregate({good2}).ok());
+}
+
+/// Holds every shared-pool worker busy until destroyed, so a task queued
+/// meanwhile can only run on a thread that help-waits for it.
+class PoolBlocker {
+ public:
+  PoolBlocker() {
+    common::ThreadPool& pool = common::ThreadPool::shared();
+    const std::shared_future<void> release = release_.get_future().share();
+    for (size_t i = 0; i < pool.thread_count(); ++i) {
+      blockers_.push_back(pool.submit([this, release] {
+        started_.fetch_add(1);
+        release.wait();
+      }));
+    }
+    while (started_.load() < pool.thread_count()) std::this_thread::yield();
+  }
+  ~PoolBlocker() {
+    release_.set_value();
+    for (auto& blocker : blockers_) blocker.get();
+  }
+
+ private:
+  std::promise<void> release_;
+  std::atomic<size_t> started_{0};
+  std::vector<std::future<void>> blockers_;
+};
+
+/// Every piece of chain position a failed round must leave alone.
+void expect_same_position(const AggregationService& service,
+                          const AggregationService& twin) {
+  EXPECT_EQ(service.state().root(), twin.state().root());
+  EXPECT_EQ(service.state().entry_count(), twin.state().entry_count());
+  EXPECT_EQ(service.state().entries(), twin.state().entries());
+  EXPECT_EQ(service.sketch().hash(), twin.sketch().hash());
+  EXPECT_EQ(service.rounds_completed(), twin.rounds_completed());
+  EXPECT_EQ(service.last_claim_digest().value(),
+            twin.last_claim_digest().value());
+}
+
+TEST(Service, AbortedRoundsLeaveMirrorStateUntouched) {
+  // The host mirror (CLog plan + sketch fold) runs on the pool while the
+  // guest executes; a guest abort must leave state, sketch, touched keys,
+  // head and round count exactly as a twin service that never saw the bad
+  // window — for a merge-only delta round and for a round with a new key,
+  // each aborted several times so some aborts land while the mirror is
+  // still running. With every worker held busy the mirror sits queued, so
+  // its one busy-time sample shows the round's guard ran it before the
+  // abort came back.
+  Fixture fx;
+  AggregationService service(fx.board);
+  AggregationService twin(fx.board);
+  ASSERT_TRUE(service.sketch_enabled());
+  std::vector<u32> genesis;
+  for (u32 src = 1; src <= 40; ++src) genesis.push_back(src);
+  const auto b1 = fx.committed(0, 1, genesis);
+  const auto b2 = fx.committed(0, 2, {3, 5, 7});
+  for (AggregationService* s : {&service, &twin}) {
+    ASSERT_TRUE(s->aggregate({b1}).ok());
+    auto delta = s->aggregate({b2});
+    ASSERT_TRUE(delta.ok());
+    EXPECT_EQ(delta.value().journal.kind, RoundKind::incremental);
+    s->capture(std::nullopt);  // touched keys restart here on both
+  }
+
+  auto merge_only = fx.committed(0, 3, {2, 5, 9});
+  merge_only.records[1].bytes += 1;  // tampered after commitment
+  auto new_key = fx.committed(1, 3, {4, 100});
+  new_key.records[0].packets += 1;
+  obs::Registry& metrics = obs::Registry::instance();
+  const obs::Histogram& busy = metrics.histogram("core.agg.mirror_ms");
+  const obs::Histogram& wait = metrics.histogram("core.agg.mirror_wait_ms");
+  for (const RLogBatch* bad : {&merge_only, &new_key}) {
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      std::optional<PoolBlocker> blocker;
+      if (attempt % 2 == 1) blocker.emplace();
+      const u64 busy_before = busy.count();
+      const u64 wait_before = wait.count();
+      auto round = service.aggregate({*bad});
+      ASSERT_FALSE(round.ok());
+      EXPECT_EQ(round.error().code, Errc::guest_abort);
+      EXPECT_EQ(busy.count(), busy_before + 1);  // drained before return
+      EXPECT_EQ(wait.count(), wait_before);      // never reached the check
+      blocker.reset();
+      expect_same_position(service, twin);
+    }
+  }
+
+  // The next delta snapshot holds exactly what the twin's does.
+  const ChainSnapshot snap = service.capture(1);
+  const ChainSnapshot twin_snap = twin.capture(1);
+  EXPECT_EQ(snap.body, ChainSnapshot::Body::delta);
+  EXPECT_TRUE(snap.entries.empty());
+  EXPECT_EQ(snap.entries, twin_snap.entries);
+  EXPECT_EQ(snap.root, twin_snap.root);
+  EXPECT_EQ(snap.entry_count, twin_snap.entry_count);
+  EXPECT_EQ(snap.claim_digest, twin_snap.claim_digest);
+  EXPECT_EQ(snap.sketch_bytes, twin_snap.sketch_bytes);
+
+  // Honest rounds afterwards prove byte-identically to the twin's: a
+  // merge-only delta round, then one with a new key.
+  const auto good = fx.committed(2, 4, {2, 9});
+  const auto good_new = fx.committed(2, 5, {9, 100, 41});
+  for (const RLogBatch* batch : {&good, &good_new}) {
+    auto round = service.aggregate({*batch});
+    auto twin_round = twin.aggregate({*batch});
+    ASSERT_TRUE(round.ok()) << round.error().to_string();
+    ASSERT_TRUE(twin_round.ok());
+    EXPECT_EQ(round.value().receipt.to_bytes(),
+              twin_round.value().receipt.to_bytes());
+    expect_same_position(service, twin);
+  }
+}
+
+TEST(Service, MirrorMetricsRecordOncePerRound) {
+  Fixture fx;
+  obs::Registry& metrics = obs::Registry::instance();
+  const obs::Histogram& busy = metrics.histogram("core.agg.mirror_ms");
+  const obs::Histogram& wait = metrics.histogram("core.agg.mirror_wait_ms");
+  const u64 busy_before = busy.count();
+  const u64 wait_before = wait.count();
+  AggregationService service(fx.board);
+  ASSERT_TRUE(service.aggregate({fx.committed(0, 1, {1, 2, 3})}).ok());
+  ASSERT_TRUE(service.aggregate({fx.committed(0, 2, {2})}).ok());
+  ASSERT_TRUE(service.aggregate({fx.committed(0, 3, {4})}).ok());
+  EXPECT_EQ(busy.count() - busy_before, 3u);
+  EXPECT_EQ(wait.count() - wait_before, 3u);
 }
 
 TEST(Service, EmptyRoundProvesVacuously) {

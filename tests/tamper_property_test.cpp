@@ -250,7 +250,7 @@ TEST(QueryTamper, SelectiveCannotUseForeignEntry) {
   CLogState foreign;
   auto other = build_batch(0, 9, 4);
   other.records[0].bytes *= 100;
-  foreign.apply_records(other.records);
+  ASSERT_TRUE(foreign.commit(foreign.plan(other.records)).ok());
 
   const Query q = Query::sum(QField::bytes);
   SelectiveQueryInput input;
