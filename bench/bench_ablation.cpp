@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/chain_summary.h"
 
 using namespace zkt;
 
@@ -123,64 +122,6 @@ int main() {
                   selective.value().prove_info.total_ms,
                   (unsigned long long)selective.value().prove_info.cycles);
     }
-  }
-
-  std::printf("\n=== (d) chain summaries: 1 receipt vs replaying N rounds "
-              "===\n");
-  std::printf("%8s | %14s | %16s %16s | %14s\n", "rounds", "summary ms",
-              "replay sync ms", "summary sync ms", "summary B");
-  std::printf("---------+----------------+-------------------------------"
-              "----+--------------\n");
-  for (u64 n_rounds : {2ULL, 5ULL, 10ULL, 20ULL}) {
-    auto workload = bench::make_committed_workload(50);
-    core::AggregationService service(*workload.board);
-    std::vector<zvm::Receipt> rounds;
-    if (!service.aggregate(workload.batches).ok()) return 1;
-    rounds.push_back(service.last_receipt());
-    for (u64 w = 2; w <= n_rounds; ++w) {
-      auto batches = bench::add_window(workload, 50, w);
-      if (!service.aggregate(batches).ok()) return 1;
-      rounds.push_back(service.last_receipt());
-    }
-
-    auto summary = core::prove_chain_summary(rounds);
-    if (!summary.ok()) return 1;
-
-    // Replay sync: verify every round receipt.
-    const auto t_replay = std::chrono::steady_clock::now();
-    {
-      core::Auditor auditor(*workload.board);
-      for (const auto& receipt : rounds) {
-        if (!auditor.accept_round(receipt).ok()) return 1;
-      }
-    }
-    const double replay_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t_replay)
-                                 .count();
-
-    // Summary sync: verify one receipt + adopt.
-    const auto t_summary = std::chrono::steady_clock::now();
-    {
-      auto verified =
-          core::verify_chain_summary(summary.value().receipt,
-                                     *workload.board,
-                                     summary.value().commitments);
-      if (!verified.ok()) return 1;
-      core::Auditor auditor(*workload.board);
-      if (!auditor
-               .adopt_summary(verified.value().head())
-               .ok()) {
-        return 1;
-      }
-    }
-    const double summary_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - t_summary)
-                                  .count();
-
-    std::printf("%8llu | %14.1f | %16.2f %16.2f | %14zu\n",
-                (unsigned long long)n_rounds,
-                summary.value().prove_info.total_ms, replay_ms, summary_ms,
-                summary.value().receipt.receipt_size_bytes());
   }
 
   std::printf("\nshape: (a) seal size and verify time grow linearly in the "

@@ -16,7 +16,7 @@
 // trace-commitment argument, so absolute times are milliseconds. The
 // reproduced *shape*: both curves grow with input size, aggregation is the
 // most expensive phase at equal size (more in-zkVM hashing), verification
-// stays flat (see bench_verification), and zkVM cycle counts — the quantity
+// stays flat (see bench_verify), and zkVM cycle counts — the quantity
 // that drives the paper's latency — grow the same way.
 #include <cstdio>
 

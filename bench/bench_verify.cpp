@@ -1,8 +1,17 @@
-// Chain-verification throughput: sequential accept_round walk vs
-// core::BatchVerifier (chain-continuity dedup, serial) vs BatchVerifier over
-// the shared thread pool -> BENCH_verify.json.
+// Verifier benchmarks -> BENCH_verify.json, in two parts.
 //
-// Methodology: an R-round composite-seal chain (full-rebuild and
+// Part 1, §6 "verification remains lightweight, completing in 3 ms
+// regardless of the number of entries": client-side verify latency of
+// aggregation and query receipts for every N in paper_sweep(), with
+// succinct seals (the deployed path) and composite seals. The binary checks
+// the machine-checkable half of the claim and exits nonzero when it fails:
+// succinct aggregation receipts, and succinct query receipts, have the same
+// receipt bytes and the same journal bytes at every N. The wall-time table
+// is reported but not gated (shared and one-core hosts jitter).
+//
+// Part 2, chain-verification throughput: sequential accept_round walk vs
+// core::BatchVerifier (chain-continuity dedup, serial) vs BatchVerifier over
+// the shared thread pool. An R-round composite-seal chain (full-rebuild and
 // incremental-delta variants) is verified three ways from the same receipt
 // vector:
 //
@@ -38,6 +47,113 @@ namespace {
 constexpr u64 kRounds = 10;
 constexpr u64 kRecords = 192;
 constexpr int kIters = 5;
+
+/// One N of the §6 sweep.
+struct SweepRow {
+  u64 records = 0;
+  double agg_succinct_ms = 0, agg_composite_ms = 0;
+  double query_succinct_ms = 0, query_composite_ms = 0;
+  size_t agg_receipt_bytes = 0, agg_journal_bytes = 0;  ///< succinct
+  size_t query_receipt_bytes = 0, query_journal_bytes = 0;
+};
+
+/// Mean verify latency over `iters` runs, after one checked warm-up.
+double time_verify(const zvm::Receipt& receipt, const zvm::ImageID& image,
+                   int iters) {
+  zvm::Verifier verifier;
+  if (auto s = verifier.verify(receipt, image); !s.ok()) {
+    std::fprintf(stderr, "receipt does not verify: %s\n",
+                 s.to_string().c_str());
+    std::exit(1);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) (void)verifier.verify(receipt, image);
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+             .count() /
+         iters;
+}
+
+/// Prove one aggregation round and one SUM query over N records with the
+/// given seal kind; exits on any proving failure.
+std::pair<zvm::Receipt, zvm::Receipt> prove_round_and_query(
+    u64 records, zvm::SealKind seal_kind) {
+  auto workload = bench::make_committed_workload(records);
+  zvm::ProveOptions prove;
+  prove.seal_kind = seal_kind;
+  core::AggregationService aggregation(*workload.board,
+                                       core::AggregationOptions{prove});
+  auto round = aggregation.aggregate(workload.batches);
+  if (!round.ok()) {
+    std::fprintf(stderr, "aggregation failed: %s\n",
+                 round.error().to_string().c_str());
+    std::exit(1);
+  }
+  core::QueryService queries(aggregation, core::QueryServiceOptions{prove});
+  auto resp = queries.run(core::Query::sum(core::QField::bytes));
+  if (!resp.ok()) {
+    std::fprintf(stderr, "query failed: %s\n",
+                 resp.error().to_string().c_str());
+    std::exit(1);
+  }
+  return {std::move(round.value().receipt), std::move(resp.value().receipt)};
+}
+
+std::vector<SweepRow> run_paper_sweep() {
+  std::printf("=== §6 verification latency (ms/verify) and succinct sizes "
+              "(B) ===\n");
+  std::printf("%8s | %12s %12s | %12s %12s | %13s %13s\n", "records",
+              "agg succ", "agg comp", "query succ", "query comp",
+              "agg rcpt/jrnl", "qry rcpt/jrnl");
+  const int iters = 50;
+  const auto images = core::guest_images();
+  std::vector<SweepRow> rows;
+  for (u64 n : bench::paper_sweep()) {
+    const auto [agg, query] =
+        prove_round_and_query(n, zvm::SealKind::succinct);
+    const auto [agg_comp, query_comp] =
+        prove_round_and_query(n, zvm::SealKind::composite);
+    SweepRow row;
+    row.records = n;
+    row.agg_succinct_ms = time_verify(agg, images.aggregate, iters);
+    row.agg_composite_ms = time_verify(agg_comp, images.aggregate, iters);
+    row.query_succinct_ms = time_verify(query, images.query, iters);
+    row.query_composite_ms = time_verify(query_comp, images.query, iters);
+    row.agg_receipt_bytes = agg.receipt_size_bytes();
+    row.agg_journal_bytes = agg.journal.size();
+    row.query_receipt_bytes = query.receipt_size_bytes();
+    row.query_journal_bytes = query.journal.size();
+    std::printf("%8llu | %12.3f %12.3f | %12.3f %12.3f | %6zu/%-6zu "
+                "%6zu/%-6zu\n",
+                (unsigned long long)n, row.agg_succinct_ms,
+                row.agg_composite_ms, row.query_succinct_ms,
+                row.query_composite_ms, row.agg_receipt_bytes,
+                row.agg_journal_bytes, row.query_receipt_bytes,
+                row.query_journal_bytes);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+/// The §6 gate: every succinct size equals the first row's.
+bool sizes_flat_in_n(const std::vector<SweepRow>& rows) {
+  bool flat = true;
+  const SweepRow& first = rows.front();
+  for (const SweepRow& row : rows) {
+    if (row.agg_receipt_bytes != first.agg_receipt_bytes ||
+        row.agg_journal_bytes != first.agg_journal_bytes ||
+        row.query_receipt_bytes != first.query_receipt_bytes ||
+        row.query_journal_bytes != first.query_journal_bytes) {
+      std::fprintf(stderr,
+                   "§6 check FAILED at N=%llu: succinct sizes differ from "
+                   "N=%llu\n",
+                   (unsigned long long)row.records,
+                   (unsigned long long)first.records);
+      flat = false;
+    }
+  }
+  return flat;
+}
 
 /// Prove an R-round composite chain in the given mode. Incremental mode
 /// re-touches the same flows each window, so rounds 1..R-1 run the AGGI
@@ -155,6 +271,11 @@ Cell run_chain(const char* name, core::AggMode mode, u64 seed) {
 }  // namespace
 
 int main() {
+  const std::vector<SweepRow> sweep = run_paper_sweep();
+  const bool flat = sizes_flat_in_n(sweep);
+  std::printf("succinct receipt and journal bytes flat in N: %s\n\n",
+              flat ? "yes" : "NO");
+
   std::printf("=== chain verification throughput (%llu composite rounds, "
               "%llu records/window, %zu pool threads) ===\n",
               (unsigned long long)kRounds, (unsigned long long)kRecords,
@@ -221,7 +342,22 @@ int main() {
     out << "\"" << backend_rows[i].name << "\": " << backend_rows[i].ms
         << (i + 1 < backend_rows.size() ? ", " : "");
   }
-  out << "}\n}\n";
+  out << "},\n  \"paper_sweep\": [\n";
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const SweepRow& row = sweep[i];
+    out << "    {\"records\": " << row.records
+        << ", \"agg_succinct_ms\": " << row.agg_succinct_ms
+        << ", \"agg_composite_ms\": " << row.agg_composite_ms
+        << ", \"query_succinct_ms\": " << row.query_succinct_ms
+        << ", \"query_composite_ms\": " << row.query_composite_ms
+        << ", \"agg_receipt_bytes\": " << row.agg_receipt_bytes
+        << ", \"agg_journal_bytes\": " << row.agg_journal_bytes
+        << ", \"query_receipt_bytes\": " << row.query_receipt_bytes
+        << ", \"query_journal_bytes\": " << row.query_journal_bytes << "}"
+        << (i + 1 < sweep.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"succinct_sizes_flat_in_n\": "
+      << (flat ? "true" : "false") << "\n}\n";
   if (out) {
     std::printf("\nsweep -> BENCH_verify.json\n");
   } else {
@@ -233,5 +369,5 @@ int main() {
   bool met = true;
   for (const auto& c : cells) met = met && c.speedup() >= 2.0;
   std::printf("pooled >= 2x sequential: %s\n", met ? "yes" : "NO");
-  return 0;
+  return flat ? 0 : 1;
 }

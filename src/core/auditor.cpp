@@ -30,6 +30,99 @@ void publish_verify_metrics(const zvm::VerifyStats& stats) {
 
 }  // namespace
 
+ChainPosition ChainSpan::start(u64 before) const {
+  ChainPosition at;
+  at.rounds = before;
+  at.claim_digest = prev_claim_digest;
+  at.root = prev_root;
+  at.entry_count = prev_entry_count;
+  at.has_sketch = has_sketch;
+  if (has_sketch) {
+    at.sketch_params = sketch_params;
+    at.sketch_digest = prev_sketch_digest;
+  }
+  return at;
+}
+
+ChainPosition ChainSpan::end(u64 before) const {
+  ChainPosition at;
+  at.rounds = before + rounds;
+  at.claim_digest = claim_digest;
+  at.root = new_root;
+  at.entry_count = new_entry_count;
+  at.has_sketch = has_sketch;
+  if (has_sketch) {
+    at.sketch_params = sketch_params;
+    at.sketch_digest = sketch_digest;
+  }
+  return at;
+}
+
+ChainSpan span_of(const AggJournal& journal, const Digest32& claim_digest) {
+  ChainSpan span;
+  span.has_prev = journal.has_prev;
+  span.prev_claim_digest = journal.prev_claim_digest;
+  span.prev_root = journal.prev_root;
+  span.prev_entry_count = journal.prev_entry_count;
+  span.claim_digest = claim_digest;
+  span.new_root = journal.new_root;
+  span.new_entry_count = journal.new_entry_count;
+  span.has_sketch = journal.has_sketch;
+  span.sketch_params = journal.sketch_params;
+  span.prev_sketch_digest = journal.prev_sketch_digest;
+  span.sketch_digest = journal.sketch_digest;
+  return span;
+}
+
+Status ChainPosition::extend(const ChainSpan& span) {
+  const ChainPosition from = span.start(rounds);
+  if (rounds == 0) {
+    // Genesis anchor: the chain starts from the empty state, and a sketched
+    // chain from the EMPTY sketch's hash — never from seeded counters.
+    if (span.has_prev) {
+      return Error{Errc::chain_broken,
+                   "first span claims a predecessor (no genesis anchor)"};
+    }
+    if (from.root != crypto::MerkleTree::empty_leaf() ||
+        from.entry_count != 0) {
+      return Error{Errc::chain_broken, "genesis span does not start empty"};
+    }
+    if (from.has_sketch &&
+        from.sketch_digest != netflow::RoundSketch{from.sketch_params}.hash()) {
+      return Error{Errc::chain_broken,
+                   "genesis span does not start from the empty sketch"};
+    }
+  } else {
+    // Link: the span starts exactly where the verified chain ends, and a
+    // sketched chain keeps carrying the same sketch.
+    if (!span.has_prev) {
+      return Error{Errc::chain_broken,
+                   "genesis span cannot extend a started chain"};
+    }
+    if (from.claim_digest != claim_digest) {
+      return Error{Errc::chain_broken,
+                   "span does not chain onto the accepted claim"};
+    }
+    if (from.root != root || from.entry_count != entry_count) {
+      return Error{Errc::chain_broken,
+                   "span does not extend the accepted state"};
+    }
+    if (from.has_sketch != has_sketch) {
+      return Error{Errc::chain_broken,
+                   "span disagrees with the chain about sketch carriage"};
+    }
+    if (!(from.sketch_params == sketch_params)) {
+      return Error{Errc::chain_broken, "sketch params changed mid-chain"};
+    }
+    if (from.sketch_digest != sketch_digest) {
+      return Error{Errc::chain_broken,
+                   "span does not chain onto the accepted sketch"};
+    }
+  }
+  *this = span.end(rounds);
+  return {};
+}
+
 void AcceptedClaimWindow::insert(const Digest32& claim_digest) {
   if (!lookup_.insert(claim_digest.bytes).second) return;  // already present
   order_.push_back(claim_digest.bytes);
@@ -67,60 +160,8 @@ Result<AggJournal> Auditor::adopt_verified(const zvm::Receipt& receipt) {
   if (!journal.ok()) return journal.error();
   const AggJournal& j = journal.value();
 
-  // Chain continuity.
-  if (rounds_ == 0) {
-    if (j.has_prev) {
-      return Error{Errc::chain_broken, "first round claims a predecessor"};
-    }
-    if (j.prev_entry_count != 0 ||
-        j.prev_root != crypto::MerkleTree::empty_leaf()) {
-      return Error{Errc::chain_broken, "first round does not start empty"};
-    }
-  } else {
-    if (!j.has_prev) {
-      return Error{Errc::chain_broken, "non-genesis round without prev"};
-    }
-    if (j.prev_claim_digest != last_claim_digest_) {
-      return Error{Errc::chain_broken,
-                   "round does not chain onto the accepted claim"};
-    }
-    if (j.prev_root != current_root_ ||
-        j.prev_entry_count != current_entry_count_) {
-      return Error{Errc::chain_broken,
-                   "round does not extend the accepted state"};
-    }
-  }
-
-  // Sketch continuity: chained exactly like the Merkle root. Once a chain
-  // carries a sketch every round must keep carrying it with the same
-  // params, each round's prev digest must equal the digest we accepted
-  // last round, and at genesis it must be the EMPTY sketch's hash — a
-  // chain cannot start from seeded counters.
-  if (sketch_known_) {
-    if (rounds_ == 0) {
-      if (j.has_sketch) {
-        const netflow::RoundSketch empty{j.sketch_params};
-        if (j.prev_sketch_digest != empty.hash()) {
-          return Error{Errc::chain_broken,
-                       "genesis round does not start from the empty sketch"};
-        }
-      }
-    } else {
-      if (j.has_sketch != sketch_present_) {
-        return Error{Errc::chain_broken,
-                     "round disagrees with the chain about sketch carriage"};
-      }
-      if (j.has_sketch) {
-        if (!(j.sketch_params == sketch_params_)) {
-          return Error{Errc::chain_broken, "sketch params changed mid-chain"};
-        }
-        if (j.prev_sketch_digest != sketch_digest_) {
-          return Error{Errc::chain_broken,
-                       "round does not chain onto the accepted sketch"};
-        }
-      }
-    }
-  }
+  ChainPosition next = position_;
+  ZKT_TRY(next.extend(span_of(j, receipt.claim.digest())));
 
   // Every commitment consumed must have been published (and thus signed).
   for (const auto& ref : j.commitments) {
@@ -138,30 +179,14 @@ Result<AggJournal> Auditor::adopt_verified(const zvm::Receipt& receipt) {
     }
   }
 
-  last_claim_digest_ = receipt.claim.digest();
-  claims_.insert(last_claim_digest_);
-  current_root_ = j.new_root;
-  current_entry_count_ = j.new_entry_count;
-  // The first round after a summary re-establishes the sketch position
-  // (its in-guest chaining covers the gap the summary skipped).
-  sketch_known_ = true;
-  sketch_present_ = j.has_sketch;
-  if (j.has_sketch) {
-    sketch_params_ = j.sketch_params;
-    sketch_digest_ = j.sketch_digest;
-  }
-  ++rounds_;
+  position_ = next;
+  claims_.insert(position_.claim_digest);
   obs::Registry::instance().counter("core.auditor.rounds_accepted").add(1);
   return journal;
 }
 
 Result<u64> Auditor::accept_rounds(std::span<const zvm::Receipt> receipts,
                                    zvm::VerifyStats* stats) {
-  return accept_rounds_impl(receipts, stats);
-}
-
-Result<u64> Auditor::accept_rounds_impl(std::span<const zvm::Receipt> receipts,
-                                        zvm::VerifyStats* stats) {
   if (receipts.empty()) return u64{0};
   obs::Registry::instance()
       .histogram("core.auditor.batch_size")
@@ -189,7 +214,7 @@ Result<u64> Auditor::accept_rounds_impl(std::span<const zvm::Receipt> receipts,
 Result<AuditReport> Auditor::audit(ReceiptSource& source,
                                    const AuditOptions& options) {
   const u64 window_size = options.batch_size == 0 ? 1 : options.batch_size;
-  const u64 before = rounds_;
+  const u64 before = position_.rounds;
   std::vector<zvm::Receipt> window;
   window.reserve(window_size);
 
@@ -206,28 +231,9 @@ Result<AuditReport> Auditor::audit(ReceiptSource& source,
       window.push_back(std::move(*next.value()));
     }
     if (window.empty()) break;
-    ZKT_TRY(accept_rounds_impl(window, options.stats));
+    ZKT_TRY(accept_rounds(window, options.stats));
   }
-  return AuditReport{rounds_ - before, head()};
-}
-
-Status Auditor::adopt_summary(const ChainHead& head) {
-  if (rounds_ != 0) {
-    return Error{Errc::chain_broken,
-                 "cannot adopt a summary after accepting rounds"};
-  }
-  if (head.rounds == 0) {
-    return Error{Errc::invalid_argument, "summary covers no rounds"};
-  }
-  last_claim_digest_ = head.claim_digest;
-  claims_.insert(head.claim_digest);
-  current_root_ = head.root;
-  current_entry_count_ = head.entry_count;
-  rounds_ = head.rounds;
-  // Summaries carry no sketch state; the next accepted round re-anchors it.
-  sketch_known_ = false;
-  sketch_present_ = false;
-  return {};
+  return AuditReport{position_.rounds - before, head()};
 }
 
 Result<QueryJournal> Auditor::verify_query(const zvm::Receipt& receipt,
@@ -272,21 +278,21 @@ Status Auditor::check_sketch_query_binding(
     return Error{Errc::chain_broken,
                  "sketch query targets a round we never accepted"};
   }
-  // When the query targets the current head and we track the sketch there,
-  // pin it: a receipt answering against a stale or forged sketch digest is
-  // rejected even though its seal verifies. (Older in-window rounds keep
-  // only their claim digests; the in-guest chaining still binds the sketch
-  // to that round's journal.)
-  if (agg_claim_digest == last_claim_digest_ && sketch_known_) {
-    if (!sketch_present_) {
+  // When the query targets the current head, pin the sketch there: a
+  // receipt answering against a stale or forged sketch digest is rejected
+  // even though its seal verifies. (Older in-window rounds keep only their
+  // claim digests; the in-guest chaining still binds the sketch to that
+  // round's journal.)
+  if (agg_claim_digest == position_.claim_digest) {
+    if (!position_.has_sketch) {
       return Error{Errc::chain_broken,
                    "sketch query against a chain that carries no sketch"};
     }
-    if (!(params == sketch_params_)) {
+    if (!(params == position_.sketch_params)) {
       return Error{Errc::proof_invalid,
                    "sketch query used different parameters than the chain"};
     }
-    if (queried_sketch_digest != sketch_digest_) {
+    if (queried_sketch_digest != position_.sketch_digest) {
       return Error{Errc::proof_invalid,
                    "sketch query answered against a stale sketch digest"};
     }

@@ -3,10 +3,10 @@
 // and the public commitment board.
 //
 // The auditor maintains the verified chain of aggregation rounds: each new
-// round's receipt must verify, chain onto the previous round (claim digest
-// and Merkle root continuity), and consume only commitments that routers
-// actually published (signatures checked by the board). Query receipts are
-// then verified against any accepted round.
+// round's receipt must verify, extend the verified ChainPosition under the
+// one chain-link rule (ChainPosition::extend), and consume only
+// commitments that routers actually published (signatures checked by the
+// board). Query receipts are then verified against any accepted round.
 //
 // Three ways to feed it, all with byte-identical accept/reject decisions:
 //   accept_round()   — one receipt at a time (the original surface);
@@ -35,14 +35,66 @@ namespace zkt::core {
 class ReceiptSource;  // core/io.h (host-side streaming input)
 struct EpochSeal;     // core/epoch.h (ladder seal record)
 
-/// A verified chain head: what a summary hands to an auditor, and what an
-/// auditor reports after an audit. Replaces the positional
-/// (rounds, claim, root, entries) argument list of adopt_summary.
+/// A verified chain head: what an audit or catch-up reports.
 struct ChainHead {
   u64 rounds = 0;            ///< rounds the chain covers
   Digest32 claim_digest;     ///< claim digest of the last round
   Digest32 root;             ///< Merkle root after the last round
   u64 entry_count = 0;       ///< entries under `root`
+};
+
+struct ChainPosition;
+
+/// The chain-link fields of one proof object covering `rounds` consecutive
+/// rounds — a round receipt, a tree seal's shard link, or an epoch seal:
+/// the position it extends (has_prev, prev_*) and the one it establishes.
+/// Sketch fields are meaningful only when has_sketch.
+struct ChainSpan {
+  u64 rounds = 1;
+  bool has_prev = false;  ///< false: the span starts at genesis
+  Digest32 prev_claim_digest;
+  Digest32 prev_root;
+  u64 prev_entry_count = 0;
+  Digest32 claim_digest;  ///< claim digest of the span's last round
+  Digest32 new_root;
+  u64 new_entry_count = 0;
+  bool has_sketch = false;
+  netflow::SketchParams sketch_params;
+  Digest32 prev_sketch_digest;
+  Digest32 sketch_digest;
+
+  /// The positions the span starts from and ends at, when it starts
+  /// `before` rounds into the chain.
+  ChainPosition start(u64 before) const;
+  ChainPosition end(u64 before) const;
+};
+
+/// The span of one aggregation round receipt with this claim digest.
+ChainSpan span_of(const AggJournal& journal, const Digest32& claim_digest);
+
+/// A verified chain position: ChainHead plus the proof-carrying sketch
+/// (DESIGN.md §10). A default position is genesis — no rounds, the empty
+/// tree's root, no sketch yet.
+struct ChainPosition {
+  u64 rounds = 0;
+  Digest32 claim_digest;
+  Digest32 root = crypto::MerkleTree::empty_leaf();
+  u64 entry_count = 0;
+  bool has_sketch = false;
+  netflow::SketchParams sketch_params;
+  Digest32 sketch_digest;
+
+  /// The one chain-link rule (DESIGN.md §8): check that `span` extends this
+  /// position — at genesis, that it starts from the empty state and the
+  /// empty sketch; afterwards, that it chains onto this claim, root, entry
+  /// count and sketch — and only then advance to the span's end. A
+  /// rejected span (chain_broken) leaves the position unchanged.
+  Status extend(const ChainSpan& span);
+
+  ChainHead head() const {
+    return ChainHead{rounds, claim_digest, root, entry_count};
+  }
+  friend bool operator==(const ChainPosition&, const ChainPosition&) = default;
 };
 
 /// Per-call knobs for the query/summary verification surface. One struct
@@ -146,24 +198,16 @@ class Auditor {
   Result<AuditReport> audit(ReceiptSource& source,
                             const AuditOptions& options = {});
 
-  /// Adopt a chain head from a VERIFIED chain summary (see
-  /// core/chain_summary.h — the caller must have run verify_chain_summary
-  /// against this auditor's board first; its journal's head() is this
-  /// argument). Subsequent rounds chain onto the summarized head, and
-  /// queries targeting its final round verify. Only allowed on a fresh
-  /// auditor (no rounds accepted yet).
-  Status adopt_summary(const ChainHead& head);
-
-  /// Cold-verifier catch-up: verify a ladder of epoch seals (chain order,
-  /// first one genesis-anchored, consecutive seals spliced host-side on
-  /// claim digest / root / entry count / commitment-chain digest / sketch
-  /// digest), adopt the resulting head, then accept the unsealed suffix
-  /// rounds through the normal batch path. Accept/reject decisions are
+  /// Cold-verifier catch-up: verify a ladder of epoch seals in chain order,
+  /// advancing a local position through each seal under the same
+  /// chain-link rule accept_round applies (plus the seals' commitment-chain
+  /// splice), adopt that position, then accept the unsealed suffix rounds
+  /// through the normal batch path. Accept/reject decisions are
   /// byte-identical to a full sequential audit of the same chain; the cost
-  /// is O(log T) seal verifications + O(epoch) suffix instead of O(T).
-  /// Unlike adopt_summary, the seal journal carries the sketch position, so
-  /// sketch queries work immediately after catch-up. Only allowed on a
-  /// fresh auditor. Implemented in core/epoch.cpp.
+  /// is O(log T) seal verifications + O(epoch) suffix instead of O(T). The
+  /// seal journals carry the sketch position, so sketch queries work
+  /// immediately after catch-up. Only allowed on a fresh auditor.
+  /// Implemented in core/epoch.cpp.
   Result<CatchUpReport> catch_up(std::span<const EpochSeal> seals,
                                  std::span<const zvm::Receipt> suffix,
                                  zvm::VerifyStats* stats = nullptr);
@@ -187,14 +231,10 @@ class Auditor {
   Result<SketchCardinalityJournal> verify_cardinality(
       const zvm::Receipt& receipt, const VerifyOptions& options = {});
 
-  u64 rounds_accepted() const { return rounds_; }
-  const Digest32& current_root() const { return current_root_; }
-  u64 current_entry_count() const { return current_entry_count_; }
-  /// The accepted chain head in adopt_summary form.
-  ChainHead head() const {
-    return ChainHead{rounds_, last_claim_digest_, current_root_,
-                     current_entry_count_};
-  }
+  u64 rounds_accepted() const { return position_.rounds; }
+  const Digest32& current_root() const { return position_.root; }
+  u64 current_entry_count() const { return position_.entry_count; }
+  ChainHead head() const { return position_.head(); }
   /// Whether an aggregation receipt with this claim digest was accepted and
   /// is still inside the accepted-claim window.
   bool is_accepted_claim(const Digest32& claim_digest) const {
@@ -202,23 +242,18 @@ class Auditor {
   }
   const AuditorOptions& options() const { return options_; }
 
-  /// Whether the auditor knows the chain's sketch position. True from
-  /// genesis on; false after adopt_summary until the next accepted round
-  /// re-establishes it (chain summaries do not carry sketch state).
-  bool sketch_known() const { return sketch_known_; }
-  /// Whether accepted rounds carry the proof-carrying sketch (meaningful
-  /// when sketch_known()).
-  bool has_sketch() const { return sketch_present_; }
+  /// Whether accepted rounds carry the proof-carrying sketch.
+  bool has_sketch() const { return position_.has_sketch; }
   /// The sketch digest after the last accepted round.
-  const Digest32& sketch_digest() const { return sketch_digest_; }
-  const netflow::SketchParams& sketch_params() const { return sketch_params_; }
+  const Digest32& sketch_digest() const { return position_.sketch_digest; }
+  const netflow::SketchParams& sketch_params() const {
+    return position_.sketch_params;
+  }
 
  private:
-  /// Chain-continuity + board cross-checks and state update for a receipt
+  /// Chain-link rule + board cross-checks and state update for a receipt
   /// whose SEAL already verified. Shared by the single and batch paths.
   Result<AggJournal> adopt_verified(const zvm::Receipt& receipt);
-  Result<u64> accept_rounds_impl(std::span<const zvm::Receipt> receipts,
-                                 zvm::VerifyStats* stats);
   /// Shared binding checks for the round-sketch query verifiers.
   Status check_sketch_query_binding(const Digest32& agg_claim_digest,
                                     const Digest32& queried_sketch_digest,
@@ -228,17 +263,8 @@ class Auditor {
   AuditorOptions options_;
   zvm::Verifier verifier_;
   BatchVerifier batch_;
-  u64 rounds_ = 0;
-  Digest32 last_claim_digest_;
-  Digest32 current_root_ = crypto::MerkleTree::empty_leaf();
-  u64 current_entry_count_ = 0;
+  ChainPosition position_;
   AcceptedClaimWindow claims_;
-  // Sketch continuity (DESIGN.md §10): chained host-side exactly like
-  // prev_root. Unknown after adopting a summary (which omits sketch state).
-  bool sketch_known_ = true;
-  bool sketch_present_ = false;
-  netflow::SketchParams sketch_params_;
-  Digest32 sketch_digest_;
 };
 
 }  // namespace zkt::core

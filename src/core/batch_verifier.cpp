@@ -19,14 +19,6 @@ Status verify_aggregation_receipt(zvm::Verifier& verifier,
 
 std::vector<Status> BatchVerifier::verify_aggregation(
     std::span<const zvm::Receipt> receipts, zvm::VerifyStats* stats) {
-  std::vector<const zvm::Receipt*> ptrs(receipts.size());
-  for (size_t i = 0; i < receipts.size(); ++i) ptrs[i] = &receipts[i];
-  return verify_aggregation(std::span<const zvm::Receipt* const>(ptrs),
-                            stats);
-}
-
-std::vector<Status> BatchVerifier::verify_aggregation(
-    std::span<const zvm::Receipt* const> receipts, zvm::VerifyStats* stats) {
   std::vector<Status> out(receipts.size());
   if (receipts.empty()) return out;
 
@@ -37,15 +29,14 @@ std::vector<Status> BatchVerifier::verify_aggregation(
   std::vector<zvm::VerifiedCache> caches(receipts.size());
   caches[0] = head_cache_;
   for (size_t i = 1; i < receipts.size(); ++i) {
-    caches[i].add(*receipts[i - 1]);
+    caches[i].add(receipts[i - 1]);
   }
 
   std::vector<zvm::VerifyStats> local(receipts.size());
   // zkt-lint: shared(each call writes only index i of out/caches/local; workers cover disjoint i)
   const auto verify_one = [&](size_t i) {
     out[i] = verify_aggregation_receipt(
-        verifier_, *receipts[i],
-        zvm::VerifyContext{&caches[i], &local[i]});
+        verifier_, receipts[i], zvm::VerifyContext{&caches[i], &local[i]});
   };
 
   common::ThreadPool* pool =
@@ -70,7 +61,7 @@ std::vector<Status> BatchVerifier::verify_aggregation(
     if (!out[i - 1].ok() && out[i].ok() && local[i].assumptions_skipped > 0) {
       zvm::VerifyStats retry;
       out[i] = verify_aggregation_receipt(
-          verifier_, *receipts[i], zvm::VerifyContext{nullptr, &retry});
+          verifier_, receipts[i], zvm::VerifyContext{nullptr, &retry});
       local[i].merge(retry);
     }
   }
@@ -80,7 +71,7 @@ std::vector<Status> BatchVerifier::verify_aggregation(
   while (ok_prefix < receipts.size() && out[ok_prefix].ok()) ++ok_prefix;
   if (ok_prefix > 0) {
     head_cache_ = zvm::VerifiedCache{};
-    head_cache_.add(*receipts[ok_prefix - 1]);
+    head_cache_.add(receipts[ok_prefix - 1]);
   }
 
   zvm::VerifyStats merged;

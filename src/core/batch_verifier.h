@@ -78,11 +78,6 @@ class BatchVerifier {
       std::span<const zvm::Receipt> receipts,
       zvm::VerifyStats* stats = nullptr);
 
-  /// As above over non-contiguous receipts (e.g. one per shard round).
-  std::vector<Status> verify_aggregation(
-      std::span<const zvm::Receipt* const> receipts,
-      zvm::VerifyStats* stats = nullptr);
-
   /// Cumulative accounting across every call on this object.
   const zvm::VerifyStats& stats() const { return stats_; }
 

@@ -406,16 +406,6 @@ Result<ChainSummaryResponse> prove_epoch_span(
   return response;
 }
 
-Result<ChainSummaryResponse> prove_chain_summary(
-    std::span<const zvm::Receipt> rounds, const zvm::ProveOptions& options) {
-  if (rounds.empty()) {
-    return Error{Errc::invalid_argument, "cannot summarize an empty chain"};
-  }
-  EpochSpanOptions span_options;
-  span_options.prove_options = options;
-  return prove_epoch_span(rounds, span_options);
-}
-
 Result<ChainSummaryJournal> verify_chain_summary(
     const zvm::Receipt& receipt, const CommitmentBoard& board,
     std::span<const CommitmentRef> commitments,

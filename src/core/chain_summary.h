@@ -68,13 +68,6 @@ struct ChainSummaryJournal {
 
   void write(Writer& w) const;
   static Result<ChainSummaryJournal> parse(BytesView journal);
-
-  /// The summarized chain head in Auditor::adopt_summary form. Only
-  /// meaningful for genesis-anchored spans (rounds counts from genesis).
-  ChainHead head() const {
-    return ChainHead{rounds, final_claim_digest, final_root,
-                     final_entry_count};
-  }
 };
 
 zvm::ImageID chain_summary_image();
@@ -121,20 +114,13 @@ Result<ChainSummaryResponse> prove_epoch_span(
     std::span<const zvm::Receipt> children,
     const EpochSpanOptions& options = {});
 
-/// Prove a summary over `rounds` (the full chain from genesis, in order) —
-/// the non-incremental convenience wrapper over prove_epoch_span.
-Result<ChainSummaryResponse> prove_chain_summary(
-    std::span<const zvm::Receipt> rounds,
-    const zvm::ProveOptions& options = {});
-
 /// Verifier side: verify the summary receipt, recompute the commitment
 /// chain from `commitments` (the span's out-of-band ordered ref list) and
 /// check it lands on the journal's final digest, then cross-check every ref
 /// against the public board. Genesis spans must start from the init digest.
-/// On success returns the journal — the caller may then hand a
-/// genesis-anchored journal to Auditor::adopt_summary. `options` follows
-/// the unified verifier surface (expected_query is ignored here; stats are
-/// merged when set).
+/// On success returns the journal; Auditor::catch_up then chains it onto
+/// the verified position. `options` follows the unified verifier surface
+/// (expected_query is ignored here; stats are merged when set).
 Result<ChainSummaryJournal> verify_chain_summary(
     const zvm::Receipt& receipt, const CommitmentBoard& board,
     std::span<const CommitmentRef> commitments,

@@ -20,6 +20,24 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The span an epoch seal covers: its journal's first_* and final_* links.
+ChainSpan span_of(const ChainSummaryJournal& journal) {
+  ChainSpan span;
+  span.rounds = journal.rounds;
+  span.has_prev = !journal.genesis;
+  span.prev_claim_digest = journal.first_claim_digest;
+  span.prev_root = journal.first_root;
+  span.prev_entry_count = journal.first_entry_count;
+  span.claim_digest = journal.final_claim_digest;
+  span.new_root = journal.final_root;
+  span.new_entry_count = journal.final_entry_count;
+  span.has_sketch = journal.has_sketch;
+  span.sketch_params = journal.sketch_params;
+  span.prev_sketch_digest = journal.first_sketch_digest;
+  span.sketch_digest = journal.final_sketch_digest;
+  return span;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -148,31 +166,23 @@ Status validate_recovered_seal(const EpochSeal& seal,
                  "epoch seal journal disagrees with its span"};
   }
 
-  // Anchor both ends of the span to the live receipt chain.
-  const zvm::Receipt& first = chain[seal.start_round];
-  const zvm::Receipt& last = chain[seal.start_round + seal.rounds - 1];
-  auto first_j = AggJournal::parse(first.journal);
+  // Anchor both ends of the span to the live receipt chain: the seal must
+  // start at the position its first round extends and end at the position
+  // its last round establishes.
+  const u64 last_round = seal.start_round + seal.rounds - 1;
+  auto first_j = AggJournal::parse(chain[seal.start_round].journal);
   if (!first_j.ok()) return first_j.error();
-  auto last_j = AggJournal::parse(last.journal);
+  auto last_j = AggJournal::parse(chain[last_round].journal);
   if (!last_j.ok()) return last_j.error();
-  if (j.first_claim_digest != first_j.value().prev_claim_digest ||
-      j.first_root != first_j.value().prev_root ||
-      j.first_entry_count != first_j.value().prev_entry_count ||
-      j.final_claim_digest != last.claim.digest() ||
-      j.final_root != last_j.value().new_root ||
-      j.final_entry_count != last_j.value().new_entry_count) {
+  const ChainSpan sealed = span_of(j);
+  const ChainSpan first =
+      span_of(first_j.value(), chain[seal.start_round].claim.digest());
+  const ChainSpan last =
+      span_of(last_j.value(), chain[last_round].claim.digest());
+  if (sealed.start(seal.start_round) != first.start(seal.start_round) ||
+      sealed.end(seal.start_round) != last.end(last_round)) {
     return Error{Errc::proof_invalid,
                  "epoch seal does not match the recovered chain"};
-  }
-  if (j.has_sketch != first_j.value().has_sketch) {
-    return Error{Errc::proof_invalid,
-                 "epoch seal disagrees with the chain about sketch carriage"};
-  }
-  if (j.has_sketch &&
-      (j.first_sketch_digest != first_j.value().prev_sketch_digest ||
-       j.final_sketch_digest != last_j.value().sketch_digest)) {
-    return Error{Errc::proof_invalid,
-                 "epoch seal sketch chain does not match the recovered chain"};
   }
 
   // The stored ref list must be exactly what the span's rounds consumed,
@@ -460,83 +470,40 @@ Result<std::vector<EpochSeal>> load_epoch_seals(const std::string& path) {
 Result<CatchUpReport> Auditor::catch_up(std::span<const EpochSeal> seals,
                                         std::span<const zvm::Receipt> suffix,
                                         zvm::VerifyStats* stats) {
-  if (rounds_ != 0) {
+  if (position_.rounds != 0) {
     return Error{Errc::chain_broken,
                  "catch-up requires a fresh auditor (no rounds accepted)"};
   }
   CatchUpReport report;
 
-  const ChainSummaryJournal* prev = nullptr;
-  std::optional<ChainSummaryJournal> prev_storage;
-  u64 covered = 0;
-  for (size_t i = 0; i < seals.size(); ++i) {
-    const EpochSeal& seal = seals[i];
+  // Advance a local position seal by seal; it is adopted only once every
+  // seal passed. The commitment chain is the one link a seal carries beyond
+  // the position: each seal's ref list must pick up where the last ended.
+  ChainPosition position;
+  Digest32 commitments = epoch_commitments_init();
+  for (const EpochSeal& seal : seals) {
     auto journal = verify_chain_summary(seal.receipt, *board_,
                                         seal.commitments,
                                         VerifyOptions{nullptr, stats});
     if (!journal.ok()) return journal.error();
     const ChainSummaryJournal& j = journal.value();
-    if (seal.start_round != covered || seal.rounds != j.rounds) {
+    if (seal.start_round != position.rounds || seal.rounds != j.rounds) {
       return Error{Errc::chain_broken,
                    "epoch seal span disagrees with its position"};
     }
-    if (prev == nullptr) {
-      if (!j.genesis) {
-        return Error{Errc::chain_broken,
-                     "catch-up must anchor at genesis (first seal is "
-                     "mid-chain)"};
-      }
-      // The guest cannot know the empty sketch's hash; the genesis sketch
-      // anchor is checked here, exactly as accept_round checks it per round.
-      if (j.has_sketch) {
-        const netflow::RoundSketch empty{j.sketch_params};
-        if (j.first_sketch_digest != empty.hash()) {
-          return Error{Errc::chain_broken,
-                       "genesis seal does not start from the empty sketch"};
-        }
-      }
-    } else {
-      if (j.genesis) {
-        return Error{Errc::chain_broken,
-                     "genesis seal spliced after the chain start"};
-      }
-      if (j.first_claim_digest != prev->final_claim_digest ||
-          j.first_root != prev->final_root ||
-          j.first_entry_count != prev->final_entry_count ||
-          j.first_commitments_digest != prev->final_commitments_digest) {
-        return Error{Errc::chain_broken, "epoch seals do not splice"};
-      }
-      if (j.has_sketch != prev->has_sketch) {
-        return Error{Errc::chain_broken,
-                     "epoch seals disagree about sketch carriage"};
-      }
-      if (j.has_sketch && (!(j.sketch_params == prev->sketch_params) ||
-                           j.first_sketch_digest != prev->final_sketch_digest)) {
-        return Error{Errc::chain_broken,
-                     "epoch seals do not splice the sketch chain"};
-      }
+    ZKT_TRY(position.extend(span_of(j)));
+    if (j.first_commitments_digest != commitments) {
+      return Error{Errc::chain_broken,
+                   "epoch seals do not splice the commitment chain"};
     }
-    covered += j.rounds;
-    prev_storage = j;
-    prev = &*prev_storage;
+    commitments = j.final_commitments_digest;
     ++report.seals_adopted;
   }
-  report.seal_rounds = covered;
+  report.seal_rounds = position.rounds;
 
-  if (prev != nullptr) {
-    rounds_ = covered;
-    last_claim_digest_ = prev->final_claim_digest;
-    claims_.insert(last_claim_digest_);
-    current_root_ = prev->final_root;
-    current_entry_count_ = prev->final_entry_count;
-    // Seals carry the sketch position (unlike bare adopt_summary), so sketch
-    // queries bind immediately after catch-up.
-    sketch_known_ = true;
-    sketch_present_ = prev->has_sketch;
-    if (prev->has_sketch) {
-      sketch_params_ = prev->sketch_params;
-      sketch_digest_ = prev->final_sketch_digest;
-    }
+  if (report.seals_adopted > 0) {
+    position_ = position;
+    claims_.insert(position_.claim_digest);
     obs::Registry::instance()
         .counter("core.epoch.seals_verified")
         .add(report.seals_adopted);

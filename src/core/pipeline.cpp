@@ -337,9 +337,9 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
   std::vector<RoundResult> rounds;
   size_t next_window = 0;
 
-  // Steps with nothing to do — staging at K = 1, folding with the fold
-  // disabled — run inline at the future's get() instead of queueing behind
-  // pool work such as epoch-seal proving.
+  // Steps with nothing to do — staging and folding at K = 1 — run inline
+  // at the future's get() instead of queueing behind pool work such as
+  // epoch-seal proving.
   auto schedule = [&pool](bool offload, auto task) {
     return offload ? pool.submit(std::move(task))
                    : std::async(std::launch::deferred, std::move(task));
@@ -449,7 +449,7 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     SealEntry seal;
     seal.window = entry.window;
     seal.round = std::make_shared<RoundResult>(std::move(round.value()));
-    seal.folded = schedule(service_->fold_enabled(),
+    seal.folded = schedule(sharded(),
                            [service = service_.get(), r = seal.round] {
                              return service->fold_round(*r);
                            });
@@ -724,7 +724,7 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
     if (!sharded()) {
       receipts_.push_back(std::move(receipts.value()->front()));
       round_windows.push_back(window);
-    } else if (service_->fold_enabled()) {
+    } else {
       const bool live_sketches = !covered || window == adopted_window;
       ZKT_TRY(recover_tree_seal(window, *receipts.value(), live_sketches,
                                 receipt_windows, info));

@@ -9,8 +9,8 @@
 // stage -> commit_staged -> prove_shards -> persist -> fold. A plain chain
 // is the K = 1 round (options.sharded.shard_count <= 1): no split proof, no
 // fold, one receipt per window. K >= 2 adds split proofs, K parallel shard
-// chains and (with a join fanout) ONE tree seal per round. With
-// options.sharded.pipeline_depth > 1 the pipeline overlaps windows —
+// chains and ONE tree seal per round. With options.sharded.pipeline_depth
+// > 1 the pipeline overlaps windows —
 // window i+1 loads and stages on a pool worker while window i's shards
 // prove, and window i's tree folds while window i+1 proves. Chain LINKING
 // stays strictly serial (prove_shards runs in window order on the caller's
@@ -71,10 +71,11 @@ struct PipelineOptions {
   /// be able to roll forward past the last snapshot.
   bool prune_aggregated = false;
   /// Round shape: shard_count >= 2 splits every window over K shard
-  /// chains (1 = the plain chain), join_fanout >= 2 folds each K >= 2 round
-  /// into a tree seal, pipeline_depth > 1 overlaps windows (see the header
-  /// comment). prove_options/agg_mode/sketch in here are IGNORED — the
-  /// pipeline copies its own in, so one knob configures every K.
+  /// chains (1 = the plain chain) and folds each K >= 2 round into one tree
+  /// seal of join_fanout children per node; pipeline_depth > 1 overlaps
+  /// windows (see the header comment). prove_options/agg_mode/sketch in
+  /// here are IGNORED — the pipeline copies its own in, so one knob
+  /// configures every K.
   ShardedOptions sharded;
   /// Proof-carrying round sketch (DESIGN.md §10), applied to every shard
   /// chain (the one chain at K = 1). nullopt disables it.
@@ -134,7 +135,7 @@ class ProviderPipeline {
   /// Aggregate every committed window newer than the last one processed,
   /// in ascending window order. Each round persists a snapshot bundle (per
   /// options.checkpoint_every_n_rounds), then its K receipts, then its tree
-  /// seal (K >= 2 with a fold) or epoch seals (K = 1 with a ladder). Returns
+  /// seal (K >= 2) or epoch seals (K = 1 with a ladder). Returns
   /// the rounds proven in this call (possibly empty). Stops at — and
   /// returns — the first terminal failure (a tampered window blocks the
   /// chain, by design); transient store errors are retried per
@@ -164,9 +165,8 @@ class ProviderPipeline {
   /// the store; the seals below are the round-level proof objects).
   const std::vector<zvm::Receipt>& receipts() const { return receipts_; }
 
-  /// Tree seals of folded K >= 2 rounds, in window order — including seals
-  /// recovered (or re-folded) by recover(). Empty unless K >= 2 with a join
-  /// fanout.
+  /// Tree seals of K >= 2 rounds, in window order — including seals
+  /// recovered (or re-folded) by recover(). Empty at K = 1.
   const std::vector<zvm::Receipt>& tree_seals() const { return tree_seals_; }
 
   /// The live epoch-seal ladder, settled (waits for in-flight seal proving

@@ -45,17 +45,16 @@ struct AggregationRound {
 ///                        core/join.h).
 struct RoundResult {
   u64 round_id = 0;
-  /// Shard fan-out this window was proven with, pinned at stage time (1 for
-  /// the plain chain). Split journals bind the same value in-trace,
-  /// so adaptive resharding can only take effect where a chain starts —
-  /// never mid-window (see ShardedOptions::adaptive_shards).
+  /// Shard fan-out this window was proven with (1 for the plain chain).
+  /// Split journals bind the same value in-trace.
   u32 shard_count = 1;
   /// Split receipts, one per source batch (K >= 2 only).
   std::vector<zvm::Receipt> split_receipts;
   /// Per-shard aggregation rounds in shard order; exactly one element at
   /// K = 1.
   std::vector<AggregationRound> shard_rounds;
-  /// The round's join-tree seal, when folding ran (sharded, >= 2 shards).
+  /// The round's join-tree seal: every K >= 2 round has one once
+  /// fold_round() ran; a K = 1 round has none.
   std::optional<zvm::Receipt> tree_seal;
   /// Per-shard round sketches in shard order, captured on K >= 2 rounds
   /// whose chains carry the proof-carrying sketch (empty otherwise — a
@@ -63,7 +62,7 @@ struct RoundResult {
   /// at prove time so a pipelined fold of window i is immune to window i+1
   /// advancing the shard services underneath it.
   std::vector<netflow::RoundSketch> shard_sketches;
-  /// The whole-round sketch the tree seal binds (fold path only): the
+  /// The whole-round sketch the tree seal binds (K >= 2 only): the
   /// host-merged sum of shard_sketches, matching the root JoinJournal's
   /// sketch_digest.
   std::optional<netflow::RoundSketch> round_sketch;

@@ -157,45 +157,12 @@ netflow::RLogBatch sub_batch_for(const netflow::RLogBatch& batch,
   return sub;
 }
 
-AdaptiveShardController::AdaptiveShardController(u32 current,
-                                                 AdaptiveShardOptions options)
-    : options_(options), recommended_(current) {
-  options_.min_shards = std::max<u32>(options_.min_shards, 1);
-  options_.max_shards = std::max(options_.max_shards, options_.min_shards);
-  options_.patience = std::max<u32>(options_.patience, 1);
-  recommended_ =
-      std::clamp(recommended_, options_.min_shards, options_.max_shards);
-}
-
-void AdaptiveShardController::observe(double imbalance) {
-  ++observations_;
-  if (imbalance >= options_.split_above) {
-    ++high_streak_;
-    low_streak_ = 0;
-  } else if (imbalance <= options_.merge_below) {
-    ++low_streak_;
-    high_streak_ = 0;
-  } else {
-    high_streak_ = 0;
-    low_streak_ = 0;
-  }
-  if (high_streak_ >= options_.patience) {
-    recommended_ = std::min<u32>(options_.max_shards, recommended_ * 2);
-    high_streak_ = 0;
-  } else if (low_streak_ >= options_.patience) {
-    recommended_ = std::max<u32>(options_.min_shards, recommended_ / 2);
-    low_streak_ = 0;
-  }
-}
-
 ShardedAggregationService::ShardedAggregationService(
     const CommitmentBoard& board, ShardedOptions options)
     : board_(&board),
       options_(std::move(options)),
       shard_count_(std::max<u32>(options_.shard_count, 1)) {
-  if (options_.adaptive_shards.has_value()) {
-    adaptive_.emplace(shard_count_, *options_.adaptive_shards);
-  }
+  options_.join_fanout = std::clamp<u32>(options_.join_fanout, 2, 64);
   const AggregationOptions shard_options{.prove_options =
                                              options_.prove_options,
                                          .mode = options_.agg_mode,
@@ -362,13 +329,7 @@ Result<RoundResult> ShardedAggregationService::prove_shards(
   for (double w : shard_wall_ms) sum_wall += w;
   const double mean_wall = sum_wall / static_cast<double>(shard_count_);
   if (mean_wall > 0) {
-    const double imbalance = max_wall / mean_wall;
-    metrics.gauge("core.sharded.imbalance").set(imbalance);
-    if (adaptive_.has_value()) {
-      adaptive_->observe(imbalance);
-      metrics.gauge("core.sharded.recommended_shards")
-          .set(static_cast<double>(adaptive_->recommended()));
-    }
+    metrics.gauge("core.sharded.imbalance").set(max_wall / mean_wall);
   }
   metrics.histogram("core.sharded.round_wall_ms").record(round.wall_ms);
   metrics.counter("core.sharded.rounds").add(1);
@@ -376,7 +337,7 @@ Result<RoundResult> ShardedAggregationService::prove_shards(
 }
 
 Status ShardedAggregationService::fold_round(RoundResult& round) const {
-  if (!fold_enabled() || round.shard_rounds.size() < 2) return {};
+  if (round.shard_rounds.size() < 2) return {};
   std::vector<zvm::Receipt> leaves;
   leaves.reserve(round.shard_rounds.size());
   for (const auto& shard_round : round.shard_rounds) {
@@ -491,30 +452,29 @@ u64 ShardedAggregationService::total_entries() const {
 ShardedAuditor::ShardedAuditor(const CommitmentBoard& board, u32 shard_count)
     : board_(&board),
       shard_count_(std::max<u32>(shard_count, 1)),
-      last_claims_(shard_count_),
-      roots_(shard_count_, crypto::MerkleTree::empty_leaf()),
-      entry_counts_(shard_count_, 0),
-      genesis_done_(shard_count_, false),
-      shard_sketch_digests_(shard_count_) {}
+      shards_(shard_count_) {}
 
-/// Chain-link fields of one shard's round, whichever proof object carried
-/// them (a per-shard AggJournal or a tree seal's leaf ShardLink).
-struct ShardedAuditor::ShardChainFields {
-  Digest32 claim_digest;
-  bool has_prev = false;
-  Digest32 prev_claim_digest;
-  Digest32 prev_root;
-  Digest32 new_root;
-  u64 prev_entry_count = 0;
-  u64 new_entry_count = 0;
-  const std::vector<CommitmentRef>* commitments = nullptr;
-  /// Sketch chaining fields; params come from the carrying journal (the
-  /// tree seal's JoinJournal, or the shard's own AggJournal).
-  bool has_sketch = false;
-  Digest32 prev_sketch_digest;
-  Digest32 sketch_digest;
-  netflow::SketchParams sketch_params;
-};
+namespace {
+
+/// The span of one shard's round, as the tree seal's leaf link carries it
+/// (sketch params come from the carrying join journal).
+ChainSpan span_of(const ShardLink& link, const netflow::SketchParams& params) {
+  ChainSpan span;
+  span.has_prev = link.has_prev;
+  span.prev_claim_digest = link.prev_claim_digest;
+  span.prev_root = link.prev_root;
+  span.prev_entry_count = link.prev_entry_count;
+  span.claim_digest = link.claim_digest;
+  span.new_root = link.new_root;
+  span.new_entry_count = link.new_entry_count;
+  span.has_sketch = link.has_sketch;
+  span.sketch_params = params;
+  span.prev_sketch_digest = link.prev_sketch_digest;
+  span.sketch_digest = link.sketch_digest;
+  return span;
+}
+
+}  // namespace
 
 Status ShardedAuditor::verify_splits(
     const RoundResult& round,
@@ -559,177 +519,76 @@ Status ShardedAuditor::verify_splits(
   return {};
 }
 
-Status ShardedAuditor::accept_shard_link(
-    u32 shard, const ShardChainFields& fields, size_t source_batches,
-    const std::map<std::tuple<u32, u64, u32>, ShardRef>& expected) {
-  if (!genesis_done_[shard]) {
-    if (fields.has_prev || fields.prev_entry_count != 0) {
-      return Error{Errc::chain_broken, "shard genesis mismatch"};
-    }
-  } else {
-    if (!fields.has_prev || fields.prev_claim_digest != last_claims_[shard] ||
-        fields.prev_root != roots_[shard] ||
-        fields.prev_entry_count != entry_counts_[shard]) {
-      return Error{Errc::chain_broken, "shard chain mismatch"};
-    }
-  }
-  // Sketch continuity, chained per shard exactly like prev_root.
-  if (!genesis_done_[shard]) {
-    if (fields.has_sketch) {
-      const netflow::RoundSketch empty{fields.sketch_params};
-      if (fields.prev_sketch_digest != empty.hash()) {
-        return Error{Errc::chain_broken,
-                     "shard genesis does not start from the empty sketch"};
-      }
-    }
-  } else {
-    if (fields.has_sketch != sketch_present_) {
-      return Error{Errc::chain_broken,
-                   "shard disagrees with its chain about sketch carriage"};
-    }
-    if (fields.has_sketch) {
-      if (fields.sketch_params != sketch_params_) {
-        return Error{Errc::chain_broken,
-                     "shard sketch params changed mid-chain"};
-      }
-      if (fields.prev_sketch_digest != shard_sketch_digests_[shard]) {
-        return Error{Errc::chain_broken,
-                     "shard does not chain onto its accepted sketch"};
-      }
-    }
-  }
-  if (fields.commitments->size() != source_batches) {
-    return Error{Errc::proof_invalid,
-                 "shard must consume one sub-batch per source batch"};
-  }
-  // Every consumed commitment must be the split output for THIS shard —
-  // the position check is what catches swapped shard receipts/links.
-  for (const auto& ref : *fields.commitments) {
-    auto it = expected.find({ref.router_id, ref.window_id, shard});
-    if (it == expected.end() ||
-        it->second.sub_batch_hash != ref.rlog_hash ||
-        it->second.record_count != ref.record_count) {
-      return Error{Errc::hash_mismatch,
-                   "shard consumed data not attested by a split proof"};
-    }
-  }
-  last_claims_[shard] = fields.claim_digest;
-  roots_[shard] = fields.new_root;
-  entry_counts_[shard] = fields.new_entry_count;
-  genesis_done_[shard] = true;
-  sketch_present_ = fields.has_sketch;
-  shard_sketch_digests_[shard] = fields.sketch_digest;
-  if (fields.has_sketch) sketch_params_ = fields.sketch_params;
-  return {};
-}
-
 Status ShardedAuditor::accept_round(const RoundResult& round) {
   if (shard_count_ < 2 || round.shard_count < 2) {
     return Error{Errc::invalid_argument,
                  "single-chain rounds carry no split proofs; audit their "
                  "receipts with Auditor"};
   }
-  std::map<std::tuple<u32, u64, u32>, ShardRef> expected;
-
-  if (round.tree_seal.has_value()) {
-    // Tree path: ONE join receipt transitively verifies every shard chain
-    // round (composite seals recurse down to the shard receipts; succinct
-    // seals are the constant-cost client check). The journal's leaf links
-    // carry each shard's chain fields in shard order.
-    ZKT_TRY(verify_join_receipt(verifier_, *round.tree_seal));
-    auto journal = JoinJournal::parse(round.tree_seal->journal);
-    if (!journal.ok()) return journal.error();
-    const JoinJournal& j = journal.value();
-    if (j.leaf_count != shard_count_ || j.links.size() != shard_count_) {
-      return Error{Errc::proof_invalid, "tree seal has wrong shard count"};
+  // ONE join receipt transitively verifies every shard chain round
+  // (composite seals recurse down to the shard receipts; succinct seals are
+  // the constant-cost client check).
+  if (!round.tree_seal.has_value()) {
+    return Error{Errc::proof_invalid, "sharded round carries no tree seal"};
+  }
+  ZKT_TRY(verify_join_receipt(verifier_, *round.tree_seal));
+  auto journal = JoinJournal::parse(round.tree_seal->journal);
+  if (!journal.ok()) return journal.error();
+  const JoinJournal& j = journal.value();
+  if (j.leaf_count != shard_count_ || j.links.size() != shard_count_) {
+    return Error{Errc::proof_invalid, "tree seal has wrong shard count"};
+  }
+  // When the round also carries the shard receipts, they must be the ones
+  // the seal folded — a mismatched assembly is rejected rather than
+  // silently trusting either side.
+  if (!round.shard_rounds.empty()) {
+    if (round.shard_rounds.size() != shard_count_) {
+      return Error{Errc::proof_invalid, "wrong number of shard rounds"};
     }
-    // When the round also carries the shard receipts, they must be the
-    // ones the seal folded — a mismatched assembly is rejected rather than
-    // silently trusting either side.
-    if (!round.shard_rounds.empty()) {
-      if (round.shard_rounds.size() != shard_count_) {
-        return Error{Errc::proof_invalid, "wrong number of shard rounds"};
-      }
-      for (u32 s = 0; s < shard_count_; ++s) {
-        if (round.shard_rounds[s].receipt.claim.digest() !=
-            j.links[s].claim_digest) {
-          return Error{Errc::proof_invalid,
-                       "shard receipt does not match the tree seal's leaf"};
-        }
-      }
-    }
-    ZKT_TRY(verify_splits(round, expected));
     for (u32 s = 0; s < shard_count_; ++s) {
-      const ShardLink& link = j.links[s];
-      ShardChainFields fields;
-      fields.claim_digest = link.claim_digest;
-      fields.has_prev = link.has_prev;
-      fields.prev_claim_digest = link.prev_claim_digest;
-      fields.prev_root = link.prev_root;
-      fields.new_root = link.new_root;
-      fields.prev_entry_count = link.prev_entry_count;
-      fields.new_entry_count = link.new_entry_count;
-      fields.commitments = &link.commitments;
-      fields.has_sketch = link.has_sketch;
-      fields.prev_sketch_digest = link.prev_sketch_digest;
-      fields.sketch_digest = link.sketch_digest;
-      fields.sketch_params = j.sketch_params;
-      ZKT_TRY(accept_shard_link(s, fields, round.split_receipts.size(),
-                                expected));
+      if (round.shard_rounds[s].receipt.claim.digest() !=
+          j.links[s].claim_digest) {
+        return Error{Errc::proof_invalid,
+                     "shard receipt does not match the tree seal's leaf"};
+      }
     }
-    // The seal binds the merged round sketch (the join guest summed the
-    // shard sketches in trace); remember its digest for query verification.
-    round_sketch_known_ = j.has_sketch;
-    round_sketch_digest_ = j.sketch_digest;
-    ++rounds_;
-    return {};
   }
-
-  // Per-shard path (no fold): verify every shard receipt in one pooled
-  // batch pass, then chain each on.
-  if (round.shard_rounds.size() != shard_count_) {
-    return Error{Errc::proof_invalid, "wrong number of shard rounds"};
-  }
-  std::vector<const zvm::Receipt*> shard_receipts;
-  shard_receipts.reserve(round.shard_rounds.size());
-  for (const auto& shard_round : round.shard_rounds) {
-    shard_receipts.push_back(&shard_round.receipt);
-  }
-  const std::vector<Status> shard_outcomes =
-      batch_.verify_aggregation(shard_receipts);
+  std::map<std::tuple<u32, u64, u32>, ShardRef> expected;
   ZKT_TRY(verify_splits(round, expected));
 
+  // Every shard's link and split attestation passes before any shard
+  // advances, so a rejected round changes nothing.
+  std::vector<ChainPosition> next = shards_;
   for (u32 s = 0; s < shard_count_; ++s) {
-    const auto& shard_round = round.shard_rounds[s];
-    ZKT_TRY(shard_outcomes[s]);
-    auto journal = AggJournal::parse(shard_round.receipt.journal);
-    if (!journal.ok()) return journal.error();
-    const AggJournal& j = journal.value();
-    ShardChainFields fields;
-    fields.claim_digest = shard_round.receipt.claim.digest();
-    fields.has_prev = j.has_prev;
-    fields.prev_claim_digest = j.prev_claim_digest;
-    fields.prev_root = j.prev_root;
-    fields.new_root = j.new_root;
-    fields.prev_entry_count = j.prev_entry_count;
-    fields.new_entry_count = j.new_entry_count;
-    fields.commitments = &j.commitments;
-    fields.has_sketch = j.has_sketch;
-    fields.prev_sketch_digest = j.prev_sketch_digest;
-    fields.sketch_digest = j.sketch_digest;
-    fields.sketch_params = j.sketch_params;
-    ZKT_TRY(accept_shard_link(s, fields, round.split_receipts.size(),
-                              expected));
+    const ShardLink& link = j.links[s];
+    ZKT_TRY(next[s].extend(span_of(link, j.sketch_params)));
+    if (link.commitments.size() != round.split_receipts.size()) {
+      return Error{Errc::proof_invalid,
+                   "shard must consume one sub-batch per source batch"};
+    }
+    // Every consumed commitment must be the split output for THIS shard —
+    // the position check is what catches swapped shard receipts/links.
+    for (const auto& ref : link.commitments) {
+      auto it = expected.find({ref.router_id, ref.window_id, s});
+      if (it == expected.end() ||
+          it->second.sub_batch_hash != ref.rlog_hash ||
+          it->second.record_count != ref.record_count) {
+        return Error{Errc::hash_mismatch,
+                     "shard consumed data not attested by a split proof"};
+      }
+    }
   }
-  // No tree seal, so no proven merged round sketch this round.
-  round_sketch_known_ = false;
+  shards_ = std::move(next);
+  // The seal binds the merged round sketch (the join guest summed the shard
+  // sketches in trace); remember its digest for query verification.
+  round_sketch_digest_ = j.sketch_digest;
   ++rounds_;
   return {};
 }
 
 u64 ShardedAuditor::total_entries() const {
   u64 total = 0;
-  for (u64 c : entry_counts_) total += c;
+  for (const ChainPosition& shard : shards_) total += shard.entry_count;
   return total;
 }
 

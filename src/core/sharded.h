@@ -75,71 +75,12 @@ netflow::RLogBatch sub_batch_for(const netflow::RLogBatch& batch,
 /// AuditorOptions). One struct configures the whole path: the service's
 /// shard fan-out and fold shape here, and — via PipelineOptions — how many
 /// windows ProviderPipeline keeps in flight.
-/// Clamp + watermarks for adaptive shard-count advice (ROADMAP item 3
-/// headroom: feed the imbalance gauge back into the fan-out choice).
-struct AdaptiveShardOptions {
-  u32 min_shards = 1;
-  u32 max_shards = 16;
-  /// Double the recommendation when imbalance (max shard wall / mean) sits
-  /// at or above this for `patience` consecutive rounds — hash % K
-  /// re-partitions, so a hot bucket under K usually splits under 2K.
-  double split_above = 1.5;
-  /// Halve it when imbalance sits at or below this for `patience` rounds:
-  /// the round is already balanced, and fewer, fatter shards shrink the
-  /// split + join-fold overhead per record.
-  double merge_below = 1.05;
-  /// Consecutive rounds beyond a watermark before the advice moves
-  /// (hysteresis against one-off stragglers). Clamped to >= 1.
-  u32 patience = 2;
-};
-
-/// Halve/double recommendation machine over per-round imbalance readings.
-/// Deterministic: the recommendation is a pure function of the observation
-/// sequence (clamped to [min_shards, max_shards], watermarked, with
-/// `patience` hysteresis), so replaying the same rounds yields the same
-/// advice. It only ever *advises* — the live fan-out is pinned per window
-/// and applied where a chain legitimately starts (see
-/// ShardedOptions::adaptive_shards for why mid-chain resharding is unsound).
-class AdaptiveShardController {
- public:
-  AdaptiveShardController(u32 current, AdaptiveShardOptions options);
-
-  /// Feed one round's imbalance reading (max shard wall / mean shard wall).
-  void observe(double imbalance);
-
-  u32 recommended() const { return recommended_; }
-  u64 observations() const { return observations_; }
-
- private:
-  AdaptiveShardOptions options_;
-  u32 recommended_;
-  u32 high_streak_ = 0;
-  u32 low_streak_ = 0;
-  u64 observations_ = 0;
-};
-
 struct ShardedOptions {
   /// Parallel proof chains per round (clamped to >= 1).
   u32 shard_count = 1;
-  /// Adaptive shard counts: when set, every proven round feeds its
-  /// `core.sharded.imbalance` reading into an AdaptiveShardController and
-  /// the result is published as `core.sharded.recommended_shards` (also
-  /// visible via recommended_shard_count()).
-  ///
-  /// Determinism note — receipts stay valid: the fan-out a window is proven
-  /// with is pinned per window (recorded in RoundResult::shard_count and
-  /// bound in-trace by every split journal's shard_count field) and NEVER
-  /// changes on a live service. Shard chains link round i+1 onto round i
-  /// and flows partition by FlowKeyHasher(key) % K, so resharding mid-chain
-  /// would scatter one flow's history across shard states and double-count
-  /// it in the merged view. The recommendation instead applies where a
-  /// chain starts: a fresh service, the next deployment epoch, or recovery
-  /// onto an empty store.
-  std::optional<AdaptiveShardOptions> adaptive_shards;
-  /// Children per join node when folding a round's shard receipts into one
-  /// tree seal; < 2 disables the fold (per-shard receipts are then the
-  /// round's proof objects — the pre-tree behavior). Ignored when
-  /// shard_count == 1: a single chain has nothing to fold.
+  /// Children per join node when folding a K >= 2 round's shard receipts
+  /// into its one tree seal (clamped to [2, 64]). It shapes the tree only:
+  /// every K >= 2 round folds. Ignored when shard_count == 1.
   u32 join_fanout = 2;
   /// Windows kept in flight by ProviderPipeline when it drives this
   /// service: stage window i+1 (load + split-prove) and fold window i's
@@ -197,9 +138,9 @@ class ShardedAggregationService {
   /// round's tree_seal is empty until fold_round().
   Result<RoundResult> prove_shards(StagedRound staged);
 
-  /// Fold the round's shard receipts into round.tree_seal (no-op unless
-  /// fold_enabled()). Reads only the receipts already in `round`, so the
-  /// pipeline runs it on a worker while later windows stage and prove.
+  /// Fold the round's shard receipts into round.tree_seal (a no-op at
+  /// K = 1). Reads only the receipts already in `round`, so the pipeline
+  /// runs it on a worker while later windows stage and prove.
   Status fold_round(RoundResult& round) const;
 
   /// stage + commit_staged + prove_shards + fold_round, for callers that
@@ -235,18 +176,7 @@ class ShardedAggregationService {
   Status replay_round(std::span<const netflow::RLogBatch> batches,
                       std::span<const zvm::Receipt> shard_receipts);
 
-  /// Whether rounds fold into a tree seal (>= 2 shards and a fanout).
-  bool fold_enabled() const {
-    return shard_count_ >= 2 && options_.join_fanout >= 2;
-  }
-
   u32 shard_count() const { return shard_count_; }
-  /// The adaptive controller's current advice; == shard_count() when
-  /// adaptive mode is off. Advice only — applied at the next chain start,
-  /// never mid-chain (see ShardedOptions::adaptive_shards).
-  u32 recommended_shard_count() const {
-    return adaptive_.has_value() ? adaptive_->recommended() : shard_count_;
-  }
   u64 rounds_completed() const { return rounds_; }
   bool has_rounds() const { return rounds_ > 0; }
   const ShardedOptions& options() const { return options_; }
@@ -267,21 +197,23 @@ class ShardedAggregationService {
   // zkt-lint: shared(one chain per shard; parallel_for workers touch disjoint entries only)
   std::vector<std::unique_ptr<AggregationService>> shards_;
   std::vector<crypto::SchnorrKeyPair> shard_keys_;
-  std::optional<AdaptiveShardController> adaptive_;
   u64 rounds_ = 0;
 };
 
-/// Verifier-side: checks split receipts against the real board and the
-/// round's shard chains against the split outputs — through the round's
-/// tree seal when present (one join receipt transitively verifies all K
-/// shard chains; the journal's leaf links carry each shard's chain fields
-/// in shard order), or per-shard receipts otherwise. K >= 2 only: a K = 1
-/// round is a plain chain round, audited by Auditor (accept_round rejects
-/// it with invalid_argument).
+/// Verifier-side: a K >= 2 round's proof objects are its split receipts
+/// plus ONE tree seal. The seal's join receipt transitively verifies all K
+/// shard chain rounds, and its journal's leaf links carry each shard's
+/// chain fields in shard order; each link must pass the one chain-link
+/// rule (ChainPosition::extend) against its shard's position and consume
+/// exactly the split outputs for its shard. K >= 2 only: a K = 1 round is
+/// a plain chain round, audited by Auditor (accept_round rejects it with
+/// invalid_argument).
 class ShardedAuditor {
  public:
   ShardedAuditor(const CommitmentBoard& board, u32 shard_count);
 
+  /// Accept one round, or reject it and change nothing: every shard's link
+  /// and split attestation is checked before any shard advances.
   Status accept_round(const RoundResult& round);
 
   u64 rounds_accepted() const { return rounds_; }
@@ -289,46 +221,26 @@ class ShardedAuditor {
   u64 total_entries() const;
   /// Whether accepted rounds carry the proof-carrying sketch (meaningful
   /// once a round was accepted).
-  bool has_sketch() const { return sketch_present_; }
+  bool has_sketch() const { return shards_.front().has_sketch; }
   /// Shard `s`'s sketch digest after the last accepted round.
   const Digest32& shard_sketch_digest(u32 s) const {
-    return shard_sketch_digests_[s];
+    return shards_[s].sketch_digest;
   }
-  /// Whether the last accepted round came with a tree seal binding a merged
-  /// round sketch, and that sketch's digest.
-  bool round_sketch_known() const { return round_sketch_known_; }
+  /// The merged round-sketch digest the last accepted tree seal binds.
   const Digest32& round_sketch_digest() const { return round_sketch_digest_; }
-  const netflow::SketchParams& sketch_params() const { return sketch_params_; }
 
  private:
-  struct ShardChainFields;
   Status verify_splits(
       const RoundResult& round,
       std::map<std::tuple<u32, u64, u32>, ShardRef>& expected);
-  Status accept_shard_link(u32 shard, const ShardChainFields& fields,
-                           size_t source_batches,
-                           const std::map<std::tuple<u32, u64, u32>, ShardRef>&
-                               expected);
 
   const CommitmentBoard* board_;
   u32 shard_count_;
   // zkt-lint: shared(Verifier::verify is const and stateless; concurrent calls race nothing)
   zvm::Verifier verifier_;
-  /// Pooled fan-out for the round's independent receipts (split proofs and
-  /// per-shard aggregation receipts); decisions match the sequential walk.
-  BatchVerifier batch_;
   u64 rounds_ = 0;
-  /// Chain state per shard.
-  std::vector<Digest32> last_claims_;
-  std::vector<Digest32> roots_;
-  std::vector<u64> entry_counts_;
-  std::vector<bool> genesis_done_;
-  /// Sketch continuity per shard (chained like prev_root) plus the merged
-  /// round-sketch digest bound by the last tree seal.
-  bool sketch_present_ = false;
-  netflow::SketchParams sketch_params_;
-  std::vector<Digest32> shard_sketch_digests_;
-  bool round_sketch_known_ = false;
+  /// Verified chain position per shard.
+  std::vector<ChainPosition> shards_;
   Digest32 round_sketch_digest_;
 };
 

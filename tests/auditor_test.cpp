@@ -192,5 +192,126 @@ TEST(Auditor, ModeConfusionRejected) {
   EXPECT_FALSE(auditor.verify_query(confused, {.expected_query = &q}).ok());
 }
 
+// ---------------------------------------------------------------------------
+// The one chain-link rule (ChainPosition::extend) on hand-built spans.
+
+Digest32 tag(std::string_view label) { return crypto::sha256(label); }
+
+netflow::SketchParams rule_params() {
+  return netflow::SketchParams{.cm = {.width = 16, .depth = 2, .seed = 7},
+                               .heavy_capacity = 4};
+}
+
+/// A valid genesis span: from the empty state and the empty sketch.
+ChainSpan genesis_span() {
+  ChainSpan span;
+  span.prev_root = crypto::MerkleTree::empty_leaf();
+  span.claim_digest = tag("claim-1");
+  span.new_root = tag("root-1");
+  span.new_entry_count = 1;
+  span.has_sketch = true;
+  span.sketch_params = rule_params();
+  span.prev_sketch_digest = netflow::RoundSketch{rule_params()}.hash();
+  span.sketch_digest = tag("sketch-1");
+  return span;
+}
+
+/// A valid span of `rounds` rounds extending `at`.
+ChainSpan next_span(const ChainPosition& at, u64 rounds) {
+  ChainSpan span;
+  span.rounds = rounds;
+  span.has_prev = true;
+  span.prev_claim_digest = at.claim_digest;
+  span.prev_root = at.root;
+  span.prev_entry_count = at.entry_count;
+  span.claim_digest = tag("claim-next");
+  span.new_root = tag("root-next");
+  span.new_entry_count = at.entry_count + 2;
+  span.has_sketch = at.has_sketch;
+  span.sketch_params = at.sketch_params;
+  span.prev_sketch_digest = at.sketch_digest;
+  span.sketch_digest = tag("sketch-next");
+  return span;
+}
+
+struct SpanCase {
+  const char* name;
+  void (*forge)(ChainSpan&);
+};
+
+void expect_rejected_unchanged(const ChainPosition& at, const ChainSpan& span) {
+  ChainPosition position = at;
+  const Status rejected = position.extend(span);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), Errc::chain_broken);
+  EXPECT_EQ(position, at);
+}
+
+TEST(ChainLinkRule, GenesisAnchor) {
+  const SpanCase cases[] = {
+      {"predecessor", [](ChainSpan& s) { s.has_prev = true; }},
+      {"non-empty root", [](ChainSpan& s) { s.prev_root = tag("seeded"); }},
+      {"non-zero count", [](ChainSpan& s) { s.prev_entry_count = 3; }},
+      {"non-empty sketch",
+       [](ChainSpan& s) { s.prev_sketch_digest = tag("seeded"); }},
+  };
+  for (const SpanCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ChainSpan span = genesis_span();
+    c.forge(span);
+    expect_rejected_unchanged(ChainPosition{}, span);
+  }
+
+  ChainPosition position;
+  ASSERT_TRUE(position.extend(genesis_span()).ok());
+  EXPECT_EQ(position.rounds, 1u);
+  EXPECT_EQ(position.claim_digest, tag("claim-1"));
+  EXPECT_EQ(position.root, tag("root-1"));
+  EXPECT_EQ(position.entry_count, 1u);
+  EXPECT_TRUE(position.has_sketch);
+  EXPECT_EQ(position.sketch_digest, tag("sketch-1"));
+}
+
+TEST(ChainLinkRule, LinkOntoAnchoredChain) {
+  ChainPosition anchored;
+  ASSERT_TRUE(anchored.extend(genesis_span()).ok());
+  const SpanCase cases[] = {
+      {"wrong previous claim",
+       [](ChainSpan& s) { s.prev_claim_digest = tag("other"); }},
+      {"wrong root", [](ChainSpan& s) { s.prev_root = tag("other"); }},
+      {"wrong count", [](ChainSpan& s) { s.prev_entry_count += 1; }},
+      {"wrong sketch digest",
+       [](ChainSpan& s) { s.prev_sketch_digest = tag("other"); }},
+      {"sketch carriage flip", [](ChainSpan& s) { s.has_sketch = false; }},
+      {"params change", [](ChainSpan& s) { s.sketch_params.cm.seed += 1; }},
+      {"second genesis", [](ChainSpan& s) { s.has_prev = false; }},
+  };
+  for (const SpanCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ChainSpan span = next_span(anchored, 1);
+    c.forge(span);
+    expect_rejected_unchanged(anchored, span);
+  }
+
+  // An unsketched chain cannot start carrying a sketch either.
+  ChainSpan unsketched = genesis_span();
+  unsketched.has_sketch = false;
+  ChainPosition plain;
+  ASSERT_TRUE(plain.extend(unsketched).ok());
+  ChainSpan flip = next_span(plain, 1);
+  flip.has_sketch = true;
+  flip.sketch_params = rule_params();
+  expect_rejected_unchanged(plain, flip);
+
+  // A valid span advances the position by its length, to its end.
+  ChainPosition position = anchored;
+  ASSERT_TRUE(position.extend(next_span(anchored, 5)).ok());
+  EXPECT_EQ(position.rounds, 6u);
+  EXPECT_EQ(position.claim_digest, tag("claim-next"));
+  EXPECT_EQ(position.root, tag("root-next"));
+  EXPECT_EQ(position.entry_count, 3u);
+  EXPECT_EQ(position.sketch_digest, tag("sketch-next"));
+}
+
 }  // namespace
 }  // namespace zkt::core

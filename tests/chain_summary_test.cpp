@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/chain_summary.h"
+#include "core/epoch.h"
 #include "core/service.h"
 
 namespace zkt::core {
@@ -45,7 +46,7 @@ TEST(ChainSummary, SummarizesAndFastSyncs) {
   fx.run_round(2, {1, 3});
   fx.run_round(3, {4});
 
-  auto summary = prove_chain_summary(fx.rounds);
+  auto summary = prove_epoch_span(fx.rounds);
   ASSERT_TRUE(summary.ok()) << summary.error().to_string();
   EXPECT_EQ(summary.value().journal.rounds, 3u);
   EXPECT_EQ(summary.value().journal.final_root, fx.service.state().root());
@@ -62,11 +63,16 @@ TEST(ChainSummary, SummarizesAndFastSyncs) {
                                        summary.value().commitments);
   ASSERT_TRUE(verified.ok()) << verified.error().to_string();
 
-  // A fresh auditor adopts the head, then continues the live chain.
+  // A fresh auditor catches up through a one-seal genesis ladder, then
+  // continues the live chain.
+  EpochSeal seal;
+  seal.rounds = summary.value().journal.rounds;
+  seal.receipt = summary.value().receipt;
+  seal.journal = summary.value().journal;
+  seal.commitments = summary.value().commitments;
   Auditor auditor(fx.board);
-  ASSERT_TRUE(auditor
-                  .adopt_summary(verified.value().head())
-                  .ok());
+  auto caught = auditor.catch_up(std::span<const EpochSeal>(&seal, 1), {});
+  ASSERT_TRUE(caught.ok()) << caught.error().to_string();
   EXPECT_EQ(auditor.rounds_accepted(), 3u);
   EXPECT_EQ(auditor.current_root(), fx.service.state().root());
 
@@ -74,7 +80,7 @@ TEST(ChainSummary, SummarizesAndFastSyncs) {
   ASSERT_TRUE(auditor.accept_round(fx.rounds.back()).ok());
   EXPECT_EQ(auditor.rounds_accepted(), 4u);
 
-  // Queries against the adopted head verify too.
+  // Queries against the caught-up chain verify too.
   QueryService queries(fx.service);
   auto resp = queries.run(Query::count());
   ASSERT_TRUE(resp.ok());
@@ -84,7 +90,7 @@ TEST(ChainSummary, SummarizesAndFastSyncs) {
 TEST(ChainSummary, SingleRoundChain) {
   Fixture fx;
   fx.run_round(1, {1});
-  auto summary = prove_chain_summary(fx.rounds);
+  auto summary = prove_epoch_span(fx.rounds);
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(verify_chain_summary(summary.value().receipt, fx.board,
                                    summary.value().commitments)
@@ -98,7 +104,7 @@ TEST(ChainSummary, RejectsGappedChain) {
   fx.run_round(3, {3});
   // Drop the middle round: the in-guest chain-link check must abort.
   std::vector<zvm::Receipt> gapped = {fx.rounds[0], fx.rounds[2]};
-  auto summary = prove_chain_summary(gapped);
+  auto summary = prove_epoch_span(gapped);
   ASSERT_FALSE(summary.ok());
   EXPECT_EQ(summary.error().code, Errc::guest_abort);
 }
@@ -108,7 +114,7 @@ TEST(ChainSummary, RejectsReorderedChain) {
   fx.run_round(1, {1});
   fx.run_round(2, {2});
   std::vector<zvm::Receipt> reordered = {fx.rounds[1], fx.rounds[0]};
-  EXPECT_FALSE(prove_chain_summary(reordered).ok());
+  EXPECT_FALSE(prove_epoch_span(reordered).ok());
 }
 
 TEST(ChainSummary, RejectsChainNotStartingAtGenesis) {
@@ -116,13 +122,13 @@ TEST(ChainSummary, RejectsChainNotStartingAtGenesis) {
   fx.run_round(1, {1});
   fx.run_round(2, {2});
   std::vector<zvm::Receipt> tail = {fx.rounds[1]};
-  EXPECT_FALSE(prove_chain_summary(tail).ok());
+  EXPECT_FALSE(prove_epoch_span(tail).ok());
 }
 
 TEST(ChainSummary, ForeignBoardRejectedAtVerification) {
   Fixture fx;
   fx.run_round(1, {1});
-  auto summary = prove_chain_summary(fx.rounds);
+  auto summary = prove_epoch_span(fx.rounds);
   ASSERT_TRUE(summary.ok());
   CommitmentBoard other_board;
   auto verified = verify_chain_summary(summary.value().receipt, other_board,
@@ -134,7 +140,7 @@ TEST(ChainSummary, ForeignBoardRejectedAtVerification) {
 TEST(ChainSummary, DoctoredJournalRejected) {
   Fixture fx;
   fx.run_round(1, {1});
-  auto summary = prove_chain_summary(fx.rounds);
+  auto summary = prove_epoch_span(fx.rounds);
   ASSERT_TRUE(summary.ok());
   auto forged = summary.value().receipt;
   ChainSummaryJournal j = summary.value().journal;
@@ -145,17 +151,6 @@ TEST(ChainSummary, DoctoredJournalRejected) {
   EXPECT_FALSE(
       verify_chain_summary(forged, fx.board, summary.value().commitments)
           .ok());
-}
-
-TEST(ChainSummary, AdoptGuards) {
-  Fixture fx;
-  fx.run_round(1, {1});
-  Auditor auditor(fx.board);
-  ASSERT_TRUE(auditor.accept_round(fx.rounds[0]).ok());
-  // Cannot adopt after accepting rounds.
-  EXPECT_FALSE(auditor.adopt_summary(ChainHead{.rounds = 1, .claim_digest = {}, .root = {}, .entry_count = 0}).ok());
-  Auditor fresh(fx.board);
-  EXPECT_FALSE(fresh.adopt_summary(ChainHead{}).ok());
 }
 
 }  // namespace

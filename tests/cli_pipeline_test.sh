@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end test of the CLI tools: simulate -> prove -> verify -> inspect,
-# plus the tamper path (a doctored store must make zkt-prove fail).
+# a sharded run's tree seals, plus the tamper path (a doctored store must
+# make zkt-prove fail).
 # Run by ctest with the build directory as $1.
 set -e
 
@@ -26,6 +27,24 @@ echo "== selective and grouped query modes =="
 "$TOOLS/zkt-prove" --data-dir "$WORK/data" --query "sum(packets)" \
     --group-by protocol
 "$TOOLS/zkt-verify" --data-dir "$WORK/data" --query "sum(packets)"
+
+echo "== sharded rounds fold into one tree seal per window =="
+"$TOOLS/zkt-sim" --out-dir "$WORK/sharded" --packets 3000 --flows 40 \
+    --duration-ms 8000 --seed 7
+"$TOOLS/zkt-prove" --data-dir "$WORK/sharded" --shards 2 > "$WORK/sharded.out"
+WINDOWS=$(grep -c "^  window " "$WORK/sharded.out")
+SEALS=$("$TOOLS/zkt-inspect" "$WORK/sharded/tree_seals.bin" \
+    | grep -c "^\[[0-9]*\] zkt.guest.join")
+if [ "$WINDOWS" -lt 1 ] || [ "$SEALS" -ne "$WINDOWS" ]; then
+  echo "FAIL: $WINDOWS sharded windows but $SEALS decoded tree seals"
+  exit 1
+fi
+if "$TOOLS/zkt-prove" --data-dir "$WORK/sharded" --shards 2 \
+    --join-fanout 1 > /dev/null 2> "$WORK/fanout.err"; then
+  echo "FAIL: zkt-prove accepted --join-fanout 1"
+  exit 1
+fi
+grep -q "at least 2" "$WORK/fanout.err"
 
 echo "== wrong expected query must be rejected =="
 if "$TOOLS/zkt-verify" --data-dir "$WORK/data" --query "sum(bytes)" \

@@ -260,7 +260,6 @@ TEST(EpochCatchUp, MatchesFullReplayByteForByte) {
   EXPECT_EQ(cold.current_root(), replayed.current_root());
   EXPECT_EQ(cold.head().claim_digest, replayed.head().claim_digest);
   EXPECT_EQ(cold.head().entry_count, replayed.head().entry_count);
-  EXPECT_EQ(cold.sketch_known(), replayed.sketch_known());
   EXPECT_EQ(cold.has_sketch(), replayed.has_sketch());
   if (cold.has_sketch()) {
     EXPECT_EQ(cold.sketch_digest(), replayed.sketch_digest());

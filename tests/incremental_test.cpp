@@ -159,7 +159,7 @@ TEST(Incremental, MixedChainVerifiesEndToEnd) {
   }
 
   // One chain-summary receipt covering the mixed chain.
-  auto summary = prove_chain_summary(receipts);
+  auto summary = prove_epoch_span(receipts);
   ASSERT_TRUE(summary.ok()) << summary.error().to_string();
   auto verified = verify_chain_summary(summary.value().receipt, fx.board,
                                        summary.value().commitments);

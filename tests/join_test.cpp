@@ -45,11 +45,11 @@ struct Fixture {
     return batch;
   }
 
-  /// One sharded round WITHOUT a fold: its K shard receipts are the leaves
-  /// the fold tests operate on.
+  /// One sharded round: the fold tests re-fold its K shard receipts
+  /// (shard_rounds) themselves.
   RoundResult unfolded_round(u32 shard_count, u32 flows = 24) {
     ShardedAggregationService service(
-        board, ShardedOptions{.shard_count = shard_count, .join_fanout = 0});
+        board, ShardedOptions{.shard_count = shard_count});
     auto round = service.aggregate({committed(0, 1, flows)});
     EXPECT_TRUE(round.ok()) << round.error().to_string();
     return std::move(round.value());
@@ -312,8 +312,7 @@ TEST(JoinSoundness, TamperedSealRejected) {
 
 TEST(JoinSoundness, SwappedChildrenChangeFoldDigestAndFailAudit) {
   Fixture fx;
-  ShardedAggregationService service(
-      fx.board, ShardedOptions{.shard_count = 2, .join_fanout = 0});
+  ShardedAggregationService service(fx.board, ShardedOptions{.shard_count = 2});
   auto round = service.aggregate({fx.committed(0, 1, 24)});
   ASSERT_TRUE(round.ok()) << round.error().to_string();
   auto leaves = Fixture::leaves_of(round.value());

@@ -306,23 +306,22 @@ TEST(Service, SelectiveQueryOnEmptyStateWorks) {
 
 TEST(Service, ShardedOptionsConfigureDeterministically) {
   // Two services built from the same ShardedOptions must prove identical
-  // shard rounds, and join_fanout = 0 disables the fold (pre-tree
-  // behavior: per-shard receipts are the round's proof objects). This
-  // replaces the PR-7 deprecated-shim equivalence test — the positional
-  // ctor and the Round alias are gone.
+  // shard rounds and fold them into byte-identical tree seals.
   Fixture fx;
   auto batch = fx.committed(0, 1, {1, 2, 3, 4});
   zvm::ProveOptions prove;
   prove.seal_kind = zvm::SealKind::composite;
-  const ShardedOptions options{
-      .shard_count = 2, .join_fanout = 0, .prove_options = prove};
+  const ShardedOptions options{.shard_count = 2, .prove_options = prove};
   ShardedAggregationService first(fx.board, options);
   ShardedAggregationService second(fx.board, options);
   auto first_round = first.aggregate({batch});
   auto second_round = second.aggregate({batch});
   ASSERT_TRUE(first_round.ok()) << first_round.error().to_string();
   ASSERT_TRUE(second_round.ok());
-  EXPECT_FALSE(first_round.value().tree_seal.has_value());
+  ASSERT_TRUE(first_round.value().tree_seal.has_value());
+  ASSERT_TRUE(second_round.value().tree_seal.has_value());
+  EXPECT_EQ(first_round.value().tree_seal->to_bytes(),
+            second_round.value().tree_seal->to_bytes());
   ASSERT_EQ(first_round.value().shard_rounds.size(), 2u);
   for (size_t s = 0; s < 2; ++s) {
     EXPECT_EQ(first_round.value().shard_rounds[s].receipt.claim.digest(),

@@ -101,6 +101,8 @@ TEST_P(ShardedE2E, RoundsAggregateAndAudit) {
                                       fx.committed(1, window, 15)};
     auto round = service.aggregate(batches);
     ASSERT_TRUE(round.ok()) << round.error().to_string();
+    // The round records the fan-out it was proven with.
+    EXPECT_EQ(round.value().shard_count, shard_count);
     EXPECT_EQ(round.value().split_receipts.size(), 2u);
     EXPECT_EQ(round.value().shard_rounds.size(), shard_count);
     EXPECT_TRUE(round.value().tree_seal.has_value());
@@ -112,12 +114,12 @@ TEST_P(ShardedE2E, RoundsAggregateAndAudit) {
   // Shards jointly hold every distinct flow exactly once.
   u64 expected_flows = 0;
   {
-    std::set<Bytes> keys;
+    std::set<netflow::FlowKey> keys;
     for (u64 window = 1; window <= 2; ++window) {
       for (u32 router = 0; router < 2; ++router) {
         const auto batch = build_batch(router, window, router == 0 ? 20 : 15);
         for (const auto& rec : batch.records) {
-          keys.insert(rec.key.canonical_bytes());
+          keys.insert(rec.key);
         }
       }
     }
@@ -189,84 +191,6 @@ TEST(Sharded, ShardedTotalsMatchUnsharded) {
   EXPECT_EQ(sharded_sum, reference.sum);
 }
 
-TEST(AdaptiveShards, ControllerDoublesHalvesAndClamps) {
-  AdaptiveShardController ctl(
-      4, AdaptiveShardOptions{.min_shards = 2,
-                              .max_shards = 8,
-                              .split_above = 1.5,
-                              .merge_below = 1.05,
-                              .patience = 2});
-  EXPECT_EQ(ctl.recommended(), 4u);
-
-  // One hot round is not enough (hysteresis)...
-  ctl.observe(2.0);
-  EXPECT_EQ(ctl.recommended(), 4u);
-  // ...two consecutive hot rounds double the advice.
-  ctl.observe(2.0);
-  EXPECT_EQ(ctl.recommended(), 8u);
-  // Clamped at max_shards even if the imbalance persists.
-  ctl.observe(3.0);
-  ctl.observe(3.0);
-  EXPECT_EQ(ctl.recommended(), 8u);
-
-  // A middling round resets both streaks.
-  ctl.observe(1.2);
-  ctl.observe(1.0);
-  EXPECT_EQ(ctl.recommended(), 8u);
-  // Balanced rounds halve, repeatedly, down to min_shards.
-  ctl.observe(1.0);
-  EXPECT_EQ(ctl.recommended(), 4u);
-  ctl.observe(1.0);
-  ctl.observe(1.0);
-  EXPECT_EQ(ctl.recommended(), 2u);
-  ctl.observe(1.0);
-  ctl.observe(1.0);
-  EXPECT_EQ(ctl.recommended(), 2u);
-  EXPECT_EQ(ctl.observations(), 11u);
-}
-
-TEST(AdaptiveShards, ControllerClampsInitialAndDegenerateOptions) {
-  // Initial fan-out outside the clamp is pulled inside; patience=0 behaves
-  // like 1 (every round can move the advice).
-  AdaptiveShardController ctl(32, AdaptiveShardOptions{.min_shards = 1,
-                                                       .max_shards = 4,
-                                                       .patience = 0});
-  EXPECT_EQ(ctl.recommended(), 4u);
-  ctl.observe(1.0);
-  EXPECT_EQ(ctl.recommended(), 2u);
-}
-
-TEST(AdaptiveShards, ServicePinsFanOutPerWindowAndOnlyAdvises) {
-  Fixture fx;
-  ShardedAggregationService service(
-      fx.board,
-      ShardedOptions{.shard_count = 2,
-                     .adaptive_shards = AdaptiveShardOptions{
-                         .min_shards = 1, .max_shards = 4, .patience = 1}});
-  EXPECT_EQ(service.recommended_shard_count(), 2u);
-
-  auto round = service.aggregate({fx.committed(0, 1, 12)});
-  ASSERT_TRUE(round.ok()) << round.error().to_string();
-  // The round records the fan-out it was actually proven with, and the live
-  // service never reshards mid-chain regardless of the advice.
-  EXPECT_EQ(round.value().shard_count, 2u);
-  EXPECT_EQ(service.shard_count(), 2u);
-  const u32 advised = service.recommended_shard_count();
-  EXPECT_GE(advised, 1u);
-  EXPECT_LE(advised, 4u);
-
-  auto round2 = service.aggregate({fx.committed(0, 2, 12)});
-  ASSERT_TRUE(round2.ok());
-  EXPECT_EQ(round2.value().shard_count, 2u);
-  EXPECT_EQ(service.shard_count(), 2u);
-
-  // Without adaptive mode the accessor just mirrors the fixed fan-out.
-  Fixture fx2;
-  ShardedAggregationService fixed(fx2.board,
-                                  ShardedOptions{.shard_count = 3});
-  EXPECT_EQ(fixed.recommended_shard_count(), 3u);
-}
-
 TEST(Sharded, TamperedBatchFailsSplitProof) {
   Fixture fx;
   auto batch = fx.committed(0, 1, 10);
@@ -312,8 +236,7 @@ TEST(Sharded, AuditorRejectsWrongShardCount) {
 TEST(Sharded, AuditorRejectsDroppedShardRound) {
   Fixture fx;
   auto batch = fx.committed(0, 1, 10);
-  ShardedAggregationService service(
-      fx.board, ShardedOptions{.shard_count = 2, .join_fanout = 0});
+  ShardedAggregationService service(fx.board, ShardedOptions{.shard_count = 2});
   auto round = service.aggregate({batch});
   ASSERT_TRUE(round.ok());
   auto truncated = round.value();
@@ -323,18 +246,70 @@ TEST(Sharded, AuditorRejectsDroppedShardRound) {
 }
 
 TEST(Sharded, AuditorRejectsCrossShardSwap) {
-  // Swapping two shards' rounds breaks the split-output matching (each
-  // shard's consumed hashes are shard-specific).
+  // Swapped shard receipts no longer match the tree seal's leaves (a
+  // leaf's position is its shard id).
   Fixture fx;
   auto batch = fx.committed(0, 1, 20);
-  ShardedAggregationService service(
-      fx.board, ShardedOptions{.shard_count = 2, .join_fanout = 0});
+  ShardedAggregationService service(fx.board, ShardedOptions{.shard_count = 2});
   auto round = service.aggregate({batch});
   ASSERT_TRUE(round.ok());
   auto swapped = round.value();
   std::swap(swapped.shard_rounds[0], swapped.shard_rounds[1]);
   ShardedAuditor auditor(fx.board, 2);
   EXPECT_FALSE(auditor.accept_round(swapped).ok());
+}
+
+TEST(Sharded, AuditorRejectsUnsealedShardedRound) {
+  // A K >= 2 round's proof object is its tree seal: shard receipts without
+  // one are not accepted, and the rejected round changes nothing.
+  Fixture fx;
+  ShardedAggregationService service(fx.board, ShardedOptions{.shard_count = 2});
+  auto round = service.aggregate({fx.committed(0, 1, 10)});
+  ASSERT_TRUE(round.ok()) << round.error().to_string();
+  auto unsealed = round.value();
+  unsealed.tree_seal.reset();
+  ShardedAuditor auditor(fx.board, 2);
+  auto rejected = auditor.accept_round(unsealed);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), Errc::proof_invalid);
+  EXPECT_EQ(auditor.rounds_accepted(), 0u);
+  EXPECT_EQ(auditor.total_entries(), 0u);
+  EXPECT_TRUE(auditor.accept_round(round.value()).ok());
+}
+
+TEST(Sharded, RejectedRoundAdvancesNoShard) {
+  // A seal whose shard 0 link is a valid genesis link but whose shard 1
+  // link claims a predecessor is rejected — and shard 0 stays at genesis,
+  // so the honest rounds still chain afterwards.
+  Fixture fx;
+  ShardedAggregationService service(fx.board, ShardedOptions{.shard_count = 2});
+  auto round1 = service.aggregate({fx.committed(0, 1, 12)});
+  ASSERT_TRUE(round1.ok()) << round1.error().to_string();
+  auto round2 = service.aggregate({fx.committed(0, 2, 12)});
+  ASSERT_TRUE(round2.ok()) << round2.error().to_string();
+
+  const std::vector<zvm::Receipt> leaves = {
+      round1.value().shard_rounds[0].receipt,
+      round2.value().shard_rounds[1].receipt};
+  const std::vector<netflow::RoundSketch> sketches = {
+      round1.value().shard_sketches[0], round2.value().shard_sketches[1]};
+  FoldOptions options;
+  options.leaf_sketches = sketches;
+  auto mixed = fold_receipts(leaves, options);
+  ASSERT_TRUE(mixed.ok()) << mixed.error().to_string();
+  RoundResult forged = round1.value();
+  forged.shard_rounds.clear();
+  forged.tree_seal = mixed.value().root;
+
+  ShardedAuditor auditor(fx.board, 2);
+  auto rejected = auditor.accept_round(forged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), Errc::chain_broken);
+  EXPECT_EQ(auditor.rounds_accepted(), 0u);
+  EXPECT_EQ(auditor.total_entries(), 0u);
+  ASSERT_TRUE(auditor.accept_round(round1.value()).ok());
+  ASSERT_TRUE(auditor.accept_round(round2.value()).ok());
+  EXPECT_EQ(auditor.total_entries(), service.total_entries());
 }
 
 }  // namespace

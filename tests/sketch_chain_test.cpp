@@ -69,7 +69,7 @@ struct Fixture {
   CommitmentBoard board;
   crypto::SchnorrKeyPair key = crypto::schnorr_keygen_from_seed("sketch-e2e");
   AggregationService service{
-      board, AggregationOptions{.sketch = small_params()}};
+      board, AggregationOptions{.prove_options = {}, .sketch = small_params()}};
 
   RLogBatch committed(u32 router, u64 window, u32 flows,
                       u32 elephant_packets = 0) {
@@ -117,7 +117,6 @@ TEST(SketchChain, AuditorTracksSketchAcrossAcceptPaths) {
   for (const auto& receipt : receipts) {
     ASSERT_TRUE(one.accept_round(receipt).ok());
   }
-  EXPECT_TRUE(one.sketch_known());
   EXPECT_TRUE(one.has_sketch());
   EXPECT_EQ(one.sketch_digest(), fx.service.sketch().hash());
   EXPECT_EQ(one.sketch_params(), small_params());
@@ -139,7 +138,7 @@ TEST(SketchChain, AuditorTracksSketchAcrossAcceptPaths) {
 TEST(SketchChain, UnsketchedChainsStillAuditAndRefuseSketchQueries) {
   CommitmentBoard board;
   const auto key = crypto::schnorr_keygen_from_seed("sketch-off");
-  AggregationService service(board, AggregationOptions{.sketch = std::nullopt});
+  AggregationService service(board, AggregationOptions{.prove_options = {}, .sketch = std::nullopt});
   auto batch = build_batch(0, 1, 6);
   ASSERT_TRUE(board.publish(make_commitment(batch, key, 5000).value()).ok());
   auto round = service.aggregate({batch});
@@ -183,27 +182,7 @@ TEST(SketchChain, ShardedTreeSealBindsMergedRoundSketch) {
   ShardedAuditor auditor(fx.board, 2);
   ASSERT_TRUE(auditor.accept_round(round.value()).ok());
   EXPECT_TRUE(auditor.has_sketch());
-  EXPECT_TRUE(auditor.round_sketch_known());
   EXPECT_EQ(auditor.round_sketch_digest(), round.value().round_sketch->hash());
-  for (u32 s = 0; s < 2; ++s) {
-    EXPECT_EQ(auditor.shard_sketch_digest(s),
-              round.value().shard_sketches[s].hash());
-  }
-}
-
-TEST(SketchChain, ShardedPerShardPathTracksShardSketches) {
-  Fixture fx;
-  ShardedAggregationService sharded(
-      fx.board, ShardedOptions{.shard_count = 2, .join_fanout = 0,
-                               .sketch = small_params()});
-  auto round = sharded.aggregate({fx.committed(0, 1, 16)});
-  ASSERT_TRUE(round.ok()) << round.error().to_string();
-  ASSERT_FALSE(round.value().tree_seal.has_value());
-
-  ShardedAuditor auditor(fx.board, 2);
-  ASSERT_TRUE(auditor.accept_round(round.value()).ok());
-  EXPECT_TRUE(auditor.has_sketch());
-  EXPECT_FALSE(auditor.round_sketch_known());  // no seal, no merged digest
   for (u32 s = 0; s < 2; ++s) {
     EXPECT_EQ(auditor.shard_sketch_digest(s),
               round.value().shard_sketches[s].hash());
@@ -331,7 +310,7 @@ TEST(SketchSnapshot, RoundTripCarriesSketchAndRestores) {
 
   // A fresh service restored from the snapshot continues the chain.
   AggregationService resumed(fx.board,
-                             AggregationOptions{.sketch = small_params()});
+                             AggregationOptions{.prove_options = {}, .sketch = small_params()});
   auto state = reparsed.restore_state();
   ASSERT_TRUE(state.ok());
   ASSERT_TRUE(resumed
@@ -355,7 +334,7 @@ TEST(SketchSnapshot, RestoreRejectsMissingOrStaleSketch) {
   // Missing: the chain carries a sketch but none was recovered.
   {
     AggregationService resumed(fx.board,
-                               AggregationOptions{.sketch = small_params()});
+                               AggregationOptions{.prove_options = {}, .sketch = small_params()});
     CLogState state = fx.service.state();
     EXPECT_FALSE(
         resumed.restore(std::move(state), round2.value().receipt, 2).ok());
@@ -364,7 +343,7 @@ TEST(SketchSnapshot, RestoreRejectsMissingOrStaleSketch) {
   // a stale sketch digest cannot be adopted as the chain position).
   {
     AggregationService resumed(fx.board,
-                               AggregationOptions{.sketch = small_params()});
+                               AggregationOptions{.prove_options = {}, .sketch = small_params()});
     CLogState state = fx.service.state();
     EXPECT_FALSE(resumed
                      .restore(std::move(state), round2.value().receipt, 2,
@@ -403,8 +382,7 @@ TEST(SketchSoundness, WrongSeedSketchFailsProving) {
 TEST(SketchSoundness, ForgedShardMergeRejectedByFold) {
   Fixture fx;
   ShardedAggregationService sharded(
-      fx.board, ShardedOptions{.shard_count = 2, .join_fanout = 0,
-                               .sketch = small_params()});
+      fx.board, ShardedOptions{.shard_count = 2, .sketch = small_params()});
   auto round = sharded.aggregate({fx.committed(0, 1, 16)});
   ASSERT_TRUE(round.ok()) << round.error().to_string();
 

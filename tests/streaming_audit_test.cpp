@@ -497,16 +497,11 @@ TEST_F(StreamingAuditTest, QueryBeyondClaimWindowRejected) {
 // Modern surface equivalences (the deprecated positional shims these once
 // compared against are gone; the struct-based calls are the only spelling).
 
-TEST_F(StreamingAuditTest, HeadAdoptionAndOptionsVerifyAgree) {
+TEST_F(StreamingAuditTest, VerifyQueryOptionsAgree) {
   Pipeline p;
   const auto receipts = p.chain(2);
   Auditor modern(p.board);
   ASSERT_TRUE(modern.accept_rounds(receipts).ok());
-  const ChainHead head = modern.head();
-
-  Auditor adopted(p.board);
-  ASSERT_TRUE(adopted.adopt_summary(head).ok());
-  expect_same_head(adopted.head(), head);
 
   QueryService queries(p.service);
   const Query q = Query::count();

@@ -336,6 +336,37 @@ TEST_F(TreePipelineTest, MissingSealIsRefoldedOnRecovery) {
   EXPECT_TRUE(verify_join_receipt(verifier, pipeline.tree_seals()[0]).ok());
 }
 
+TEST_F(TreePipelineTest, StoreWithoutTreeSealsRefoldsEveryRound) {
+  // A K >= 2 store holding no tree seals at all — what a run with the fold
+  // disabled (join fanout below 2) used to leave — recovers by re-folding
+  // every round's seal from its stored receipts, byte-identical to the
+  // seals the live run folded.
+  store::LogStore store;
+  CommitmentBoard board;
+  for (u64 w = 1; w <= 3; ++w) store_window(store, board, w);
+  std::vector<Bytes> live;
+  {
+    ProviderPipeline pipeline(store, board, sharded_options(2));
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    for (const auto& seal : pipeline.tree_seals()) {
+      live.push_back(seal.to_bytes());
+    }
+  }
+  ASSERT_EQ(live.size(), 3u);
+  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, ~0ULL), 3u);
+
+  ProviderPipeline pipeline(store, board, sharded_options(2));
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().seals_refolded, 3u);
+  EXPECT_EQ(store.row_count(store::kTableTreeSeals), 3u);
+  std::vector<Bytes> refolded;
+  for (const auto& seal : pipeline.tree_seals()) {
+    refolded.push_back(seal.to_bytes());
+  }
+  EXPECT_EQ(refolded, live);
+}
+
 TEST_F(TreePipelineTest, MixedModeStoresAreRejected) {
   // A single-chain store cannot be recovered by a sharded pipeline (the
   // chains would fork), and vice versa — both are terminal typed errors,
@@ -384,7 +415,7 @@ TEST_F(TreePipelineTest, ShardCountMismatchOnRecoveryIsTerminal) {
   ASSERT_FALSE(wider_recovery.ok());
   EXPECT_EQ(wider_recovery.error().code, Errc::invalid_argument);
 
-  ProviderPipeline narrower(store, board, sharded_options(2, /*fanout=*/0));
+  ProviderPipeline narrower(store, board, sharded_options(2));
   ASSERT_TRUE(narrower.sharded());
   // Re-check with fewer shards than the store holds: receipt rows for
   // shard ids past the configured count make the mismatch visible even

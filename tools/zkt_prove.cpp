@@ -13,8 +13,9 @@
 //             [--prune] [--metrics] [--metrics-json [PATH]]
 //
 // --shards N (>= 2) proves each window as N parallel shard chains behind
-// split proofs; --join-fanout (default 2; 0/1 disables) folds each round's
-// shard receipts into one tree seal (saved to DIR/tree_seals.bin);
+// split proofs and folds each round's shard receipts into one tree seal
+// (saved to DIR/tree_seals.bin) with --join-fanout children per join node
+// (default 2, at least 2);
 // --pipeline-depth D overlaps up to D windows (stage/prove/fold). Sharded
 // mode is incompatible with --query (query proofs run over the
 // single-chain state). The core.sharded.* / core.tree.* /
@@ -135,6 +136,12 @@ int main(int argc, char** argv) {
       static_cast<u32>(flags.get_u64("shards", 1));
   pipeline_options.sharded.join_fanout =
       static_cast<u32>(flags.get_u64("join-fanout", 2));
+  if (pipeline_options.sharded.join_fanout < 2) {
+    std::fprintf(stderr,
+                 "--join-fanout must be at least 2 (every sharded round "
+                 "folds into one tree seal)\n");
+    return finish(flags, data_dir, 1);
+  }
   pipeline_options.sharded.pipeline_depth =
       static_cast<u32>(flags.get_u64("pipeline-depth", 1));
   if (flags.has("no-sketch")) pipeline_options.sketch = std::nullopt;
