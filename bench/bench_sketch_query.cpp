@@ -16,9 +16,15 @@
 //                  complete-scan count, and cms_lower_bound never exceeds it;
 //   routing      — QueryService's cost estimator picks the sketch at every N
 //                  in the sweep (est_sketch is constant, est_exact ~ 2N).
+//
+// A host-side Count-Min sweep comes first: the memory/accuracy dial a
+// deployment turns. Mean relative overestimate over a Zipf stream (5,000
+// flows, 100k packets, seed 7) at depth 4 for widths 256..16384; the bench
+// exits nonzero unless it falls strictly as the width grows.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <vector>
 
 #include "bench_util.h"
@@ -109,9 +115,47 @@ bench::CommittedWorkload make_skewed_workload(u64 n, u64 elephant_packets) {
   return out;
 }
 
+/// Mean relative Count-Min overestimate at `width` (depth 4) over every
+/// flow of the pinned Zipf stream.
+double cm_mean_rel_overestimate(u32 width) {
+  netflow::CountMinSketch sketch(
+      netflow::CountMinParams{.width = width, .depth = 4, .seed = 7});
+  std::map<netflow::FlowKey, u64> truth;
+  sim::ZipfWorkloadConfig config;
+  config.seed = 7;
+  config.flow_count = 5000;
+  for (const auto& pkt : sim::zipf_workload(config, 100'000)) {
+    sketch.update(pkt.key, 1);
+    ++truth[pkt.key];
+  }
+  double rel_error_sum = 0;
+  for (const auto& [key, count] : truth) {
+    rel_error_sum += static_cast<double>(sketch.estimate(key) - count) /
+                     static_cast<double>(count);
+  }
+  return rel_error_sum / static_cast<double>(truth.size());
+}
+
 }  // namespace
 
 int main() {
+  const std::vector<u32> cm_widths = {256, 1024, 4096, 16384};
+  std::vector<double> cm_overestimates;
+  std::printf("=== Count-Min accuracy vs width (depth 4, Zipf 5000 flows, "
+              "100k packets) ===\n");
+  for (u32 width : cm_widths) {
+    cm_overestimates.push_back(cm_mean_rel_overestimate(width));
+    std::printf("  width %5u: mean relative overestimate %.4g\n", width,
+                cm_overestimates.back());
+    if (cm_overestimates.size() >= 2 &&
+        !(cm_overestimates.back() < cm_overestimates.end()[-2])) {
+      std::printf("Count-Min overestimate did not fall from width %u to %u\n",
+                  cm_widths[cm_overestimates.size() - 2], width);
+      return 1;
+    }
+  }
+  std::printf("\n");
+
   const netflow::SketchParams params;  // the chain's defaults: 1024x4, cap 64
   const std::vector<u64> sweep = {1'000, 10'000, 50'000, 200'000};
   std::vector<Cell> cells;
@@ -297,7 +341,12 @@ int main() {
       << ", \"depth\": " << params.cm.depth
       << ", \"heavy_capacity\": " << params.heavy_capacity
       << ", \"elephants\": " << kElephants
-      << "},\n  \"sketch_heavy_flat_ratio\": " << flat_ratio
+      << "},\n  \"cm_accuracy\": [";
+  for (size_t i = 0; i < cm_widths.size(); ++i) {
+    out << (i > 0 ? ", " : "") << "{\"width\": " << cm_widths[i]
+        << ", \"mean_rel_overestimate\": " << cm_overestimates[i] << "}";
+  }
+  out << "],\n  \"sketch_heavy_flat_ratio\": " << flat_ratio
       << ",\n  \"exact_heavy_growth_ratio\": " << growth_ratio
       << ",\n  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {

@@ -138,15 +138,14 @@ int main() {
   // One grouped proof: per-protocol traffic report in a single receipt.
   {
     core::Query q = core::Query::sum(core::QField::bytes);
-    auto grouped = core::run_grouped_query(aggregation, q,
-                                           core::QField::protocol);
+    auto grouped = queries.grouped(q, core::QField::protocol);
     if (!grouped.ok()) {
       std::printf("grouped query failed: %s\n",
                   grouped.error().to_string().c_str());
       return 1;
     }
-    auto verified = core::verify_grouped_query(grouped.value().receipt,
-                                               auditor, &q);
+    auto verified = auditor.verify_grouped(grouped.value().receipt,
+                                           {.expected_query = &q});
     if (!verified.ok()) {
       std::printf("grouped query rejected: %s\n",
                   verified.error().to_string().c_str());

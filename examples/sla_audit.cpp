@@ -146,8 +146,8 @@ int main() {
                 hist_proof.error().to_string().c_str());
     return 1;
   }
-  auto hist_verified = core::verify_histogram_query(
-      hist_proof.value().receipt, board, &bound_us);
+  auto hist_verified =
+      auditor.verify_histogram(hist_proof.value().receipt, {}, bound_us);
   if (!hist_verified.ok()) {
     std::printf("histogram proof rejected: %s\n",
                 hist_verified.error().to_string().c_str());

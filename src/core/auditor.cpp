@@ -17,15 +17,14 @@ BatchVerifierOptions batch_options(const AuditorOptions& options) {
   return batch;
 }
 
-/// Publish a verification pass to obs (docs/OBSERVABILITY.md catalog).
-void publish_verify_metrics(const zvm::VerifyStats& stats) {
-  obs::Registry& metrics = obs::Registry::instance();
-  metrics.counter("core.auditor.receipts_verified").add(stats.receipts);
-  metrics.counter("core.auditor.openings_checked").add(stats.openings);
-  metrics.counter("core.auditor.traced_hashes_shared")
-      .add(stats.node_hashes_shared);
-  metrics.counter("core.auditor.assumptions_skipped")
-      .add(stats.assumptions_skipped);
+Status check_expected_query(const Query& proved,
+                            const VerifyOptions& options) {
+  if (options.expected_query != nullptr &&
+      proved.digest() != options.expected_query->digest()) {
+    return Error{Errc::proof_invalid,
+                 "receipt proves a different query than requested"};
+  }
+  return {};
 }
 
 }  // namespace
@@ -146,11 +145,48 @@ Auditor::Auditor(const CommitmentBoard& board, AuditorOptions options)
   }
 }
 
+void Auditor::record_pass(const zvm::VerifyStats& pass,
+                          zvm::VerifyStats* stats) {
+  // docs/OBSERVABILITY.md catalog.
+  obs::Registry& metrics = obs::Registry::instance();
+  metrics.counter("core.auditor.receipts_verified").add(pass.receipts);
+  metrics.counter("core.auditor.openings_checked").add(pass.openings);
+  metrics.counter("core.auditor.traced_hashes_shared")
+      .add(pass.node_hashes_shared);
+  metrics.counter("core.auditor.assumptions_skipped")
+      .add(pass.assumptions_skipped);
+  if (stats != nullptr) stats->merge(pass);
+}
+
+Status Auditor::verify_receipt(const zvm::Receipt& receipt,
+                               const zvm::ImageID& image,
+                               zvm::VerifyStats* stats) {
+  zvm::VerifyStats pass;
+  const Status verified =
+      verifier_.verify(receipt, image, zvm::VerifyContext{nullptr, &pass});
+  record_pass(pass, stats);
+  return verified;
+}
+
+Status Auditor::check_accepted(const Digest32& agg_claim_digest) const {
+  if (!claims_.contains(agg_claim_digest)) {
+    return Error{Errc::chain_broken,
+                 "query targets an aggregation round we never accepted"};
+  }
+  return {};
+}
+
+bool Auditor::on_board(const CommitmentRef& ref) const {
+  auto published = board_->get(ref.router_id, ref.window_id);
+  return published.has_value() && published->rlog_hash == ref.rlog_hash &&
+         published->record_count == ref.record_count;
+}
+
 Result<AggJournal> Auditor::accept_round(const zvm::Receipt& receipt) {
-  zvm::VerifyStats stats;
+  zvm::VerifyStats pass;
   const Status verified = verify_aggregation_receipt(
-      verifier_, receipt, zvm::VerifyContext{nullptr, &stats});
-  publish_verify_metrics(stats);
+      verifier_, receipt, zvm::VerifyContext{nullptr, &pass});
+  record_pass(pass, nullptr);
   ZKT_TRY(verified);
   return adopt_verified(receipt);
 }
@@ -192,11 +228,10 @@ Result<u64> Auditor::accept_rounds(std::span<const zvm::Receipt> receipts,
       .histogram("core.auditor.batch_size")
       .record(static_cast<double>(receipts.size()));
 
-  zvm::VerifyStats batch_stats;
+  zvm::VerifyStats pass;
   const std::vector<Status> outcomes =
-      batch_.verify_aggregation(receipts, &batch_stats);
-  publish_verify_metrics(batch_stats);
-  if (stats != nullptr) stats->merge(batch_stats);
+      batch_.verify_aggregation(receipts, &pass);
+  record_pass(pass, stats);
 
   // Chain on in order; the first failure (verification above, continuity or
   // board mismatch here) stops the walk with the accepted prefix retained —
@@ -244,25 +279,12 @@ Result<QueryJournal> Auditor::verify_query(const zvm::Receipt& receipt,
 
   // The journal's claimed mode must match the image that actually ran.
   const auto& images = guest_images();
-  const zvm::ImageID& expected_image = j.mode == QueryMode::complete
-                                           ? images.query
-                                           : images.query_selective;
-  zvm::VerifyStats stats;
-  const Status verified = verifier_.verify(
-      receipt, expected_image, zvm::VerifyContext{nullptr, &stats});
-  publish_verify_metrics(stats);
-  if (options.stats != nullptr) options.stats->merge(stats);
-  ZKT_TRY(verified);
-
-  if (!claims_.contains(j.agg_claim_digest)) {
-    return Error{Errc::chain_broken,
-                 "query targets an aggregation round we never accepted"};
-  }
-  if (options.expected_query != nullptr &&
-      j.query.digest() != options.expected_query->digest()) {
-    return Error{Errc::proof_invalid,
-                 "receipt proves a different query than requested"};
-  }
+  ZKT_TRY(verify_receipt(receipt,
+                         j.mode == QueryMode::complete ? images.query
+                                                       : images.query_selective,
+                         options.stats));
+  ZKT_TRY(check_accepted(j.agg_claim_digest));
+  ZKT_TRY(check_expected_query(j.query, options));
   if (j.mode == QueryMode::complete && j.result.scanned != j.entry_count) {
     return Error{Errc::proof_invalid,
                  "complete query did not scan the full state"};
@@ -274,10 +296,7 @@ Result<QueryJournal> Auditor::verify_query(const zvm::Receipt& receipt,
 Status Auditor::check_sketch_query_binding(
     const Digest32& agg_claim_digest, const Digest32& queried_sketch_digest,
     const netflow::SketchParams& params) {
-  if (!claims_.contains(agg_claim_digest)) {
-    return Error{Errc::chain_broken,
-                 "sketch query targets a round we never accepted"};
-  }
+  ZKT_TRY(check_accepted(agg_claim_digest));
   // When the query targets the current head, pin the sketch there: a
   // receipt answering against a stale or forged sketch digest is rejected
   // even though its seal verifies. (Older in-window rounds keep only their
@@ -302,12 +321,7 @@ Status Auditor::check_sketch_query_binding(
 
 Result<SketchHeavyJournal> Auditor::verify_heavy_hitters(
     const zvm::Receipt& receipt, const VerifyOptions& options) {
-  zvm::VerifyStats stats;
-  const Status verified = verifier_.verify(
-      receipt, sketch_heavy_image(), zvm::VerifyContext{nullptr, &stats});
-  publish_verify_metrics(stats);
-  if (options.stats != nullptr) options.stats->merge(stats);
-  ZKT_TRY(verified);
+  ZKT_TRY(verify_receipt(receipt, sketch_heavy_image(), options.stats));
 
   auto journal = SketchHeavyJournal::parse(receipt.journal);
   if (!journal.ok()) return journal.error();
@@ -326,12 +340,7 @@ Result<SketchHeavyJournal> Auditor::verify_heavy_hitters(
 
 Result<SketchCardinalityJournal> Auditor::verify_cardinality(
     const zvm::Receipt& receipt, const VerifyOptions& options) {
-  zvm::VerifyStats stats;
-  const Status verified = verifier_.verify(
-      receipt, sketch_card_image(), zvm::VerifyContext{nullptr, &stats});
-  publish_verify_metrics(stats);
-  if (options.stats != nullptr) options.stats->merge(stats);
-  ZKT_TRY(verified);
+  ZKT_TRY(verify_receipt(receipt, sketch_card_image(), options.stats));
 
   auto journal = SketchCardinalityJournal::parse(receipt.journal);
   if (!journal.ok()) return journal.error();
@@ -343,6 +352,41 @@ Result<SketchCardinalityJournal> Auditor::verify_cardinality(
                  "cardinality journal's lower bound exceeds its exact count"};
   }
   obs::Registry::instance().counter("core.sketch.queries_verified").add(1);
+  return journal;
+}
+
+Result<GroupedQueryJournal> Auditor::verify_grouped(
+    const zvm::Receipt& receipt, const VerifyOptions& options,
+    std::optional<QField> expected_group) {
+  ZKT_TRY(verify_receipt(receipt, grouped_query_image(), options.stats));
+  auto journal = GroupedQueryJournal::parse(receipt.journal);
+  if (!journal.ok()) return journal.error();
+  const GroupedQueryJournal& j = journal.value();
+  ZKT_TRY(check_accepted(j.agg_claim_digest));
+  ZKT_TRY(check_expected_query(j.query, options));
+  if (expected_group.has_value() && j.group_field != *expected_group) {
+    return Error{Errc::proof_invalid,
+                 "receipt groups by a different field than requested"};
+  }
+  obs::Registry::instance().counter("core.auditor.queries_verified").add(1);
+  return journal;
+}
+
+Result<HistogramQueryJournal> Auditor::verify_histogram(
+    const zvm::Receipt& receipt, const VerifyOptions& options,
+    std::optional<u64> expected_bound_us) {
+  ZKT_TRY(verify_receipt(receipt, histogram_query_image(), options.stats));
+  auto journal = HistogramQueryJournal::parse(receipt.journal);
+  if (!journal.ok()) return journal.error();
+  const HistogramQueryJournal& j = journal.value();
+  if (!on_board(j.commitment)) {
+    return Error{Errc::commitment_missing,
+                 "histogram query does not match the bulletin board"};
+  }
+  if (expected_bound_us.has_value() && j.bound_us != *expected_bound_us) {
+    return Error{Errc::proof_invalid,
+                 "receipt proves a different bound than requested"};
+  }
   return journal;
 }
 

@@ -7,6 +7,9 @@
 // one chain-link rule (ChainPosition::extend), and consume only
 // commitments that routers actually published (signatures checked by the
 // board). Query receipts are then verified against any accepted round.
+// Every receipt the auditor checks — rounds, epoch seals and every kind of
+// query receipt — goes through its one zvm::Verifier, under its one
+// soundness floor (AuditorOptions::min_queries).
 //
 // Three ways to feed it, all with byte-identical accept/reject decisions:
 //   accept_round()   — one receipt at a time (the original surface);
@@ -25,7 +28,9 @@
 
 #include "core/batch_verifier.h"
 #include "core/commitment.h"
+#include "core/grouped_query.h"
 #include "core/guests.h"
+#include "core/histogram_query.h"
 #include "core/sketch_query.h"
 #include "crypto/sha256_backend.h"
 #include "zvm/verifier.h"
@@ -109,8 +114,9 @@ struct VerifyOptions {
 /// Construction knobs for Auditor.
 struct AuditorOptions {
   /// Soundness floor: composite seals must open at least
-  /// min(min_queries, row_count) Fiat–Shamir-chosen rows. Overrides
-  /// batch.min_queries (the auditor is the single source of truth).
+  /// min(min_queries, row_count) Fiat–Shamir-chosen rows — for every
+  /// receipt the auditor verifies. Overrides batch.min_queries (the auditor
+  /// is the single source of truth).
   u32 min_queries = 32;
   /// Accepted-claim window capacity: queries must target one of the last N
   /// accepted rounds; older targets are rejected as chain_broken even
@@ -231,6 +237,20 @@ class Auditor {
   Result<SketchCardinalityJournal> verify_cardinality(
       const zvm::Receipt& receipt, const VerifyOptions& options = {});
 
+  /// Verify a grouped query receipt: it must target an accepted round and,
+  /// when set, prove exactly options.expected_query grouped by
+  /// `expected_group`.
+  Result<GroupedQueryJournal> verify_grouped(
+      const zvm::Receipt& receipt, const VerifyOptions& options = {},
+      std::optional<QField> expected_group = std::nullopt);
+
+  /// Verify a histogram-bound receipt: the histogram commitment it read must
+  /// be on the board (else commitment_missing) and, when set, its bound must
+  /// be `expected_bound_us`.
+  Result<HistogramQueryJournal> verify_histogram(
+      const zvm::Receipt& receipt, const VerifyOptions& options = {},
+      std::optional<u64> expected_bound_us = std::nullopt);
+
   u64 rounds_accepted() const { return position_.rounds; }
   const Digest32& current_root() const { return position_.root; }
   u64 current_entry_count() const { return position_.entry_count; }
@@ -254,6 +274,18 @@ class Auditor {
   /// Chain-link rule + board cross-checks and state update for a receipt
   /// whose SEAL already verified. Shared by the single and batch paths.
   Result<AggJournal> adopt_verified(const zvm::Receipt& receipt);
+  /// The one verification step of every verify_* method: check `receipt`
+  /// against `image` with verifier_, then record the pass.
+  Status verify_receipt(const zvm::Receipt& receipt, const zvm::ImageID& image,
+                        zvm::VerifyStats* stats);
+  /// Publish a verification pass as core.auditor.* and merge it into
+  /// `stats` (when set). Every path that verifies a receipt records here.
+  static void record_pass(const zvm::VerifyStats& pass,
+                          zvm::VerifyStats* stats);
+  /// The accepted-claim check of every query that binds a round.
+  Status check_accepted(const Digest32& agg_claim_digest) const;
+  /// Whether `ref` is exactly what its router published on the board.
+  bool on_board(const CommitmentRef& ref) const;
   /// Shared binding checks for the round-sketch query verifiers.
   Status check_sketch_query_binding(const Digest32& agg_claim_digest,
                                     const Digest32& queried_sketch_digest,

@@ -407,15 +407,11 @@ Result<ChainSummaryResponse> prove_epoch_span(
 }
 
 Result<ChainSummaryJournal> verify_chain_summary(
-    const zvm::Receipt& receipt, const CommitmentBoard& board,
+    const zvm::Verifier& verifier, const zvm::Receipt& receipt,
     std::span<const CommitmentRef> commitments,
     const VerifyOptions& options) {
-  zvm::Verifier verifier;
-  zvm::VerifyStats stats;
-  const Status verified = verifier.verify(
-      receipt, chain_summary_image(), zvm::VerifyContext{nullptr, &stats});
-  if (options.stats != nullptr) options.stats->merge(stats);
-  ZKT_TRY(verified);
+  ZKT_TRY(verifier.verify(receipt, chain_summary_image(),
+                          zvm::VerifyContext{nullptr, options.stats}));
   auto journal = ChainSummaryJournal::parse(receipt.journal);
   if (!journal.ok()) return journal.error();
   const ChainSummaryJournal& j = journal.value();
@@ -441,17 +437,6 @@ Result<ChainSummaryJournal> verify_chain_summary(
     return Error{Errc::hash_mismatch,
                  "summary ref list does not reproduce the proven "
                  "commitment chain"};
-  }
-
-  for (const auto& ref : commitments) {
-    auto published = board.get(ref.router_id, ref.window_id);
-    if (!published.has_value() || published->rlog_hash != ref.rlog_hash ||
-        published->record_count != ref.record_count) {
-      return Error{Errc::commitment_missing,
-                   "summary consumes a commitment not on the board (router " +
-                       std::to_string(ref.router_id) + ", window " +
-                       std::to_string(ref.window_id) + ")"};
-    }
   }
   return journal;
 }

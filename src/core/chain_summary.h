@@ -114,15 +114,16 @@ Result<ChainSummaryResponse> prove_epoch_span(
     std::span<const zvm::Receipt> children,
     const EpochSpanOptions& options = {});
 
-/// Verifier side: verify the summary receipt, recompute the commitment
-/// chain from `commitments` (the span's out-of-band ordered ref list) and
-/// check it lands on the journal's final digest, then cross-check every ref
-/// against the public board. Genesis spans must start from the init digest.
-/// On success returns the journal; Auditor::catch_up then chains it onto
-/// the verified position. `options` follows the unified verifier surface
-/// (expected_query is ignored here; stats are merged when set).
+/// Verifier side: verify the summary receipt with the caller's `verifier`
+/// (and its soundness floor), recompute the commitment chain from
+/// `commitments` (the span's out-of-band ordered ref list) and check it
+/// lands on the journal's final digest. Genesis spans must start from the
+/// init digest. The refs are not looked up here: Auditor::catch_up checks
+/// them against the public board, and validate_recovered_seal against the
+/// chain's own journals. `options.stats` is merged when set
+/// (expected_query is ignored).
 Result<ChainSummaryJournal> verify_chain_summary(
-    const zvm::Receipt& receipt, const CommitmentBoard& board,
+    const zvm::Verifier& verifier, const zvm::Receipt& receipt,
     std::span<const CommitmentRef> commitments,
     const VerifyOptions& options = {});
 

@@ -137,7 +137,6 @@ class EpochLadder {
   /// Prove one level-0 seal and cascade binary-counter merges. Runs inside
   /// drain_units(); returns the first proving error.
   Status build_unit(PendingUnit unit);
-  Status merge_tail_locked_free();
 
   EpochLadderOptions options_;
   common::ThreadPool* pool_;

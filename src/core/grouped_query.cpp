@@ -2,13 +2,10 @@
 
 #include <map>
 
-#include "core/auditor.h"
-
 namespace zkt::core {
 
 namespace {
 
-using netflow::FlowRecord;
 using zvm::AluOp;
 using zvm::Env;
 
@@ -21,10 +18,7 @@ Status grouped_query_guest(Env& env) {
   out.agg_root = binding.value().journal.new_root;
   out.entry_count = binding.value().journal.new_entry_count;
 
-  auto query_bytes = env.read_blob();
-  if (!query_bytes.ok()) return query_bytes.error();
-  Reader qr(query_bytes.value());
-  auto query = Query::deserialize(qr);
+  auto query = detail::read_query(env);
   if (!query.ok()) return query.error();
   out.query = std::move(query.value());
 
@@ -38,45 +32,20 @@ Status grouped_query_guest(Env& env) {
 
   // Load and authenticate the full state (completeness is the point of a
   // grouped report: no group can be omitted).
-  auto n_entries = env.read_u64();
-  if (!n_entries.ok()) return n_entries.error();
-  const u64 expect_eq =
-      env.alu(AluOp::eq, n_entries.value(), out.entry_count);
-  ZKT_TRY(env.assert_true(expect_eq == 1,
-                          "grouped query must scan the complete state"));
-  std::vector<FlowRecord> entries;
-  std::vector<Digest32> leaves;
-  entries.reserve(n_entries.value());
-  leaves.reserve(n_entries.value());
-  for (u64 i = 0; i < n_entries.value(); ++i) {
-    auto bytes = env.read_blob();
-    if (!bytes.ok()) return bytes.error();
-    leaves.push_back(env.hash_leaf(bytes.value()));
-    Reader er(bytes.value());
-    auto entry = FlowRecord::deserialize(er);
-    if (!entry.ok()) return entry.error();
-    entries.push_back(std::move(entry.value()));
-  }
-  const Digest32 recomputed = merkle_root_traced(env, leaves);
-  ZKT_TRY(env.assert_eq(recomputed, out.agg_root,
-                        "CLog state vs aggregation root"));
+  auto entries = detail::load_full_state(
+      env, out.entry_count, out.agg_root,
+      "grouped query must scan the complete state");
+  if (!entries.ok()) return entries.error();
   if (env.input_remaining() != 0) {
     return Error{Errc::guest_abort, "trailing bytes in grouped query input"};
   }
 
   // Evaluate: predicate per entry, then accumulate into the entry's group.
   std::map<u64, QueryResult> groups;  // ordered -> deterministic journal
-  for (const auto& entry : entries) {
-    u64 matched = 1;
-    for (const auto& clause : out.query.where) {
-      u64 any = 0;
-      for (const auto& cond : clause) {
-        any = env.alu(AluOp::or_, any,
-                      detail::eval_condition_traced(env, cond, entry));
-      }
-      matched = env.alu(AluOp::and_, matched, any);
+  for (const auto& entry : entries.value()) {
+    if (detail::eval_predicate_traced(env, out.query, entry) == 0) {
+      continue;  // trace already witnessed the evaluation
     }
-    if (matched == 0) continue;  // trace already witnessed the evaluation
     const u64 group_value =
         detail::extract_field_traced(env, entry, out.group_field);
     auto [it, inserted] = groups.emplace(group_value, QueryResult{});
@@ -87,16 +56,7 @@ Status grouped_query_guest(Env& env) {
     const u64 v =
         detail::extract_field_traced(env, entry, out.query.agg_field);
     acc.sum = env.alu(AluOp::add, acc.sum, v);
-    {
-      const u64 lt = env.alu(AluOp::ltu, v, acc.min);
-      const u64 diff = env.alu(AluOp::sub, v, acc.min);
-      acc.min = env.alu(AluOp::add, acc.min, env.alu(AluOp::mul, lt, diff));
-    }
-    {
-      const u64 gt = env.alu(AluOp::ltu, acc.max, v);
-      const u64 diff = env.alu(AluOp::sub, v, acc.max);
-      acc.max = env.alu(AluOp::add, acc.max, env.alu(AluOp::mul, gt, diff));
-    }
+    detail::select_min_max_traced(env, acc, v, std::nullopt);
   }
   out.groups.reserve(groups.size());
   for (const auto& [value, stats] : groups) {
@@ -144,8 +104,7 @@ Result<GroupedQueryJournal> GroupedQueryJournal::parse(BytesView journal) {
   j.entry_count = ec.value();
   auto qb = r.blob();
   if (!qb.ok()) return qb.error();
-  Reader qr(qb.value());
-  auto q = Query::deserialize(qr);
+  auto q = Query::from_bytes(qb.value());
   if (!q.ok()) return q.error();
   j.query = std::move(q.value());
   auto gf = r.u8v();
@@ -204,67 +163,6 @@ std::vector<GroupEntry> evaluate_grouped(
     out.push_back(GroupEntry{value, stats});
   }
   return out;
-}
-
-Result<GroupedQueryResponse> run_grouped_query(
-    const AggregationService& aggregation, const Query& query,
-    QField group_field, const zvm::ProveOptions& options) {
-  if (!aggregation.has_rounds()) {
-    return Error{Errc::chain_broken, "no aggregation round to query against"};
-  }
-  const zvm::Receipt& agg_receipt = aggregation.last_receipt();
-
-  Writer input;
-  agg_receipt.claim.serialize(input);
-  input.blob(agg_receipt.journal);
-  input.blob(query.to_bytes());
-  input.u8v(static_cast<u8>(group_field));
-  input.u64v(aggregation.state().entry_count());
-  for (const auto& bytes : aggregation.state().entry_bytes()) {
-    input.blob(bytes);
-  }
-
-  zvm::ProveOptions prove_options = options;
-  prove_options.assumptions.push_back(agg_receipt);
-
-  zvm::Prover prover;
-  zvm::ProveInfo info;
-  auto receipt = prover.prove(grouped_query_image(), input.bytes(),
-                              prove_options, &info);
-  if (!receipt.ok()) return receipt.error();
-  auto journal = GroupedQueryJournal::parse(receipt.value().journal);
-  if (!journal.ok()) return journal.error();
-
-  GroupedQueryResponse response;
-  response.receipt = std::move(receipt.value());
-  response.journal = std::move(journal.value());
-  response.prove_info = info;
-  return response;
-}
-
-Result<GroupedQueryJournal> verify_grouped_query(
-    const zvm::Receipt& receipt, const Auditor& auditor,
-    const Query* expected_query, const QField* expected_group) {
-  zvm::Verifier verifier;
-  ZKT_TRY(verifier.verify(receipt, grouped_query_image()));
-  auto journal = GroupedQueryJournal::parse(receipt.journal);
-  if (!journal.ok()) return journal.error();
-  const GroupedQueryJournal& j = journal.value();
-
-  if (!auditor.is_accepted_claim(j.agg_claim_digest)) {
-    return Error{Errc::chain_broken,
-                 "grouped query targets an unaccepted aggregation round"};
-  }
-  if (expected_query != nullptr &&
-      j.query.digest() != expected_query->digest()) {
-    return Error{Errc::proof_invalid,
-                 "receipt proves a different query than requested"};
-  }
-  if (expected_group != nullptr && j.group_field != *expected_group) {
-    return Error{Errc::proof_invalid,
-                 "receipt groups by a different field than requested"};
-  }
-  return journal;
 }
 
 }  // namespace zkt::core

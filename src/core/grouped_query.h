@@ -7,10 +7,10 @@
 // RTT per content provider for the neutrality audit (§2.1), instead of one
 // proof per provider. Always complete-scan: the guest walks the whole
 // authenticated state, so group membership and totals are exhaustive.
+// QueryService::grouped proves it; Auditor::verify_grouped checks it.
 #pragma once
 
 #include "core/guests.h"
-#include "core/service.h"
 
 namespace zkt::core {
 
@@ -42,24 +42,9 @@ struct GroupedQueryResponse {
   zvm::ProveInfo prove_info;
 };
 
-/// Prove a grouped query against the service's latest aggregated state.
-Result<GroupedQueryResponse> run_grouped_query(
-    const AggregationService& aggregation, const Query& query,
-    QField group_field, const zvm::ProveOptions& options = {});
-
 /// Reference (non-proving) evaluator; the guest must match it exactly.
 std::vector<GroupEntry> evaluate_grouped(
     const Query& query, QField group_field,
     std::span<const netflow::FlowRecord> entries);
-
-class Auditor;
-
-/// Verifier side: verify the receipt, require that it targets an
-/// aggregation round the auditor accepted, and optionally match the
-/// expected query/group field.
-Result<GroupedQueryJournal> verify_grouped_query(
-    const zvm::Receipt& receipt, const Auditor& auditor,
-    const Query* expected_query = nullptr,
-    const QField* expected_group = nullptr);
 
 }  // namespace zkt::core

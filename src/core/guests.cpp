@@ -443,8 +443,7 @@ Result<QueryJournal> QueryJournal::parse(BytesView journal) {
   j.entry_count = ec.value();
   auto qb = r.blob();
   if (!qb.ok()) return qb.error();
-  Reader qr(qb.value());
-  auto q = Query::deserialize(qr);
+  auto q = Query::from_bytes(qb.value());
   if (!q.ok()) return q.error();
   j.query = std::move(q.value());
   u64* fields[] = {&j.result.matched, &j.result.scanned, &j.result.sum,
@@ -515,8 +514,6 @@ Bytes DeltaAggregateInput::to_bytes() const {
 
 Bytes QueryInput::to_bytes() const {
   Writer w;
-  agg_claim.serialize(w);
-  w.blob(agg_journal);
   w.u64v(entries.size());
   for (const auto& e : entries) w.blob(e);
   w.blob(query.to_bytes());
@@ -525,8 +522,6 @@ Bytes QueryInput::to_bytes() const {
 
 Bytes SelectiveQueryInput::to_bytes() const {
   Writer w;
-  agg_claim.serialize(w);
-  w.blob(agg_journal);
   w.blob(query.to_bytes());
   w.u64v(opened.size());
   for (const auto& o : opened) {
@@ -752,6 +747,8 @@ u64 extract_field_traced(Env& env, const FlowRecord& e, QField field) {
   }
 }
 
+namespace {
+
 /// Traced condition evaluation -> 0/1.
 u64 eval_condition_traced(Env& env, const Condition& c, const FlowRecord& e) {
   const u64 v = extract_field_traced(env, e, c.field);
@@ -765,6 +762,8 @@ u64 eval_condition_traced(Env& env, const Condition& c, const FlowRecord& e) {
   }
   return 0;
 }
+
+}  // namespace
 
 Result<ReceiptBinding> bind_receipt(Env& env,
                                     bool (*image_ok)(const zvm::ImageID&),
@@ -830,29 +829,19 @@ Result<AggBinding> bind_aggregation(Env& env) {
   return binding;
 }
 
-}  // namespace detail
+Result<Query> read_query(Env& env) {
+  auto query_bytes = env.read_blob();
+  if (!query_bytes.ok()) return query_bytes.error();
+  Reader qr(query_bytes.value());
+  return Query::deserialize(qr);
+}
 
-namespace {
-
-using detail::bind_aggregation;
-using detail::eval_condition_traced;
-using detail::extract_field_traced;
-
-Status query_guest(Env& env) {
-  auto binding = bind_aggregation(env);
-  if (!binding.ok()) return binding.error();
-
-  QueryJournal out;
-  out.mode = QueryMode::complete;
-  out.agg_claim_digest = binding.value().claim_digest;
-  out.agg_root = binding.value().journal.new_root;
-  out.entry_count = binding.value().journal.new_entry_count;
-
-  // ---- Load and authenticate the full CLog state.
+Result<std::vector<FlowRecord>> load_full_state(
+    Env& env, u64 entry_count, const Digest32& root,
+    std::string_view count_context) {
   auto n_entries = env.read_u64();
   if (!n_entries.ok()) return n_entries.error();
-  ZKT_TRY(assert_eq_u64(env, n_entries.value(), out.entry_count,
-                        "query must scan the complete CLog state"));
+  ZKT_TRY(assert_eq_u64(env, n_entries.value(), entry_count, count_context));
   std::vector<FlowRecord> entries;
   std::vector<Digest32> leaves;
   entries.reserve(n_entries.value());
@@ -866,18 +855,65 @@ Status query_guest(Env& env) {
     if (!entry.ok()) return entry.error();
     entries.push_back(std::move(entry.value()));
   }
-  const Digest32 recomputed = merkle_root_traced(env, leaves);
-  ZKT_TRY(env.assert_eq(recomputed, out.agg_root,
-                        "CLog state vs aggregation root"));
+  const Digest32 recomputed = merkle_root_traced(env, std::move(leaves));
+  ZKT_TRY(env.assert_eq(recomputed, root, "CLog state vs aggregation root"));
+  return entries;
+}
 
-  // ---- Parse the query.
-  auto query_bytes = env.read_blob();
-  if (!query_bytes.ok()) return query_bytes.error();
-  Reader qr(query_bytes.value());
-  auto query = Query::deserialize(qr);
+u64 eval_predicate_traced(Env& env, const Query& query,
+                          const FlowRecord& entry) {
+  u64 matched = 1;
+  for (const auto& clause : query.where) {
+    u64 any = 0;
+    for (const auto& cond : clause) {
+      any = env.alu(AluOp::or_, any, eval_condition_traced(env, cond, entry));
+    }
+    matched = env.alu(AluOp::and_, matched, any);
+  }
+  return matched;
+}
+
+void select_min_max_traced(Env& env, QueryResult& acc, u64 v,
+                           std::optional<u64> mask) {
+  // Wrap-safe because take ∈ {0,1}.
+  {
+    u64 take = env.alu(AluOp::ltu, v, acc.min);
+    if (mask.has_value()) take = env.alu(AluOp::and_, *mask, take);
+    const u64 diff = env.alu(AluOp::sub, v, acc.min);
+    acc.min = env.alu(AluOp::add, acc.min, env.alu(AluOp::mul, take, diff));
+  }
+  {
+    u64 take = env.alu(AluOp::ltu, acc.max, v);
+    if (mask.has_value()) take = env.alu(AluOp::and_, *mask, take);
+    const u64 diff = env.alu(AluOp::sub, v, acc.max);
+    acc.max = env.alu(AluOp::add, acc.max, env.alu(AluOp::mul, take, diff));
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::bind_aggregation;
+using detail::extract_field_traced;
+
+Status query_guest(Env& env) {
+  auto binding = bind_aggregation(env);
+  if (!binding.ok()) return binding.error();
+
+  QueryJournal out;
+  out.mode = QueryMode::complete;
+  out.agg_claim_digest = binding.value().claim_digest;
+  out.agg_root = binding.value().journal.new_root;
+  out.entry_count = binding.value().journal.new_entry_count;
+
+  auto entries = detail::load_full_state(
+      env, out.entry_count, out.agg_root,
+      "query must scan the complete CLog state");
+  if (!entries.ok()) return entries.error();
+  auto query = detail::read_query(env);
   if (!query.ok()) return query.error();
   out.query = std::move(query.value());
-
   if (env.input_remaining() != 0) {
     return Error{Errc::guest_abort, "trailing bytes in query input"};
   }
@@ -885,37 +921,14 @@ Status query_guest(Env& env) {
   // ---- Evaluate over every entry with traced arithmetic.
   QueryResult result;
   result.min = ~0ULL;
-  for (const auto& entry : entries) {
+  for (const auto& entry : entries.value()) {
     result.scanned = env.alu(AluOp::add, result.scanned, 1);
-    // CNF evaluation.
-    u64 matched = 1;
-    for (const auto& clause : out.query.where) {
-      u64 any = 0;
-      for (const auto& cond : clause) {
-        any = env.alu(AluOp::or_, any,
-                      eval_condition_traced(env, cond, entry));
-      }
-      matched = env.alu(AluOp::and_, matched, any);
-    }
+    const u64 matched = detail::eval_predicate_traced(env, out.query, entry);
     result.matched = env.alu(AluOp::add, result.matched, matched);
     const u64 v = extract_field_traced(env, entry, out.query.agg_field);
     result.sum = env.alu(AluOp::add, result.sum,
                          env.alu(AluOp::mul, matched, v));
-    // min via arithmetic select (wrap-safe because take ∈ {0,1}).
-    {
-      const u64 lt = env.alu(AluOp::ltu, v, result.min);
-      const u64 take = env.alu(AluOp::and_, matched, lt);
-      const u64 diff = env.alu(AluOp::sub, v, result.min);
-      result.min = env.alu(AluOp::add, result.min,
-                           env.alu(AluOp::mul, take, diff));
-    }
-    {
-      const u64 gt = env.alu(AluOp::ltu, result.max, v);
-      const u64 take = env.alu(AluOp::and_, matched, gt);
-      const u64 diff = env.alu(AluOp::sub, v, result.max);
-      result.max = env.alu(AluOp::add, result.max,
-                           env.alu(AluOp::mul, take, diff));
-    }
+    detail::select_min_max_traced(env, result, v, matched);
   }
   out.result = result;
 
@@ -940,10 +953,7 @@ Status selective_query_guest(Env& env) {
   out.agg_root = binding.value().journal.new_root;
   out.entry_count = binding.value().journal.new_entry_count;
 
-  auto query_bytes = env.read_blob();
-  if (!query_bytes.ok()) return query_bytes.error();
-  Reader qr(query_bytes.value());
-  auto query = Query::deserialize(qr);
+  auto query = detail::read_query(env);
   if (!query.ok()) return query.error();
   out.query = std::move(query.value());
 
@@ -993,33 +1003,14 @@ Status selective_query_guest(Env& env) {
   for (const auto& entry : opened_entries) {
     // Every opened entry must satisfy the predicate (the prover cannot
     // smuggle non-matching entries into the aggregate).
-    u64 matched = 1;
-    for (const auto& clause : out.query.where) {
-      u64 any = 0;
-      for (const auto& cond : clause) {
-        any = env.alu(AluOp::or_, any,
-                      eval_condition_traced(env, cond, entry));
-      }
-      matched = env.alu(AluOp::and_, matched, any);
-    }
+    const u64 matched = detail::eval_predicate_traced(env, out.query, entry);
     ZKT_TRY(env.assert_true(matched == 1, "opened entry must match query"));
 
     result.matched = env.alu(AluOp::add, result.matched, 1);
     result.scanned = env.alu(AluOp::add, result.scanned, 1);
     const u64 v = extract_field_traced(env, entry, out.query.agg_field);
     result.sum = env.alu(AluOp::add, result.sum, v);
-    {
-      const u64 lt = env.alu(AluOp::ltu, v, result.min);
-      const u64 diff = env.alu(AluOp::sub, v, result.min);
-      result.min =
-          env.alu(AluOp::add, result.min, env.alu(AluOp::mul, lt, diff));
-    }
-    {
-      const u64 gt = env.alu(AluOp::ltu, result.max, v);
-      const u64 diff = env.alu(AluOp::sub, v, result.max);
-      result.max =
-          env.alu(AluOp::add, result.max, env.alu(AluOp::mul, gt, diff));
-    }
+    detail::select_min_max_traced(env, result, v, std::nullopt);
   }
   out.result = result;
 

@@ -27,11 +27,14 @@
 // clients cannot disagree about framing.
 #pragma once
 
+#include <optional>
+
 #include "core/clog.h"
 #include "core/query.h"
 #include "netflow/sketch.h"
 #include "zvm/env.h"
 #include "zvm/image.h"
+#include "zvm/prover.h"
 
 namespace zkt::core {
 
@@ -219,10 +222,9 @@ struct QueryJournal {
   static Result<QueryJournal> parse(BytesView journal);
 };
 
-/// Host-side input to the complete-scan query guest.
+/// Host-side input to the complete-scan query guest: the bytes that follow
+/// the bound round's claim and journal (see prove_on_round).
 struct QueryInput {
-  zvm::Claim agg_claim;      ///< claim of the aggregation receipt
-  Bytes agg_journal;         ///< that receipt's journal bytes
   std::vector<Bytes> entries;  ///< full CLog state, canonical bytes in order
   Query query;
 
@@ -232,10 +234,9 @@ struct QueryInput {
 /// Host-side input to the selective query guest: only the matching entries,
 /// authenticated together by ONE Merkle multiproof against the aggregation
 /// root (shared path prefixes deduplicated — far cheaper than per-entry
-/// proofs when matches cluster or are numerous).
+/// proofs when matches cluster or are numerous). Like QueryInput, the bytes
+/// that follow the bound round's claim and journal.
 struct SelectiveQueryInput {
-  zvm::Claim agg_claim;
-  Bytes agg_journal;
   struct OpenedEntry {
     u64 index = 0;
     Bytes entry;  ///< canonical CLog entry bytes
@@ -249,6 +250,36 @@ struct SelectiveQueryInput {
 
   Bytes to_bytes() const;
 };
+
+/// The one proving step of every query guest bound to an aggregation round
+/// (complete, selective, grouped, sketch heavy-hitters and cardinality): the
+/// guest input is `round`'s claim and journal — what
+/// detail::bind_aggregation reads back — followed by `body`; `round` rides
+/// as the assumption that binding resolves; the journal is parsed into
+/// Response::journal. Response is one of the {receipt, journal, prove_info}
+/// response structs.
+template <class Response>
+Result<Response> prove_on_round(const zvm::ImageID& image,
+                                const zvm::Receipt& round, BytesView body,
+                                const zvm::ProveOptions& options) {
+  Writer input;
+  round.claim.serialize(input);
+  input.blob(round.journal);
+  input.raw(body);
+  zvm::ProveOptions prove = options;
+  prove.assumptions.push_back(round);
+
+  Response response;
+  auto receipt = zvm::Prover{}.prove(image, input.bytes(), prove,
+                                     &response.prove_info);
+  if (!receipt.ok()) return receipt.error();
+  auto journal =
+      decltype(response.journal)::parse(receipt.value().journal);
+  if (!journal.ok()) return journal.error();
+  response.receipt = std::move(receipt.value());
+  response.journal = std::move(journal.value());
+  return response;
+}
 
 /// Traced Merkle-root computation over leaf digests (pads to a power of two
 /// with the empty leaf, like crypto::MerkleTree). Exposed for tests.
@@ -328,12 +359,34 @@ void publish_sketch(zvm::Env& env, const SketchFold& fold,
 /// the digest so downstream journal bindings stay O(1) in N.
 Digest32 hash_update_refs(zvm::Env& env, const std::vector<UpdateRef>& updates);
 
-/// Traced condition evaluation (0/1) and field extraction used by the query
-/// guests.
-u64 eval_condition_traced(zvm::Env& env, const Condition& c,
-                          const netflow::FlowRecord& e);
+/// Traced field extraction used by the query guests.
 u64 extract_field_traced(zvm::Env& env, const netflow::FlowRecord& e,
                          QField field);
+
+// The blocks the three CLog query guests (complete, selective, grouped)
+// share. Each guest keeps its own input order and assert contexts, which
+// the trace hashes, so the helpers take them as arguments.
+
+/// Read the query blob.
+Result<Query> read_query(zvm::Env& env);
+
+/// Read and authenticate the full CLog state of the bound round: an entry
+/// count (asserted equal to `entry_count` under `count_context`), then that
+/// many entry blobs, leaf-hashed and checked against `root` as one traced
+/// Merkle tree. Returns the entries in index order.
+Result<std::vector<netflow::FlowRecord>> load_full_state(
+    zvm::Env& env, u64 entry_count, const Digest32& root,
+    std::string_view count_context);
+
+/// Traced CNF evaluation of the query's predicate over one entry (0/1).
+u64 eval_predicate_traced(zvm::Env& env, const Query& query,
+                          const netflow::FlowRecord& entry);
+
+/// Fold `v` into acc.min/acc.max by arithmetic select. With `mask` (0/1) a
+/// non-matching entry leaves both unchanged; the complete scan, which
+/// walks every entry, passes its match bit here.
+void select_min_max_traced(zvm::Env& env, QueryResult& acc, u64 v,
+                           std::optional<u64> mask);
 }  // namespace detail
 
 }  // namespace zkt::core

@@ -144,27 +144,4 @@ Result<HistogramQueryResponse> prove_histogram_query(
   return response;
 }
 
-Result<HistogramQueryJournal> verify_histogram_query(
-    const zvm::Receipt& receipt, const CommitmentBoard& board,
-    const u64* expected_bound_us) {
-  zvm::Verifier verifier;
-  ZKT_TRY(verifier.verify(receipt, histogram_query_image()));
-  auto journal = HistogramQueryJournal::parse(receipt.journal);
-  if (!journal.ok()) return journal.error();
-  const HistogramQueryJournal& j = journal.value();
-
-  auto published = board.get(j.commitment.router_id, j.commitment.window_id);
-  if (!published.has_value() ||
-      published->rlog_hash != j.commitment.rlog_hash ||
-      published->record_count != j.commitment.record_count) {
-    return Error{Errc::commitment_missing,
-                 "histogram query does not match the bulletin board"};
-  }
-  if (expected_bound_us != nullptr && j.bound_us != *expected_bound_us) {
-    return Error{Errc::proof_invalid,
-                 "receipt proves a different bound than requested"};
-  }
-  return journal;
-}
-
 }  // namespace zkt::core

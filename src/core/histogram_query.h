@@ -13,7 +13,6 @@
 #include "core/guests.h"
 #include "netflow/histogram.h"
 #include "zvm/prover.h"
-#include "zvm/verifier.h"
 
 namespace zkt::core {
 
@@ -46,11 +45,5 @@ struct HistogramQueryResponse {
 Result<HistogramQueryResponse> prove_histogram_query(
     const CommitmentRef& ref, const netflow::LatencyHistogram& histogram,
     u64 bound_us, const zvm::ProveOptions& options = {});
-
-/// Verifier side: check the receipt, match its commitment against the
-/// board, and (optionally) the expected bound.
-Result<HistogramQueryJournal> verify_histogram_query(
-    const zvm::Receipt& receipt, const CommitmentBoard& board,
-    const u64* expected_bound_us = nullptr);
 
 }  // namespace zkt::core

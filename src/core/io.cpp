@@ -148,19 +148,6 @@ Result<std::optional<zvm::Receipt>> ReceiptFileSource::next() {
   return std::optional<zvm::Receipt>{std::move(receipt.value())};
 }
 
-Status for_each_receipt(
-    const std::string& path,
-    const std::function<Status(zvm::Receipt&&)>& visit) {
-  auto source = ReceiptFileSource::open(path);
-  if (!source.ok()) return source.error();
-  for (;;) {
-    auto receipt = source.value().next();
-    if (!receipt.ok()) return receipt.error();
-    if (!receipt.value().has_value()) return {};
-    ZKT_TRY(visit(std::move(*receipt.value())));
-  }
-}
-
 Status write_file(const std::string& path, BytesView data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {

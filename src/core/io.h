@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -104,12 +103,6 @@ class ReceiptSpanSource final : public ReceiptSource {
   std::span<const zvm::Receipt> receipts_;
   size_t next_ = 0;
 };
-
-/// Visitor over every receipt in `path`, one at a time (mirrors
-/// store::LogStore::for_each): stops and returns the first error from the
-/// stream or from `visit`.
-Status for_each_receipt(const std::string& path,
-                        const std::function<Status(zvm::Receipt&&)>& visit);
 
 /// Raw helpers shared by the formats above.
 Status write_file(const std::string& path, BytesView data);

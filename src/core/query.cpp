@@ -131,6 +131,14 @@ Bytes Query::to_bytes() const {
   return std::move(w).take();
 }
 
+Result<Query> Query::from_bytes(BytesView bytes) {
+  Reader r(bytes);
+  auto q = deserialize(r);
+  if (!q.ok()) return q.error();
+  if (!r.done()) return Error{Errc::parse_error, "trailing query bytes"};
+  return q;
+}
+
 crypto::Digest32 Query::digest() const { return crypto::sha256(to_bytes()); }
 
 std::string Query::to_string() const {

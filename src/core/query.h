@@ -70,6 +70,9 @@ struct Query {
   void serialize(Writer& w) const;
   static Result<Query> deserialize(Reader& r);
   Bytes to_bytes() const;
+  /// Inverse of to_bytes: exactly one query, trailing bytes a parse_error
+  /// (journals embed the query as a blob, which must have one encoding).
+  static Result<Query> from_bytes(BytesView bytes);
   crypto::Digest32 digest() const;
   std::string to_string() const;
 

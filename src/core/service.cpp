@@ -63,6 +63,15 @@ Result<std::vector<std::pair<CommitmentRef, Bytes>>> committed_batches(
   return out;
 }
 
+/// auto_select proves incrementally only while the delta's estimated
+/// traced-hash count stays below this fraction of the full rebuild's.
+constexpr double kIncrementalThreshold = 0.75;
+
+/// heavy_hitters()/cardinality() answer from the round sketch only while
+/// its estimated traced-hash count stays below this fraction of the exact
+/// complete scan's — kIncrementalThreshold's twin on the query side.
+constexpr double kSketchThreshold = 0.75;
+
 u64 tree_depth(u64 leaf_count) {
   return static_cast<u64>(
       std::countr_zero(std::bit_ceil(std::max<u64>(leaf_count, 1))));
@@ -176,7 +185,7 @@ bool AggregationService::pick_incremental(const DeltaShape& shape) const {
   const u64 est_inc =
       k + shape.fresh.size() + 2 * k * (depth_new + 1) + depth_new;
   return static_cast<double>(est_inc) <
-         incremental_threshold_ * static_cast<double>(est_full);
+         kIncrementalThreshold * static_cast<double>(est_full);
 }
 
 Result<DeltaAggregateInput> AggregationService::build_delta_input(
@@ -570,18 +579,29 @@ Status AggregationService::replay_round(
   return {};
 }
 
-Result<QueryResponse> QueryService::finish(Result<zvm::Receipt> receipt,
-                                           const zvm::ProveInfo& info) const {
-  if (!receipt.ok()) return receipt.error();
-  auto journal = QueryJournal::parse(receipt.value().journal);
-  if (!journal.ok()) return journal.error();
-
-  QueryResponse response;
-  response.value = journal.value().result.value(journal.value().query.agg);
-  response.receipt = std::move(receipt.value());
-  response.journal = std::move(journal.value());
-  response.prove_info = info;
-  return response;
+Bytes QueryService::query_body(const Query& query, QueryMode mode) const {
+  const CLogState& state = aggregation_->state();
+  if (mode == QueryMode::complete) {
+    QueryInput input;
+    input.entries = state.entry_bytes();
+    input.query = query;
+    return input.to_bytes();
+  }
+  SelectiveQueryInput input;
+  input.query = query;
+  std::vector<u64> indices;
+  for (u64 i = 0; i < state.entry_count(); ++i) {
+    if (!matches(query, state.entry(i))) continue;
+    SelectiveQueryInput::OpenedEntry opened;
+    opened.index = i;
+    opened.entry = state.entry(i).canonical_bytes();
+    input.opened.push_back(std::move(opened));
+    indices.push_back(i);
+  }
+  if (!indices.empty()) {
+    input.proof = state.prove_multi(indices);
+  }
+  return input.to_bytes();
 }
 
 Result<QueryResponse> QueryService::run(const Query& query,
@@ -590,12 +610,15 @@ Result<QueryResponse> QueryService::run(const Query& query,
   obs::Registry& metrics = obs::Registry::instance();
   const bool selective = options.mode == QueryMode::selective;
   obs::ScopedSpan span(selective ? "query_selective" : "query_complete");
-  const zvm::ProveOptions& prove = options.prove_options_override.has_value()
-                                       ? *options.prove_options_override
-                                       : prove_options_;
 
-  auto response = selective ? run_selective_impl(query, prove)
-                            : run_complete(query, prove);
+  Result<QueryResponse> response =
+      Error{Errc::chain_broken, "no aggregation round to query against"};
+  if (aggregation_->has_rounds()) {
+    response = prove_on_round<QueryResponse>(
+        selective ? guest_images().query_selective : guest_images().query,
+        aggregation_->last_receipt(), query_body(query, options.mode),
+        prove_options(options));
+  }
 
   metrics
       .histogram(selective ? "core.query.selective_ms"
@@ -606,40 +629,37 @@ Result<QueryResponse> QueryService::run(const Query& query,
                          : "core.query.complete_runs")
       .add(1);
   if (response.ok()) {
+    QueryResponse& r = response.value();
+    r.value = r.journal.result.value(r.journal.query.agg);
     // Matched/scanned tell the selectivity story: how much of the state a
     // query touched vs. how much it had to prove over.
-    metrics.counter("core.query.matched_entries")
-        .add(response.value().journal.result.matched);
-    metrics.counter("core.query.scanned_entries")
-        .add(response.value().journal.result.scanned);
+    metrics.counter("core.query.matched_entries").add(r.journal.result.matched);
+    metrics.counter("core.query.scanned_entries").add(r.journal.result.scanned);
   } else {
     metrics.counter("core.query.failures").add(1);
   }
   return response;
 }
 
-Result<QueryResponse> QueryService::run_complete(
-    const Query& query, const zvm::ProveOptions& prove) const {
-  if (!aggregation_->has_rounds()) {
-    return Error{Errc::chain_broken,
-                 "no aggregation round to query against"};
+Result<GroupedQueryResponse> QueryService::grouped(
+    const Query& query, QField group_field,
+    const QueryOptions& options) const {
+  if (options.mode != QueryMode::complete) {
+    return Error{Errc::invalid_argument,
+                 "grouped queries are complete scans"};
   }
-  const zvm::Receipt& agg_receipt = aggregation_->last_receipt();
-
-  QueryInput input;
-  input.agg_claim = agg_receipt.claim;
-  input.agg_journal = agg_receipt.journal;
-  input.entries = aggregation_->state().entry_bytes();
-  input.query = query;
-
-  zvm::ProveOptions options = prove;
-  options.assumptions.push_back(agg_receipt);
-
-  zvm::Prover prover;
-  zvm::ProveInfo info;
-  auto receipt = prover.prove(guest_images().query, input.to_bytes(), options,
-                              &info);
-  return finish(std::move(receipt), info);
+  if (!aggregation_->has_rounds()) {
+    return Error{Errc::chain_broken, "no aggregation round to query against"};
+  }
+  const CLogState& state = aggregation_->state();
+  Writer body;
+  body.blob(query.to_bytes());
+  body.u8v(static_cast<u8>(group_field));
+  body.u64v(state.entry_count());
+  for (const auto& bytes : state.entry_bytes()) body.blob(bytes);
+  return prove_on_round<GroupedQueryResponse>(
+      grouped_query_image(), aggregation_->last_receipt(), body.bytes(),
+      prove_options(options));
 }
 
 bool QueryService::pick_sketch() const {
@@ -658,7 +678,7 @@ bool QueryService::pick_sketch() const {
       static_cast<u64>(p.heavy_capacity) * p.cm.depth;
   const u64 est_exact = 2 * aggregation_->state().entry_count();
   return static_cast<double>(est_sketch) <
-         sketch_threshold_ * static_cast<double>(est_exact);
+         kSketchThreshold * static_cast<double>(est_exact);
 }
 
 Result<HeavyHittersResponse> QueryService::heavy_hitters(
@@ -679,12 +699,9 @@ Result<HeavyHittersResponse> QueryService::heavy_hitters(
                             aggregation_->sketch().heavy().total());
   HeavyHittersResponse out;
   if (bound_ok && pick_sketch()) {
-    const zvm::ProveOptions& prove = options.prove_options_override.has_value()
-                                         ? *options.prove_options_override
-                                         : prove_options_;
     auto response = prove_sketch_heavy(aggregation_->last_receipt(),
                                        aggregation_->sketch(), threshold,
-                                       prove);
+                                       prove_options(options));
     if (!response.ok()) {
       metrics.counter("core.sketch.query_failures").add(1);
       return response.error();
@@ -717,11 +734,9 @@ Result<CardinalityResponse> QueryService::cardinality(
   // gate here — only the cost estimator.
   CardinalityResponse out;
   if (pick_sketch()) {
-    const zvm::ProveOptions& prove = options.prove_options_override.has_value()
-                                         ? *options.prove_options_override
-                                         : prove_options_;
     auto response = prove_sketch_cardinality(aggregation_->last_receipt(),
-                                             aggregation_->sketch(), prove);
+                                             aggregation_->sketch(),
+                                             prove_options(options));
     if (!response.ok()) {
       metrics.counter("core.sketch.query_failures").add(1);
       return response.error();
@@ -737,42 +752,6 @@ Result<CardinalityResponse> QueryService::cardinality(
   }
   metrics.histogram("core.sketch.query_ms").record(ms_since(start));
   return out;
-}
-
-Result<QueryResponse> QueryService::run_selective_impl(
-    const Query& query, const zvm::ProveOptions& prove) const {
-  if (!aggregation_->has_rounds()) {
-    return Error{Errc::chain_broken,
-                 "no aggregation round to query against"};
-  }
-  const zvm::Receipt& agg_receipt = aggregation_->last_receipt();
-  const CLogState& state = aggregation_->state();
-
-  SelectiveQueryInput input;
-  input.agg_claim = agg_receipt.claim;
-  input.agg_journal = agg_receipt.journal;
-  input.query = query;
-  std::vector<u64> indices;
-  for (u64 i = 0; i < state.entry_count(); ++i) {
-    if (!matches(query, state.entry(i))) continue;
-    SelectiveQueryInput::OpenedEntry opened;
-    opened.index = i;
-    opened.entry = state.entry(i).canonical_bytes();
-    input.opened.push_back(std::move(opened));
-    indices.push_back(i);
-  }
-  if (!indices.empty()) {
-    input.proof = state.prove_multi(indices);
-  }
-
-  zvm::ProveOptions options = prove;
-  options.assumptions.push_back(agg_receipt);
-
-  zvm::Prover prover;
-  zvm::ProveInfo info;
-  auto receipt = prover.prove(guest_images().query_selective,
-                              input.to_bytes(), options, &info);
-  return finish(std::move(receipt), info);
 }
 
 }  // namespace zkt::core

@@ -20,6 +20,7 @@
 #include "core/chain_snapshot.h"
 #include "core/clog.h"
 #include "core/commitment.h"
+#include "core/grouped_query.h"
 #include "core/guests.h"
 #include "core/sketch_query.h"
 #include "netflow/sketch.h"
@@ -78,8 +79,10 @@ struct RoundResult {
 /// How aggregation rounds pick between the full-rebuild guest (O(N) traced
 /// hashing) and the incremental delta guest (O(k log N)).
 enum class AggMode : u8 {
-  /// Estimate both costs per round and prove whichever is cheaper (the
-  /// incremental_threshold knob biases the cutover). Genesis and empty-state
+  /// Estimate both costs per round and prove incrementally while the
+  /// delta's estimated traced-hash count stays below 0.75 of the full
+  /// rebuild's — past it (e.g. an insertion cascade opening most of the
+  /// state) the full guest is the better deal. Genesis and empty-state
   /// rounds always use the full guest.
   auto_select = 0,
   /// Always prove with the full-rebuild guest.
@@ -96,11 +99,6 @@ enum class AggMode : u8 {
 struct AggregationOptions {
   zvm::ProveOptions prove_options;
   AggMode mode = AggMode::auto_select;
-  /// auto_select proves incrementally only while the delta's estimated
-  /// traced-hash count stays below this fraction of the full rebuild's —
-  /// past it (e.g. an insertion cascade opening most of the state) the full
-  /// guest is the better deal.
-  double incremental_threshold = 0.75;
   /// Proof-carrying round sketch (DESIGN.md §10): when set, every round
   /// folds its records into a committed RoundSketch whose digest chains
   /// through the journals, and QueryService can answer heavy-hitter /
@@ -116,7 +114,6 @@ class AggregationService {
       : board_(&board),
         prove_options_(std::move(options.prove_options)),
         mode_(options.mode),
-        incremental_threshold_(options.incremental_threshold),
         sketch_params_(options.sketch),
         sketch_(options.sketch.value_or(netflow::SketchParams{})) {}
 
@@ -243,7 +240,6 @@ class AggregationService {
   const CommitmentBoard* board_;
   zvm::ProveOptions prove_options_;
   AggMode mode_ = AggMode::auto_select;
-  double incremental_threshold_ = 0.75;
   // zkt-lint: shared(read-only while a round's mirror runs; only the caller writes it, after awaiting the mirror)
   CLogState state_;
   std::optional<zvm::Receipt> last_receipt_;
@@ -284,16 +280,9 @@ struct QueryOptions {
 
 /// Construction-time knobs for QueryService, mirroring AggregationOptions.
 struct QueryServiceOptions {
-  /// Default ProveOptions for every run(); QueryOptions::
+  /// Default ProveOptions for every query; QueryOptions::
   /// prove_options_override still wins per call.
   zvm::ProveOptions prove_options;
-  /// heavy_hitters()/cardinality() answer from the round sketch only while
-  /// the sketch path's estimated traced-hash count stays below this
-  /// fraction of the exact complete-scan's — mirroring
-  /// AggregationOptions::incremental_threshold. Past it (tiny states where
-  /// hashing the sketch costs more than scanning the CLog) the exact query
-  /// is the better deal.
-  double sketch_threshold = 0.75;
 };
 
 /// Answer to a heavy-hitters query: exactly one of the two proof shapes,
@@ -322,18 +311,25 @@ class QueryService {
   explicit QueryService(const AggregationService& aggregation,
                         QueryServiceOptions options = {})
       : aggregation_(&aggregation),
-        prove_options_(std::move(options.prove_options)),
-        sketch_threshold_(options.sketch_threshold) {}
+        prove_options_(std::move(options.prove_options)) {}
 
   /// Prove a query against the latest aggregated state. options.mode picks
   /// complete-scan vs. selective proving; see QueryOptions.
   Result<QueryResponse> run(const Query& query,
                             const QueryOptions& options = {}) const;
 
+  /// Prove `query` per value of `group_field` in one receipt (GROUP BY).
+  /// Always a complete scan, so no group can be omitted: a selective
+  /// options.mode is invalid_argument.
+  Result<GroupedQueryResponse> grouped(const Query& query, QField group_field,
+                                       const QueryOptions& options = {}) const;
+
   /// Prove the flows with total packets >= threshold. Routes to the round
   /// sketch when the chain carries one, the Space-Saving error bound
   /// satisfies the query (threshold above the provable floor), and the
-  /// cost estimator favours it; otherwise falls back to an exact
+  /// cost estimator favours it — the sketch path's estimated traced-hash
+  /// count below 0.75 of the exact scan's (tiny states hash the sketch for
+  /// more than scanning the CLog costs); otherwise falls back to an exact
   /// complete-scan proof.
   Result<HeavyHittersResponse> heavy_hitters(
       u64 threshold, const QueryOptions& options = {}) const;
@@ -343,19 +339,21 @@ class QueryService {
       const QueryOptions& options = {}) const;
 
  private:
-  Result<QueryResponse> run_complete(const Query& query,
-                                     const zvm::ProveOptions& prove) const;
-  Result<QueryResponse> run_selective_impl(
-      const Query& query, const zvm::ProveOptions& prove) const;
-  Result<QueryResponse> finish(Result<zvm::Receipt> receipt,
-                               const zvm::ProveInfo& info) const;
+  /// The guest input after the round binding for a complete or selective
+  /// query against the current state.
+  Bytes query_body(const Query& query, QueryMode mode) const;
+  /// The call's prove options: its override, else the service default.
+  const zvm::ProveOptions& prove_options(const QueryOptions& options) const {
+    return options.prove_options_override.has_value()
+               ? *options.prove_options_override
+               : prove_options_;
+  }
   /// Traced-hash cost estimate: route to the sketch guest? Shared by both
   /// sketch-backed queries (pick_incremental's twin on the query side).
   bool pick_sketch() const;
 
   const AggregationService* aggregation_;
   zvm::ProveOptions prove_options_;
-  double sketch_threshold_ = 0.75;
 };
 
 }  // namespace zkt::core

@@ -167,28 +167,6 @@ Result<netflow::SketchParams> parse_sketch_params(Reader& r) {
   return p;
 }
 
-/// Shared prove head for the round-sketch guests: claim + journal + sketch
-/// bytes, with the aggregation receipt as the assumption.
-Result<std::pair<zvm::Receipt, zvm::ProveInfo>> prove_round_sketch(
-    const zvm::ImageID& image, const zvm::Receipt& agg_receipt,
-    const RoundSketch& sketch, const zvm::ProveOptions& options,
-    const u64* threshold) {
-  Writer input;
-  agg_receipt.claim.serialize(input);
-  input.blob(agg_receipt.journal);
-  input.blob(sketch.canonical_bytes());
-  if (threshold != nullptr) input.u64v(*threshold);
-
-  zvm::ProveOptions prove = options;
-  prove.assumptions.push_back(agg_receipt);
-
-  zvm::Prover prover;
-  zvm::ProveInfo info;
-  auto receipt = prover.prove(image, input.bytes(), prove, &info);
-  if (!receipt.ok()) return receipt.error();
-  return std::make_pair(std::move(receipt.value()), info);
-}
-
 }  // namespace
 
 void SketchHeavyJournal::write(Writer& w) const {
@@ -325,17 +303,11 @@ Result<SketchHeavyResponse> prove_sketch_heavy(
     return Error{Errc::invalid_argument,
                  "threshold below the sketch's provable floor"};
   }
-  auto proved = prove_round_sketch(sketch_heavy_image(), agg_receipt, sketch,
-                                   options, &threshold);
-  if (!proved.ok()) return proved.error();
-  auto journal = SketchHeavyJournal::parse(proved.value().first.journal);
-  if (!journal.ok()) return journal.error();
-
-  SketchHeavyResponse response;
-  response.receipt = std::move(proved.value().first);
-  response.journal = std::move(journal.value());
-  response.prove_info = proved.value().second;
-  return response;
+  Writer body;
+  body.blob(sketch.canonical_bytes());
+  body.u64v(threshold);
+  return prove_on_round<SketchHeavyResponse>(sketch_heavy_image(), agg_receipt,
+                                             body.bytes(), options);
 }
 
 Result<SketchCardinalityResponse> prove_sketch_cardinality(
@@ -347,65 +319,10 @@ Result<SketchCardinalityResponse> prove_sketch_cardinality(
     return Error{Errc::invalid_argument,
                  "aggregation round carries no sketch"};
   }
-  auto proved = prove_round_sketch(sketch_card_image(), agg_receipt, sketch,
-                                   options, nullptr);
-  if (!proved.ok()) return proved.error();
-  auto journal =
-      SketchCardinalityJournal::parse(proved.value().first.journal);
-  if (!journal.ok()) return journal.error();
-
-  SketchCardinalityResponse response;
-  response.receipt = std::move(proved.value().first);
-  response.journal = std::move(journal.value());
-  response.prove_info = proved.value().second;
-  return response;
-}
-
-namespace {
-
-/// The common tail of the round-sketch verify helpers: pin the journal to
-/// the chain position the caller tracks.
-Status check_binding(const Digest32& claim, const Digest32& sketch_digest,
-                     const Digest32* expected_agg_claim,
-                     const Digest32* expected_sketch_digest) {
-  if (expected_agg_claim != nullptr && claim != *expected_agg_claim) {
-    return Error{Errc::proof_invalid,
-                 "receipt bound a different aggregation round"};
-  }
-  if (expected_sketch_digest != nullptr &&
-      sketch_digest != *expected_sketch_digest) {
-    return Error{Errc::proof_invalid,
-                 "receipt answered against a different sketch"};
-  }
-  return {};
-}
-
-}  // namespace
-
-Result<SketchHeavyJournal> verify_sketch_heavy(
-    const zvm::Receipt& receipt, const Digest32* expected_agg_claim,
-    const Digest32* expected_sketch_digest) {
-  zvm::Verifier verifier;
-  ZKT_TRY(verifier.verify(receipt, sketch_heavy_image()));
-  auto journal = SketchHeavyJournal::parse(receipt.journal);
-  if (!journal.ok()) return journal.error();
-  ZKT_TRY(check_binding(journal.value().agg_claim_digest,
-                        journal.value().sketch_digest, expected_agg_claim,
-                        expected_sketch_digest));
-  return journal;
-}
-
-Result<SketchCardinalityJournal> verify_sketch_cardinality(
-    const zvm::Receipt& receipt, const Digest32* expected_agg_claim,
-    const Digest32* expected_sketch_digest) {
-  zvm::Verifier verifier;
-  ZKT_TRY(verifier.verify(receipt, sketch_card_image()));
-  auto journal = SketchCardinalityJournal::parse(receipt.journal);
-  if (!journal.ok()) return journal.error();
-  ZKT_TRY(check_binding(journal.value().agg_claim_digest,
-                        journal.value().sketch_digest, expected_agg_claim,
-                        expected_sketch_digest));
-  return journal;
+  Writer body;
+  body.blob(sketch.canonical_bytes());
+  return prove_on_round<SketchCardinalityResponse>(
+      sketch_card_image(), agg_receipt, body.bytes(), options);
 }
 
 }  // namespace zkt::core

@@ -25,7 +25,6 @@
 #include "core/guests.h"
 #include "netflow/sketch.h"
 #include "zvm/prover.h"
-#include "zvm/verifier.h"
 
 namespace zkt::core {
 
@@ -105,17 +104,5 @@ Result<SketchHeavyResponse> prove_sketch_heavy(
 Result<SketchCardinalityResponse> prove_sketch_cardinality(
     const zvm::Receipt& agg_receipt, const netflow::RoundSketch& sketch,
     const zvm::ProveOptions& options = {});
-
-/// Verifier side: check the receipt against the heavy-hitters image and
-/// (optionally) that it bound the expected aggregation claim / sketch
-/// digest — pass the chain head the verifier tracks to pin the query to a
-/// specific round.
-Result<SketchHeavyJournal> verify_sketch_heavy(
-    const zvm::Receipt& receipt, const Digest32* expected_agg_claim = nullptr,
-    const Digest32* expected_sketch_digest = nullptr);
-
-Result<SketchCardinalityJournal> verify_sketch_cardinality(
-    const zvm::Receipt& receipt, const Digest32* expected_agg_claim = nullptr,
-    const Digest32* expected_sketch_digest = nullptr);
 
 }  // namespace zkt::core

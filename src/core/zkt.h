@@ -8,12 +8,18 @@
 //   QueryService queries(agg);
 //   auto resp = queries.run(Query::sum(QField::hop_sum)
 //                               .and_where(QField::src_ip, CmpOp::eq, ip));
+//   auto report = queries.grouped(Query::sum(QField::bytes),
+//                                 QField::protocol);   // GROUP BY, one proof
 //
-// Typical verifier-side flow:
+// Typical verifier-side flow — the Auditor verifies every receipt kind with
+// one verifier under one soundness floor (AuditorOptions::min_queries):
 //   Auditor auditor(board);
 //   auditor.accept_round(round.receipt);         // verify + chain one round
 //   auditor.verify_query(resp->receipt,
 //                        {.expected_query = &query});  // verify + extract
+//   auditor.verify_grouped(report->receipt);     // likewise verify_heavy_hitters,
+//                                                // verify_cardinality,
+//                                                // verify_histogram
 //
 // Catching up on a long chain (receipts saved with save_receipts):
 //   auto source = ReceiptFileSource::open("chain.rcpt");

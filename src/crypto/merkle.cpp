@@ -263,57 +263,12 @@ void MerkleTree::apply_patch(const MerklePatch& patch) {
   }
 }
 
-u64 MerkleTree::append_leaf(const Digest32& leaf) {
-  const u64 index = leaf_count_;
-  if (levels_.empty() || index >= levels_[0].size()) {
-    // Capacity exhausted: grow the padded layer and rebuild. Amortized O(1)
-    // appends since capacity doubles.
-    if (levels_.empty()) levels_.emplace_back();
-    ++leaf_count_;
-    levels_[0].resize(index + 1, empty_leaf());
-    levels_[0][index] = leaf;
-    rebuild();
-  } else {
-    ++leaf_count_;
-    update_leaf(index, leaf);
-  }
-  return index;
-}
-
 void MerkleTree::grow_capacity(u64 min_slots) {
   const u64 padded = next_pow2(std::max<u64>(min_slots, 1));
   if (!levels_.empty() && levels_[0].size() >= padded) return;
   if (levels_.empty()) levels_.emplace_back();
   levels_[0].resize(padded, empty_leaf());
   build_above();
-}
-
-void MerkleTree::insert_leaf(u64 index, const Digest32& leaf) {
-  assert(index <= leaf_count_);
-  if (levels_.empty() || leaf_count_ >= levels_[0].size()) {
-    grow_capacity(leaf_count_ + 1);
-  }
-  auto& leaves = levels_[0];
-  // Shift the suffix right by one inside the padded layer; the slot that
-  // falls off the end is guaranteed padding because capacity was ensured.
-  for (u64 i = leaf_count_; i > index; --i) leaves[i] = leaves[i - 1];
-  leaves[index] = leaf;
-  ++leaf_count_;
-  recompute_from(index);
-}
-
-void MerkleTree::recompute_from(u64 leaf_index) {
-  // Every node covering a slot >= leaf_index is stale: recompute the suffix
-  // of each level. O(capacity - leaf_index) hashes in total (geometric sum),
-  // batched through hash_pairs so the SIMD backends see full lanes.
-  u64 from = leaf_index;
-  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const u64 pfrom = from >> 1;
-    const std::span<const Digest32> below(levels_[level]);
-    const std::span<Digest32> above(levels_[level + 1]);
-    hash_pairs(below.subspan(2 * pfrom), above.subspan(pfrom));
-    from = pfrom;
-  }
 }
 
 Status MerkleTree::verify(const Digest32& root, const Digest32& leaf,

@@ -125,15 +125,6 @@ class MerkleTree {
   /// leaves one by one with update_leaf.
   void apply_patch(const MerklePatch& patch);
 
-  /// Append a leaf; returns its index. Doubles capacity when full.
-  u64 append_leaf(const Digest32& leaf);
-
-  /// Insert a leaf at `index` (<= leaf_count()), shifting later leaves one
-  /// slot right — the sorted-order insert used by the key-ordered CLog.
-  /// Doubles capacity when full; costs O(leaf_count - index) suffix hashes
-  /// per level, so front inserts are the expensive case.
-  void insert_leaf(u64 index, const Digest32& leaf);
-
   /// Grow the padded leaf layer to at least `min_slots` slots (rounded up
   /// to a power of two) without changing leaf_count(). Growing changes
   /// root(): each doubling maps r to hash_node(r, empty_subtree). Used on
@@ -178,7 +169,6 @@ class MerkleTree {
  private:
   void rebuild();
   void build_above();
-  void recompute_from(u64 leaf_index);
 
   // levels_[0] = padded leaves, levels_.back() = {root}.
   std::vector<std::vector<Digest32>> levels_;

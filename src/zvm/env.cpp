@@ -20,8 +20,6 @@ Result<u32> Env::read_u32() { return reader_.u32v(); }
 Result<u64> Env::read_u64() { return reader_.u64v(); }
 Result<u64> Env::read_varint() { return reader_.varint(); }
 Result<Bytes> Env::read_blob() { return reader_.blob(); }
-Result<Bytes> Env::read_bytes(size_t n) { return reader_.raw(n); }
-Result<std::string> Env::read_string() { return reader_.str(); }
 
 Result<Digest32> Env::read_digest() {
   Digest32 d;
@@ -31,8 +29,6 @@ Result<Digest32> Env::read_digest() {
 
 size_t Env::input_remaining() const { return reader_.remaining(); }
 
-void Env::commit_u8(u8 v) { journal_.u8v(v); }
-void Env::commit_u32(u32 v) { journal_.u32v(v); }
 void Env::commit_u64(u64 v) { journal_.u64v(v); }
 void Env::commit_blob(BytesView data) { journal_.blob(data); }
 void Env::commit_digest(const Digest32& d) { journal_.fixed(d.bytes); }
@@ -246,24 +242,5 @@ Digest32 Env::bind_journal() {
   record(encode_row(RowBindDigest{BindTarget::journal, d}));
   return d;
 }
-
-namespace guest {
-
-Status read_and_verify_merkle(Env& env, const Digest32& root) {
-  auto leaf = env.read_digest();
-  if (!leaf.ok()) return leaf.error();
-  Bytes proof_bytes;
-  {
-    auto b = env.read_blob();
-    if (!b.ok()) return b.error();
-    proof_bytes = std::move(b.value());
-  }
-  Reader r(proof_bytes);
-  auto proof = crypto::MerkleProof::deserialize(r);
-  if (!proof.ok()) return proof.error();
-  return env.verify_merkle(root, leaf.value(), proof.value());
-}
-
-}  // namespace guest
 
 }  // namespace zkt::zvm

@@ -70,14 +70,10 @@ class Env {
   Result<u64> read_u64();
   Result<u64> read_varint();
   Result<Bytes> read_blob();
-  Result<Bytes> read_bytes(size_t n);
   Result<Digest32> read_digest();
-  Result<std::string> read_string();
   size_t input_remaining() const;
 
   // ---- Journal (public output) ----
-  void commit_u8(u8 v);
-  void commit_u32(u32 v);
   void commit_u64(u64 v);
   void commit_blob(BytesView data);
   void commit_digest(const Digest32& d);
@@ -170,11 +166,5 @@ class Env {
   std::vector<std::pair<std::string, u64>> regions_;
   std::optional<std::pair<std::string, u64>> open_region_;  // (name, start)
 };
-
-namespace guest {
-/// Convenience wrapper: standard result pattern for guests that read a
-/// (root, leaf, proof) triple from the input stream and verify inclusion.
-Status read_and_verify_merkle(Env& env, const Digest32& root);
-}  // namespace guest
 
 }  // namespace zkt::zvm

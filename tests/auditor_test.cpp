@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/auditor.h"
+#include "core/epoch.h"
 #include "core/service.h"
 
 namespace zkt::core {
@@ -190,6 +191,125 @@ TEST(Auditor, ModeConfusionRejected) {
   j.write(w);
   confused.journal = std::move(w).take();
   EXPECT_FALSE(auditor.verify_query(confused, {.expected_query = &q}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The soundness floor (AuditorOptions::min_queries) reaches every receipt
+// kind the auditor verifies.
+
+/// Composite receipts opening 32 rows per segment: of every query kind,
+/// plus one epoch seal over the chain, all against one sketched chain.
+struct FloorReceipts {
+  Pipeline p;
+  std::vector<zvm::Receipt> rounds;
+  CommitmentRef histogram_ref;
+  std::vector<std::pair<std::string, zvm::Receipt>> queries;
+  EpochSeal seal;
+
+  void prove() {
+    rounds.push_back(p.round({{1, 2}, {2, 3}, {3, 1}}).receipt);
+    rounds.push_back(p.round({{1, 4}, {4, 2}}).receipt);
+
+    zvm::ProveOptions composite;
+    composite.seal_kind = zvm::SealKind::composite;
+    composite.num_queries = 32;
+    QueryOptions options;
+    options.prove_options_override = composite;
+    QueryService service(p.service);
+    const Query q = Query::sum(QField::packets);
+    auto add = [&](const std::string& kind, const auto& response) {
+      ASSERT_TRUE(response.ok()) << kind << ": " << response.error().to_string();
+      queries.emplace_back(kind, response.value().receipt);
+    };
+    add("complete", service.run(q, options));
+    QueryOptions selective = options;
+    selective.mode = QueryMode::selective;
+    Query point = q;
+    point.and_where(QField::src_ip, CmpOp::eq, 1);
+    add("selective", service.run(point, selective));
+    add("grouped", service.grouped(q, QField::packets, options));
+    const netflow::RoundSketch& sketch = p.service.sketch();
+    add("sketch heavy",
+        prove_sketch_heavy(p.service.last_receipt(), sketch,
+                           sketch.heavy().total() / sketch.heavy().capacity() +
+                               1,
+                           composite));
+    add("sketch cardinality",
+        prove_sketch_cardinality(p.service.last_receipt(), sketch, composite));
+
+    netflow::LatencyHistogram histogram;
+    for (u64 i = 0; i < 200; ++i) histogram.add(1000 + 97 * i);
+    auto published = make_commitment_raw(9, 1, histogram.hash(),
+                                          histogram.total(), p.key, 5000);
+    ASSERT_TRUE(published.ok());
+    ASSERT_TRUE(p.board.publish(published.value()).ok());
+    histogram_ref = {9, 1, histogram.hash(), histogram.total()};
+    add("histogram", prove_histogram_query(histogram_ref, histogram, 4095,
+                                           composite));
+
+    EpochSpanOptions span_options;
+    span_options.prove_options = composite;
+    auto summary = prove_epoch_span(rounds, span_options);
+    ASSERT_TRUE(summary.ok()) << summary.error().to_string();
+    seal.rounds = summary.value().journal.rounds;
+    seal.receipt = summary.value().receipt;
+    seal.journal = summary.value().journal;
+    seal.commitments = summary.value().commitments;
+  }
+
+  /// Verify one query receipt on `auditor` by its kind.
+  static Status verify(Auditor& auditor, const std::string& kind,
+                       const zvm::Receipt& receipt) {
+    auto status = [](const auto& verified) -> Status {
+      if (!verified.ok()) return verified.error();
+      return {};
+    };
+    if (kind == "grouped") return status(auditor.verify_grouped(receipt));
+    if (kind == "sketch heavy") {
+      return status(auditor.verify_heavy_hitters(receipt));
+    }
+    if (kind == "sketch cardinality") {
+      return status(auditor.verify_cardinality(receipt));
+    }
+    if (kind == "histogram") return status(auditor.verify_histogram(receipt));
+    return status(auditor.verify_query(receipt));
+  }
+};
+
+TEST(SoundnessFloor, EveryReceiptKindMeetsTheAuditorsFloor) {
+  FloorReceipts fx;
+  ASSERT_NO_FATAL_FAILURE(fx.prove());
+  ASSERT_EQ(fx.queries.size(), 6u);
+
+  // A default auditor (floor 32) accepts every receipt...
+  Auditor lenient(fx.p.board);
+  ASSERT_TRUE(lenient.accept_rounds(fx.rounds).ok());
+  for (const auto& [kind, receipt] : fx.queries) {
+    const Status verified = FloorReceipts::verify(lenient, kind, receipt);
+    EXPECT_TRUE(verified.ok()) << kind << ": " << verified.to_string();
+  }
+  Auditor lenient_cold(fx.p.board);
+  auto caught = lenient_cold.catch_up(std::span<const EpochSeal>(&fx.seal, 1),
+                                      {});
+  EXPECT_TRUE(caught.ok()) << caught.error().to_string();
+
+  // ...and one that demands 64 openings rejects each of them, on the same
+  // accepted chain.
+  AuditorOptions floor64;
+  floor64.min_queries = 64;
+  Auditor strict(fx.p.board, floor64);
+  ASSERT_TRUE(strict.accept_rounds(fx.rounds).ok());
+  for (const auto& [kind, receipt] : fx.queries) {
+    const Status verified = FloorReceipts::verify(strict, kind, receipt);
+    ASSERT_FALSE(verified.ok()) << kind;
+    EXPECT_EQ(verified.code(), Errc::proof_invalid) << kind;
+  }
+  Auditor strict_cold(fx.p.board, floor64);
+  auto rejected = strict_cold.catch_up(std::span<const EpochSeal>(&fx.seal, 1),
+                                       {});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, Errc::proof_invalid);
+  EXPECT_EQ(strict_cold.rounds_accepted(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ TEST(ChainSummary, SummarizesAndFastSyncs) {
 
   // One verification replaces replaying all three rounds. The out-of-band
   // ref list must reproduce the journal's commitment-chain digest.
-  auto verified = verify_chain_summary(summary.value().receipt, fx.board,
+  auto verified = verify_chain_summary(zvm::Verifier{}, summary.value().receipt,
                                        summary.value().commitments);
   ASSERT_TRUE(verified.ok()) << verified.error().to_string();
 
@@ -92,7 +92,7 @@ TEST(ChainSummary, SingleRoundChain) {
   fx.run_round(1, {1});
   auto summary = prove_epoch_span(fx.rounds);
   ASSERT_TRUE(summary.ok());
-  EXPECT_TRUE(verify_chain_summary(summary.value().receipt, fx.board,
+  EXPECT_TRUE(verify_chain_summary(zvm::Verifier{}, summary.value().receipt,
                                    summary.value().commitments)
                   .ok());
 }
@@ -130,11 +130,17 @@ TEST(ChainSummary, ForeignBoardRejectedAtVerification) {
   fx.run_round(1, {1});
   auto summary = prove_epoch_span(fx.rounds);
   ASSERT_TRUE(summary.ok());
+  EpochSeal seal;
+  seal.rounds = summary.value().journal.rounds;
+  seal.receipt = summary.value().receipt;
+  seal.journal = summary.value().journal;
+  seal.commitments = summary.value().commitments;
   CommitmentBoard other_board;
-  auto verified = verify_chain_summary(summary.value().receipt, other_board,
-                                       summary.value().commitments);
-  ASSERT_FALSE(verified.ok());
-  EXPECT_EQ(verified.error().code, Errc::commitment_missing);
+  Auditor auditor(other_board);
+  auto caught = auditor.catch_up(std::span<const EpochSeal>(&seal, 1), {});
+  ASSERT_FALSE(caught.ok());
+  EXPECT_EQ(caught.error().code, Errc::commitment_missing);
+  EXPECT_EQ(auditor.rounds_accepted(), 0u);
 }
 
 TEST(ChainSummary, DoctoredJournalRejected) {
@@ -148,9 +154,9 @@ TEST(ChainSummary, DoctoredJournalRejected) {
   Writer w;
   j.write(w);
   forged.journal = std::move(w).take();
-  EXPECT_FALSE(
-      verify_chain_summary(forged, fx.board, summary.value().commitments)
-          .ok());
+  EXPECT_FALSE(verify_chain_summary(zvm::Verifier{}, forged,
+                                    summary.value().commitments)
+                   .ok());
 }
 
 }  // namespace

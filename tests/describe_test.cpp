@@ -94,7 +94,7 @@ TEST(Describe, QueryReceiptBothModes) {
 TEST(Describe, GroupedReceipt) {
   Fixture fx;
   auto grouped =
-      run_grouped_query(fx.service, Query::count(), QField::protocol);
+      QueryService(fx.service).grouped(Query::count(), QField::protocol);
   ASSERT_TRUE(grouped.ok());
   const std::string text = describe_receipt(grouped.value().receipt);
   EXPECT_NE(text.find("GROUP BY protocol"), std::string::npos);

@@ -5,9 +5,13 @@
 // campaign and run deterministically from seeded DRBGs.
 #include <gtest/gtest.h>
 
+#include "core/chain_summary.h"
 #include "core/commitment.h"
+#include "core/grouped_query.h"
 #include "core/guests.h"
+#include "core/histogram_query.h"
 #include "core/query.h"
+#include "core/sketch_query.h"
 #include "crypto/chacha20.h"
 #include "netflow/record.h"
 #include "netflow/sketch.h"
@@ -62,6 +66,11 @@ TEST_P(GarbageInputs, AllParsersSurvive) {
     (void)zvm::Receipt::from_bytes(junk);
     (void)core::AggJournal::parse(junk);
     (void)core::QueryJournal::parse(junk);
+    (void)core::GroupedQueryJournal::parse(junk);
+    (void)core::HistogramQueryJournal::parse(junk);
+    (void)core::SketchHeavyJournal::parse(junk);
+    (void)core::SketchCardinalityJournal::parse(junk);
+    (void)core::ChainSummaryJournal::parse(junk);
     netflow::V9Collector collector;
     (void)collector.ingest(junk);
   }
@@ -131,6 +140,144 @@ TEST(Truncation, QueryEveryPrefixRejected) {
     Reader r(BytesView(full.data(), len));
     auto parsed = core::Query::deserialize(r);
     EXPECT_FALSE(parsed.ok() && r.done()) << len;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The journals the Auditor parses off query receipts and epoch seals: every
+// strict prefix fails, and every single-byte mutant either fails with a
+// parse error or parses to a value that re-serializes to exactly the
+// mutant's bytes (no second encoding of any value).
+
+struct JournalFormat {
+  const char* name;
+  Bytes valid;
+  /// Parse `bytes`; on success, the parsed value's serialization.
+  Result<Bytes> (*reserialize)(BytesView bytes);
+};
+
+template <class Journal>
+Result<Bytes> reserialize(BytesView bytes) {
+  auto parsed = Journal::parse(bytes);
+  if (!parsed.ok()) return parsed.error();
+  Writer w;
+  parsed.value().write(w);
+  return std::move(w).take();
+}
+
+template <class Journal>
+JournalFormat format(const char* name, const Journal& journal) {
+  Writer w;
+  journal.write(w);
+  return JournalFormat{name, std::move(w).take(), &reserialize<Journal>};
+}
+
+crypto::Digest32 tag(std::string_view label) { return crypto::sha256(label); }
+
+std::vector<JournalFormat> journal_formats() {
+  const core::Query query =
+      core::Query::sum(core::QField::bytes)
+          .and_where(core::QField::protocol, core::CmpOp::eq, 6)
+          .and_any({{core::QField::dst_port, core::CmpOp::lt, 1024},
+                    {core::QField::packets, core::CmpOp::ge, 300}});
+  netflow::SketchParams params;
+  params.cm = {.width = 64, .depth = 2, .seed = 7};
+  params.heavy_capacity = 8;
+
+  core::GroupedQueryJournal grouped;
+  grouped.agg_claim_digest = tag("claim");
+  grouped.agg_root = tag("root");
+  grouped.entry_count = 40;
+  grouped.query = query;
+  grouped.group_field = core::QField::dst_port;
+  grouped.groups = {{53, {3, 3, 900, 100, 500}}, {443, {9, 9, 7000, 20, 2000}}};
+
+  core::QueryJournal scan;
+  scan.mode = core::QueryMode::complete;
+  scan.agg_claim_digest = tag("claim");
+  scan.agg_root = tag("root");
+  scan.entry_count = 40;
+  scan.query = query;
+  scan.result = {12, 40, 9000, 20, 2000};
+
+  core::HistogramQueryJournal histogram;
+  histogram.commitment = {3, 7, tag("histogram"), 1000};
+  histogram.bound_us = 65'535;
+  histogram.count_below = 912;
+  histogram.total = 1000;
+
+  core::SketchHeavyJournal heavy;
+  heavy.agg_claim_digest = tag("claim");
+  heavy.sketch_digest = tag("sketch");
+  heavy.params = params;
+  heavy.total = 5000;
+  heavy.threshold = 700;
+  for (u32 i = 0; i < 3; ++i) {
+    heavy.hits.push_back({{0x0A000000 + i, 0x0B000000, 1000, 443, 6},
+                          900 - i,
+                          i,
+                          910 - i});
+  }
+
+  core::SketchCardinalityJournal card;
+  card.agg_claim_digest = tag("claim");
+  card.sketch_digest = tag("sketch");
+  card.params = params;
+  card.total = 5000;
+  card.distinct_flows = 120;
+  card.cms_lower_bound = 60;
+
+  core::ChainSummaryJournal summary;
+  summary.rounds = 4;
+  summary.genesis = true;
+  summary.first_claim_digest = tag("first claim");
+  summary.first_root = tag("first root");
+  summary.final_claim_digest = tag("final claim");
+  summary.final_root = tag("final root");
+  summary.final_entry_count = 77;
+  summary.commitment_count = 8;
+  summary.first_commitments_digest = tag("first refs");
+  summary.final_commitments_digest = tag("final refs");
+  summary.has_sketch = true;
+  summary.sketch_params = params;
+  summary.first_sketch_digest = tag("first sketch");
+  summary.final_sketch_digest = tag("final sketch");
+  summary.final_sketch_total = 5000;
+
+  return {format("QRY1", scan), format("GQRY1", grouped),
+          format("HQRY1", histogram),
+          format("SKHH", heavy), format("SKCD", card),
+          format("EPOCH1", summary)};
+}
+
+TEST(Truncation, QueryJournalsEveryPrefixRejected) {
+  for (const JournalFormat& f : journal_formats()) {
+    auto whole = f.reserialize(f.valid);
+    ASSERT_TRUE(whole.ok()) << f.name << ": " << whole.error().to_string();
+    EXPECT_EQ(whole.value(), f.valid) << f.name;
+    for (size_t len = 0; len < f.valid.size(); ++len) {
+      EXPECT_FALSE(f.reserialize(BytesView(f.valid.data(), len)).ok())
+          << f.name << " prefix length " << len;
+    }
+  }
+}
+
+TEST(Mutation, QueryJournalsParseCanonicallyOrFail) {
+  for (const JournalFormat& f : journal_formats()) {
+    for (size_t trial = 0; trial < 255 * f.valid.size(); ++trial) {
+      Bytes mutated = f.valid;
+      const size_t pos = trial % f.valid.size();
+      mutated[pos] ^= static_cast<u8>(1 + trial / f.valid.size());
+      auto parsed = f.reserialize(mutated);
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.error().code, Errc::parse_error)
+            << f.name << " byte " << pos << ": "
+            << parsed.error().to_string();
+        continue;
+      }
+      EXPECT_EQ(parsed.value(), mutated)
+          << f.name << ": byte " << pos << " mutant parsed non-canonically";
+    }
   }
 }
 

@@ -6,14 +6,20 @@
 //   (b) the same plain chain proven in 256-row trace segments, so every
 //       proof commits several segments while its guest is still executing;
 //   (c) a 2-shard chain folded with fanout 2 at pipeline depth 2 (every
-//       split receipt, shard receipt and tree seal).
-// A refactor of the round pipeline or the prover must leave every digest
-// unchanged. Each chain is checked on the default SHA-256 backend and pinned
-// to the scalar backend; a second ctest registration reruns the binary with
-// a one-worker pool (ZKT_POOL_THREADS=1).
+//       split receipt, shard receipt and tree seal);
+//   (d) one receipt of every query guest proven against the head of (a):
+//       a complete scan, a selective point query, a grouped query, sketch
+//       heavy hitters and cardinality, a histogram bound, and a composite
+//       complete scan (so the seal openings are pinned too).
+// A refactor of the round pipeline, the query path or the prover must leave
+// every digest unchanged. Each set is checked on the default SHA-256
+// backend and pinned to the scalar backend; a second ctest registration
+// reruns the binary with a one-worker pool (ZKT_POOL_THREADS=1).
 #include <gtest/gtest.h>
 
+#include "core/histogram_query.h"
 #include "core/pipeline.h"
+#include "core/service.h"
 #include "crypto/sha256_backend.h"
 
 namespace zkt::core {
@@ -29,6 +35,8 @@ constexpr const char* kPlainChainSegmentedDigest =
     "3b28cd82e46edd929b1360f5428802c8f7d500313b9c37096d919dfecf4ddf07";
 constexpr const char* kShardedChainDigest =
     "dc3a31c4b7ef1865985d3ce4f0b683b71a3b27b89053e7defb1d8f7dc7925866";
+constexpr const char* kQueryReceiptsDigest =
+    "ba5a4ec5fca796b04584f027f6f7fbab1ae5d16990c7de906fd490152834605c";
 
 struct Deployment {
   store::LogStore store;
@@ -63,11 +71,10 @@ void append(Bytes& out, const Bytes& bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-std::string plain_chain_digest(
-    u64 max_segment_rows = zvm::kDefaultSegmentRows) {
-  Deployment d;
-  // Genesis: 64 flows over two routers. Then three windows that each merge
-  // a few resident flows and add one new one — delta rounds.
+/// Commit the plain chain's windows: 64 genesis flows over two routers,
+/// then three windows that each merge a few resident flows and add one new
+/// one — delta rounds. The head holds 67 entries.
+void commit_plain_chain(Deployment& d) {
   d.commit(0, 0, 0, 32);
   d.commit(0, 1, 32, 64);
   for (u64 w = 1; w <= 3; ++w) {
@@ -75,11 +82,21 @@ std::string plain_chain_digest(
     d.commit(w, 0, base, base + 3);
     d.commit(w, 1, 64 + static_cast<u32>(w), 65 + static_cast<u32>(w));
   }
+}
 
+PipelineOptions plain_chain_options(u64 max_segment_rows) {
   PipelineOptions options;
   options.epoch_every = 2;
   options.prove_options.max_segment_rows = max_segment_rows;
-  ProviderPipeline pipeline(d.store, d.board, options);
+  return options;
+}
+
+std::string plain_chain_digest(
+    u64 max_segment_rows = zvm::kDefaultSegmentRows) {
+  Deployment d;
+  commit_plain_chain(d);
+  ProviderPipeline pipeline(d.store, d.board,
+                            plain_chain_options(max_segment_rows));
   auto rounds = pipeline.aggregate_pending();
   EXPECT_TRUE(rounds.ok()) << rounds.error().to_string();
   if (!rounds.ok()) return {};
@@ -140,6 +157,78 @@ std::string sharded_chain_digest() {
   return to_hex(crypto::sha256(all).bytes);
 }
 
+/// Append a proven receipt, or fail the test with the proving error.
+template <class Response>
+void append_receipt(Bytes& out, const Result<Response>& response) {
+  EXPECT_TRUE(response.ok()) << response.error().to_string();
+  if (response.ok()) append(out, response.value().receipt.to_bytes());
+}
+
+std::string query_receipts_digest() {
+  Deployment d;
+  commit_plain_chain(d);
+  ProviderPipeline pipeline(d.store, d.board,
+                            plain_chain_options(zvm::kDefaultSegmentRows));
+  auto rounds = pipeline.aggregate_pending();
+  EXPECT_TRUE(rounds.ok()) << rounds.error().to_string();
+  if (!rounds.ok()) return {};
+  const AggregationService& aggregation = pipeline.aggregation();
+  EXPECT_EQ(aggregation.state().entry_count(), 67u);
+  QueryService queries(aggregation);
+
+  Bytes all;
+  // Complete scan: two CNF clauses, one of them an OR.
+  const Query scan =
+      Query::max(QField::bytes)
+          .and_any({Condition{QField::src_port, CmpOp::lt, 2040},
+                    Condition{QField::bytes, CmpOp::ge, 150}})
+          .and_where(QField::dst_port, CmpOp::eq, 443);
+  append_receipt(all, queries.run(scan));
+  // Selective point query on a flow merged in window 1.
+  const Query point =
+      Query::sum(QField::bytes).and_where(QField::src_ip, CmpOp::eq,
+                                          0x0A000005);
+  QueryOptions selective;
+  selective.mode = QueryMode::selective;
+  auto point_response = queries.run(point, selective);
+  if (point_response.ok()) {
+    EXPECT_EQ(point_response.value().journal.result.matched, 1u);
+  }
+  append_receipt(all, point_response);
+  // Grouped: merged flows carry two packets, the rest one.
+  auto grouped = queries.grouped(
+      Query::sum(QField::bytes).and_where(QField::src_port, CmpOp::ge, 2010),
+      QField::packets);
+  if (grouped.ok()) {
+    EXPECT_EQ(grouped.value().journal.groups.size(), 2u);
+  }
+  append_receipt(all, grouped);
+  // Sketch guests, proven directly: at 67 entries the router picks the
+  // exact scan.
+  const netflow::RoundSketch& sketch = aggregation.sketch();
+  const u64 threshold =
+      sketch.heavy().total() / sketch.heavy().capacity() + 1;
+  auto heavy =
+      prove_sketch_heavy(aggregation.last_receipt(), sketch, threshold);
+  if (heavy.ok()) {
+    EXPECT_FALSE(heavy.value().journal.hits.empty());
+  }
+  append_receipt(all, heavy);
+  append_receipt(all,
+                 prove_sketch_cardinality(aggregation.last_receipt(), sketch));
+  // Histogram bound against a pinned latency histogram.
+  netflow::LatencyHistogram histogram;
+  for (u64 i = 0; i < 400; ++i) histogram.add(1000 + (i * 37) % 9000);
+  const CommitmentRef ref{7, 1, histogram.hash(), histogram.total()};
+  append_receipt(all, prove_histogram_query(ref, histogram, 4095));
+  // Composite complete scan: pins the Fiat–Shamir openings.
+  QueryOptions composite;
+  composite.prove_options_override = zvm::ProveOptions{};
+  composite.prove_options_override->seal_kind = zvm::SealKind::composite;
+  append_receipt(all, queries.run(Query::count(), composite));
+  return to_hex(crypto::sha256(all).bytes);
+}
+
 /// Pins SHA-256 dispatch to the scalar backend for one scope.
 class ScalarSha256 {
  public:
@@ -174,6 +263,15 @@ TEST(GoldenReceipts, ShardedChainDefaultBackend) {
 TEST(GoldenReceipts, ShardedChainScalarBackend) {
   ScalarSha256 scalar;
   EXPECT_EQ(sharded_chain_digest(), kShardedChainDigest);
+}
+
+TEST(GoldenReceipts, QueryReceiptsDefaultBackend) {
+  EXPECT_EQ(query_receipts_digest(), kQueryReceiptsDigest);
+}
+
+TEST(GoldenReceipts, QueryReceiptsScalarBackend) {
+  ScalarSha256 scalar;
+  EXPECT_EQ(query_receipts_digest(), kQueryReceiptsDigest);
 }
 
 }  // namespace

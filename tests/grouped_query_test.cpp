@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "core/auditor.h"
-#include "core/grouped_query.h"
+#include "core/service.h"
 #include "sim/workload.h"
 
 namespace zkt::core {
@@ -17,6 +17,7 @@ using netflow::RLogBatch;
 struct Fixture {
   CommitmentBoard board;
   AggregationService service{board};
+  QueryService queries{service};
   Auditor auditor{board};
 
   explicit Fixture(u64 seed, u32 flows) {
@@ -80,12 +81,12 @@ TEST_P(GroupedQueries, GuestMatchesReference) {
   for (const auto& [query, group] : cases) {
     const auto reference =
         evaluate_grouped(query, group, fx.service.state().entries());
-    auto response = run_grouped_query(fx.service, query, group);
+    auto response = fx.queries.grouped(query, group);
     ASSERT_TRUE(response.ok()) << response.error().to_string();
     EXPECT_EQ(response.value().journal.groups, reference);
 
-    auto verified = verify_grouped_query(response.value().receipt,
-                                         fx.auditor, &query, &group);
+    auto verified = fx.auditor.verify_grouped(
+        response.value().receipt, {.expected_query = &query}, group);
     ASSERT_TRUE(verified.ok()) << verified.error().to_string();
     EXPECT_EQ(verified.value().groups, reference);
 
@@ -108,17 +109,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GroupedQueries, ::testing::Values(1, 2));
 TEST(GroupedQuery, EmptyResultForNoMatches) {
   Fixture fx(3, 10);
   Query q = Query::count().and_where(QField::protocol, CmpOp::eq, 200);
-  auto response = run_grouped_query(fx.service, q, QField::protocol);
+  auto response = fx.queries.grouped(q, QField::protocol);
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response.value().journal.groups.empty());
-  EXPECT_TRUE(
-      verify_grouped_query(response.value().receipt, fx.auditor).ok());
+  EXPECT_TRUE(fx.auditor.verify_grouped(response.value().receipt).ok());
 }
 
 TEST(GroupedQuery, DoctoredGroupRejected) {
   Fixture fx(4, 20);
   Query q = Query::sum(QField::bytes);
-  auto response = run_grouped_query(fx.service, q, QField::protocol);
+  auto response = fx.queries.grouped(q, QField::protocol);
   ASSERT_TRUE(response.ok());
   ASSERT_FALSE(response.value().journal.groups.empty());
 
@@ -128,28 +128,38 @@ TEST(GroupedQuery, DoctoredGroupRejected) {
   Writer w;
   j.write(w);
   forged.journal = std::move(w).take();
-  EXPECT_FALSE(verify_grouped_query(forged, fx.auditor, &q).ok());
+  EXPECT_FALSE(fx.auditor.verify_grouped(forged, {.expected_query = &q}).ok());
 }
 
 TEST(GroupedQuery, WrongGroupFieldRejected) {
   Fixture fx(5, 20);
   Query q = Query::count();
-  auto response = run_grouped_query(fx.service, q, QField::protocol);
+  auto response = fx.queries.grouped(q, QField::protocol);
   ASSERT_TRUE(response.ok());
-  const QField expected = QField::dst_port;
-  auto verified = verify_grouped_query(response.value().receipt, fx.auditor,
-                                       &q, &expected);
+  auto verified = fx.auditor.verify_grouped(
+      response.value().receipt, {.expected_query = &q}, QField::dst_port);
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.error().code, Errc::proof_invalid);
+}
+
+TEST(GroupedQuery, SelectiveModeRejected) {
+  Fixture fx(7, 10);
+  QueryOptions selective;
+  selective.mode = QueryMode::selective;
+  auto response = fx.queries.grouped(Query::count(), QField::protocol,
+                                     selective);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.error().code, Errc::invalid_argument);
 }
 
 TEST(GroupedQuery, UnacceptedRoundRejected) {
   Fixture fx(6, 15);
   Query q = Query::count();
-  auto response = run_grouped_query(fx.service, q, QField::protocol);
+  auto response = fx.queries.grouped(q, QField::protocol);
   ASSERT_TRUE(response.ok());
   Auditor fresh(fx.board);  // accepted nothing
-  auto verified = verify_grouped_query(response.value().receipt, fresh, &q);
+  auto verified =
+      fresh.verify_grouped(response.value().receipt, {.expected_query = &q});
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.error().code, Errc::chain_broken);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/auditor.h"
 #include "core/describe.h"
 #include "core/histogram_query.h"
 #include "netflow/histogram.h"
@@ -129,7 +130,7 @@ TEST(HistogramQuery, ProveAndVerifyQuantileBound) {
   EXPECT_GT(fraction_below(response.value().journal), 0.85);
 
   auto verified =
-      verify_histogram_query(response.value().receipt, fx.board, &bound);
+      Auditor(fx.board).verify_histogram(response.value().receipt, {}, bound);
   ASSERT_TRUE(verified.ok()) << verified.error().to_string();
   EXPECT_NEAR(fraction_below(verified.value()),
               fraction_below(response.value().journal), 1e-12);
@@ -148,9 +149,8 @@ TEST(HistogramQuery, WrongBoundRejected) {
   Fixture fx;
   auto response = prove_histogram_query(fx.ref, fx.histogram, 1000);
   ASSERT_TRUE(response.ok());
-  const u64 other_bound = 2000;
-  auto verified = verify_histogram_query(response.value().receipt, fx.board,
-                                         &other_bound);
+  auto verified =
+      Auditor(fx.board).verify_histogram(response.value().receipt, {}, 2000);
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.error().code, Errc::proof_invalid);
 }
@@ -165,7 +165,7 @@ TEST(HistogramQuery, ForgedCountRejected) {
   Writer w;
   j.write(w);
   forged.journal = std::move(w).take();
-  EXPECT_FALSE(verify_histogram_query(forged, fx.board, nullptr).ok());
+  EXPECT_FALSE(Auditor(fx.board).verify_histogram(forged).ok());
 }
 
 TEST(HistogramQuery, UnpublishedCommitmentRejected) {
@@ -173,8 +173,7 @@ TEST(HistogramQuery, UnpublishedCommitmentRejected) {
   auto response = prove_histogram_query(fx.ref, fx.histogram, 1000);
   ASSERT_TRUE(response.ok());
   CommitmentBoard empty;
-  auto verified =
-      verify_histogram_query(response.value().receipt, empty, nullptr);
+  auto verified = Auditor(empty).verify_histogram(response.value().receipt);
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.error().code, Errc::commitment_missing);
 }

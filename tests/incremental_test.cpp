@@ -161,8 +161,8 @@ TEST(Incremental, MixedChainVerifiesEndToEnd) {
   // One chain-summary receipt covering the mixed chain.
   auto summary = prove_epoch_span(receipts);
   ASSERT_TRUE(summary.ok()) << summary.error().to_string();
-  auto verified = verify_chain_summary(summary.value().receipt, fx.board,
-                                       summary.value().commitments);
+  auto verified = verify_chain_summary(
+      zvm::Verifier{}, summary.value().receipt, summary.value().commitments);
   ASSERT_TRUE(verified.ok()) << verified.error().to_string();
   EXPECT_EQ(verified.value().final_root, service.state().root());
 

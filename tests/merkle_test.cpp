@@ -78,18 +78,6 @@ TEST_P(MerkleSizes, RebuildFromSameLeavesGivesSameRoot) {
   }
 }
 
-TEST_P(MerkleSizes, AppendMatchesBulkBuild) {
-  const u64 n = GetParam();
-  const auto leaves = make_leaves(n);
-  MerkleTree incremental;
-  for (u64 i = 0; i < n; ++i) {
-    EXPECT_EQ(incremental.append_leaf(leaves[i]), i);
-    EXPECT_EQ(incremental.leaf_count(), i + 1);
-  }
-  MerkleTree bulk(leaves);
-  EXPECT_EQ(incremental.root(), bulk.root());
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, MerkleSizes,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16,
                                            17, 31, 33, 64, 100));
@@ -401,24 +389,6 @@ TEST(Merkle, DepthGrowsLogarithmically) {
   EXPECT_EQ(MerkleTree(make_leaves(2)).depth(), 1u);
   EXPECT_EQ(MerkleTree(make_leaves(5)).depth(), 3u);
   EXPECT_EQ(MerkleTree(make_leaves(3000)).depth(), 12u);
-}
-
-TEST(Merkle, InsertLeafMatchesFreshBuildAtEveryPosition) {
-  // insert_leaf(i) must equal rebuilding from scratch with the leaf spliced
-  // in at i — including the capacity-doubling boundary.
-  for (u64 n : {1u, 3u, 4u, 7u, 8u}) {
-    auto leaves = make_leaves(n);
-    const auto extra = MerkleTree::hash_leaf(Bytes{0xEE});
-    for (u64 at = 0; at <= n; ++at) {
-      MerkleTree incremental(leaves);
-      incremental.insert_leaf(at, extra);
-      auto spliced = leaves;
-      spliced.insert(spliced.begin() + static_cast<ptrdiff_t>(at), extra);
-      MerkleTree fresh(spliced);
-      EXPECT_EQ(incremental.root(), fresh.root()) << n << " @ " << at;
-      EXPECT_EQ(incremental.leaf_count(), n + 1);
-    }
-  }
 }
 
 TEST(Merkle, GrowCapacityKeepsLeafCountAndLiftsRootByEmptySubtrees) {

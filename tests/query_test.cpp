@@ -213,6 +213,20 @@ TEST(QuerySerial, RejectsMalformed) {
   EXPECT_FALSE(Query::deserialize(r2).ok());
 }
 
+TEST(QuerySerial, FromBytesIsExactlyOneQuery) {
+  const Query q = Query::sum(QField::bytes)
+                      .and_where(QField::protocol, CmpOp::eq, 6);
+  Bytes wire = q.to_bytes();
+  auto parsed = Query::from_bytes(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().digest(), q.digest());
+  // deserialize stops after the query; from_bytes rejects what follows.
+  wire.push_back(0);
+  auto trailing = Query::from_bytes(wire);
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.error().code, Errc::parse_error);
+}
+
 TEST(QueryToString, SqlLikeRendering) {
   Query q = Query::sum(QField::hop_sum)
                 .and_where(QField::src_ip, CmpOp::eq, 0x01010101)

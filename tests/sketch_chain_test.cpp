@@ -420,7 +420,9 @@ TEST(SketchSoundness, ParamsSwapInJournalRejected) {
   Writer w;
   j.write(w);
   forged.journal = std::move(w).take();
-  EXPECT_FALSE(verify_sketch_heavy(forged).ok());
+  Auditor auditor(fx.board);
+  ASSERT_TRUE(auditor.accept_round(round.value().receipt).ok());
+  EXPECT_FALSE(auditor.verify_heavy_hitters(forged).ok());
 }
 
 TEST(SketchSoundness, EstimateBelowTrueCountRejected) {
@@ -442,7 +444,9 @@ TEST(SketchSoundness, EstimateBelowTrueCountRejected) {
   Writer w;
   j.write(w);
   forged.journal = std::move(w).take();
-  EXPECT_FALSE(verify_sketch_heavy(forged).ok());
+  Auditor auditor(fx.board);
+  ASSERT_TRUE(auditor.accept_round(round.value().receipt).ok());
+  EXPECT_FALSE(auditor.verify_heavy_hitters(forged).ok());
 }
 
 TEST(SketchSoundness, QueryAgainstUnacceptedRoundRejected) {

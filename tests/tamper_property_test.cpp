@@ -184,8 +184,6 @@ TEST(QueryTamper, SelectiveCannotIncludeNonMatchingEntry) {
   const Query q = Query::sum(QField::bytes)
                       .and_where(QField::src_port, CmpOp::lt, 1003);
   SelectiveQueryInput input;
-  input.agg_claim = service.last_receipt().claim;
-  input.agg_journal = service.last_receipt().journal;
   input.query = q;
   // Open ALL entries, including non-matching ones.
   std::vector<u64> indices;
@@ -197,11 +195,9 @@ TEST(QueryTamper, SelectiveCannotIncludeNonMatchingEntry) {
     indices.push_back(i);
   }
   input.proof = service.state().prove_multi(indices);
-  zvm::ProveOptions options;
-  options.assumptions.push_back(service.last_receipt());
-  zvm::Prover prover;
-  auto receipt = prover.prove(guest_images().query_selective,
-                              input.to_bytes(), options);
+  auto receipt = prove_on_round<QueryResponse>(
+      guest_images().query_selective, service.last_receipt(),
+      input.to_bytes(), {});
   ASSERT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.error().code, Errc::guest_abort);
 }
@@ -216,8 +212,6 @@ TEST(QueryTamper, SelectiveCannotDoubleCount) {
 
   const Query q = Query::sum(QField::bytes);
   SelectiveQueryInput input;
-  input.agg_claim = service.last_receipt().claim;
-  input.agg_journal = service.last_receipt().journal;
   input.query = q;
   for (int dup = 0; dup < 2; ++dup) {
     SelectiveQueryInput::OpenedEntry opened;
@@ -228,11 +222,9 @@ TEST(QueryTamper, SelectiveCannotDoubleCount) {
   // A multiproof cannot even express a duplicated index (it deduplicates);
   // the guest's alignment/ascension asserts must catch the mismatch.
   input.proof = service.state().prove_multi(std::vector<u64>{0});
-  zvm::ProveOptions options;
-  options.assumptions.push_back(service.last_receipt());
-  zvm::Prover prover;
-  auto receipt = prover.prove(guest_images().query_selective,
-                              input.to_bytes(), options);
+  auto receipt = prove_on_round<QueryResponse>(
+      guest_images().query_selective, service.last_receipt(),
+      input.to_bytes(), {});
   ASSERT_FALSE(receipt.ok());
 }
 
@@ -254,8 +246,6 @@ TEST(QueryTamper, SelectiveCannotUseForeignEntry) {
 
   const Query q = Query::sum(QField::bytes);
   SelectiveQueryInput input;
-  input.agg_claim = service.last_receipt().claim;
-  input.agg_journal = service.last_receipt().journal;
   input.query = q;
   SelectiveQueryInput::OpenedEntry opened;
   opened.index = 0;
@@ -263,11 +253,9 @@ TEST(QueryTamper, SelectiveCannotUseForeignEntry) {
   input.opened.push_back(std::move(opened));
   input.proof = foreign.prove_multi(std::vector<u64>{0});
 
-  zvm::ProveOptions options;
-  options.assumptions.push_back(service.last_receipt());
-  zvm::Prover prover;
-  auto receipt = prover.prove(guest_images().query_selective,
-                              input.to_bytes(), options);
+  auto receipt = prove_on_round<QueryResponse>(
+      guest_images().query_selective, service.last_receipt(),
+      input.to_bytes(), {});
   ASSERT_FALSE(receipt.ok());
 }
 

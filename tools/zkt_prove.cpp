@@ -328,6 +328,8 @@ int main(int argc, char** argv) {
     }
     std::printf("  query: %s\n", query.value().to_string().c_str());
     const std::string query_path = data_dir + "/query_receipt.bin";
+    core::QueryService queries(aggregation,
+                               core::QueryServiceOptions{options});
 
     if (flags.has("group-by")) {
       // Grouped proof: one receipt covering every group.
@@ -343,8 +345,7 @@ int main(int argc, char** argv) {
                      field_name.c_str());
         return finish(flags, data_dir, 1);
       }
-      auto response = core::run_grouped_query(aggregation, query.value(),
-                                              *group, options);
+      auto response = queries.grouped(query.value(), *group);
       if (!response.ok()) {
         std::fprintf(stderr, "grouped query proof: %s\n",
                      response.error().to_string().c_str());
@@ -367,8 +368,6 @@ int main(int argc, char** argv) {
       return finish(flags, data_dir, 0);
     }
 
-    core::QueryService queries(aggregation,
-                               core::QueryServiceOptions{options});
     core::QueryOptions query_options;
     if (flags.has("selective")) {
       query_options.mode = core::QueryMode::selective;

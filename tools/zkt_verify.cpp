@@ -277,8 +277,8 @@ int main(int argc, char** argv) {
 
     // Grouped receipts carry a different guest image; dispatch on it.
     if (query_receipt.claim.image_id == core::grouped_query_image()) {
-      auto grouped = core::verify_grouped_query(query_receipt, auditor,
-                                                &expected.value());
+      auto grouped = auditor.verify_grouped(
+          query_receipt, {.expected_query = &expected.value()});
       if (!grouped.ok()) {
         std::printf("grouped query proof: REJECTED — %s\n",
                     grouped.error().to_string().c_str());
