@@ -233,9 +233,11 @@ std::string describe_receipt(const zvm::Receipt& receipt) {
   if (receipt.seal_kind == zvm::SealKind::composite) {
     os << "  segments: " << receipt.composite.segments.size() << " (";
     for (size_t i = 0; i < receipt.composite.segments.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << receipt.composite.segments[i].row_count << " rows/"
-         << receipt.composite.segments[i].openings.size() << " opened";
+      const zvm::SegmentSeal& segment = receipt.composite.segments[i];
+      if (i > 0) os << "; ";
+      os << segment.row_count << " rows, "
+         << zvm::leaves_for_rows(segment.row_count) << " leaves, "
+         << segment.openings.size() << " opened";
     }
     os << ")\n";
   }

@@ -15,6 +15,8 @@ namespace zkt::crypto {
 
 namespace {
 
+/// For sizes of trees held in memory; counts read off a proof go through
+/// MerkleTree::depth_for.
 u64 next_pow2(u64 n) {
   if (n <= 1) return 1;
   return std::bit_ceil(n);
@@ -122,6 +124,13 @@ const Digest32& MerkleTree::empty_subtree_root(u32 height) {
   }();
   assert(height < kRoots.size());
   return kRoots[height];
+}
+
+Result<u32> MerkleTree::depth_for(u64 leaf_count) {
+  if (leaf_count > (u64{1} << 63)) {
+    return Error{Errc::merkle_mismatch, "leaf count above 2^63"};
+  }
+  return static_cast<u32>(std::countr_zero(next_pow2(leaf_count)));
 }
 
 MerkleTree::MerkleTree(std::vector<Digest32> leaves)
@@ -273,9 +282,10 @@ void MerkleTree::grow_capacity(u64 min_slots) {
 
 Status MerkleTree::verify(const Digest32& root, const Digest32& leaf,
                           const MerkleProof& proof) {
-  const u64 padded = next_pow2(std::max<u64>(proof.leaf_count, 1));
-  const u32 expect_depth =
-      static_cast<u32>(std::countr_zero(padded));
+  auto depth = depth_for(proof.leaf_count);
+  if (!depth.ok()) return depth.error();
+  const u32 expect_depth = depth.value();
+  const u64 padded = u64{1} << expect_depth;
   if (proof.siblings.size() != expect_depth) {
     return Error{Errc::merkle_mismatch, "proof depth mismatch"};
   }
@@ -308,8 +318,10 @@ Status MerkleTree::verify_batch(const Digest32& root,
   u32 max_depth = 0;
   for (size_t i = 0; i < items.size(); ++i) {
     const MerkleProof& proof = *items[i].proof;
-    const u64 padded = next_pow2(std::max<u64>(proof.leaf_count, 1));
-    const u32 expect_depth = static_cast<u32>(std::countr_zero(padded));
+    auto depth = depth_for(proof.leaf_count);
+    if (!depth.ok()) return depth.error();
+    const u32 expect_depth = depth.value();
+    const u64 padded = u64{1} << expect_depth;
     if (proof.siblings.size() != expect_depth) {
       return Error{Errc::merkle_mismatch, "proof depth mismatch"};
     }
@@ -439,8 +451,10 @@ Status MerkleTree::verify_multi(
   if (leaves.size() != proof.indices.size()) {
     return Error{Errc::merkle_mismatch, "leaf count vs proof indices"};
   }
-  const u64 padded = next_pow2(std::max<u64>(proof.leaf_count, 1));
-  const u32 depth = static_cast<u32>(std::countr_zero(padded));
+  auto proof_depth = depth_for(proof.leaf_count);
+  if (!proof_depth.ok()) return proof_depth.error();
+  const u32 depth = proof_depth.value();
+  const u64 padded = u64{1} << depth;
 
   std::vector<std::pair<u64, Digest32>> known(leaves.begin(), leaves.end());
   for (size_t i = 0; i < known.size(); ++i) {

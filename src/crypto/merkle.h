@@ -30,6 +30,8 @@ struct MerkleProof {
   void serialize(Writer& w) const;
   static Result<MerkleProof> deserialize(Reader& r);
 
+  friend bool operator==(const MerkleProof&, const MerkleProof&) = default;
+
   /// Serialized size in bytes.
   size_t byte_size() const { return 16 + 2 + siblings.size() * 32; }
 };
@@ -100,6 +102,11 @@ class MerkleTree {
   /// a tree's capacity maps its root r to hash_node(r,
   /// empty_subtree_root(old_depth)).
   static const Digest32& empty_subtree_root(u32 height);
+  /// Depth of the padded tree over `leaf_count` leaves: log2 of the next
+  /// power of two (0 for at most one leaf). A count above 2^63 pads to no
+  /// u64 and is merkle_mismatch. Every check of a leaf count read off a
+  /// proof, here or traced in a guest, sizes its tree through this.
+  static Result<u32> depth_for(u64 leaf_count);
 
   /// Root digest. For an empty tree, returns the hash of the empty leaf.
   Digest32 root() const;

@@ -1,7 +1,6 @@
 #include "zvm/env.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "crypto/sha256.h"
 
@@ -138,8 +137,10 @@ Status Env::verify_merkle(const Digest32& root, const Digest32& leaf,
                           const crypto::MerkleProof& proof) {
   // Same layout rules as crypto::MerkleTree::verify, but every hash and the
   // final comparison are traced so the check is part of the proven execution.
-  const u64 padded = std::bit_ceil(std::max<u64>(proof.leaf_count, 1));
-  const u32 expect_depth = static_cast<u32>(std::countr_zero(padded));
+  auto depth = crypto::MerkleTree::depth_for(proof.leaf_count);
+  if (!depth.ok()) return assert_true(false, "merkle leaf count range");
+  const u32 expect_depth = depth.value();
+  const u64 padded = u64{1} << expect_depth;
   ZKT_TRY(assert_true(proof.siblings.size() == expect_depth,
                       "merkle proof depth"));
   ZKT_TRY(assert_true(proof.leaf_index < padded, "merkle leaf index range"));
@@ -159,8 +160,12 @@ Status Env::verify_merkle_multi(
   // openings are part of the proven execution.
   ZKT_TRY(assert_true(leaves.size() == proof.indices.size(),
                       "multiproof leaf count"));
-  const u64 padded = std::bit_ceil(std::max<u64>(proof.leaf_count, 1));
-  const u32 depth = static_cast<u32>(std::countr_zero(padded));
+  auto proof_depth = crypto::MerkleTree::depth_for(proof.leaf_count);
+  if (!proof_depth.ok()) {
+    return assert_true(false, "multiproof leaf count range");
+  }
+  const u32 depth = proof_depth.value();
+  const u64 padded = u64{1} << depth;
   ZKT_TRY(assert_true(!leaves.empty(), "multiproof must open something"));
   for (size_t i = 0; i < leaves.size(); ++i) {
     ZKT_TRY(assert_true(leaves[i].first == proof.indices[i],

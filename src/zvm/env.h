@@ -14,6 +14,7 @@
 // commits append to the public journal.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -44,6 +45,15 @@ struct TraceSegment {
   BytesView row(u64 index) const {
     const u64 begin = index == 0 ? 0 : ends[index - 1];
     return BytesView(bytes.data() + begin, ends[index] - begin);
+  }
+  /// Encoded bytes of the rows under trace leaf `index` (see kRowsPerLeaf),
+  /// read in place: rows [kRowsPerLeaf·index, min(kRowsPerLeaf·(index+1),
+  /// rows())), which must not be empty.
+  BytesView leaf(u64 index) const {
+    const u64 first = index * kRowsPerLeaf;
+    const u64 last = std::min(first + kRowsPerLeaf, rows());
+    const u64 begin = first == 0 ? 0 : ends[first - 1];
+    return BytesView(bytes.data() + begin, ends[last - 1] - begin);
   }
 };
 

@@ -92,8 +92,9 @@ struct RowAssume {
   Digest32 claim_digest;
 };
 
-/// One row's encoding: its kind byte, then its fields, little-endian. These
-/// bytes are the row's Merkle leaf preimage and what an opening carries.
+/// One row's encoding: its kind byte, then its fields, little-endian. A trace
+/// leaf's preimage, and what an opening carries, is these bytes of its
+/// kRowsPerLeaf rows back to back (zvm/receipt.h).
 struct EncodedRow {
   /// The largest row kind, sha256_compress: 1 + 32 + 64 + 32 bytes.
   static constexpr size_t kMaxBytes = 129;
@@ -122,7 +123,8 @@ struct TraceRow {
   void serialize(Writer& w) const;
   static Result<TraceRow> deserialize(Reader& r);
 
-  /// Leaf digest for the trace Merkle tree.
+  /// Digest of a trace leaf holding this row alone: hash_leaf of its
+  /// encoding.
   Digest32 leaf_digest() const;
 
   /// Recheck this row's internal semantics (recompute hash/ALU, check

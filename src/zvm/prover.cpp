@@ -24,39 +24,42 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Rows leaf-hashed per MerkleTree::hash_leaves() batch: enough to keep the
-/// SIMD lanes of the batched SHA-256 backends full, few enough that the
-/// batch's lane states and blocks stay in cache.
-constexpr u64 kLeafBatchRows = 512;
+/// Leaves hashed per MerkleTree::hash_leaves() batch (512 rows): enough to
+/// keep the SIMD lanes of the batched SHA-256 backends full, few enough
+/// that the batch's lane states and blocks stay in cache.
+constexpr u64 kLeafBatchLeaves = 64;
 
-/// Leaf-hash one segment's rows straight from the trace log and build its
-/// Merkle tree. With `fan_out` the leaf batches spread over the shared pool
-/// (the last segment, which the caller commits while nothing else is left
-/// to overlap); otherwise they run here (a full segment, already a pool
-/// task of its own).
+/// Leaf-hash one segment's rows, kRowsPerLeaf to a leaf, straight from the
+/// trace log and build its Merkle tree. With `fan_out` the leaf batches
+/// spread over the shared pool (the last segment, which the caller commits
+/// while nothing else is left to overlap); otherwise they run here (a full
+/// segment, already a pool task of its own).
 crypto::MerkleTree commit_segment(const TraceSegment& segment, bool fan_out) {
   const auto start = std::chrono::steady_clock::now();
   obs::Registry& metrics = obs::Registry::instance();
   // zkt-lint: shared(histogram records are atomic)
   obs::Histogram& batch_rows = metrics.histogram("zvm.prover.leaf_batch_rows");
+  const u64 leaf_count = leaves_for_rows(segment.rows());
   // zkt-lint: shared(each chunk writes only its own batches' slots; read after parallel_for joins)
-  std::vector<Digest32> leaves(segment.rows());
-  const size_t batches =
-      (segment.rows() + kLeafBatchRows - 1) / kLeafBatchRows;
+  std::vector<Digest32> leaves(leaf_count);
+  const size_t batches = (leaf_count + kLeafBatchLeaves - 1) / kLeafBatchLeaves;
   // One chunk of every batch keeps a full segment's work on this thread.
   const size_t grain = fan_out ? 1 : std::max<size_t>(batches, 1);
   common::ThreadPool::shared().parallel_for(
       batches, grain, [&](size_t first, size_t last) {
         std::vector<BytesView> views;
         for (size_t b = first; b < last; ++b) {
-          const u64 begin = b * kLeafBatchRows;
-          const u64 end = std::min(segment.rows(), begin + kLeafBatchRows);
+          const u64 begin = b * kLeafBatchLeaves;
+          const u64 end = std::min(leaf_count, begin + kLeafBatchLeaves);
           views.clear();
-          for (u64 i = begin; i < end; ++i) views.push_back(segment.row(i));
+          for (u64 i = begin; i < end; ++i) views.push_back(segment.leaf(i));
           const auto digests = crypto::MerkleTree::hash_leaves(views);
           std::copy(digests.begin(), digests.end(),
                     leaves.begin() + static_cast<ptrdiff_t>(begin));
-          batch_rows.record(static_cast<double>(views.size()));
+          const u64 rows =
+              std::min(segment.rows(), end * kRowsPerLeaf) -
+              begin * kRowsPerLeaf;
+          batch_rows.record(static_cast<double>(rows));
         }
       });
   crypto::MerkleTree tree(std::move(leaves));
@@ -146,10 +149,11 @@ std::vector<u64> derive_query_indices(const Digest32& claim_digest,
                                       u64 segment_index,
                                       const Digest32& segment_root,
                                       u64 row_count, u32 num_queries) {
-  const u64 count = std::min<u64>(num_queries, row_count);
+  const u64 leaf_count = leaves_for_rows(row_count);
+  const u64 count = std::min<u64>(num_queries, leaf_count);
   std::vector<u64> indices;
   indices.reserve(count);
-  crypto::Transcript transcript("zkt.zvm.seal.v2");
+  crypto::Transcript transcript("zkt.zvm.seal.v3");
   transcript.absorb("claim", claim_digest);
   transcript.absorb("roots", roots_digest);
   transcript.absorb_u64("segment", segment_index);
@@ -162,7 +166,7 @@ std::vector<u64> derive_query_indices(const Digest32& claim_digest,
   std::vector<u64> sorted;
   sorted.reserve(count);
   while (indices.size() < count) {
-    const u64 idx = transcript.challenge_index("query", row_count);
+    const u64 idx = transcript.challenge_index("query", leaf_count);
     const auto pos = std::lower_bound(sorted.begin(), sorted.end(), idx);
     if (pos != sorted.end() && *pos == idx) continue;
     sorted.insert(pos, idx);
@@ -255,9 +259,9 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
     segment.openings.reserve(indices.size());
     for (u64 idx : indices) {
       SealOpening opening;
-      opening.row_index = idx;
-      const BytesView row = segments[seg].row(idx);
-      opening.row_bytes.assign(row.begin(), row.end());
+      opening.leaf_index = idx;
+      const BytesView leaf = segments[seg].leaf(idx);
+      opening.leaf_bytes.assign(leaf.begin(), leaf.end());
       opening.proof = trees[seg].prove(idx);
       segment.openings.push_back(std::move(opening));
     }

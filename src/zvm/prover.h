@@ -8,7 +8,8 @@
 //      executing,
 //   3. bind the public journal into the claim,
 //   4. commit the last, partial segment and wait for the others,
-//   5. derive Fiat–Shamir query indices and open those rows,
+//   5. derive Fiat–Shamir query indices and open those leaves (each one
+//      kRowsPerLeaf consecutive rows),
 //   6. optionally wrap the composite seal into a constant-size succinct seal.
 // Overlapping commitment with execution changes only when the hashing runs:
 // segment boundaries, roots, openings and receipt bytes are the same at
@@ -27,7 +28,8 @@ namespace zkt::zvm {
 
 struct ProveOptions {
   SealKind seal_kind = SealKind::succinct;
-  /// Number of Fiat–Shamir row openings per trace segment.
+  /// Number of Fiat–Shamir leaf openings per trace segment (each leaf holds
+  /// kRowsPerLeaf rows).
   u32 num_queries = 32;
   /// Maximum rows per trace segment (the continuation size). Long guests
   /// are split into ceil(rows / max_segment_rows) segments, each committed
@@ -73,11 +75,13 @@ class Prover {
   const ImageRegistry* registry_;
 };
 
-/// Derive the Fiat–Shamir row-query indices for one trace segment. The
-/// challenges bind the claim, the digest of ALL segment roots, this
-/// segment's index and its own root — so no segment's openings can be
-/// recomputed without fixing the whole seal first. Shared between prover
-/// and verifier so challenges are reproducible.
+/// Derive the Fiat–Shamir leaf-query indices for one trace segment of
+/// `row_count` rows: min(num_queries, leaf count) distinct indices below its
+/// leaf count, in draw order. The challenges bind the claim, the digest of
+/// ALL segment roots, this segment's index, its own root and its row count
+/// — so no segment's openings can be recomputed without fixing the whole
+/// seal first. Shared between prover and verifier so challenges are
+/// reproducible.
 std::vector<u64> derive_query_indices(const Digest32& claim_digest,
                                       const Digest32& roots_digest,
                                       u64 segment_index,

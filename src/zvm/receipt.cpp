@@ -44,8 +44,8 @@ Digest32 Claim::digest() const {
 }
 
 void SealOpening::serialize(Writer& w) const {
-  w.u64v(row_index);
-  w.blob(row_bytes);
+  w.u64v(leaf_index);
+  w.blob(leaf_bytes);
   proof.serialize(w);
 }
 
@@ -53,10 +53,10 @@ Result<SealOpening> SealOpening::deserialize(Reader& r) {
   SealOpening o;
   auto idx = r.u64v();
   if (!idx.ok()) return idx.error();
-  o.row_index = idx.value();
-  auto rb = r.blob();
-  if (!rb.ok()) return rb.error();
-  o.row_bytes = std::move(rb.value());
+  o.leaf_index = idx.value();
+  auto lb = r.blob();
+  if (!lb.ok()) return lb.error();
+  o.leaf_bytes = std::move(lb.value());
   auto p = crypto::MerkleProof::deserialize(r);
   if (!p.ok()) return p.error();
   o.proof = std::move(p.value());
@@ -86,6 +86,17 @@ Result<SegmentSeal> SegmentSeal::deserialize(Reader& r) {
     o = std::move(parsed.value());
   }
   return s;
+}
+
+Result<u64> CompositeSeal::total_rows() const {
+  u64 total = 0;
+  for (const auto& s : segments) {
+    if (s.row_count > ~total) {
+      return Error{Errc::proof_invalid, "trace row counts overflow"};
+    }
+    total += s.row_count;
+  }
+  return total;
 }
 
 Digest32 CompositeSeal::roots_digest() const {

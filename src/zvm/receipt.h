@@ -5,8 +5,9 @@
 //              input and the public journal, cycle count, and any assumptions
 //              (inner receipts the guest verified).
 //   Seal     — the cryptographic argument. Two kinds:
-//                composite: trace Merkle root + Fiat–Shamir-sampled row
-//                           openings (grows ~ queries × log(rows));
+//                composite: trace Merkle root over leaves of kRowsPerLeaf
+//                           rows + Fiat–Shamir-sampled leaf openings (grows
+//                           ~ queries × (leaf bytes + log(leaves)));
 //                succinct:  constant 256 bytes, simulating the Groth16
 //                           wrapping RISC Zero applies to compress composite
 //                           receipts (see DESIGN.md for the soundness caveat).
@@ -44,19 +45,36 @@ struct Claim {
 
   /// Canonical digest binding every claim field.
   Digest32 digest() const;
+
+  friend bool operator==(const Claim&, const Claim&) = default;
 };
 
 enum class SealKind : u8 { composite = 1, succinct = 2 };
 
-/// One opened trace row: its index, serialized bytes, and inclusion proof
-/// against the trace root.
+/// Trace rows under one Merkle leaf. Leaf i of a segment holds rows
+/// [kRowsPerLeaf·i, kRowsPerLeaf·(i+1)), its preimage is 0x00 ‖ their
+/// encoded bytes back to back, and the segment's last leaf may hold fewer
+/// rows. An opening reveals a whole leaf, so the verifier checks every row
+/// in it.
+inline constexpr u64 kRowsPerLeaf = 8;
+
+/// Leaves of a segment of `rows` rows: ceil(rows / kRowsPerLeaf), for every
+/// u64 row count.
+constexpr u64 leaves_for_rows(u64 rows) {
+  return rows / kRowsPerLeaf + (rows % kRowsPerLeaf != 0);
+}
+
+/// One opened trace leaf: its index, the encoded bytes of its rows, and its
+/// inclusion proof against the trace root.
 struct SealOpening {
-  u64 row_index = 0;
-  Bytes row_bytes;
+  u64 leaf_index = 0;
+  Bytes leaf_bytes;
   crypto::MerkleProof proof;
 
   void serialize(Writer& w) const;
   static Result<SealOpening> deserialize(Reader& r);
+
+  friend bool operator==(const SealOpening&, const SealOpening&) = default;
 };
 
 /// One trace segment's commitment and openings. Long executions are split
@@ -70,16 +88,15 @@ struct SegmentSeal {
 
   void serialize(Writer& w) const;
   static Result<SegmentSeal> deserialize(Reader& r);
+
+  friend bool operator==(const SegmentSeal&, const SegmentSeal&) = default;
 };
 
 struct CompositeSeal {
   std::vector<SegmentSeal> segments;
 
-  u64 total_rows() const {
-    u64 total = 0;
-    for (const auto& s : segments) total += s.row_count;
-    return total;
-  }
+  /// Rows over all segments; proof_invalid when the counts overflow a u64.
+  Result<u64> total_rows() const;
 
   /// Digest binding every segment root (what the succinct wrapper signs
   /// over and what anchors the Fiat–Shamir challenges across segments).
@@ -87,6 +104,8 @@ struct CompositeSeal {
 
   void serialize(Writer& w) const;
   static Result<CompositeSeal> deserialize(Reader& r);
+
+  friend bool operator==(const CompositeSeal&, const CompositeSeal&) = default;
 };
 
 /// Fixed-size simulated SNARK seal. Layout:
@@ -101,6 +120,8 @@ struct SuccinctSeal {
   static SuccinctSeal wrap(const Digest32& claim_digest,
                            const Digest32& trace_root);
   Status check(const Digest32& claim_digest) const;
+
+  friend bool operator==(const SuccinctSeal&, const SuccinctSeal&) = default;
 };
 
 struct Receipt {
@@ -125,6 +146,9 @@ struct Receipt {
   size_t seal_size_bytes() const;
   /// Full serialized receipt size.
   size_t receipt_size_bytes() const { return to_bytes().size(); }
+
+  /// Field by field, so at least as strict as comparing serialized bytes.
+  friend bool operator==(const Receipt&, const Receipt&) = default;
 };
 
 }  // namespace zkt::zvm

@@ -8,15 +8,40 @@
 
 namespace zkt::zvm {
 
+namespace {
+
+/// One opened row's semantics, and its agreement with the claim for rows
+/// that reference it.
+Status check_row(const TraceRow& row, const Claim& claim) {
+  ZKT_TRY(row.check());
+  if (const auto* bind = std::get_if<RowBindDigest>(&row.op)) {
+    const Digest32& expect = bind->target == BindTarget::input
+                                 ? claim.input_digest
+                                 : claim.journal_digest;
+    if (bind->computed != expect) {
+      return Error{Errc::proof_invalid, "bind row does not match claim"};
+    }
+  }
+  if (const auto* assume = std::get_if<RowAssume>(&row.op)) {
+    const Assumption a{assume->image_id, assume->claim_digest};
+    if (std::find(claim.assumptions.begin(), claim.assumptions.end(), a) ==
+        claim.assumptions.end()) {
+      return Error{Errc::proof_invalid, "assume row not in claim"};
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
 void VerifiedCache::add(const Receipt& receipt) {
-  by_claim_[receipt.claim.digest().bytes] = receipt.to_bytes();
+  by_claim_.insert_or_assign(receipt.claim.digest().bytes, receipt);
 }
 
 bool VerifiedCache::contains(const Receipt& receipt) const {
   const auto it = by_claim_.find(receipt.claim.digest().bytes);
-  if (it == by_claim_.end()) return false;
-  // Same claim is not enough: only the byte-identical receipt was verified.
-  return receipt.to_bytes() == it->second;
+  // Same claim is not enough: only the identical receipt was verified.
+  return it != by_claim_.end() && it->second == receipt;
 }
 
 Status Verifier::verify(const Receipt& receipt,
@@ -48,7 +73,9 @@ Status Verifier::verify_composite(const Receipt& receipt,
   if (seal.segments.empty()) {
     return Error{Errc::proof_invalid, "seal has no segments"};
   }
-  if (seal.total_rows() != receipt.claim.cycle_count) {
+  auto total_rows = seal.total_rows();
+  if (!total_rows.ok()) return total_rows.error();
+  if (total_rows.value() != receipt.claim.cycle_count) {
     return Error{Errc::proof_invalid, "cycle count does not match trace"};
   }
   if (receipt.claim.cycle_count == 0) {
@@ -63,14 +90,15 @@ Status Verifier::verify_composite(const Receipt& receipt,
     if (segment.row_count == 0) {
       return Error{Errc::proof_invalid, "empty trace segment"};
     }
-    // The prover may open more rows than our policy requires, never fewer.
-    const u64 required = std::min<u64>(min_queries_, segment.row_count);
+    const u64 leaf_count = leaves_for_rows(segment.row_count);
+    // The prover may open more leaves than our policy requires, never fewer.
+    const u64 required = std::min<u64>(min_queries_, leaf_count);
     if (segment.openings.size() < required) {
       return Error{Errc::proof_invalid, "too few seal openings"};
     }
 
     // Recompute the Fiat–Shamir challenges; the prover cannot choose which
-    // rows to open.
+    // leaves to open.
     const auto expect_indices = derive_query_indices(
         claim_digest, roots_digest, seg, segment.trace_root,
         segment.row_count, static_cast<u32>(segment.openings.size()));
@@ -81,11 +109,11 @@ Status Verifier::verify_composite(const Receipt& receipt,
     // Index and proof-shape checks for every opening first...
     for (size_t i = 0; i < segment.openings.size(); ++i) {
       const auto& opening = segment.openings[i];
-      if (opening.row_index != expect_indices[i]) {
+      if (opening.leaf_index != expect_indices[i]) {
         return Error{Errc::proof_invalid, "opening index mismatch"};
       }
-      if (opening.proof.leaf_index != opening.row_index ||
-          opening.proof.leaf_count != segment.row_count) {
+      if (opening.proof.leaf_index != opening.leaf_index ||
+          opening.proof.leaf_count != leaf_count) {
         return Error{Errc::proof_invalid, "opening proof shape mismatch"};
       }
     }
@@ -93,12 +121,12 @@ Status Verifier::verify_composite(const Receipt& receipt,
     // ...then one batched leaf hash (sha256_many lanes) and one batched
     // Merkle-path pass (hash_pairs + converging-path dedup) over the whole
     // segment, instead of per-opening hashing.
-    std::vector<BytesView> row_views(segment.openings.size());
+    std::vector<BytesView> leaf_views(segment.openings.size());
     for (size_t i = 0; i < segment.openings.size(); ++i) {
-      row_views[i] = BytesView(segment.openings[i].row_bytes);
+      leaf_views[i] = BytesView(segment.openings[i].leaf_bytes);
     }
     const std::vector<Digest32> leaves =
-        crypto::MerkleTree::hash_leaves(row_views);
+        crypto::MerkleTree::hash_leaves(leaf_views);
     std::vector<crypto::LeafProof> path_items(segment.openings.size());
     for (size_t i = 0; i < segment.openings.size(); ++i) {
       path_items[i] = {&leaves[i], &segment.openings[i].proof};
@@ -112,40 +140,31 @@ Status Verifier::verify_composite(const Receipt& receipt,
       context.stats->node_hashes_shared += path_stats.node_hashes_shared;
     }
 
-    // Row semantics, in opening order.
+    // Semantics of every row of every opened leaf, in opening order: leaf
+    // i holds exactly min(kRowsPerLeaf, rows - kRowsPerLeaf·i) rows (i is
+    // below leaf_count, so that product stays below row_count).
     for (const auto& opening : segment.openings) {
-      Reader r(opening.row_bytes);
-      auto row = TraceRow::deserialize(r);
-      if (!row.ok()) return row.error();
+      const u64 rows = std::min(
+          kRowsPerLeaf, segment.row_count - opening.leaf_index * kRowsPerLeaf);
+      Reader r(opening.leaf_bytes);
+      for (u64 j = 0; j < rows; ++j) {
+        if (r.done()) {
+          return Error{Errc::proof_invalid, "trace leaf holds too few rows"};
+        }
+        auto row = TraceRow::deserialize(r);
+        if (!row.ok()) return row.error();
+        ZKT_TRY(check_row(row.value(), receipt.claim));
+      }
       if (!r.done()) {
-        return Error{Errc::proof_invalid, "trailing bytes in trace row"};
-      }
-      ZKT_TRY(row.value().check());
-
-      // Rows referencing the claim must match it.
-      if (const auto* bind = std::get_if<RowBindDigest>(&row.value().op)) {
-        const Digest32& expect = bind->target == BindTarget::input
-                                     ? receipt.claim.input_digest
-                                     : receipt.claim.journal_digest;
-        if (bind->computed != expect) {
-          return Error{Errc::proof_invalid, "bind row does not match claim"};
-        }
-      }
-      if (const auto* assume = std::get_if<RowAssume>(&row.value().op)) {
-        const Assumption a{assume->image_id, assume->claim_digest};
-        if (std::find(receipt.claim.assumptions.begin(),
-                      receipt.claim.assumptions.end(),
-                      a) == receipt.claim.assumptions.end()) {
-          return Error{Errc::proof_invalid, "assume row not in claim"};
-        }
+        return Error{Errc::proof_invalid, "trailing bytes in trace leaf"};
       }
     }
   }
 
   // Every claimed assumption must be backed by an embedded receipt that
   // itself verifies — or that the batch context already verified (a cache
-  // hit requires byte-identical receipt content, so skipping is exactly
-  // equivalent to re-verifying).
+  // hit requires an identical receipt, so skipping is exactly equivalent to
+  // re-verifying).
   for (const auto& assumption : receipt.claim.assumptions) {
     bool matched = false;
     for (const auto& inner : receipt.assumption_receipts) {

@@ -1,16 +1,17 @@
 // Verifier: checks receipts without access to the private input.
 //
 // Composite receipts: recompute the Fiat–Shamir challenges, check every
-// opened row's Merkle inclusion against the trace root and its internal
-// semantics (recompute SHA-256 compressions / ALU ops, check asserts), check
-// bind rows against the claim, and recursively verify assumption receipts.
+// opened leaf's Merkle inclusion against the trace root and the internal
+// semantics of each of its kRowsPerLeaf rows (recompute SHA-256
+// compressions / ALU ops, check asserts), check bind rows against the
+// claim, and recursively verify assumption receipts.
 //
 // Succinct receipts: check the simulated SNARK seal binding (see DESIGN.md)
 // and the journal digest. This is the client-side path the paper measures at
 // ~3 ms regardless of entry count.
 //
 // Verification is the side that runs at client scale, so the composite path
-// hashes in batch: opened-row leaf digests go through MerkleTree::
+// hashes in batch: opened leaf digests go through MerkleTree::
 // hash_leaves (one sha256_many per segment) and all openings' Merkle paths
 // through MerkleTree::verify_batch (level-synchronous hash_pairs with
 // converging-path dedup) — the same SIMD backends the prover uses, with
@@ -30,7 +31,7 @@ namespace zkt::zvm {
 /// the auditor publishes these as core.auditor.* metrics.
 struct VerifyStats {
   u64 receipts = 0;             ///< receipts verified (incl. assumptions)
-  u64 openings = 0;             ///< composite seal openings checked
+  u64 openings = 0;             ///< composite seal openings (leaves) checked
   u64 node_hashes = 0;          ///< Merkle path hashes actually computed
   u64 node_hashes_shared = 0;   ///< path hashes deduplicated across openings
   u64 assumptions_skipped = 0;  ///< assumption receipts resolved from cache
@@ -50,13 +51,14 @@ struct VerifyStats {
 /// standalone, once as the next round's assumption). A batch verifier adds
 /// each accepted receipt here and the assumption pass skips re-verifying it.
 ///
-/// A cache hit requires the embedded receipt's serialized bytes to EQUAL the
-/// cached receipt's — so a hit is always equivalent to re-verifying the
-/// identical receipt, and decisions match the uncached path exactly (a
-/// forged seal sharing a verified claim digest is NOT resolved from cache).
-/// Equality is a straight byte compare, not a digest compare: chained
-/// receipts grow with the rounds they embed, and hashing them to key the
-/// cache would cost more than the re-verification the cache avoids.
+/// A cache hit requires the embedded receipt to EQUAL the cached one, field
+/// by field (at least as strict as equal serialized bytes) — so a hit is
+/// always equivalent to re-verifying the identical receipt, and decisions
+/// match the uncached path exactly (a forged seal sharing a verified claim
+/// digest is NOT resolved from cache). The compare runs in place, neither
+/// serializing nor hashing: chained receipts grow with the rounds they
+/// embed, and either would cost more than the re-verification the cache
+/// avoids.
 class VerifiedCache {
  public:
   void add(const Receipt& receipt);
@@ -64,8 +66,8 @@ class VerifiedCache {
   size_t size() const { return by_claim_.size(); }
 
  private:
-  /// claim digest -> the receipt's serialized bytes.
-  std::map<std::array<u8, 32>, Bytes> by_claim_;
+  /// claim digest -> the verified receipt.
+  std::map<std::array<u8, 32>, Receipt> by_claim_;
 };
 
 /// Per-call knobs for Verifier::verify. Both pointers are optional and
@@ -78,7 +80,8 @@ struct VerifyContext {
 class Verifier {
  public:
   /// min_queries is the verifier's own soundness policy: a composite seal
-  /// must open at least min(min_queries, row_count) Fiat–Shamir-chosen rows.
+  /// must open at least min(min_queries, leaf count) Fiat–Shamir-chosen
+  /// leaves per segment, each holding kRowsPerLeaf rows.
   /// Without this floor a malicious prover could ship a seal with fewer
   /// (even zero) openings and trivially pass the sampled checks.
   explicit Verifier(u32 min_queries = 32) : min_queries_(min_queries) {}

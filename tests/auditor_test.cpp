@@ -197,8 +197,12 @@ TEST(Auditor, ModeConfusionRejected) {
 // The soundness floor (AuditorOptions::min_queries) reaches every receipt
 // kind the auditor verifies.
 
-/// Composite receipts opening 32 rows per segment: of every query kind,
+/// Composite receipts opening 24 leaves per segment: of every query kind,
 /// plus one epoch seal over the chain, all against one sketched chain.
+/// Each spans more than 24 leaves, so a floor above 24 asks for more
+/// openings than it carries. Every one but the histogram spans more than 32;
+/// the histogram guest's trace is 221 rows (28 leaves) whatever the
+/// histogram holds, which is why the openings are 24 and not 32.
 struct FloorReceipts {
   Pipeline p;
   std::vector<zvm::Receipt> rounds;
@@ -207,12 +211,18 @@ struct FloorReceipts {
   EpochSeal seal;
 
   void prove() {
-    rounds.push_back(p.round({{1, 2}, {2, 3}, {3, 1}}).receipt);
-    rounds.push_back(p.round({{1, 4}, {4, 2}}).receipt);
+    // 24 flows at genesis, then seven rounds that each merge two and add
+    // one: the epoch seal spans all eight.
+    std::vector<std::pair<u32, u64>> genesis;
+    for (u32 src = 1; src <= 24; ++src) genesis.emplace_back(src, 1 + src % 4);
+    rounds.push_back(p.round(genesis).receipt);
+    for (u32 r = 0; r < 7; ++r) {
+      rounds.push_back(p.round({{1 + r, 2}, {9 + r, 1}, {25 + r, 3}}).receipt);
+    }
 
     zvm::ProveOptions composite;
     composite.seal_kind = zvm::SealKind::composite;
-    composite.num_queries = 32;
+    composite.num_queries = 24;
     QueryOptions options;
     options.prove_options_override = composite;
     QueryService service(p.service);
@@ -224,9 +234,9 @@ struct FloorReceipts {
     add("complete", service.run(q, options));
     QueryOptions selective = options;
     selective.mode = QueryMode::selective;
-    Query point = q;
-    point.and_where(QField::src_ip, CmpOp::eq, 1);
-    add("selective", service.run(point, selective));
+    Query some = q;
+    some.and_where(QField::src_ip, CmpOp::le, 10);
+    add("selective", service.run(some, selective));
     add("grouped", service.grouped(q, QField::packets, options));
     const netflow::RoundSketch& sketch = p.service.sketch();
     add("sketch heavy",
@@ -280,15 +290,31 @@ TEST(SoundnessFloor, EveryReceiptKindMeetsTheAuditorsFloor) {
   FloorReceipts fx;
   ASSERT_NO_FATAL_FAILURE(fx.prove());
   ASSERT_EQ(fx.queries.size(), 6u);
+  // Every receipt leaves some of its leaves unopened.
+  auto opens_fewer_than_all = [](const zvm::Receipt& receipt) {
+    for (const zvm::SegmentSeal& segment : receipt.composite.segments) {
+      if (segment.openings.size() >= zvm::leaves_for_rows(segment.row_count)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (const auto& [kind, receipt] : fx.queries) {
+    EXPECT_TRUE(opens_fewer_than_all(receipt)) << kind;
+  }
+  EXPECT_TRUE(opens_fewer_than_all(fx.seal.receipt));
 
-  // A default auditor (floor 32) accepts every receipt...
-  Auditor lenient(fx.p.board);
+  // An auditor whose floor is 24 accepts every receipt (one that fell back
+  // to the default floor of 32 would not)...
+  AuditorOptions floor24;
+  floor24.min_queries = 24;
+  Auditor lenient(fx.p.board, floor24);
   ASSERT_TRUE(lenient.accept_rounds(fx.rounds).ok());
   for (const auto& [kind, receipt] : fx.queries) {
     const Status verified = FloorReceipts::verify(lenient, kind, receipt);
     EXPECT_TRUE(verified.ok()) << kind << ": " << verified.to_string();
   }
-  Auditor lenient_cold(fx.p.board);
+  Auditor lenient_cold(fx.p.board, floor24);
   auto caught = lenient_cold.catch_up(std::span<const EpochSeal>(&fx.seal, 1),
                                       {});
   EXPECT_TRUE(caught.ok()) << caught.error().to_string();

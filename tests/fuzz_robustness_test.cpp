@@ -5,6 +5,8 @@
 // campaign and run deterministically from seeded DRBGs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/chain_summary.h"
 #include "core/commitment.h"
 #include "core/grouped_query.h"
@@ -16,6 +18,7 @@
 #include "netflow/record.h"
 #include "netflow/sketch.h"
 #include "netflow/v9.h"
+#include "zvm/env.h"
 #include "zvm/prover.h"
 #include "zvm/receipt.h"
 #include "zvm/verifier.h"
@@ -333,6 +336,161 @@ TEST(Mutation, ReceiptMutationsNeverVerify) {
   }
   EXPECT_EQ(verified_ok, 0) << "a mutated receipt verified (" << parsed_ok
                             << " parsed)";
+}
+
+// ---------------------------------------------------------------------------
+// Hostile composite seals: leaf counts and row totals read off the wire.
+
+/// The error codes a hostile receipt may fail verification with.
+bool is_verification_error(Errc code) {
+  return code == Errc::parse_error || code == Errc::hash_mismatch ||
+         code == Errc::merkle_mismatch || code == Errc::proof_invalid;
+}
+
+const zvm::ImageID& hostile_image() {
+  static const zvm::ImageID image = zvm::ImageRegistry::instance().add(
+      "fuzz.composite", 1, [](zvm::Env& env) -> Status {
+        u64 acc = 0;
+        for (u64 i = 0; i < 30; ++i) acc = env.alu(zvm::AluOp::add, acc, i);
+        env.commit_u64(acc);
+        env.commit_digest(env.sha256(Bytes(300, 0x5A)));
+        return {};
+      });
+  return image;
+}
+
+TEST(HostileSeal, HugeSegmentGivesTypedError) {
+  // One segment of 2^63 + 1 rows with 32 Fiat–Shamir-consistent openings,
+  // through the wire: no tree over that many rows or leaves exists.
+  constexpr u64 kRows = (u64{1} << 63) + 1;
+  zvm::Receipt probe;
+  probe.claim.image_id = hostile_image();
+  probe.claim.journal_digest = crypto::sha256(probe.journal);
+  probe.claim.cycle_count = kRows;
+  probe.seal_kind = zvm::SealKind::composite;
+  zvm::SegmentSeal& segment = probe.composite.segments.emplace_back();
+  segment.trace_root = crypto::sha256(std::string_view("root"));
+  segment.row_count = kRows;
+  const auto indices = zvm::derive_query_indices(
+      probe.claim.digest(), probe.composite.roots_digest(), 0,
+      segment.trace_root, kRows, 32);
+  ASSERT_EQ(indices.size(), 32u);
+  for (u64 leaf_count : {zvm::leaves_for_rows(kRows), kRows}) {
+    segment.openings.clear();
+    for (u64 idx : indices) {
+      zvm::SealOpening opening;
+      opening.leaf_index = idx;
+      opening.leaf_bytes = Bytes(9, 0x02);
+      opening.proof.leaf_index = idx;
+      opening.proof.leaf_count = leaf_count;
+      segment.openings.push_back(std::move(opening));
+    }
+    auto parsed = zvm::Receipt::from_bytes(probe.to_bytes());
+    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+    const Status verified =
+        zvm::Verifier().verify(parsed.value(), hostile_image());
+    ASSERT_FALSE(verified.ok()) << leaf_count;
+    EXPECT_TRUE(is_verification_error(verified.code()))
+        << verified.to_string();
+  }
+
+  // Each path that sizes a tree from a proof's leaf count.
+  crypto::MerkleProof proof;
+  proof.leaf_count = kRows;
+  const crypto::Digest32 leaf = crypto::MerkleTree::empty_leaf();
+  const auto depth = crypto::MerkleTree::depth_for(kRows);
+  ASSERT_FALSE(depth.ok());
+  EXPECT_EQ(depth.error().code, Errc::merkle_mismatch);
+  EXPECT_EQ(crypto::MerkleTree::depth_for(u64{1} << 63).value(), 63u);
+  EXPECT_EQ(crypto::MerkleTree::verify(leaf, leaf, proof).code(),
+            Errc::merkle_mismatch);
+  const crypto::LeafProof item{&leaf, &proof};
+  EXPECT_EQ(crypto::MerkleTree::verify_batch(leaf, {&item, 1}).code(),
+            Errc::merkle_mismatch);
+  crypto::MerkleMultiProof multi;
+  multi.leaf_count = kRows;
+  multi.indices = {0};
+  const std::pair<u64, crypto::Digest32> opened{0, leaf};
+  EXPECT_EQ(crypto::MerkleTree::verify_multi(leaf, {&opened, 1}, multi).code(),
+            Errc::merkle_mismatch);
+  zvm::Env env({}, {});
+  EXPECT_EQ(env.verify_merkle(leaf, leaf, proof).code(), Errc::guest_abort);
+  EXPECT_EQ(env.verify_merkle_multi(leaf, {&opened, 1}, multi).code(),
+            Errc::guest_abort);
+}
+
+TEST(HostileSeal, WrappingRowCountsRejected) {
+  // Two segments whose row counts wrap around to the claimed cycle count,
+  // under a verifier that asks for no openings: nothing but the row total
+  // can catch them.
+  zvm::ProveOptions options;
+  options.seal_kind = zvm::SealKind::composite;
+  auto receipt = zvm::Prover().prove(hostile_image(), {}, options);
+  ASSERT_TRUE(receipt.ok()) << receipt.error().to_string();
+  zvm::Receipt wrapped = receipt.value();
+  const u64 cycles = wrapped.claim.cycle_count;
+  wrapped.composite.segments.assign(2, zvm::SegmentSeal{});
+  wrapped.composite.segments[0].row_count = ~u64{0};
+  wrapped.composite.segments[1].row_count = cycles + 1;
+  auto parsed = zvm::Receipt::from_bytes(wrapped.to_bytes());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  const Status verified =
+      zvm::Verifier(0).verify(parsed.value(), hostile_image());
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.code(), Errc::proof_invalid);
+}
+
+TEST(Mutation, CompositeReceiptMutationsNeverVerify) {
+  // Two segments, the last ending in a partial leaf.
+  zvm::ProveOptions options;
+  options.seal_kind = zvm::SealKind::composite;
+  options.max_segment_rows = 3 * zvm::kRowsPerLeaf;
+  auto receipt = zvm::Prover().prove(hostile_image(), bytes_of("input"),
+                                     options);
+  ASSERT_TRUE(receipt.ok()) << receipt.error().to_string();
+  const auto& segments = receipt.value().composite.segments;
+  ASSERT_EQ(segments.size(), 2u);
+  ASSERT_NE(segments.back().row_count % zvm::kRowsPerLeaf, 0u);
+  const Bytes full = receipt.value().to_bytes();
+  zvm::Verifier verifier;
+  ASSERT_TRUE(verifier.verify(receipt.value(), hostile_image()).ok());
+
+  for (size_t len = 0; len < full.size(); ++len) {
+    EXPECT_FALSE(zvm::Receipt::from_bytes(BytesView(full.data(), len)).ok())
+        << "prefix length " << len;
+  }
+
+  // Where the last segment's seal sits in the receipt.
+  Writer last;
+  segments.back().serialize(last);
+  const auto at = std::search(full.begin(), full.end(), last.bytes().begin(),
+                              last.bytes().end());
+  ASSERT_NE(at, full.end());
+  const size_t first = static_cast<size_t>(at - full.begin());
+
+  ChaChaDrbg drbg(std::string_view("composite-mutations"));
+  int verified_ok = 0;
+  auto flip_and_verify = [&](size_t pos) {
+    Bytes mutated = full;
+    mutated[pos] ^= static_cast<u8>(1u << drbg.uniform(8));
+    auto parsed = zvm::Receipt::from_bytes(mutated);
+    if (!parsed.ok()) return;
+    const Status verified = verifier.verify(parsed.value(), hostile_image());
+    if (verified.ok()) {
+      // Only acceptable if the mutation didn't change canonical content.
+      if (parsed.value().to_bytes() != full) ++verified_ok;
+      return;
+    }
+    EXPECT_TRUE(is_verification_error(verified.code()))
+        << "byte " << pos << ": " << verified.to_string();
+  };
+  for (size_t pos = first; pos < first + last.size(); ++pos) {
+    flip_and_verify(pos);
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    flip_and_verify(static_cast<size_t>(drbg.uniform(first)));
+  }
+  EXPECT_EQ(verified_ok, 0);
 }
 
 }  // namespace

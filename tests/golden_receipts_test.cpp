@@ -12,7 +12,10 @@
 //       heavy hitters and cardinality, a histogram bound, and a composite
 //       complete scan (so the seal openings are pinned too).
 // A refactor of the round pipeline, the query path or the prover must leave
-// every digest unchanged. Each set is checked on the default SHA-256
+// every digest unchanged. A second digest covers only the claim and journal
+// of every receipt in the four sets (embedded assumption receipts included),
+// so a change to the seal encoding alone re-pins the four proof digests and
+// leaves that one as it is. Each digest is checked on the default SHA-256
 // backend and pinned to the scalar backend; a second ctest registration
 // reruns the binary with a one-worker pool (ZKT_POOL_THREADS=1).
 #include <gtest/gtest.h>
@@ -30,13 +33,15 @@ using netflow::PacketObservation;
 using netflow::RLogBatch;
 
 constexpr const char* kPlainChainDigest =
-    "b03b1b0e82d36ea04f55003be53b3baa2651008a412d6c4b1d616e381ffd6978";
+    "b7a6d7c4a680bc362ad6383b2e553a1d0b9163e0eac8f82147b0df4e2269608c";
 constexpr const char* kPlainChainSegmentedDigest =
-    "3b28cd82e46edd929b1360f5428802c8f7d500313b9c37096d919dfecf4ddf07";
+    "e1c518829b38dd02bb53f740e48f42c142d76ffab32a7a4da629abf704caaf53";
 constexpr const char* kShardedChainDigest =
-    "dc3a31c4b7ef1865985d3ce4f0b683b71a3b27b89053e7defb1d8f7dc7925866";
+    "fd89acf2e0d66bcb8efd13ee75e7a7aebf4bea31d9eb112c94470782d40711f1";
 constexpr const char* kQueryReceiptsDigest =
-    "ba5a4ec5fca796b04584f027f6f7fbab1ae5d16990c7de906fd490152834605c";
+    "35f2f549e22e29c10e18f2ecaf654b52b1949e6818dcb2f74cd98afdf6eb62b3";
+constexpr const char* kClaimsAndJournalsDigest =
+    "207e80334796a435be276e9c51c1cc1a0aa627eb2beb6e790208346351b9ff92";
 
 struct Deployment {
   store::LogStore store;
@@ -71,6 +76,30 @@ void append(Bytes& out, const Bytes& bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
+/// What one set pins: the bytes of its proof objects, and the claim and
+/// journal of every receipt among them.
+struct Pinned {
+  Bytes proofs;
+  Writer claims;
+
+  /// Pin a receipt's bytes and its claims.
+  void add(const zvm::Receipt& receipt) {
+    append(proofs, receipt.to_bytes());
+    add_claims(receipt);
+  }
+  /// Pin the claim and journal of `receipt` and of every receipt it embeds.
+  void add_claims(const zvm::Receipt& receipt) {
+    receipt.claim.serialize(claims);
+    claims.blob(receipt.journal);
+    for (const zvm::Receipt& inner : receipt.assumption_receipts) {
+      add_claims(inner);
+    }
+  }
+  std::string proofs_digest() const {
+    return to_hex(crypto::sha256(proofs).bytes);
+  }
+};
+
 /// Commit the plain chain's windows: 64 genesis flows over two routers,
 /// then three windows that each merge a few resident flows and add one new
 /// one — delta rounds. The head holds 67 entries.
@@ -91,8 +120,7 @@ PipelineOptions plain_chain_options(u64 max_segment_rows) {
   return options;
 }
 
-std::string plain_chain_digest(
-    u64 max_segment_rows = zvm::kDefaultSegmentRows) {
+Pinned plain_chain(u64 max_segment_rows = zvm::kDefaultSegmentRows) {
   Deployment d;
   commit_plain_chain(d);
   ProviderPipeline pipeline(d.store, d.board,
@@ -115,16 +143,17 @@ std::string plain_chain_digest(
   if (!seals.ok()) return {};
   EXPECT_EQ(seals.value().size(), 1u);
 
-  Bytes all;
+  Pinned pinned;
   EXPECT_EQ(pipeline.receipts().size(), 4u);
-  for (const zvm::Receipt& receipt : pipeline.receipts()) {
-    append(all, receipt.to_bytes());
+  for (const zvm::Receipt& receipt : pipeline.receipts()) pinned.add(receipt);
+  for (const EpochSeal& seal : seals.value()) {
+    append(pinned.proofs, seal.to_bytes());
+    pinned.add_claims(seal.receipt);
   }
-  for (const EpochSeal& seal : seals.value()) append(all, seal.to_bytes());
-  return to_hex(crypto::sha256(all).bytes);
+  return pinned;
 }
 
-std::string sharded_chain_digest() {
+Pinned sharded_chain() {
   Deployment d;
   for (u64 w = 1; w <= 4; ++w) {
     d.commit(w, 0, static_cast<u32>(w) * 4, static_cast<u32>(w) * 4 + 12);
@@ -141,30 +170,28 @@ std::string sharded_chain_digest() {
   if (!rounds.ok()) return {};
   EXPECT_EQ(rounds.value().size(), 4u);
 
-  Bytes all;
+  Pinned pinned;
   for (const RoundResult& round : rounds.value()) {
-    for (const zvm::Receipt& split : round.split_receipts) {
-      append(all, split.to_bytes());
-    }
+    for (const zvm::Receipt& split : round.split_receipts) pinned.add(split);
     EXPECT_EQ(round.shard_rounds.size(), 2u);
     for (const AggregationRound& shard : round.shard_rounds) {
-      append(all, shard.receipt.to_bytes());
+      pinned.add(shard.receipt);
     }
     EXPECT_TRUE(round.tree_seal.has_value());
-    if (round.tree_seal.has_value()) append(all, round.tree_seal->to_bytes());
+    if (round.tree_seal.has_value()) pinned.add(*round.tree_seal);
   }
   EXPECT_EQ(pipeline.tree_seals().size(), 4u);
-  return to_hex(crypto::sha256(all).bytes);
+  return pinned;
 }
 
-/// Append a proven receipt, or fail the test with the proving error.
+/// Pin a proven receipt, or fail the test with the proving error.
 template <class Response>
-void append_receipt(Bytes& out, const Result<Response>& response) {
+void append_receipt(Pinned& out, const Result<Response>& response) {
   EXPECT_TRUE(response.ok()) << response.error().to_string();
-  if (response.ok()) append(out, response.value().receipt.to_bytes());
+  if (response.ok()) out.add(response.value().receipt);
 }
 
-std::string query_receipts_digest() {
+Pinned query_receipts() {
   Deployment d;
   commit_plain_chain(d);
   ProviderPipeline pipeline(d.store, d.board,
@@ -176,7 +203,7 @@ std::string query_receipts_digest() {
   EXPECT_EQ(aggregation.state().entry_count(), 67u);
   QueryService queries(aggregation);
 
-  Bytes all;
+  Pinned all;
   // Complete scan: two CNF clauses, one of them an OR.
   const Query scan =
       Query::max(QField::bytes)
@@ -226,7 +253,17 @@ std::string query_receipts_digest() {
   composite.prove_options_override = zvm::ProveOptions{};
   composite.prove_options_override->seal_kind = zvm::SealKind::composite;
   append_receipt(all, queries.run(Query::count(), composite));
-  return to_hex(crypto::sha256(all).bytes);
+  return all;
+}
+
+/// The claims and journals of all four sets, in one digest.
+std::string claims_and_journals_digest() {
+  Writer all;
+  for (const Pinned& pinned : {plain_chain(), plain_chain(256),
+                               sharded_chain(), query_receipts()}) {
+    all.raw(pinned.claims.bytes());
+  }
+  return to_hex(crypto::sha256(all.bytes()).bytes);
 }
 
 /// Pins SHA-256 dispatch to the scalar backend for one scope.
@@ -239,39 +276,48 @@ class ScalarSha256 {
 };
 
 TEST(GoldenReceipts, PlainChainDefaultBackend) {
-  EXPECT_EQ(plain_chain_digest(), kPlainChainDigest);
+  EXPECT_EQ(plain_chain().proofs_digest(), kPlainChainDigest);
 }
 
 TEST(GoldenReceipts, PlainChainScalarBackend) {
   ScalarSha256 scalar;
-  EXPECT_EQ(plain_chain_digest(), kPlainChainDigest);
+  EXPECT_EQ(plain_chain().proofs_digest(), kPlainChainDigest);
 }
 
 TEST(GoldenReceipts, PlainChainSegmentedDefaultBackend) {
-  EXPECT_EQ(plain_chain_digest(256), kPlainChainSegmentedDigest);
+  EXPECT_EQ(plain_chain(256).proofs_digest(), kPlainChainSegmentedDigest);
 }
 
 TEST(GoldenReceipts, PlainChainSegmentedScalarBackend) {
   ScalarSha256 scalar;
-  EXPECT_EQ(plain_chain_digest(256), kPlainChainSegmentedDigest);
+  EXPECT_EQ(plain_chain(256).proofs_digest(), kPlainChainSegmentedDigest);
 }
 
 TEST(GoldenReceipts, ShardedChainDefaultBackend) {
-  EXPECT_EQ(sharded_chain_digest(), kShardedChainDigest);
+  EXPECT_EQ(sharded_chain().proofs_digest(), kShardedChainDigest);
 }
 
 TEST(GoldenReceipts, ShardedChainScalarBackend) {
   ScalarSha256 scalar;
-  EXPECT_EQ(sharded_chain_digest(), kShardedChainDigest);
+  EXPECT_EQ(sharded_chain().proofs_digest(), kShardedChainDigest);
 }
 
 TEST(GoldenReceipts, QueryReceiptsDefaultBackend) {
-  EXPECT_EQ(query_receipts_digest(), kQueryReceiptsDigest);
+  EXPECT_EQ(query_receipts().proofs_digest(), kQueryReceiptsDigest);
 }
 
 TEST(GoldenReceipts, QueryReceiptsScalarBackend) {
   ScalarSha256 scalar;
-  EXPECT_EQ(query_receipts_digest(), kQueryReceiptsDigest);
+  EXPECT_EQ(query_receipts().proofs_digest(), kQueryReceiptsDigest);
+}
+
+TEST(GoldenReceipts, ClaimsAndJournalsDefaultBackend) {
+  EXPECT_EQ(claims_and_journals_digest(), kClaimsAndJournalsDigest);
+}
+
+TEST(GoldenReceipts, ClaimsAndJournalsScalarBackend) {
+  ScalarSha256 scalar;
+  EXPECT_EQ(claims_and_journals_digest(), kClaimsAndJournalsDigest);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <set>
 #include <stdexcept>
@@ -527,9 +528,9 @@ TEST(ProveVerify, CompositeOpeningTamperRejected) {
   ASSERT_EQ(receipt.value().composite.segments.size(), 1u);
   ASSERT_FALSE(receipt.value().composite.segments[0].openings.empty());
 
-  // Tamper with an opened row's bytes.
+  // Tamper with an opened leaf's bytes.
   auto t1 = receipt.value();
-  t1.composite.segments[0].openings[0].row_bytes[1] ^= 1;
+  t1.composite.segments[0].openings[0].leaf_bytes[1] ^= 1;
   EXPECT_FALSE(verifier.verify(t1, register_adder()).ok());
 
   // Tamper with the trace root.
@@ -547,13 +548,16 @@ TEST(ProveVerify, CompositeOpeningTamperRejected) {
   t4.composite.segments[0].openings.pop_back();
   EXPECT_FALSE(verifier.verify(t4, register_adder()).ok());
 
-  // Drop a whole segment (with a multi-segment receipt).
+  // Drop a whole segment (with a multi-segment receipt). Segments of four
+  // leaves, so each one's openings come in its own Fiat–Shamir draw order,
+  // which the swap below breaks.
   ProveOptions small_segments = options;
-  small_segments.max_segment_rows = 4;
-  auto multi = prover.prove(register_adder(), adder_input(1, 2, "payload"),
+  small_segments.max_segment_rows = 4 * kRowsPerLeaf;
+  auto multi = prover.prove(register_adder(),
+                            adder_input(1, 2, std::string(2000, 'p')),
                             small_segments);
   ASSERT_TRUE(multi.ok());
-  ASSERT_GT(multi.value().composite.segments.size(), 1u);
+  ASSERT_GT(multi.value().composite.segments.size(), 2u);
   EXPECT_TRUE(verifier.verify(multi.value(), register_adder()).ok());
   auto t5 = multi.value();
   t5.composite.segments.pop_back();
@@ -563,6 +567,80 @@ TEST(ProveVerify, CompositeOpeningTamperRejected) {
   auto t6 = multi.value();
   std::swap(t6.composite.segments[0], t6.composite.segments[1]);
   EXPECT_FALSE(verifier.verify(t6, register_adder()).ok());
+}
+
+/// Rewrites one leaf's bytes, given the segment's honest rows.
+using LeafMutation = std::function<void(Bytes&, const TraceSegment&)>;
+
+/// An adder execution committed in leaves of kRowsPerLeaf rows by a prover
+/// that lies about the shape of one leaf: `mutate` rewrites leaf `target`
+/// before the trace is committed, and every leaf is opened.
+Receipt commit_with_bad_leaf(u64 target, const LeafMutation& mutate) {
+  Env env(adder_input(1, 2, std::string(500, 'q')), {});
+  Claim claim;
+  claim.image_id = register_adder();
+  claim.input_digest = env.bind_input();
+  EXPECT_TRUE(adder_guest(env).ok());
+  claim.journal_digest = env.bind_journal();
+  claim.cycle_count = env.cycles();
+
+  const TraceSegment& trace = env.segments().front();
+  std::vector<Bytes> leaf_bytes;
+  std::vector<Digest32> leaves;
+  for (u64 i = 0; i < leaves_for_rows(trace.rows()); ++i) {
+    const BytesView leaf = trace.leaf(i);
+    leaf_bytes.emplace_back(leaf.begin(), leaf.end());
+    if (i == target) mutate(leaf_bytes.back(), trace);
+    leaves.push_back(crypto::MerkleTree::hash_leaf(leaf_bytes.back()));
+  }
+  const crypto::MerkleTree tree(leaves);
+
+  Receipt receipt;
+  receipt.claim = claim;
+  receipt.journal = env.journal();
+  receipt.seal_kind = SealKind::composite;
+  SegmentSeal& segment = receipt.composite.segments.emplace_back();
+  segment.trace_root = tree.root();
+  segment.row_count = trace.rows();
+  for (u64 idx : derive_query_indices(claim.digest(),
+                                      receipt.composite.roots_digest(), 0,
+                                      tree.root(), trace.rows(), 1000)) {
+    segment.openings.push_back({idx, leaf_bytes[idx], tree.prove(idx)});
+  }
+  return receipt;
+}
+
+TEST(ProveVerify, LeafWithWrongRowCountRejected) {
+  Verifier verifier;
+  const auto unchanged = [](Bytes&, const TraceSegment&) {};
+  const Receipt honest = commit_with_bad_leaf(1, unchanged);
+  const u64 rows = honest.composite.segments[0].row_count;
+  ASSERT_GT(rows, 2 * kRowsPerLeaf);
+  ASSERT_NE(rows % kRowsPerLeaf, 0u);  // the last leaf is partial
+  ASSERT_TRUE(verifier.verify(honest, register_adder()).ok());
+
+  const auto rejected = [&](u64 leaf, const char* what,
+                            const LeafMutation& mutate) {
+    const Status verified =
+        verifier.verify(commit_with_bad_leaf(leaf, mutate), register_adder());
+    ASSERT_FALSE(verified.ok()) << what;
+    EXPECT_EQ(verified.code(), Errc::proof_invalid) << what;
+  };
+  const auto append_row = [](u64 row) {
+    return [row](Bytes& leaf, const TraceSegment& trace) {
+      const BytesView extra = trace.row(row);
+      leaf.insert(leaf.end(), extra.begin(), extra.end());
+    };
+  };
+  // Leaf 1 holds rows 8..15.
+  rejected(1, "one row too few", [](Bytes& leaf, const TraceSegment& trace) {
+    leaf.resize(leaf.size() - trace.row(15).size());
+  });
+  rejected(1, "one row too many", append_row(16));
+  rejected(1, "one trailing byte",
+           [](Bytes& leaf, const TraceSegment&) { leaf.push_back(0); });
+  rejected(leaves_for_rows(rows) - 1, "one row too many in the last leaf",
+           append_row(0));
 }
 
 TEST(Segments, SegmentedProofsVerifyAndMatchUnsegmented) {
@@ -609,7 +687,8 @@ TEST(Segments, SuccinctWrapCoversSegmentedSeal) {
 }
 
 TEST(ProveVerify, SmallTraceOpensEverything) {
-  // A guest with fewer rows than num_queries: all rows opened, still valid.
+  // A guest with fewer leaves than num_queries: every leaf opened, so every
+  // row is checked, and the receipt is still valid.
   static const ImageID tiny = ImageRegistry::instance().add(
       "test.tiny", 1, [](Env& env) -> Status {
         env.commit_u64(env.alu(AluOp::add, 1, 1));
@@ -623,8 +702,18 @@ TEST(ProveVerify, SmallTraceOpensEverything) {
   auto receipt = prover.prove(tiny, {}, options);
   ASSERT_TRUE(receipt.ok());
   ASSERT_EQ(receipt.value().composite.segments.size(), 1u);
-  EXPECT_EQ(receipt.value().composite.segments[0].openings.size(),
-            receipt.value().composite.segments[0].row_count);
+  const SegmentSeal& segment = receipt.value().composite.segments[0];
+  EXPECT_EQ(segment.openings.size(), leaves_for_rows(segment.row_count));
+  std::set<u64> rows_covered;
+  for (const SealOpening& opening : segment.openings) {
+    for (u64 row = opening.leaf_index * kRowsPerLeaf;
+         row < std::min(segment.row_count,
+                        (opening.leaf_index + 1) * kRowsPerLeaf);
+         ++row) {
+      rows_covered.insert(row);
+    }
+  }
+  EXPECT_EQ(rows_covered.size(), segment.row_count);
   EXPECT_TRUE(verifier.verify(receipt.value(), tiny).ok());
 }
 
@@ -714,6 +803,40 @@ TEST(Assumptions, CompositeEmbedsAndChecksInner) {
   auto stripped = outer.value();
   stripped.assumption_receipts.clear();
   EXPECT_FALSE(verifier.verify(stripped, register_chained()).ok());
+}
+
+TEST(Assumptions, CacheResolvesOnlyTheIdenticalInnerReceipt) {
+  // A cache hit stands for re-verifying the very same receipt: an embedded
+  // copy with the cached claim but a forged seal is verified, and fails.
+  Prover prover;
+  Verifier verifier;
+  ProveOptions composite;
+  composite.seal_kind = SealKind::composite;
+  auto inner =
+      prover.prove(register_adder(), adder_input(1, 2, "inner"), composite);
+  ASSERT_TRUE(inner.ok());
+  Writer w;
+  w.fixed(register_adder().bytes);
+  w.fixed(inner.value().claim.digest().bytes);
+  ProveOptions options = composite;
+  options.assumptions.push_back(inner.value());
+  auto outer = prover.prove(register_chained(), w.bytes(), options);
+  ASSERT_TRUE(outer.ok());
+
+  VerifiedCache cache;
+  cache.add(inner.value());
+  VerifyStats stats;
+  ASSERT_TRUE(
+      verifier.verify(outer.value(), register_chained(), {&cache, &stats})
+          .ok());
+  EXPECT_EQ(stats.assumptions_skipped, 1u);
+
+  auto forged = outer.value();
+  Receipt& embedded = forged.assumption_receipts.at(0);
+  embedded.composite.segments.at(0).openings.at(0).leaf_bytes.at(1) ^= 1;
+  ASSERT_EQ(embedded.claim.digest(), inner.value().claim.digest());
+  EXPECT_FALSE(
+      verifier.verify(forged, register_chained(), {&cache, nullptr}).ok());
 }
 
 TEST(Assumptions, InvalidInnerReceiptRejectedAtProveTime) {
