@@ -1,21 +1,11 @@
 #include "core/auditor.h"
 
-#include <vector>
-
 #include "core/io.h"
 #include "obs/metrics.h"
 
 namespace zkt::core {
 
 namespace {
-
-/// Overrides batch.min_queries: the auditor's floor is the single source of
-/// truth for every verification it performs.
-BatchVerifierOptions batch_options(const AuditorOptions& options) {
-  BatchVerifierOptions batch = options.batch;
-  batch.min_queries = options.min_queries;
-  return batch;
-}
 
 Status check_expected_query(const Query& proved,
                             const VerifyOptions& options) {
@@ -28,6 +18,16 @@ Status check_expected_query(const Query& proved,
 }
 
 }  // namespace
+
+Status verify_aggregation_receipt(const zvm::Verifier& verifier,
+                                  const zvm::Receipt& receipt,
+                                  const zvm::VerifyContext& context) {
+  if (!is_aggregation_image(receipt.claim.image_id)) {
+    return Error{Errc::proof_invalid,
+                 "receipt was not produced by an aggregation guest"};
+  }
+  return verifier.verify(receipt, receipt.claim.image_id, context);
+}
 
 ChainPosition ChainSpan::start(u64 before) const {
   ChainPosition at;
@@ -136,14 +136,7 @@ Auditor::Auditor(const CommitmentBoard& board, AuditorOptions options)
     : board_(&board),
       options_(options),
       verifier_(options.min_queries),
-      batch_(batch_options(options)),
-      claims_(options.accepted_claim_window) {
-  if (options_.backend.has_value()) {
-    // Best-effort process-global pin; an unavailable backend leaves runtime
-    // dispatch in place (see AuditorOptions::backend).
-    crypto::sha256_force_backend(*options_.backend);
-  }
-}
+      claims_(options.accepted_claim_window) {}
 
 void Auditor::record_pass(const zvm::VerifyStats& pass,
                           zvm::VerifyStats* stats) {
@@ -182,13 +175,22 @@ bool Auditor::on_board(const CommitmentRef& ref) const {
          published->record_count == ref.record_count;
 }
 
-Result<AggJournal> Auditor::accept_round(const zvm::Receipt& receipt) {
+Result<AggJournal> Auditor::accept_next(const zvm::Receipt& receipt,
+                                        const zvm::Receipt* predecessor,
+                                        zvm::VerifyStats* stats) {
   zvm::VerifyStats pass;
   const Status verified = verify_aggregation_receipt(
-      verifier_, receipt, zvm::VerifyContext{nullptr, &pass});
-  record_pass(pass, nullptr);
+      verifier_, receipt, zvm::VerifyContext{predecessor, &pass});
+  record_pass(pass, stats);
   ZKT_TRY(verified);
   return adopt_verified(receipt);
+}
+
+Result<AggJournal> Auditor::accept_round(const zvm::Receipt& receipt,
+                                         zvm::VerifyStats* stats) {
+  auto journal = accept_next(receipt, last_ ? &*last_ : nullptr, stats);
+  if (journal.ok()) last_ = receipt;
+  return journal;
 }
 
 Result<AggJournal> Auditor::adopt_verified(const zvm::Receipt& receipt) {
@@ -223,50 +225,35 @@ Result<AggJournal> Auditor::adopt_verified(const zvm::Receipt& receipt) {
 
 Result<u64> Auditor::accept_rounds(std::span<const zvm::Receipt> receipts,
                                    zvm::VerifyStats* stats) {
-  if (receipts.empty()) return u64{0};
-  obs::Registry::instance()
-      .histogram("core.auditor.batch_size")
-      .record(static_cast<double>(receipts.size()));
-
-  zvm::VerifyStats pass;
-  const std::vector<Status> outcomes =
-      batch_.verify_aggregation(receipts, &pass);
-  record_pass(pass, stats);
-
-  // Chain on in order; the first failure (verification above, continuity or
-  // board mismatch here) stops the walk with the accepted prefix retained —
-  // byte-for-byte the state and error a loop over accept_round produces.
+  // Receipt i's predecessor is receipt i-1 of the span; only the last
+  // accepted receipt is copied into last_, once.
+  const zvm::Receipt* predecessor = last_ ? &*last_ : nullptr;
   u64 accepted = 0;
-  for (size_t i = 0; i < receipts.size(); ++i) {
-    if (!outcomes[i].ok()) return outcomes[i].error();
-    auto journal = adopt_verified(receipts[i]);
-    if (!journal.ok()) return journal.error();
+  Status failed;
+  for (const zvm::Receipt& receipt : receipts) {
+    auto journal = accept_next(receipt, predecessor, stats);
+    if (!journal.ok()) {
+      failed = journal.error();
+      break;
+    }
+    predecessor = &receipt;
     ++accepted;
   }
+  if (accepted > 0) last_ = receipts[accepted - 1];
+  if (!failed.ok()) return failed.error();
   return accepted;
 }
 
 Result<AuditReport> Auditor::audit(ReceiptSource& source,
-                                   const AuditOptions& options) {
-  const u64 window_size = options.batch_size == 0 ? 1 : options.batch_size;
+                                   zvm::VerifyStats* stats) {
   const u64 before = position_.rounds;
-  std::vector<zvm::Receipt> window;
-  window.reserve(window_size);
-
-  bool done = false;
-  while (!done) {
-    window.clear();
-    while (window.size() < window_size) {
-      auto next = source.next();
-      if (!next.ok()) return next.error();
-      if (!next.value().has_value()) {
-        done = true;
-        break;
-      }
-      window.push_back(std::move(*next.value()));
-    }
-    if (window.empty()) break;
-    ZKT_TRY(accept_rounds(window, options.stats));
+  for (;;) {
+    auto next = source.next();
+    if (!next.ok()) return next.error();
+    if (!next.value().has_value()) break;
+    zvm::Receipt& receipt = *next.value();
+    ZKT_TRY(accept_next(receipt, last_ ? &*last_ : nullptr, stats));
+    last_ = std::move(receipt);
   }
   return AuditReport{position_.rounds - before, head()};
 }

@@ -11,13 +11,18 @@
 // query receipt — goes through its one zvm::Verifier, under its one
 // soundness floor (AuditorOptions::min_queries).
 //
-// Three ways to feed it, all with byte-identical accept/reject decisions:
-//   accept_round()   — one receipt at a time (the original surface);
-//   accept_rounds()  — a batch per round-trip, verified through
-//                      core::BatchVerifier (pool fan-out + chain dedup);
-//   audit()          — a whole chain pulled off a core::ReceiptSource in
-//                      bounded windows, so an arbitrarily long receipt file
-//                      verifies in O(1) memory.
+// Every round receipt, however it is fed, takes one private step: verify it
+// against the round accepted just before it, then adopt it. A composite
+// round embeds its predecessor as an assumption receipt; the step does not
+// verify that copy again when it equals the round the walk just accepted
+// (zvm::VerifyContext), so a chain verifies each receipt once. The three
+// entry points are loops over that step, so their decisions are the
+// sequential walk's by construction:
+//   accept_round()   — one receipt;
+//   accept_rounds()  — a span of consecutive receipts;
+//   audit()          — a whole chain pulled off a core::ReceiptSource one
+//                      receipt at a time, so an arbitrarily long receipt
+//                      file verifies in O(1) memory.
 // Verification work is published to obs as core.auditor.* instruments (see
 // docs/OBSERVABILITY.md).
 #pragma once
@@ -26,19 +31,26 @@
 #include <optional>
 #include <set>
 
-#include "core/batch_verifier.h"
 #include "core/commitment.h"
 #include "core/grouped_query.h"
 #include "core/guests.h"
 #include "core/histogram_query.h"
 #include "core/sketch_query.h"
-#include "crypto/sha256_backend.h"
 #include "zvm/verifier.h"
 
 namespace zkt::core {
 
 class ReceiptSource;  // core/io.h (host-side streaming input)
 struct EpochSeal;     // core/epoch.h (ladder seal record)
+
+/// Verify `receipt` as an aggregation receipt of EITHER kind: the claim
+/// must name one of the two aggregation images (full rebuild or incremental
+/// delta) and the receipt must verify against that image. Chains mix the
+/// two kinds freely, so every chain consumer goes through this instead of
+/// pinning guest_images().aggregate.
+Status verify_aggregation_receipt(const zvm::Verifier& verifier,
+                                  const zvm::Receipt& receipt,
+                                  const zvm::VerifyContext& context = {});
 
 /// A verified chain head: what an audit or catch-up reports.
 struct ChainHead {
@@ -115,8 +127,7 @@ struct VerifyOptions {
 struct AuditorOptions {
   /// Soundness floor: composite seals must open at least
   /// min(min_queries, row_count) Fiat–Shamir-chosen rows — for every
-  /// receipt the auditor verifies. Overrides batch.min_queries (the auditor
-  /// is the single source of truth).
+  /// receipt the auditor verifies.
   u32 min_queries = 32;
   /// Accepted-claim window capacity: queries must target one of the last N
   /// accepted rounds; older targets are rejected as chain_broken even
@@ -124,22 +135,6 @@ struct AuditorOptions {
   /// O(chain length) memory, which defeats streaming audits). The current
   /// head is always retained.
   u64 accepted_claim_window = 1024;
-  /// Pin the SHA-256 backend (process-global, like ZKT_SHA256_BACKEND).
-  /// Best-effort: an unavailable backend leaves runtime dispatch in place;
-  /// callers that must know use crypto::sha256_force_backend directly.
-  std::optional<crypto::Sha256Backend> backend;
-  /// Batch-verification knobs (pool, parallelism) for accept_rounds/audit.
-  BatchVerifierOptions batch;
-};
-
-/// Per-call knobs for Auditor::audit.
-struct AuditOptions {
-  /// Receipts pulled off the source and verified per round-trip. This is
-  /// the audit's peak receipt residency — memory is O(batch_size), never
-  /// O(chain length). 0 behaves as 1.
-  u64 batch_size = 64;
-  /// Optional accounting sink (merged, not overwritten).
-  zvm::VerifyStats* stats = nullptr;
 };
 
 /// What an audit established.
@@ -183,32 +178,32 @@ class Auditor {
   explicit Auditor(const CommitmentBoard& board, AuditorOptions options = {});
 
   /// Verify an aggregation receipt and append it to the trusted chain.
-  /// Returns the parsed journal on success.
-  Result<AggJournal> accept_round(const zvm::Receipt& receipt);
+  /// Returns the parsed journal on success. `stats` (optional) receives the
+  /// verification accounting, merged — as on every entry point below.
+  Result<AggJournal> accept_round(const zvm::Receipt& receipt,
+                                  zvm::VerifyStats* stats = nullptr);
 
-  /// Verify a batch of consecutive rounds in one round-trip (BatchVerifier:
-  /// pool fan-out, chain-continuity sibling dedup), then chain them on in
-  /// order. Stops at the first failure — the already-accepted prefix stays
-  /// accepted (exactly as a loop over accept_round would leave it) and the
-  /// returned error is the same the sequential walk reports. On success
-  /// returns the number of rounds accepted by this call. `stats` (optional)
-  /// receives the verification accounting, merged.
+  /// accept_round() over consecutive rounds, in order. Stops at the first
+  /// failure: the already-accepted prefix stays accepted and the returned
+  /// error is the one accept_round reports for that receipt. On success
+  /// returns the number of rounds accepted by this call.
   Result<u64> accept_rounds(std::span<const zvm::Receipt> receipts,
                             zvm::VerifyStats* stats = nullptr);
 
-  /// Streaming audit: pull receipts off `source` in batch_size windows and
-  /// accept_rounds() each window. Peak memory is O(batch_size) receipts —
-  /// independent of chain length — so arbitrarily long receipt files audit
-  /// in O(1) memory. Source errors (truncation, CRC, injected faults) and
-  /// verification/continuity failures surface unchanged.
+  /// Streaming audit: pull receipts off `source` one at a time and accept
+  /// each in order. At most the pulled receipt and the last accepted one
+  /// are resident — independent of chain length — so arbitrarily long
+  /// receipt files audit in O(1) memory. Source errors (truncation, CRC,
+  /// injected faults) and verification/continuity failures surface
+  /// unchanged, with the accepted prefix kept.
   Result<AuditReport> audit(ReceiptSource& source,
-                            const AuditOptions& options = {});
+                            zvm::VerifyStats* stats = nullptr);
 
   /// Cold-verifier catch-up: verify a ladder of epoch seals in chain order,
   /// advancing a local position through each seal under the same
   /// chain-link rule accept_round applies (plus the seals' commitment-chain
   /// splice), adopt that position, then accept the unsealed suffix rounds
-  /// through the normal batch path. Accept/reject decisions are
+  /// through accept_rounds. Accept/reject decisions are
   /// byte-identical to a full sequential audit of the same chain; the cost
   /// is O(log T) seal verifications + O(epoch) suffix instead of O(T). The
   /// seal journals carry the sketch position, so sketch queries work
@@ -271,8 +266,15 @@ class Auditor {
   }
 
  private:
+  /// The one step every round receipt takes: verify it as an aggregation
+  /// receipt — an embedded assumption equal to `predecessor` (a receipt
+  /// this auditor already accepted, or none) is not verified again — record
+  /// the pass, and adopt it. Changes nothing on failure.
+  Result<AggJournal> accept_next(const zvm::Receipt& receipt,
+                                 const zvm::Receipt* predecessor,
+                                 zvm::VerifyStats* stats);
   /// Chain-link rule + board cross-checks and state update for a receipt
-  /// whose SEAL already verified. Shared by the single and batch paths.
+  /// whose SEAL already verified.
   Result<AggJournal> adopt_verified(const zvm::Receipt& receipt);
   /// The one verification step of every verify_* method: check `receipt`
   /// against `image` with verifier_, then record the pass.
@@ -294,8 +296,10 @@ class Auditor {
   const CommitmentBoard* board_;
   AuditorOptions options_;
   zvm::Verifier verifier_;
-  BatchVerifier batch_;
   ChainPosition position_;
+  /// The last round receipt accepted, when it was accepted as a receipt
+  /// (catch_up's seals adopt a position without one).
+  std::optional<zvm::Receipt> last_;
   AcceptedClaimWindow claims_;
 };
 

@@ -141,12 +141,7 @@ Result<FoldResult> fold_receipts(std::span<const zvm::Receipt> leaves,
   return result;
 }
 
-Status verify_join_receipt(zvm::Verifier& verifier,
-                           const zvm::Receipt& receipt) {
-  return verify_join_receipt(verifier, receipt, zvm::VerifyContext{});
-}
-
-Status verify_join_receipt(zvm::Verifier& verifier,
+Status verify_join_receipt(const zvm::Verifier& verifier,
                            const zvm::Receipt& receipt,
                            const zvm::VerifyContext& context) {
   return verifier.verify(receipt, join_image(), context);

@@ -67,12 +67,8 @@ Result<FoldResult> fold_receipts(std::span<const zvm::Receipt> leaves,
 /// and the seal must verify (composite seals recursively verify the
 /// embedded subtree down to the shard receipts; succinct seals are the
 /// constant-cost client path).
-Status verify_join_receipt(zvm::Verifier& verifier,
-                           const zvm::Receipt& receipt);
-
-/// As above, with batch-verification context (see zvm::VerifyContext).
-Status verify_join_receipt(zvm::Verifier& verifier,
+Status verify_join_receipt(const zvm::Verifier& verifier,
                            const zvm::Receipt& receipt,
-                           const zvm::VerifyContext& context);
+                           const zvm::VerifyContext& context = {});
 
 }  // namespace zkt::core

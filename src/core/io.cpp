@@ -154,9 +154,14 @@ Status write_file(const std::string& path, BytesView data) {
     return Error{Errc::io_error, "cannot open for writing: " + path};
   }
   const size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
+  // A write smaller than the stdio buffer only fails (ENOSPC, EIO) when
+  // the buffer is flushed, which fclose does.
+  const bool closed = std::fclose(f) == 0;
   if (written != data.size()) {
     return Error{Errc::io_error, "short write: " + path};
+  }
+  if (!closed) {
+    return Error{Errc::io_error, "write failed at close: " + path};
   }
   return {};
 }

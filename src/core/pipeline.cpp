@@ -35,16 +35,12 @@ ProviderPipeline::ProviderPipeline(store::LogStore& store,
                                    const CommitmentBoard& board,
                                    PipelineOptions options)
     : store_(&store), options_(std::move(options)) {
-  ShardedOptions round_options = options_.sharded;
-  round_options.prove_options = options_.prove_options;
-  round_options.agg_mode = options_.agg_mode;
-  round_options.sketch = options_.sketch;
-  service_ = std::make_unique<ShardedAggregationService>(
-      board, std::move(round_options));
+  service_ =
+      std::make_unique<ShardedAggregationService>(board, options_.sharded);
   if (options_.epoch_every > 0 && !sharded()) {
     EpochLadderOptions ladder;
     ladder.epoch_every = options_.epoch_every;
-    ladder.prove_options = options_.prove_options;
+    ladder.prove_options = options_.sharded.prove_options;
     epoch_ = std::make_unique<EpochLadder>(std::move(ladder));
   }
 }

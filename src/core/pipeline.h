@@ -58,9 +58,6 @@ struct RetryPolicy {
 /// Construction-time knobs for ProviderPipeline. Growing this struct is the
 /// supported way to add knobs — not new positional constructor parameters.
 struct PipelineOptions {
-  zvm::ProveOptions prove_options;
-  /// Full-rebuild vs incremental-delta proving per round (see AggMode).
-  AggMode agg_mode = AggMode::auto_select;
   /// Persist a chain snapshot every N rounds (1 = every round). 0 disables
   /// snapshots: recover() then replays the whole receipt chain from the raw
   /// logs, so only use 0 when the store never prunes.
@@ -70,16 +67,13 @@ struct PipelineOptions {
   /// windows (the paper's retention model). Leave off when recover() must
   /// be able to roll forward past the last snapshot.
   bool prune_aggregated = false;
-  /// Round shape: shard_count >= 2 splits every window over K shard
-  /// chains (1 = the plain chain) and folds each K >= 2 round into one tree
-  /// seal of join_fanout children per node; pipeline_depth > 1 overlaps
-  /// windows (see the header comment). prove_options/agg_mode/sketch in
-  /// here are IGNORED — the pipeline copies its own in, so one knob
-  /// configures every K.
+  /// Round shape and proving: shard_count >= 2 splits every window over K
+  /// shard chains (1 = the plain chain) and folds each K >= 2 round into
+  /// one tree seal of join_fanout children per node; pipeline_depth > 1
+  /// overlaps windows (see the header comment). prove_options, agg_mode and
+  /// sketch configure every chain at every K; the epoch ladder proves with
+  /// the same prove_options.
   ShardedOptions sharded;
-  /// Proof-carrying round sketch (DESIGN.md §10), applied to every shard
-  /// chain (the one chain at K = 1). nullopt disables it.
-  std::optional<netflow::SketchParams> sketch = netflow::SketchParams{};
   /// Epoch-seal ladder (DESIGN.md §11): every N rounds a chain-summary seal
   /// is proven asynchronously and merged into a binary-counter ladder, so a
   /// cold verifier catches up via Auditor::catch_up in O(log T) seal

@@ -479,25 +479,10 @@ ChainSpan span_of(const ShardLink& link, const netflow::SketchParams& params) {
 Status ShardedAuditor::verify_splits(
     const RoundResult& round,
     std::map<std::tuple<u32, u64, u32>, ShardRef>& expected) {
-  // Split proofs are independent of each other, so they fan out over the
-  // shared pool (each lane still hashes through the batched SHA-256
-  // backends); outcomes are consumed in input order, so the first error
-  // reported matches the sequential walk.
-  // zkt-lint: shared(one slot per split receipt; workers write disjoint indices, read after join)
-  std::vector<Status> split_outcomes(round.split_receipts.size());
-  common::ThreadPool::shared().parallel_for(
-      round.split_receipts.size(), 1, [&](size_t first, size_t last) {
-        for (size_t i = first; i < last; ++i) {
-          split_outcomes[i] =
-              verifier_.verify(round.split_receipts[i], shard_split_image());
-        }
-      });
-
-  // Anchor every split to the real board and index the per-shard
-  // sub-commitments it attests to.
-  for (size_t i = 0; i < round.split_receipts.size(); ++i) {
-    const auto& receipt = round.split_receipts[i];
-    ZKT_TRY(split_outcomes[i]);
+  // Verify every split, anchor it to the real board and index the
+  // per-shard sub-commitments it attests to.
+  for (const auto& receipt : round.split_receipts) {
+    ZKT_TRY(verifier_.verify(receipt, shard_split_image()));
     auto journal = SplitJournal::parse(receipt.journal);
     if (!journal.ok()) return journal.error();
     const SplitJournal& j = journal.value();

@@ -236,7 +236,6 @@ class ShardedAuditor {
 
   const CommitmentBoard* board_;
   u32 shard_count_;
-  // zkt-lint: shared(Verifier::verify is const and stateless; concurrent calls race nothing)
   zvm::Verifier verifier_;
   u64 rounds_ = 0;
   /// Verified chain position per shard.

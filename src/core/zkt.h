@@ -23,11 +23,10 @@
 //
 // Catching up on a long chain (receipts saved with save_receipts):
 //   auto source = ReceiptFileSource::open("chain.rcpt");
-//   auditor.audit(source.value());               // O(1)-memory batch audit
+//   auditor.audit(source.value());               // O(1)-memory in-order audit
 #pragma once
 
 #include "core/auditor.h"
-#include "core/batch_verifier.h"
 #include "core/clog.h"
 #include "core/commitment.h"
 #include "core/guests.h"

@@ -193,9 +193,6 @@ Status LogStore::wal_append_locked(std::string_view table,
   if (faults_ != nullptr && faults_->fire(FaultPoint::fsync)) {
     return Error{Errc::io_error, "injected fault: fsync"};
   }
-  if (config_.fsync_each_append) {
-    std::fflush(wal_file_);
-  }
   stats_.wal_bytes += frame.size();
   return {};
 }
@@ -353,10 +350,15 @@ Status LogStore::checkpoint() {
       return Error{Errc::io_error, "injected fault: snapshot write"};
     }
     const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fflush(f);
-    std::fclose(f);
+    // A snapshot smaller than the stdio buffer only fails (ENOSPC, EIO) at
+    // the flush; renaming it over the good snapshot would lose every row.
+    const bool flushed = std::fflush(f) == 0;
+    const bool closed = std::fclose(f) == 0;
     if (written != bytes.size()) {
       return Error{Errc::io_error, "short snapshot write"};
+    }
+    if (!flushed || !closed) {
+      return Error{Errc::io_error, "snapshot flush failed: " + tmp};
     }
   }
   if (faults_ != nullptr && faults_->fire(FaultPoint::checkpoint_rename)) {

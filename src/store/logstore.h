@@ -39,8 +39,6 @@ struct StoreConfig {
   std::string wal_path = {};
   /// Snapshot file used by checkpoint(); defaults to wal_path + ".snap".
   std::string snapshot_path = {};
-  /// fsync after every append (durable but slow; off for benchmarks).
-  bool fsync_each_append = false;
 };
 
 struct StoredRow {

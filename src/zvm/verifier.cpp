@@ -34,16 +34,6 @@ Status check_row(const TraceRow& row, const Claim& claim) {
 
 }  // namespace
 
-void VerifiedCache::add(const Receipt& receipt) {
-  by_claim_.insert_or_assign(receipt.claim.digest().bytes, receipt);
-}
-
-bool VerifiedCache::contains(const Receipt& receipt) const {
-  const auto it = by_claim_.find(receipt.claim.digest().bytes);
-  // Same claim is not enough: only the identical receipt was verified.
-  return it != by_claim_.end() && it->second == receipt;
-}
-
 Status Verifier::verify(const Receipt& receipt,
                         const ImageID& expected_image_id,
                         const VerifyContext& context) const {
@@ -162,15 +152,14 @@ Status Verifier::verify_composite(const Receipt& receipt,
   }
 
   // Every claimed assumption must be backed by an embedded receipt that
-  // itself verifies — or that the batch context already verified (a cache
-  // hit requires an identical receipt, so skipping is exactly equivalent to
-  // re-verifying).
+  // itself verifies — or that equals the receipt the caller already
+  // verified, so skipping is exactly equivalent to re-verifying.
   for (const auto& assumption : receipt.claim.assumptions) {
     bool matched = false;
     for (const auto& inner : receipt.assumption_receipts) {
       if (inner.claim.image_id == assumption.image_id &&
           inner.claim.digest() == assumption.claim_digest) {
-        if (context.cache != nullptr && context.cache->contains(inner)) {
+        if (context.verified != nullptr && inner == *context.verified) {
           if (context.stats != nullptr) ++context.stats->assumptions_skipped;
         } else {
           ZKT_TRY(verify(inner, assumption.image_id, context));

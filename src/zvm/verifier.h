@@ -18,8 +18,6 @@
 // bit-identical digests and identical accept/reject decisions.
 #pragma once
 
-#include <map>
-
 #include "zvm/image.h"
 #include "zvm/receipt.h"
 
@@ -34,7 +32,7 @@ struct VerifyStats {
   u64 openings = 0;             ///< composite seal openings (leaves) checked
   u64 node_hashes = 0;          ///< Merkle path hashes actually computed
   u64 node_hashes_shared = 0;   ///< path hashes deduplicated across openings
-  u64 assumptions_skipped = 0;  ///< assumption receipts resolved from cache
+  u64 assumptions_skipped = 0;  ///< embedded receipts equal to `verified`
 
   void merge(const VerifyStats& other) {
     receipts += other.receipts;
@@ -45,36 +43,23 @@ struct VerifyStats {
   }
 };
 
-/// Receipts already verified in the current batch, keyed by claim digest.
-/// Chained composite receipts embed their predecessor as an assumption
-/// receipt, so a sequential chain walk verifies every round TWICE (once
-/// standalone, once as the next round's assumption). A batch verifier adds
-/// each accepted receipt here and the assumption pass skips re-verifying it.
-///
-/// A cache hit requires the embedded receipt to EQUAL the cached one, field
-/// by field (at least as strict as equal serialized bytes) — so a hit is
-/// always equivalent to re-verifying the identical receipt, and decisions
-/// match the uncached path exactly (a forged seal sharing a verified claim
-/// digest is NOT resolved from cache). The compare runs in place, neither
-/// serializing nor hashing: chained receipts grow with the rounds they
-/// embed, and either would cost more than the re-verification the cache
-/// avoids.
-class VerifiedCache {
- public:
-  void add(const Receipt& receipt);
-  bool contains(const Receipt& receipt) const;
-  size_t size() const { return by_claim_.size(); }
-
- private:
-  /// claim digest -> the verified receipt.
-  std::map<std::array<u8, 32>, Receipt> by_claim_;
-};
-
 /// Per-call knobs for Verifier::verify. Both pointers are optional and
-/// non-owning; the defaults reproduce the plain two-argument verify().
+/// non-owning; the defaults verify every embedded receipt in full.
+///
+/// Chained composite receipts embed their predecessor as an assumption
+/// receipt, so a chain walk that verifies every round on its own verifies
+/// each one TWICE (once standalone, once as the next round's assumption).
+/// A walk that passes the round it just accepted as `verified` skips that
+/// re-verification — but only for an embedded receipt that EQUALS it, field
+/// by field (at least as strict as equal serialized bytes), so a skip is
+/// always equivalent to re-verifying the identical receipt and decisions
+/// match the plain path exactly (a forged seal under a verified claim is
+/// verified, and fails). The compare runs in place, neither serializing nor
+/// hashing: chained receipts grow with the rounds they embed, and either
+/// would cost more than the re-verification it avoids.
 struct VerifyContext {
-  const VerifiedCache* cache = nullptr;  ///< skip re-verified assumptions
-  VerifyStats* stats = nullptr;          ///< accounting sink
+  const Receipt* verified = nullptr;  ///< a receipt already verified
+  VerifyStats* stats = nullptr;       ///< accounting sink
 };
 
 class Verifier {
@@ -86,15 +71,10 @@ class Verifier {
   /// (even zero) openings and trivially pass the sampled checks.
   explicit Verifier(u32 min_queries = 32) : min_queries_(min_queries) {}
 
-  /// Verify a receipt against the image the caller expects.
-  Status verify(const Receipt& receipt, const ImageID& expected_image_id) const {
-    return verify(receipt, expected_image_id, VerifyContext{});
-  }
-
-  /// As above, with batch-verification context (assumption dedup cache and
-  /// stats accounting). Decisions are identical for every context.
+  /// Verify a receipt against the image the caller expects. Decisions are
+  /// identical for every context.
   Status verify(const Receipt& receipt, const ImageID& expected_image_id,
-                const VerifyContext& context) const;
+                const VerifyContext& context = {}) const;
 
  private:
   Status verify_composite(const Receipt& receipt,

@@ -116,7 +116,7 @@ void commit_plain_chain(Deployment& d) {
 PipelineOptions plain_chain_options(u64 max_segment_rows) {
   PipelineOptions options;
   options.epoch_every = 2;
-  options.prove_options.max_segment_rows = max_segment_rows;
+  options.sharded.prove_options.max_segment_rows = max_segment_rows;
   return options;
 }
 

@@ -421,7 +421,7 @@ TEST(Incremental, CrashRestartAcrossIncrementalRounds) {
   config.workload.duration_ms = 10'000;  // ~5 commitment windows
   config.packet_count = 800;
   config.crash_after_rounds = 2;
-  config.pipeline.agg_mode = AggMode::incremental;
+  config.pipeline.sharded.agg_mode = AggMode::incremental;
   config.pipeline.retry.base_backoff = std::chrono::milliseconds(1);
   config.pipeline.retry.max_backoff = std::chrono::milliseconds(2);
 

@@ -128,6 +128,14 @@ TEST_F(IoTest, MissingFileReported) {
   EXPECT_FALSE(load_receipts(path("nope.bin")).ok());
 }
 
+TEST_F(IoTest, WriteFailingAtFlushReported) {
+  // /dev/full accepts the buffered write and fails the flush with ENOSPC.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status written = write_file("/dev/full", bytes_of("a small artifact"));
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), Errc::io_error);
+}
+
 }  // namespace
 }  // namespace zkt::core
 

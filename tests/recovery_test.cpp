@@ -85,7 +85,7 @@ class RecoveryTest : public ::testing::Test {
   /// of a 128-entry CLog and several deltas fit before the next full one.
   static PipelineOptions delta_options() {
     PipelineOptions options;
-    options.sketch = netflow::SketchParams{
+    options.sharded.sketch = netflow::SketchParams{
         .cm = {.width = 16, .depth = 2, .seed = 7}, .heavy_capacity = 4};
     return options;
   }

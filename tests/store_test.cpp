@@ -193,6 +193,34 @@ TEST_F(StoreTest, DoubleCheckpointIsIdempotentish) {
   EXPECT_EQ(reopened.row_count("t"), 1u);
 }
 
+TEST_F(StoreTest, FailedSnapshotFlushKeepsSnapshotAndWal) {
+  // /dev/full accepts the buffered snapshot write and fails its flush with
+  // ENOSPC; the checkpoint must fail before renaming it over the snapshot.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string tmp = wal_path_.string() + ".snap.tmp";
+  {
+    LogStore store(StoreConfig{.wal_path = wal_path_.string()});
+    ASSERT_TRUE(store.recover().ok());
+    for (u64 i = 0; i < 3; ++i) {
+      ASSERT_TRUE(store.append("t", i, 0, bytes_of("row")).ok());
+    }
+    ASSERT_TRUE(store.checkpoint().ok());
+    ASSERT_TRUE(store.append("t", 3, 0, bytes_of("tail")).ok());
+    std::filesystem::create_symlink("/dev/full", tmp);
+    const Status failed = store.checkpoint();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.code(), Errc::io_error);
+    EXPECT_EQ(store.stats().checkpoints, 1u);
+  }
+  std::filesystem::remove(tmp);
+
+  LogStore reopened(StoreConfig{.wal_path = wal_path_.string()});
+  ASSERT_TRUE(reopened.recover().ok());
+  EXPECT_EQ(reopened.row_count("t"), 4u);
+  EXPECT_EQ(reopened.stats().snapshot_rows, 3u);
+  EXPECT_EQ(reopened.stats().recovered_rows, 1u);
+}
+
 TEST_F(StoreTest, CorruptSnapshotRejected) {
   {
     LogStore store(StoreConfig{.wal_path = wal_path_.string()});

@@ -1,8 +1,9 @@
-// Batch/streaming verifier tests: BatchVerifier and Auditor::accept_rounds/
-// audit must make byte-for-byte the same accept/reject decisions as the
-// sequential accept_round walk — across mixed full+incremental chains,
-// SHA-256 backends, pool shapes, and corrupted receipt files — while the
-// streaming path holds only one window of receipts resident.
+// Chain-audit tests: Auditor::accept_rounds/audit must make byte-for-byte
+// the same accept/reject decisions as the sequential accept_round walk —
+// across mixed full+incremental chains, SHA-256 backends and corrupted
+// receipt files — while every path verifies each composite round once
+// (an embedded predecessor equal to the round just accepted is not
+// re-verified) and the streaming path holds O(1) receipts resident.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,10 +11,10 @@
 #include <vector>
 
 #include "core/auditor.h"
-#include "core/batch_verifier.h"
 #include "core/io.h"
 #include "core/service.h"
 #include "crypto/sha256_backend.h"
+#include "obs/metrics.h"
 #include "store/fault.h"
 
 namespace zkt::core {
@@ -134,26 +135,6 @@ TEST_F(StreamingAuditTest, BatchMatchesSequentialOnMixedChain) {
   EXPECT_EQ(stats.assumptions_skipped, 4u);
 }
 
-TEST_F(StreamingAuditTest, PooledBatchMatchesSerialBatch) {
-  Pipeline p;
-  const auto receipts = p.chain(6);
-
-  common::ThreadPool pool(common::ThreadPool::Options{.threads = 4});
-  AuditorOptions pooled_options;
-  pooled_options.batch.pool = &pool;
-  Auditor pooled(p.board, pooled_options);
-
-  AuditorOptions serial_options;
-  serial_options.batch.parallel = false;
-  Auditor serial(p.board, serial_options);
-
-  auto a = pooled.accept_rounds(receipts);
-  auto b = serial.accept_rounds(receipts);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  expect_same_head(pooled.head(), serial.head());
-}
-
 TEST_F(StreamingAuditTest, TamperedMiddleReceiptSameDecisionEverywhere) {
   Pipeline p;
   auto receipts = p.chain(5);
@@ -214,46 +195,79 @@ TEST_F(StreamingAuditTest, CompositeChainDedupSharesWork) {
   Pipeline p(std::move(options));
   const auto receipts = p.chain(3);
 
-  // Sequential baseline: every embedded predecessor re-verified.
+  // Uncached baseline: every embedded predecessor re-verified.
   zvm::Verifier verifier;
   zvm::VerifyStats seq_stats;
   for (const auto& receipt : receipts) {
-    zvm::VerifyContext context{nullptr, &seq_stats};
     ASSERT_TRUE(
-        verify_aggregation_receipt(verifier, receipt, context).ok());
+        verify_aggregation_receipt(verifier, receipt, {nullptr, &seq_stats})
+            .ok());
   }
 
-  BatchVerifier batch;
-  zvm::VerifyStats batch_stats;
-  const auto outcomes = batch.verify_aggregation(receipts, &batch_stats);
-  for (const auto& outcome : outcomes) EXPECT_TRUE(outcome.ok());
+  Auditor auditor(p.board);
+  zvm::VerifyStats walk_stats;
+  auto accepted = auditor.accept_rounds(receipts, &walk_stats);
+  ASSERT_TRUE(accepted.ok()) << accepted.error().to_string();
   // Chain dedup: both non-genesis rounds resolve their embedded
-  // predecessor from the previous lane, and converging Merkle paths within
-  // each segment share node hashes.
-  EXPECT_EQ(batch_stats.assumptions_skipped, 2u);
-  EXPECT_LT(batch_stats.receipts, seq_stats.receipts);
-  EXPECT_GT(batch_stats.node_hashes_shared, 0u);
+  // predecessor against the round accepted just before, and converging
+  // Merkle paths within each segment share node hashes.
+  EXPECT_EQ(walk_stats.assumptions_skipped, 2u);
+  EXPECT_LT(walk_stats.receipts, seq_stats.receipts);
+  EXPECT_GT(walk_stats.node_hashes_shared, 0u);
 }
 
-TEST_F(StreamingAuditTest, BatchRepairsOptimisticSkipAfterPredecessorFails) {
-  // receipts[1] is corrupted, and receipts[2] embeds a byte-identical copy
-  // of it. The parallel pass may have skipped re-verifying that embedded
-  // copy (optimistic predecessor seed); the repair pass must reject it the
-  // way a sequential walk would.
-  Pipeline p;
-  auto receipts = p.chain(3);
-  receipts[1].journal.push_back(0x00);
+TEST_F(StreamingAuditTest, AcceptRoundOneAtATimeVerifiesEachRoundOnce) {
+  AggregationOptions options;
+  options.prove_options.seal_kind = zvm::SealKind::composite;
+  Pipeline p(std::move(options));
+  const auto receipts = p.chain(5);
 
-  BatchVerifier batch;
-  const auto outcomes = batch.verify_aggregation(receipts);
-  EXPECT_TRUE(outcomes[0].ok());
-  EXPECT_FALSE(outcomes[1].ok());
-  // receipts[2] is still internally valid — its embedded assumption is the
-  // ORIGINAL (uncorrupted) round-1 receipt, which no longer matches the
-  // corrupted lane, so it must have been verified in full, not skipped.
-  zvm::Verifier verifier;
-  EXPECT_EQ(outcomes[2].ok(),
-            verify_aggregation_receipt(verifier, receipts[2]).ok());
+  obs::Registry& metrics = obs::Registry::instance();
+  obs::Counter& skipped = metrics.counter("core.auditor.assumptions_skipped");
+  obs::Counter& verified = metrics.counter("core.auditor.receipts_verified");
+  const u64 skipped_before = skipped.value();
+  const u64 verified_before = verified.value();
+
+  Auditor auditor(p.board);
+  for (const auto& receipt : receipts) {
+    ASSERT_TRUE(auditor.accept_round(receipt).ok());
+  }
+  // Each non-genesis round embeds the round accepted just before it, so
+  // the walk verifies five receipts, not the 1 + 2 + ... + 5 an uncached
+  // walk re-verifies down the embedded chain.
+  EXPECT_EQ(skipped.value() - skipped_before, 4u);
+  EXPECT_EQ(verified.value() - verified_before, 5u);
+}
+
+TEST_F(StreamingAuditTest, ForgedEmbeddedPredecessorIsVerifiedAndRejected) {
+  AggregationOptions options;
+  options.prove_options.seal_kind = zvm::SealKind::composite;
+  Pipeline p(std::move(options));
+  const auto receipts = p.chain(2);
+
+  Auditor auditor(p.board);
+  ASSERT_TRUE(auditor.accept_round(receipts[0]).ok());
+
+  // Round 1's embedded copy of round 0 keeps round 0's claim but not its
+  // seal: it no longer equals the accepted round, so it is verified in
+  // full and fails exactly as an uncached verifier fails it.
+  auto forged = receipts[1];
+  zvm::Receipt& embedded = forged.assumption_receipts.at(0);
+  embedded.composite.segments.at(0).openings.at(0).leaf_bytes.at(1) ^= 1;
+  ASSERT_EQ(embedded.claim.digest(), receipts[0].claim.digest());
+  const Status uncached =
+      verify_aggregation_receipt(zvm::Verifier{}, forged);
+  ASSERT_FALSE(uncached.ok());
+
+  auto rejected = auditor.accept_round(forged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, uncached.code());
+  EXPECT_EQ(auditor.rounds_accepted(), 1u);
+
+  zvm::VerifyStats stats;
+  ASSERT_TRUE(auditor.accept_round(receipts[1], &stats).ok());
+  EXPECT_EQ(stats.assumptions_skipped, 1u);
+  EXPECT_EQ(auditor.rounds_accepted(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,18 +281,15 @@ TEST_F(StreamingAuditTest, StreamingAuditMatchesMaterialized) {
   Auditor materialized(p.board);
   ASSERT_TRUE(materialized.accept_rounds(receipts).ok());
 
-  for (u64 batch_size : {u64{1}, u64{2}, u64{64}}) {
-    auto source = ReceiptFileSource::open(path("chain.bin"));
-    ASSERT_TRUE(source.ok());
-    EXPECT_EQ(source.value().declared_count(), 5u);
-    Auditor streaming(p.board);
-    auto report =
-        streaming.audit(source.value(), AuditOptions{batch_size, nullptr});
-    ASSERT_TRUE(report.ok()) << report.error().to_string();
-    EXPECT_EQ(report.value().rounds, 5u);
-    EXPECT_EQ(source.value().read_count(), 5u);
-    expect_same_head(materialized.head(), report.value().head);
-  }
+  auto source = ReceiptFileSource::open(path("chain.bin"));
+  ASSERT_TRUE(source.ok());
+  EXPECT_EQ(source.value().declared_count(), 5u);
+  Auditor streaming(p.board);
+  auto streamed = streaming.audit(source.value());
+  ASSERT_TRUE(streamed.ok()) << streamed.error().to_string();
+  EXPECT_EQ(streamed.value().rounds, 5u);
+  EXPECT_EQ(source.value().read_count(), 5u);
+  expect_same_head(materialized.head(), streamed.value().head);
 
   // The in-memory adapter audits identically.
   ReceiptSpanSource span_source{std::span<const zvm::Receipt>(receipts)};
@@ -327,7 +338,7 @@ TEST_F(StreamingAuditTest, TruncatedFileFailsCleanly) {
   auto source = ReceiptFileSource::open(path("chain.bin"));
   ASSERT_TRUE(source.ok());
   Auditor auditor(p.board);
-  auto report = auditor.audit(source.value(), AuditOptions{1, nullptr});
+  auto report = auditor.audit(source.value());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.error().code, Errc::parse_error);
   // Everything before the damage was accepted; the error is sticky.
@@ -406,7 +417,7 @@ TEST_F(StreamingAuditTest, ReorderedAndDuplicatedReceiptsRejected) {
     auto source = ReceiptFileSource::open(path("bad.bin"));
     ASSERT_TRUE(source.ok());
     Auditor streamed(p.board);
-    auto report = streamed.audit(source.value(), AuditOptions{2, nullptr});
+    auto report = streamed.audit(source.value());
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.error().code, seq_error.error().code);
     EXPECT_EQ(streamed.rounds_accepted(), sequential.rounds_accepted());
@@ -426,7 +437,7 @@ TEST_F(StreamingAuditTest, InjectedReadFaultSurfacesAsIoError) {
   ASSERT_TRUE(source.ok());
 
   Auditor auditor(p.board);
-  auto report = auditor.audit(source.value(), AuditOptions{1, nullptr});
+  auto report = auditor.audit(source.value());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.error().code, Errc::io_error);
   EXPECT_EQ(auditor.rounds_accepted(), 2u);

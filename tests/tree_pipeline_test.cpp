@@ -225,7 +225,7 @@ TEST_F(TreePipelineTest, FullBundleAndDeltasRecoverEveryShardExactly) {
   // (possibly none).
   CommitmentBoard board;
   PipelineOptions options = sharded_options(2);
-  options.sketch = netflow::SketchParams{
+  options.sharded.sketch = netflow::SketchParams{
       .cm = {.width = 16, .depth = 2, .seed = 7}, .heavy_capacity = 4};
   struct ShardHead {
     Digest32 root;

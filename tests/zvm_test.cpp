@@ -805,9 +805,10 @@ TEST(Assumptions, CompositeEmbedsAndChecksInner) {
   EXPECT_FALSE(verifier.verify(stripped, register_chained()).ok());
 }
 
-TEST(Assumptions, CacheResolvesOnlyTheIdenticalInnerReceipt) {
-  // A cache hit stands for re-verifying the very same receipt: an embedded
-  // copy with the cached claim but a forged seal is verified, and fails.
+TEST(Assumptions, VerifiedReceiptResolvesOnlyTheIdenticalInnerReceipt) {
+  // A skip stands for re-verifying the very same receipt: an embedded copy
+  // with the verified receipt's claim but a forged seal is verified, and
+  // fails.
   Prover prover;
   Verifier verifier;
   ProveOptions composite;
@@ -823,12 +824,11 @@ TEST(Assumptions, CacheResolvesOnlyTheIdenticalInnerReceipt) {
   auto outer = prover.prove(register_chained(), w.bytes(), options);
   ASSERT_TRUE(outer.ok());
 
-  VerifiedCache cache;
-  cache.add(inner.value());
   VerifyStats stats;
-  ASSERT_TRUE(
-      verifier.verify(outer.value(), register_chained(), {&cache, &stats})
-          .ok());
+  ASSERT_TRUE(verifier
+                  .verify(outer.value(), register_chained(),
+                          {&inner.value(), &stats})
+                  .ok());
   EXPECT_EQ(stats.assumptions_skipped, 1u);
 
   auto forged = outer.value();
@@ -836,7 +836,8 @@ TEST(Assumptions, CacheResolvesOnlyTheIdenticalInnerReceipt) {
   embedded.composite.segments.at(0).openings.at(0).leaf_bytes.at(1) ^= 1;
   ASSERT_EQ(embedded.claim.digest(), inner.value().claim.digest());
   EXPECT_FALSE(
-      verifier.verify(forged, register_chained(), {&cache, nullptr}).ok());
+      verifier.verify(forged, register_chained(), {&inner.value(), nullptr})
+          .ok());
 }
 
 TEST(Assumptions, InvalidInnerReceiptRejectedAtProveTime) {

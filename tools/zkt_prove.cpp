@@ -116,12 +116,12 @@ int main(int argc, char** argv) {
   if (flags.has("composite")) options.seal_kind = zvm::SealKind::composite;
 
   core::PipelineOptions pipeline_options;
-  pipeline_options.prove_options = options;
+  pipeline_options.sharded.prove_options = options;
   const std::string agg_mode = flags.get("agg-mode", "auto");
   if (agg_mode == "full") {
-    pipeline_options.agg_mode = core::AggMode::full;
+    pipeline_options.sharded.agg_mode = core::AggMode::full;
   } else if (agg_mode == "incremental") {
-    pipeline_options.agg_mode = core::AggMode::incremental;
+    pipeline_options.sharded.agg_mode = core::AggMode::incremental;
   } else if (agg_mode != "auto") {
     std::fprintf(stderr, "unknown --agg-mode: %s (auto|full|incremental)\n",
                  agg_mode.c_str());
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   }
   pipeline_options.sharded.pipeline_depth =
       static_cast<u32>(flags.get_u64("pipeline-depth", 1));
-  if (flags.has("no-sketch")) pipeline_options.sketch = std::nullopt;
+  if (flags.has("no-sketch")) pipeline_options.sharded.sketch = std::nullopt;
   pipeline_options.epoch_every = flags.get_u64("epoch-every", 0);
   const bool sharded = pipeline_options.sharded.shard_count >= 2;
   if (sharded && pipeline_options.epoch_every > 0) {

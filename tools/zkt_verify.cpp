@@ -5,8 +5,7 @@
 //
 // Usage:
 //   zkt-verify --data-dir DIR [--query "sum(hop_sum) where ..."]
-//              [--sketch-query] [--stream] [--batch N] [--catch-up]
-//              [--pool-threads N] [--backend scalar|shani|avx2]
+//              [--sketch-query] [--catch-up] [--backend scalar|shani|avx2]
 //              [--metrics] [--metrics-json [PATH]]
 //
 // --sketch-query verifies DIR/sketch_query_receipt.bin (written by
@@ -14,27 +13,21 @@
 // sketch-routed receipts bind the accepted chain head's sketch digest,
 // exact-fallback receipts verify as ordinary complete-scan query proofs.
 //
-// Chain-verification modes (identical accept/reject decisions):
-//   default      — load all receipts, verify them in one batched pass
-//                  (pool fan-out + chain-continuity dedup);
-//   --stream     — pull receipts straight off the file in --batch windows
-//                  (default 64): O(1) memory however long the chain is;
+// Chain verification (identical accept/reject decisions either way):
+//   default      — audit the receipts straight off the file, one at a time
+//                  and in order: O(1) memory however long the chain is;
 //   --catch-up   — cold-verifier sync off DIR/epoch_seals.bin (written by
 //                  zkt-prove --epoch-every): verify the O(log T) ladder
 //                  seals, adopt the sealed head, and replay only the
 //                  unsealed suffix receipts.
 //
-// --pool-threads sizes a private verification pool (default: the shared
-// pool, ZKT_POOL_THREADS). --backend pins the SHA-256 implementation.
+// --backend pins the SHA-256 implementation.
 // --metrics / --metrics-json dump the obs registry (core.auditor.* counters
 // included; schema in docs/OBSERVABILITY.md), matching zkt-prove's flags.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "core/epoch.h"
 #include "core/grouped_query.h"
 #include "core/io.h"
@@ -89,14 +82,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // A private pool when --pool-threads is given; otherwise BatchVerifier
-  // falls back to the shared pool (ZKT_POOL_THREADS).
-  std::unique_ptr<common::ThreadPool> own_pool;
-  if (flags.has("pool-threads")) {
-    own_pool = std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
-        .threads = static_cast<size_t>(flags.get_u64("pool-threads", 0))});
-  }
-
   core::CommitmentBoard board;
   if (auto s = core::load_commitments(data_dir + "/commitments.bin", board);
       !s.ok()) {
@@ -104,11 +89,8 @@ int main(int argc, char** argv) {
     return finish(flags, data_dir, 1);
   }
 
-  core::AuditorOptions auditor_options;
-  auditor_options.batch.pool = own_pool.get();
-  core::Auditor auditor(board, auditor_options);
+  core::Auditor auditor(board);
   const std::string receipts_path = data_dir + "/aggregation_receipts.bin";
-  const u64 batch_size = flags.get_u64("batch", 64);
   zvm::VerifyStats stats;
 
   if (flags.has("catch-up")) {
@@ -152,48 +134,24 @@ int main(int argc, char** argv) {
                 (unsigned long long)report.value().seals_adopted,
                 (unsigned long long)report.value().seal_rounds,
                 (unsigned long long)report.value().rounds_replayed);
-  } else if (flags.has("stream")) {
-    // O(1)-memory audit: receipts never materialize beyond one window.
+  } else {
+    // Receipts never materialize beyond the one being verified and the
+    // last one accepted.
     auto source = core::ReceiptFileSource::open(receipts_path);
     if (!source.ok()) {
       std::fprintf(stderr, "receipts: %s\n",
                    source.error().to_string().c_str());
       return finish(flags, data_dir, 1);
     }
-    std::printf("zkt-verify: %zu commitments, %llu receipts (streaming)\n",
+    std::printf("zkt-verify: %zu commitments, %llu aggregation receipts\n",
                 board.size(),
                 (unsigned long long)source.value().declared_count());
-    auto report = auditor.audit(
-        source.value(), core::AuditOptions{batch_size, &stats});
+    auto report = auditor.audit(source.value(), &stats);
     if (!report.ok()) {
       std::printf("round %llu: REJECTED — %s\n",
                   (unsigned long long)auditor.rounds_accepted(),
                   report.error().to_string().c_str());
       return finish(flags, data_dir, 2);
-    }
-  } else {
-    auto receipts = core::load_receipts(receipts_path);
-    if (!receipts.ok()) {
-      std::fprintf(stderr, "receipts: %s\n",
-                   receipts.error().to_string().c_str());
-      return finish(flags, data_dir, 1);
-    }
-    std::printf("zkt-verify: %zu commitments, %zu aggregation receipts\n",
-                board.size(), receipts.value().size());
-
-    // Batched pass: N receipts per round-trip over the pool, decisions
-    // identical to a one-receipt-at-a-time accept_round walk.
-    std::span<const zvm::Receipt> pending(receipts.value());
-    while (!pending.empty()) {
-      const size_t n = std::min<size_t>(pending.size(), batch_size);
-      auto accepted = auditor.accept_rounds(pending.first(n), &stats);
-      if (!accepted.ok()) {
-        std::printf("round %llu: REJECTED — %s\n",
-                    (unsigned long long)auditor.rounds_accepted(),
-                    accepted.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
-      }
-      pending = pending.subspan(n);
     }
   }
   std::printf("aggregation chain VERIFIED: %llu rounds, final state root %s"
