@@ -1,11 +1,17 @@
 // Tiny command-line flag parser for the zkt-* tools: supports
-// --name=value, --name value, bare --switch, and positional arguments.
+// --name=value, --name value, bare --switch, and positional arguments. A
+// tool names the flags it accepts; any other --name is unknown(), and
+// check() reports it so the tool can exit instead of ignoring it.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -14,25 +20,48 @@ namespace zkt {
 
 class Flags {
  public:
-  Flags(int argc, const char* const* argv) {
+  /// Parse argv for a tool that accepts exactly the `accepted` names.
+  Flags(int argc, const char* const* argv,
+        std::initializer_list<std::string_view> accepted) {
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
-      if (arg.starts_with("--")) {
-        arg.remove_prefix(2);
-        const size_t eq = arg.find('=');
-        if (eq != std::string_view::npos) {
-          named_[std::string(arg.substr(0, eq))] =
-              std::string(arg.substr(eq + 1));
-        } else if (i + 1 < argc &&
-                   std::string_view(argv[i + 1]).substr(0, 2) != "--") {
-          named_[std::string(arg)] = argv[++i];
-        } else {
-          named_[std::string(arg)] = "";  // bare switch
-        }
-      } else {
+      if (!arg.starts_with("--")) {
         positional_.emplace_back(arg);
+        continue;
+      }
+      arg.remove_prefix(2);
+      const size_t eq = arg.find('=');
+      const std::string name(arg.substr(0, eq));
+      std::string value;  // bare switch
+      if (eq != std::string_view::npos) {
+        value = arg.substr(eq + 1);
+      } else if (i + 1 < argc &&
+                 std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+        value = argv[++i];
+      }
+      if (std::find(accepted.begin(), accepted.end(), name) ==
+          accepted.end()) {
+        unknown_.push_back(name);
+      } else {
+        named_[name] = std::move(value);
       }
     }
+  }
+
+  /// The --names outside the accepted set, in argv order (never stored as
+  /// flags: has() is false for them).
+  const std::vector<std::string>& unknown() const { return unknown_; }
+
+  /// Print `unknown flag --name` for every unknown flag, then `usage`, to
+  /// stderr. False when there was any: the tool should exit 1.
+  bool check(std::string_view usage) const {
+    for (const auto& name : unknown_) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    }
+    if (unknown_.empty()) return true;
+    std::fprintf(stderr, "%.*s\n", static_cast<int>(usage.size()),
+                 usage.data());
+    return false;
   }
 
   bool has(const std::string& name) const { return named_.count(name) > 0; }
@@ -67,6 +96,7 @@ class Flags {
  private:
   std::map<std::string, std::string> named_;
   std::vector<std::string> positional_;
+  std::vector<std::string> unknown_;
 };
 
 }  // namespace zkt

@@ -4,7 +4,6 @@
 
 #include "core/io.h"
 #include "obs/metrics.h"
-#include "store/logstore.h"  // crc32
 #include "zvm/verifier.h"
 
 namespace zkt::core {
@@ -13,6 +12,9 @@ namespace {
 
 constexpr std::string_view kEpochSealMagic = "EPSEAL1";
 constexpr std::string_view kEpochFileMagic = "ZKTEPCH1";
+/// Item cap of an epoch-seal file. A ladder holds one seal per set bit of
+/// its round count, so a real file holds at most 64.
+constexpr u64 kMaxEpochSeals = u64{1} << 16;
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -407,48 +409,23 @@ u64 EpochLadder::rounds_fed() const {
 
 Status save_epoch_seals(const std::vector<EpochSeal>& seals,
                         const std::string& path) {
-  Writer w;
-  w.str(kEpochFileMagic);
-  w.varint(seals.size());
-  for (const auto& seal : seals) {
-    const Bytes item = seal.to_bytes();
-    w.blob(item);
-    w.u32v(store::crc32(item));
-  }
-  return write_file(path, w.bytes());
+  std::vector<Bytes> items;
+  items.reserve(seals.size());
+  for (const auto& seal : seals) items.push_back(seal.to_bytes());
+  return write_file(path, frame_items(kEpochFileMagic, items));
 }
 
 Result<std::vector<EpochSeal>> load_epoch_seals(const std::string& path) {
   auto data = read_file(path);
   if (!data.ok()) return data.error();
-  Reader r(data.value());
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != kEpochFileMagic) {
-    return Error{Errc::parse_error, "bad epoch seal file magic"};
-  }
-  auto n = r.varint();
-  if (!n.ok()) return n.error();
-  if (n.value() > (1u << 16)) {
-    return Error{Errc::parse_error, "unreasonable epoch seal count"};
-  }
+  auto items = unframe_items(kEpochFileMagic, data.value(), kMaxEpochSeals);
+  if (!items.ok()) return items.error();
   std::vector<EpochSeal> seals;
-  seals.reserve(n.value());
-  for (u64 i = 0; i < n.value(); ++i) {
-    auto item = r.blob();
-    if (!item.ok()) return item.error();
-    auto crc = r.u32v();
-    if (!crc.ok()) return crc.error();
-    if (store::crc32(item.value()) != crc.value()) {
-      return Error{Errc::parse_error,
-                   "epoch seal " + std::to_string(i) + " failed CRC"};
-    }
-    auto seal = EpochSeal::from_bytes(item.value());
+  seals.reserve(items.value().size());
+  for (const auto& item : items.value()) {
+    auto seal = EpochSeal::from_bytes(item);
     if (!seal.ok()) return seal.error();
     seals.push_back(std::move(seal.value()));
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing epoch seal file bytes"};
   }
   return seals;
 }

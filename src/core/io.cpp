@@ -1,5 +1,6 @@
 #include "core/io.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "store/logstore.h"  // crc32
@@ -10,6 +11,45 @@ namespace {
 
 constexpr std::string_view kCommitmentsMagic = "ZKTCOMM1";
 constexpr std::string_view kReceiptsMagic = "ZKTRCPT1";
+constexpr u64 kMaxItems = u64{1} << 20;
+
+// --- streaming reads -------------------------------------------------------
+// A clean end of file mid-item is a malformed file (parse_error); a failed
+// read is the device's fault (io_error).
+
+Error short_read(std::FILE* f) {
+  return std::ferror(f) != 0 ? Error{Errc::io_error, "read failed"}
+                             : Error{Errc::parse_error, "short read"};
+}
+
+/// LEB128 varint straight off the file, mirroring Reader::varint's limits.
+Result<u64> fread_varint(std::FILE* f) {
+  u64 value = 0;
+  for (u32 shift = 0; shift < 64; shift += 7) {
+    const int c = std::fgetc(f);
+    if (c == EOF) return short_read(f);
+    value |= static_cast<u64>(c & 0x7f) << shift;
+    if ((c & 0x80) == 0) return value;
+  }
+  return Error{Errc::parse_error, "varint too long"};
+}
+
+/// Exactly `n` bytes. The buffer grows with the bytes actually read, so a
+/// hostile length allocates no more than the file holds.
+Result<Bytes> fread_exact(std::FILE* f, size_t n) {
+  Bytes out;
+  while (out.size() < n) {
+    const size_t at = out.size();
+    const size_t chunk = std::min<size_t>(n - at, size_t{1} << 16);
+    out.resize(at + chunk);
+    if (std::fread(out.data() + at, 1, chunk, f) != chunk) {
+      return short_read(f);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Bytes frame_items(std::string_view magic, const std::vector<Bytes>& items) {
   Writer w;
@@ -23,7 +63,7 @@ Bytes frame_items(std::string_view magic, const std::vector<Bytes>& items) {
 }
 
 Result<std::vector<Bytes>> unframe_items(std::string_view magic,
-                                         BytesView data) {
+                                         BytesView data, u64 max_items) {
   Reader r(data);
   auto m = r.str();
   if (!m.ok()) return m.error();
@@ -32,7 +72,7 @@ Result<std::vector<Bytes>> unframe_items(std::string_view magic,
   }
   auto n = r.varint();
   if (!n.ok()) return n.error();
-  if (n.value() > (1u << 20)) {
+  if (n.value() > max_items) {
     return Error{Errc::parse_error, "unreasonable item count"};
   }
   std::vector<Bytes> items;
@@ -51,30 +91,6 @@ Result<std::vector<Bytes>> unframe_items(std::string_view magic,
   if (!r.done()) return Error{Errc::parse_error, "trailing file bytes"};
   return items;
 }
-
-// --- streaming reads -------------------------------------------------------
-
-/// LEB128 varint straight off the file, mirroring Reader::varint's limits.
-Result<u64> fread_varint(std::FILE* f) {
-  u64 value = 0;
-  for (u32 shift = 0; shift < 64; shift += 7) {
-    const int c = std::fgetc(f);
-    if (c == EOF) return Error{Errc::parse_error, "short read"};
-    value |= static_cast<u64>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) return value;
-  }
-  return Error{Errc::parse_error, "varint too long"};
-}
-
-Result<Bytes> fread_exact(std::FILE* f, size_t n) {
-  Bytes out(n);
-  if (n != 0 && std::fread(out.data(), 1, n, f) != n) {
-    return Error{Errc::parse_error, "short read"};
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<ReceiptFileSource> ReceiptFileSource::open(const std::string& path,
                                                   Options options) {
@@ -98,7 +114,7 @@ Result<ReceiptFileSource> ReceiptFileSource::open(const std::string& path,
   }
   auto n = fread_varint(f);
   if (!n.ok()) return n.error();
-  if (n.value() > (1u << 20)) {
+  if (n.value() > kMaxItems) {
     return Error{Errc::parse_error, "unreasonable item count"};
   }
   source.count_ = n.value();
@@ -116,6 +132,9 @@ Result<std::optional<zvm::Receipt>> ReceiptFileSource::next() {
     if (std::fgetc(file_.get()) != EOF) {
       return fail({Errc::parse_error, "trailing file bytes"});
     }
+    if (std::ferror(file_.get()) != 0) {
+      return fail({Errc::io_error, "read failed"});
+    }
     return std::optional<zvm::Receipt>{};
   }
   if (options_.fault != nullptr &&
@@ -130,15 +149,12 @@ Result<std::optional<zvm::Receipt>> ReceiptFileSource::next() {
   auto item = fread_exact(file_.get(), len.value());
   if (!item.ok()) return fail(item.error());
   // 4-byte little-endian CRC, as written by frame_items.
-  std::array<u8, 4> crc_bytes;
-  if (std::fread(crc_bytes.data(), 1, 4, file_.get()) != 4) {
-    return fail({Errc::parse_error, "short read"});
-  }
-  const u32 crc = static_cast<u32>(crc_bytes[0]) |
-                  static_cast<u32>(crc_bytes[1]) << 8 |
-                  static_cast<u32>(crc_bytes[2]) << 16 |
-                  static_cast<u32>(crc_bytes[3]) << 24;
-  if (store::crc32(item.value()) != crc) {
+  auto crc_bytes = fread_exact(file_.get(), 4);
+  if (!crc_bytes.ok()) return fail(crc_bytes.error());
+  Reader crc_reader(crc_bytes.value());
+  auto crc = crc_reader.u32v();
+  if (!crc.ok()) return fail(crc.error());
+  if (store::crc32(item.value()) != crc.value()) {
     return fail({Errc::parse_error,
                  "item " + std::to_string(read_) + " failed CRC"});
   }
@@ -177,7 +193,9 @@ Result<Bytes> read_file(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
     out.insert(out.end(), buf, buf + n);
   }
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
+  if (failed) return Error{Errc::io_error, "read failed: " + path};
   return out;
 }
 
@@ -193,7 +211,7 @@ Status save_commitments(const CommitmentBoard& board,
 Status load_commitments(const std::string& path, CommitmentBoard& board) {
   auto data = read_file(path);
   if (!data.ok()) return data.error();
-  auto items = unframe_items(kCommitmentsMagic, data.value());
+  auto items = unframe_items(kCommitmentsMagic, data.value(), kMaxItems);
   if (!items.ok()) return items.error();
   for (const auto& item : items.value()) {
     Reader r(item);
@@ -215,18 +233,15 @@ Status save_receipts(const std::vector<zvm::Receipt>& receipts,
 }
 
 Result<std::vector<zvm::Receipt>> load_receipts(const std::string& path) {
-  auto data = read_file(path);
-  if (!data.ok()) return data.error();
-  auto items = unframe_items(kReceiptsMagic, data.value());
-  if (!items.ok()) return items.error();
+  auto source = ReceiptFileSource::open(path);
+  if (!source.ok()) return source.error();
   std::vector<zvm::Receipt> receipts;
-  receipts.reserve(items.value().size());
-  for (const auto& item : items.value()) {
-    auto receipt = zvm::Receipt::from_bytes(item);
+  for (;;) {
+    auto receipt = source.value().next();
     if (!receipt.ok()) return receipt.error();
-    receipts.push_back(std::move(receipt.value()));
+    if (!receipt.value().has_value()) return receipts;
+    receipts.push_back(std::move(*receipt.value()));
   }
-  return receipts;
 }
 
 }  // namespace zkt::core

@@ -1,6 +1,7 @@
 // File formats for moving zktel artifacts between processes: commitment
-// board dumps and receipt bundles. Both are length-framed sequences with a
-// magic header and per-item CRC, so the CLI tools (zkt-sim, zkt-prove,
+// board dumps and receipt bundles (and, through frame_items, the epoch-seal
+// files of core/epoch.h). All are length-framed sequences with a magic
+// header and per-item CRC, so the CLI tools (zkt-sim, zkt-prove,
 // zkt-verify) can hand artifacts to each other — and to auditors — as plain
 // files.
 #pragma once
@@ -9,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/commitment.h"
@@ -45,10 +47,11 @@ class ReceiptSource {
 };
 
 /// File-backed source over the ZKTRCPT1 receipt-bundle format: parses the
-/// length-framed items incrementally with the same validation as
-/// load_receipts (magic, per-item CRC, item-count cap, trailing-byte
-/// check), but holds only ONE receipt plus a bounded IO buffer resident —
-/// peak memory is the largest single receipt, not the chain length.
+/// length-framed items incrementally with unframe_items()' validation
+/// (magic, per-item CRC, item-count cap, trailing-byte check), but holds
+/// only ONE receipt plus a bounded IO buffer resident — peak memory is the
+/// largest single receipt, not the chain length. load_receipts() drains
+/// one.
 class ReceiptFileSource final : public ReceiptSource {
  public:
   struct Options {
@@ -104,8 +107,18 @@ class ReceiptSpanSource final : public ReceiptSource {
   size_t next_ = 0;
 };
 
-/// Raw helpers shared by the formats above.
+/// Raw helpers shared by the formats above (and the epoch-seal files of
+/// core/epoch.h). read_file() and the readers built on it report a failed
+/// read as io_error; a file that ends too early is parse_error.
 Status write_file(const std::string& path, BytesView data);
 Result<Bytes> read_file(const std::string& path);
+
+/// The item framing every artifact file uses: `magic`, the item count, then
+/// each item as a length-prefixed blob followed by its CRC-32.
+Bytes frame_items(std::string_view magic, const std::vector<Bytes>& items);
+/// Parse frame_items() output: parse_error on a wrong magic, more than
+/// `max_items` items, a failed CRC or trailing bytes.
+Result<std::vector<Bytes>> unframe_items(std::string_view magic,
+                                         BytesView data, u64 max_items);
 
 }  // namespace zkt::core

@@ -298,6 +298,7 @@ u64 ProviderPipeline::prune_aggregated() {
 Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
   obs::Registry& metrics = obs::Registry::instance();
   obs::ScopedSpan span("pipeline_aggregate_pending");
+  ZKT_TRY(halted_);
   ZKT_TRY(check_options());
 
   auto pending = pending_windows();
@@ -314,10 +315,11 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
   // Window i+1 loads + stages (split-proves, at K >= 2) on a pool worker
   // while window i's shards prove on this thread, and window i's tree folds
   // on a worker while window i+1 proves. Chain LINKING stays here, in
-  // window order (commit_staged / prove_shards / persist), so every depth
-  // produces byte-identical receipts; results are drained from `sealing`
-  // in window order. At K = 1 staging and folding are no-ops and this is
-  // the plain chain's loop.
+  // window order (prove_shards / persist), so every depth produces
+  // byte-identical receipts. Window i's seal is persisted before window
+  // i+1's first row, so at most one fold is in flight and a crash can only
+  // lose the chain tip's seal. At K = 1 staging and folding are no-ops and
+  // this is the plain chain's loop.
   struct StagedEntry {
     u64 window = 0;
     std::shared_ptr<std::vector<netflow::RLogBatch>> batches;
@@ -329,7 +331,7 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     std::future<Status> folded;
   };
   std::deque<StagedEntry> staging;
-  std::deque<SealEntry> sealing;
+  std::optional<SealEntry> sealing;
   std::vector<RoundResult> rounds;
   size_t next_window = 0;
 
@@ -341,19 +343,9 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
                    : std::async(std::launch::deferred, std::move(task));
   };
 
-  // On a terminal error every in-flight future must finish before the
-  // deques (and the service) can be torn down.
-  auto settle_inflight = [&] {
-    for (auto& entry : staging) {
-      if (entry.staged.valid()) entry.staged.wait();
-    }
-    for (auto& entry : sealing) {
-      if (entry.folded.valid()) entry.folded.wait();
-    }
-  };
   auto set_inflight = [&] {
     metrics.gauge("core.pipeline.inflight")
-        .set(static_cast<double>(staging.size() + sealing.size()));
+        .set(static_cast<double>(staging.size() + (sealing ? 1 : 0)));
   };
 
   auto top_up_staging = [&]() -> Status {
@@ -373,9 +365,11 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     return {};
   };
 
-  auto drain_one_seal = [&]() -> Status {
-    SealEntry entry = std::move(sealing.front());
-    sealing.pop_front();
+  // Wait for the fold in flight, if any, and persist its seal.
+  auto drain_seal = [&]() -> Status {
+    if (!sealing.has_value()) return {};
+    SealEntry entry = std::move(*sealing);
+    sealing.reset();
     const auto wait_start = std::chrono::steady_clock::now();
     Status folded = entry.folded.get();
     metrics.histogram("core.pipeline.fold_wait_ms")
@@ -391,10 +385,28 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     return {};
   };
 
+  // On a failure every staged future finishes before the queue (and the
+  // service) can be torn down, and the fold in flight persists its seal.
+  // A failure before any shard chain moved then leaves the services where
+  // the store is, so a later call retries cleanly (a late commitment, a
+  // failed scan). Otherwise the store lacks a round or a seal the services
+  // are past, and the pipeline halts until a restarted one recover()s.
+  auto fail = [&](Error error, bool moved) -> Error {
+    for (auto& entry : staging) {
+      if (entry.staged.valid()) entry.staged.wait();
+    }
+    if (Status drained = drain_seal(); !drained.ok() || moved) {
+      halted_ = Error{Errc::invalid_argument,
+                      "pipeline halted after a failed round (" +
+                          error.to_string() +
+                          "); restart it and recover() from the store"};
+    }
+    return error;
+  };
+
   for (;;) {
     if (Status topped = top_up_staging(); !topped.ok()) {
-      settle_inflight();
-      return topped.error();
+      return fail(topped.error(), false);
     }
     if (staging.empty()) break;
 
@@ -402,33 +414,29 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     StagedEntry entry = std::move(staging.front());
     staging.pop_front();
     auto staged = entry.staged.get();
-    if (!staged.ok()) {
-      settle_inflight();
-      return staged.error();
-    }
+    if (!staged.ok()) return fail(staged.error(), false);
     metrics.histogram("core.pipeline.stage_ms")
         .record(staged.value().split_ms);
 
-    if (Status committed = service_->commit_staged(staged.value());
-        !committed.ok()) {
-      settle_inflight();
-      return committed.error();
-    }
     const auto prove_start = std::chrono::steady_clock::now();
     auto round = service_->prove_shards(std::move(staged.value()));
     if (!round.ok()) {
-      settle_inflight();
-      return round.error();
+      // A shard that proved before another one failed has moved its chain.
+      bool moved = false;
+      for (u32 s = 0; s < service_->shard_count(); ++s) {
+        moved = moved || service_->shard_service(s).rounds_completed() !=
+                             service_->rounds_completed();
+      }
+      return fail(round.error(), moved);
     }
     // The serial segment: shard proving runs on this thread, in window
     // order, because chains link round i+1 onto round i. Pipelining can
     // only hide stage_ms and fold_wait_ms around it.
     metrics.histogram("core.pipeline.prove_ms").record(elapsed_ms(prove_start));
-    if (Status persisted = persist_chain(entry.window, round.value());
-        !persisted.ok()) {
-      settle_inflight();
-      return persisted.error();
-    }
+    // The previous window's seal lands before this window's first row.
+    Status persisted = drain_seal();
+    if (persisted.ok()) persisted = persist_chain(entry.window, round.value());
+    if (!persisted.ok()) return fail(persisted.error(), true);
     last_window_ = entry.window;
     if (!sharded()) receipts_.push_back(round.value().primary().receipt);
     if (epoch_) {
@@ -436,10 +444,7 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
       // Finished seals are drained and persisted here, between rounds.
       Status fed = epoch_->feed(receipts_.back(), entry.window);
       if (fed.ok()) fed = persist_epoch_seals();
-      if (!fed.ok()) {
-        settle_inflight();
-        return fed.error();
-      }
+      if (!fed.ok()) return fail(fed.error(), true);
     }
 
     SealEntry seal;
@@ -449,7 +454,7 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
                            [service = service_.get(), r = seal.round] {
                              return service->fold_round(*r);
                            });
-    sealing.push_back(std::move(seal));
+    sealing = std::move(seal);
     set_inflight();
 
     metrics.histogram("core.pipeline.round_ms").record(elapsed_ms(round_start));
@@ -460,24 +465,23 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
         .set(static_cast<double>(windows.size() - next_window +
                                  staging.size()));
 
-    while (sealing.size() >= depth) {
-      if (Status drained = drain_one_seal(); !drained.ok()) {
-        settle_inflight();
-        return drained.error();
+    // Depth 1 seals each window before staging the next: the sequential
+    // loop.
+    if (depth == 1) {
+      if (Status drained = drain_seal(); !drained.ok()) {
+        return fail(drained.error(), true);
       }
     }
   }
-  while (!sealing.empty()) {
-    if (Status drained = drain_one_seal(); !drained.ok()) {
-      settle_inflight();
-      return drained.error();
-    }
+  if (Status drained = drain_seal(); !drained.ok()) {
+    return fail(drained.error(), true);
   }
   if (epoch_) {
     // Quiesce the ladder so this call's seals are durable before returning
     // (a caller that exits right after aggregate_pending loses nothing).
-    ZKT_TRY(epoch_->settle());
-    ZKT_TRY(persist_epoch_seals());
+    Status settled = epoch_->settle();
+    if (settled.ok()) settled = persist_epoch_seals();
+    if (!settled.ok()) return fail(settled.error(), true);
   }
   if (options_.prune_aggregated && !rounds.empty()) {
     prune_aggregated();
@@ -502,7 +506,7 @@ ProviderPipeline::load_receipts(u64 window) const {
 Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
   obs::Registry& metrics = obs::Registry::instance();
   obs::ScopedSpan span("pipeline_recover");
-  if (has_rounds() || last_window_.has_value()) {
+  if (has_rounds() || last_window_.has_value() || !halted_.ok()) {
     return Error{Errc::invalid_argument,
                  "recover() must run before any aggregation"};
   }
@@ -721,9 +725,7 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
       receipts_.push_back(std::move(receipts.value()->front()));
       round_windows.push_back(window);
     } else {
-      const bool live_sketches = !covered || window == adopted_window;
-      ZKT_TRY(recover_tree_seal(window, *receipts.value(), live_sketches,
-                                receipt_windows, info));
+      ZKT_TRY(recover_tree_seal(window, *receipts.value(), info));
     }
   }
 
@@ -747,8 +749,8 @@ Result<ProviderPipeline::RecoveryInfo> ProviderPipeline::recover() {
 }
 
 Status ProviderPipeline::recover_tree_seal(
-    u64 window, const std::vector<zvm::Receipt>& receipts, bool live_sketches,
-    const std::vector<u64>& receipt_windows, RecoveryInfo& info) {
+    u64 window, const std::vector<zvm::Receipt>& receipts,
+    RecoveryInfo& info) {
   auto seal_row = store_->latest(store::kTableTreeSeals, window);
   if (seal_row.has_value()) {
     auto seal = zvm::Receipt::from_bytes(seal_row->payload);
@@ -757,9 +759,18 @@ Status ProviderPipeline::recover_tree_seal(
     return {};
   }
 
-  // Crash after the shard receipts, before the seal: re-fold from the
-  // verified receipts (proof work is O(K) joins, not a re-prove of the
-  // round) and persist what the crashed process could not.
+  // A window's seal is persisted before the next window's first row, so
+  // only the chain tip can lack one: a crash after its shard receipts,
+  // before its seal. The shard services then sit at this window (the
+  // adopted snapshot's, or the one just replayed) and hold the round
+  // sketches the join guests need.
+  if (last_window_ != window) {
+    return Error{Errc::chain_broken,
+                 "window " + std::to_string(window) +
+                     " is missing its tree seal mid-chain"};
+  }
+  // Re-fold from the verified receipts (proof work is O(K) joins, not a
+  // re-prove of the round) and persist what the crashed process could not.
   const u32 shard_count = service_->shard_count();
   FoldOptions fold_options;
   fold_options.fanout = service_->options().join_fanout;
@@ -769,55 +780,8 @@ Status ProviderPipeline::recover_tree_seal(
   if (!leaf_journal.ok()) return leaf_journal.error();
   std::vector<netflow::RoundSketch> leaf_sketches;  // fold_options views it
   if (leaf_journal.value().has_sketch) {
-    // Sketched leaves need this window's round-sketch bytes fed back to the
-    // join guests. The live shard services hold them only when the chain
-    // position matches (the window just replayed, or the adopted
-    // snapshot's own window); an older window rebuilds them by replaying
-    // every stored window's raw batches through the same shard split and
-    // (window, router) fold order the guests used — and the rebuild is only
-    // trusted after it reproduces each shard's proven sketch digest.
-    if (live_sketches) {
-      for (u32 s = 0; s < shard_count; ++s) {
-        leaf_sketches.push_back(service_->shard_service(s).sketch());
-      }
-    } else {
-      leaf_sketches.assign(
-          shard_count, netflow::RoundSketch{leaf_journal.value().sketch_params});
-      for (u64 w : receipt_windows) {
-        if (w > window) break;
-        std::vector<netflow::RLogBatch> replay;
-        ZKT_TRY(load_batches(w, replay));
-        if (replay.empty()) {
-          return Error{Errc::chain_broken,
-                       "window " + std::to_string(window) +
-                           " is missing its tree seal and its shard sketches "
-                           "cannot be rebuilt (raw logs pruned before a seal "
-                           "covered them?)"};
-        }
-        std::sort(replay.begin(), replay.end(),
-                  [](const netflow::RLogBatch& a,
-                     const netflow::RLogBatch& b) {
-                    return std::tie(a.window_id, a.router_id) <
-                           std::tie(b.window_id, b.router_id);
-                  });
-        for (const auto& batch : replay) {
-          for (const auto& record : batch.records) {
-            leaf_sketches[shard_of(record.key, shard_count)].update(
-                record.key, record.packets);
-          }
-        }
-      }
-      for (u32 s = 0; s < shard_count; ++s) {
-        auto shard_journal = AggJournal::parse(receipts[s].journal);
-        if (!shard_journal.ok()) return shard_journal.error();
-        if (!shard_journal.value().has_sketch ||
-            shard_journal.value().sketch_digest != leaf_sketches[s].hash()) {
-          return Error{Errc::hash_mismatch,
-                       "rebuilt shard sketches disagree with the proven "
-                       "digests for window " +
-                           std::to_string(window)};
-        }
-      }
+    for (u32 s = 0; s < shard_count; ++s) {
+      leaf_sketches.push_back(service_->shard_service(s).sketch());
     }
     fold_options.leaf_sketches = leaf_sketches;
   }

@@ -6,16 +6,16 @@
 // integration tests drive it).
 //
 // One round shape: every window runs through ShardedAggregationService as
-// stage -> commit_staged -> prove_shards -> persist -> fold. A plain chain
-// is the K = 1 round (options.sharded.shard_count <= 1): no split proof, no
-// fold, one receipt per window. K >= 2 adds split proofs, K parallel shard
-// chains and ONE tree seal per round. With options.sharded.pipeline_depth
-// > 1 the pipeline overlaps windows —
-// window i+1 loads and stages on a pool worker while window i's shards
-// prove, and window i's tree folds while window i+1 proves. Chain LINKING
-// stays strictly serial (prove_shards runs in window order on the caller's
-// thread), so receipts and auditor decisions are byte-identical at every
-// depth; depth 1 is exactly the sequential loop.
+// stage -> prove_shards -> persist -> fold. A plain chain is the K = 1
+// round (options.sharded.shard_count <= 1): no split proof, no fold, one
+// receipt per window. K >= 2 adds split proofs, K parallel shard chains
+// and ONE tree seal per round. With options.sharded.pipeline_depth > 1 the
+// pipeline overlaps windows — window i+1 loads and stages on a pool worker
+// while window i's shards prove, and window i's tree folds while window
+// i+1 proves. Chain LINKING stays strictly serial (prove_shards runs in
+// window order on the caller's thread), so receipts and auditor decisions
+// are byte-identical at every depth; depth 1 is exactly the sequential
+// loop.
 //
 // Crash safety: every checkpoint interval the pipeline appends a
 // core::ShardedChainSnapshot bundle (per shard, the whole CLog or a delta of
@@ -23,12 +23,12 @@
 // store::kTableChainState, and recover() resumes a restarted process from
 // the newest full bundle whose receipts check out, extended by the deltas
 // that chain onto it, rolling forward over receipts proven after it without
-// re-proving (see docs/RECOVERY.md). Per window the persist order is
-// snapshot, then the K receipts, then the tree seal (K >= 2) or epoch seals
-// (K = 1): a crash
-// leaves an orphan snapshot or a missing seal — never a receipt ahead of a
-// usable snapshot — and missing seals are re-folded from the stored
-// receipts at recovery.
+// re-proving (see docs/RECOVERY.md). The persist order is snapshot(i),
+// the K receipts(i), then the tree seal(i) before snapshot(i+1) (K >= 2;
+// at most one fold is in flight) or the epoch seals finished so far
+// (K = 1): a crash leaves an orphan snapshot or the chain tip's missing
+// seal — never a receipt ahead of a usable snapshot — and recovery
+// re-folds that one seal from the shard sketches it restored or replayed.
 //
 // Failure policy: transient store errors (io_error) are retried with
 // exponential backoff per RetryPolicy; integrity failures (tampered or
@@ -100,8 +100,8 @@ class ProviderPipeline {
     /// receipts were appended, or unreadable).
     u64 snapshots_skipped = 0;
     /// Sharded rounds whose tree seal was missing from the store (crash
-    /// after the shard receipts, before the seal) and was re-folded from
-    /// the verified shard receipts during recovery.
+    /// after the tip's shard receipts, before its seal) and was re-folded
+    /// from the verified shard receipts during recovery: at most one.
     u64 seals_refolded = 0;
     /// Epoch seals adopted from the store after validating against the
     /// recovered receipt chain.
@@ -129,11 +129,14 @@ class ProviderPipeline {
   /// Aggregate every committed window newer than the last one processed,
   /// in ascending window order. Each round persists a snapshot bundle (per
   /// options.checkpoint_every_n_rounds), then its K receipts, then its tree
-  /// seal (K >= 2) or epoch seals (K = 1 with a ladder). Returns
-  /// the rounds proven in this call (possibly empty). Stops at — and
-  /// returns — the first terminal failure (a tampered window blocks the
-  /// chain, by design); transient store errors are retried per
-  /// options.retry first.
+  /// seal (K >= 2, before the next round's first row) or epoch seals (K = 1
+  /// with a ladder). Returns the rounds proven in this call (possibly
+  /// empty). Stops at — and returns — the first terminal failure (a
+  /// tampered window blocks the chain, by design); transient store errors
+  /// are retried per options.retry first. A failure that leaves the store
+  /// behind the chains in memory (a proven round or a seal it could not
+  /// persist) halts the pipeline: every later call fails with
+  /// invalid_argument, and a new pipeline recover()s from the store.
   Result<std::vector<RoundResult>> aggregate_pending();
 
   /// Windows present in the store's rlogs table that have not been
@@ -197,13 +200,11 @@ class ProviderPipeline {
   Result<std::optional<std::vector<zvm::Receipt>>> load_receipts(
       u64 window) const;
   /// Recovery for a K >= 2 round: adopt its stored tree seal, or re-fold
-  /// a missing one from the verified shard receipts. `live_sketches` says
-  /// the shard services sit at this window (their sketches are the round's);
-  /// otherwise the sketches are rebuilt from `receipt_windows`' raw logs.
+  /// a missing one from the verified shard receipts and the shard
+  /// services' sketches — only when the services sit at this window (the
+  /// chain tip); a missing seal anywhere else is chain_broken.
   Status recover_tree_seal(u64 window,
                            const std::vector<zvm::Receipt>& receipts,
-                           bool live_sketches,
-                           const std::vector<u64>& receipt_windows,
                            RecoveryInfo& info);
   /// Drain finished ladder seals into kTableEpochSeals (append-only).
   Status persist_epoch_seals();
@@ -222,6 +223,8 @@ class ProviderPipeline {
   /// Non-null iff options.epoch_every > 0 and K = 1.
   std::unique_ptr<EpochLadder> epoch_;
   std::optional<u64> last_window_;
+  /// Set by a failed aggregate_pending() whose store lags the chains.
+  Status halted_;
   u64 rounds_since_snapshot_ = 0;
   /// Round of this process's last chain_state row whose receipts all
   /// landed: the next delta's base. nullopt = the next row is full.

@@ -38,27 +38,34 @@ std::vector<size_t> batch_order(std::span<const netflow::RLogBatch> batches) {
 /// Look up the *published* commitment for each batch and pair it with the
 /// raw bytes. The commitment is the reference the guest checks the bytes
 /// against; a batch modified after commitment therefore fails in the guest,
-/// not here.
+/// not here. Without a board (a shard chain) each batch is committed under
+/// the hash of its own bytes.
 Result<std::vector<std::pair<CommitmentRef, Bytes>>> committed_batches(
-    const CommitmentBoard& board, std::span<const netflow::RLogBatch> batches,
+    const CommitmentBoard* board, std::span<const netflow::RLogBatch> batches,
     std::span<const size_t> order) {
   std::vector<std::pair<CommitmentRef, Bytes>> out;
   out.reserve(order.size());
   for (size_t idx : order) {
     const netflow::RLogBatch& batch = batches[idx];
-    auto commitment = board.get(batch.router_id, batch.window_id);
-    if (!commitment.has_value()) {
-      return Error{Errc::commitment_missing,
-                   "no published commitment for router " +
-                       std::to_string(batch.router_id) + " window " +
-                       std::to_string(batch.window_id)};
-    }
     CommitmentRef ref;
     ref.router_id = batch.router_id;
     ref.window_id = batch.window_id;
-    ref.rlog_hash = commitment->rlog_hash;
-    ref.record_count = commitment->record_count;
-    out.emplace_back(ref, batch.canonical_bytes());
+    Bytes bytes = batch.canonical_bytes();
+    if (board == nullptr) {
+      ref.rlog_hash = crypto::sha256(bytes);
+      ref.record_count = batch.records.size();
+    } else {
+      auto commitment = board->get(batch.router_id, batch.window_id);
+      if (!commitment.has_value()) {
+        return Error{Errc::commitment_missing,
+                     "no published commitment for router " +
+                         std::to_string(batch.router_id) + " window " +
+                         std::to_string(batch.window_id)};
+      }
+      ref.rlog_hash = commitment->rlog_hash;
+      ref.record_count = commitment->record_count;
+    }
+    out.emplace_back(ref, std::move(bytes));
   }
   return out;
 }
@@ -242,7 +249,7 @@ Result<DeltaAggregateInput> AggregationService::build_delta_input_ordered(
     input.proof = state_.prove_multi(proof_indices);
   }
 
-  auto committed = committed_batches(*board_, batches, order);
+  auto committed = committed_batches(board_, batches, order);
   if (!committed.ok()) return committed.error();
   input.batches = std::move(committed.value());
   return input;
@@ -402,7 +409,7 @@ Result<AggregationRound> AggregationService::aggregate_impl(
       input.prev_sketch = sketch_.canonical_bytes();
     }
     input.prev_entries = state_.entry_bytes();
-    auto committed = committed_batches(*board_, batches, order);
+    auto committed = committed_batches(board_, batches, order);
     if (!committed.ok()) return committed.error();
     input.batches = std::move(committed.value());
     input_bytes = input.to_bytes();

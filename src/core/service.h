@@ -111,11 +111,9 @@ class AggregationService {
  public:
   explicit AggregationService(const CommitmentBoard& board,
                               AggregationOptions options = {})
-      : board_(&board),
-        prove_options_(std::move(options.prove_options)),
-        mode_(options.mode),
-        sketch_params_(options.sketch),
-        sketch_(options.sketch.value_or(netflow::SketchParams{})) {}
+      : AggregationService(std::move(options)) {
+    board_ = &board;
+  }
 
   /// Run one aggregation round over the given batches. Batches are processed
   /// in (window, router) order — via a locally sorted index, so the caller's
@@ -196,6 +194,16 @@ class AggregationService {
       std::span<const netflow::RLogBatch> batches) const;
 
  private:
+  /// A K >= 2 shard chain: its sub-batches have no board entry, so each is
+  /// committed under its own hash. What binds them to the routers' boards
+  /// is the split receipt whose sub-batch hash stage() checked.
+  friend class ShardedAggregationService;
+  explicit AggregationService(AggregationOptions options)
+      : prove_options_(std::move(options.prove_options)),
+        mode_(options.mode),
+        sketch_params_(options.sketch),
+        sketch_(options.sketch.value_or(netflow::SketchParams{})) {}
+
   /// The delta shape of a round: which prev entries must be opened and
   /// which keys are new, in the guest's required orders.
   struct DeltaShape {
@@ -237,7 +245,8 @@ class AggregationService {
   /// sketch_ and touched_ together. On any error nothing changes.
   Status settle(PendingMirror& pending, const AggJournal& journal);
 
-  const CommitmentBoard* board_;
+  /// Null for a shard chain (see the private constructor).
+  const CommitmentBoard* board_ = nullptr;
   zvm::ProveOptions prove_options_;
   AggMode mode_ = AggMode::auto_select;
   // zkt-lint: shared(read-only while a round's mirror runs; only the caller writes it, after awaiting the mirror)

@@ -173,13 +173,9 @@ ShardedAggregationService::ShardedAggregationService(
     return;
   }
   for (u32 s = 0; s < shard_count_; ++s) {
-    shard_boards_.push_back(std::make_unique<CommitmentBoard>());
-    shards_.push_back(std::make_unique<AggregationService>(
-        *shard_boards_.back(), shard_options));
-    // Prover-internal keys for the shard boards' plumbing; external trust
-    // rests on the split receipts, not these signatures.
-    shard_keys_.push_back(crypto::schnorr_keygen_from_seed(
-        "zkt.shard.board." + std::to_string(s)));
+    // Board-less (a private constructor, out of make_unique's reach).
+    shards_.push_back(std::unique_ptr<AggregationService>(
+        new AggregationService(shard_options)));
   }
 }
 
@@ -198,7 +194,6 @@ Result<ShardedAggregationService::StagedRound> ShardedAggregationService::
 
   StagedRound staged;
   staged.shard_batches.resize(shard_count_);
-  staged.sub_commitments.resize(shard_count_);
   zvm::Prover prover;
   for (const auto& batch : batches) {
     const auto split_start = std::chrono::steady_clock::now();
@@ -225,15 +220,13 @@ Result<ShardedAggregationService::StagedRound> ShardedAggregationService::
     auto journal = SplitJournal::parse(receipt.value().journal);
     if (!journal.ok()) return journal.error();
 
+    // The binding of each shard chain to its split proof: shard s commits
+    // this sub-batch under its own hash, which must be the one attested.
     for (u32 s = 0; s < shard_count_; ++s) {
       netflow::RLogBatch sub = sub_batch_for(batch, s, shard_count_);
       if (sub.hash() != journal.value().shards[s].sub_batch_hash) {
         return Error{Errc::hash_mismatch, "host/guest shard split diverged"};
       }
-      auto sub_commitment = make_commitment(sub, shard_keys_[s],
-                                            commitment->published_at_ms);
-      if (!sub_commitment.ok()) return sub_commitment.error();
-      staged.sub_commitments[s].push_back(std::move(sub_commitment.value()));
       staged.shard_batches[s].push_back(std::move(sub));
     }
     staged.split_receipts.push_back(std::move(receipt.value()));
@@ -245,20 +238,6 @@ Result<ShardedAggregationService::StagedRound> ShardedAggregationService::
                         std::chrono::steady_clock::now() - start)
                         .count();
   return staged;
-}
-
-Status ShardedAggregationService::commit_staged(const StagedRound& staged) {
-  // One shard board per shard when K >= 2; none for the K = 1 chain.
-  if (staged.sub_commitments.size() != shard_boards_.size()) {
-    return Error{Errc::invalid_argument,
-                 "staged round has the wrong shard count"};
-  }
-  for (size_t s = 0; s < shard_boards_.size(); ++s) {
-    for (const auto& commitment : staged.sub_commitments[s]) {
-      ZKT_TRY(shard_boards_[s]->publish(commitment));
-    }
-  }
-  return {};
 }
 
 Result<RoundResult> ShardedAggregationService::prove_shards(
@@ -362,7 +341,6 @@ Result<RoundResult> ShardedAggregationService::aggregate(
   obs::ScopedSpan span("sharded_round");
   auto staged = stage(batches);
   if (!staged.ok()) return staged.error();
-  ZKT_TRY(commit_staged(staged.value()));
   auto round = prove_shards(std::move(staged.value()));
   if (!round.ok()) return round.error();
   ZKT_TRY(fold_round(round.value()));

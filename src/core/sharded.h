@@ -10,23 +10,23 @@
 //   3. publishes the K sub-batch hashes (+ counts) in its journal.
 //
 // Each shard then runs the ordinary Algorithm-1 aggregation chain over its
-// sub-batches, treating the split journal's hashes as its commitments, and
-// the round's K shard receipts fold through a tree of join guests into ONE
-// seal (see core/join.h) — so the verifier checks split receipts (against
-// the board) plus one tree seal per round instead of O(K) receipts. Shards
-// prove in parallel on common::ThreadPool, which is exactly the §7 speedup;
-// the fold is log-depth and pool-parallel too.
+// sub-batches, committing each under the hash its split journal attests,
+// and the round's K shard receipts fold through a tree of join guests into
+// ONE seal (see core/join.h) — so the verifier checks split receipts
+// (against the board) plus one tree seal per round instead of O(K)
+// receipts. Shards prove in parallel on common::ThreadPool, which is
+// exactly the §7 speedup; the fold is log-depth and pool-parallel too.
 //
-// A plain chain is the K = 1 round: no split proof, no shard board, no
-// fold — shard 0's AggregationService aggregates the window's batches
-// against the main board, so its receipts are exactly those of a bare
-// AggregationService. ProviderPipeline runs every K through this service.
+// A plain chain is the K = 1 round: no split proof, no fold — shard 0's
+// AggregationService aggregates the window's batches against the main
+// board, so its receipts are exactly those of a bare AggregationService.
+// ProviderPipeline runs every K through this service.
 //
-// A round decomposes into stage -> commit_staged -> prove_shards ->
-// fold_round so ProviderPipeline can overlap windows: stage() is const and
-// thread-safe (window i+1 stages on a worker while window i proves), and
-// fold_round() only reads the round's receipts (window i folds while window
-// i+1 proves). aggregate() runs all four for callers that don't pipeline.
+// A round decomposes into stage -> prove_shards -> fold_round so
+// ProviderPipeline can overlap windows: stage() is const and thread-safe
+// (window i+1 stages on a worker while window i proves), and fold_round()
+// only reads the round's receipts (window i folds while window i+1 proves).
+// aggregate() runs all three for callers that don't pipeline.
 #pragma once
 
 #include <map>
@@ -103,39 +103,34 @@ class ShardedAggregationService {
   explicit ShardedAggregationService(const CommitmentBoard& board,
                                      ShardedOptions options = {});
 
-  /// A staged-but-unpublished round: the split proofs for one window's
-  /// batches plus the per-shard sub-batches and sub-commitments they
-  /// attest. Produced by stage(), consumed by commit_staged() +
+  /// A staged round: the split proofs for one window's batches plus the
+  /// per-shard sub-batches they attest. Produced by stage(), consumed by
   /// prove_shards().
   struct StagedRound {
     /// K = 1 only: the window's batches, borrowed from the stage() caller,
     /// who keeps them alive until prove_shards() returns.
     std::span<const netflow::RLogBatch> batches;
     std::vector<zvm::Receipt> split_receipts;  ///< one per source batch (K >= 2)
-    /// Sub-batches per shard: shard_batches[s][b] pairs with
-    /// sub_commitments[s][b] (split output order = source batch order).
+    /// Sub-batches per shard, in split output order (= source batch
+    /// order); shard_batches[s][b].hash() is split receipt b's hash for s.
     std::vector<std::vector<netflow::RLogBatch>> shard_batches;
-    std::vector<std::vector<Commitment>> sub_commitments;
     u64 split_cycles = 0;
     double split_ms = 0;
   };
 
-  /// Split-prove every batch and derive the per-shard sub-batches and
-  /// sub-commitments WITHOUT publishing them (K = 1: just borrow the
-  /// batches; there is nothing to split). Reads only construction-time
-  /// state (the main board, the shard keys) — thread-safe against
-  /// commit_staged/prove_shards/fold_round of OTHER windows, which is what
-  /// lets the pipeline stage window i+1 on a pool worker.
+  /// Split-prove every batch and derive the per-shard sub-batches, each
+  /// checked against the hash its split journal attests (K = 1: just
+  /// borrow the batches; there is nothing to split). Reads only
+  /// construction-time state (the main board) — thread-safe against
+  /// prove_shards/fold_round of OTHER windows, which is what lets the
+  /// pipeline stage window i+1 on a pool worker.
   Result<StagedRound> stage(std::span<const netflow::RLogBatch> batches) const;
 
-  /// Publish a staged round's sub-commitments to the shard boards (a no-op
-  /// at K = 1). Serial (call from one thread, in window order).
-  Status commit_staged(const StagedRound& staged);
-
-  /// Prove one round over a committed stage: every shard chain advances one
-  /// round, in parallel on the shared pool. Serial across windows (shard
-  /// chains link round i+1 onto round i). Does NOT fold; the returned
-  /// round's tree_seal is empty until fold_round().
+  /// Prove one round over a stage: every shard chain advances one round, in
+  /// parallel on the shared pool, committing each sub-batch under the hash
+  /// its split receipt attests. Serial across windows (shard chains link
+  /// round i+1 onto round i). Does NOT fold; the returned round's tree_seal
+  /// is empty until fold_round().
   Result<RoundResult> prove_shards(StagedRound staged);
 
   /// Fold the round's shard receipts into round.tree_seal (a no-op at
@@ -143,9 +138,8 @@ class ShardedAggregationService {
   /// runs it on a worker while later windows stage and prove.
   Status fold_round(RoundResult& round) const;
 
-  /// stage + commit_staged + prove_shards + fold_round, for callers that
-  /// don't pipeline. Batches are borrowed, matching
-  /// AggregationService::aggregate.
+  /// stage + prove_shards + fold_round, for callers that don't pipeline.
+  /// Batches are borrowed, matching AggregationService::aggregate.
   Result<RoundResult> aggregate(std::span<const netflow::RLogBatch> batches);
 
   /// Convenience for literal batch lists: aggregate({a, b}).
@@ -190,13 +184,11 @@ class ShardedAggregationService {
   const CommitmentBoard* board_;
   ShardedOptions options_;
   u32 shard_count_;
-  /// Per-shard boards holding the split-derived sub-commitments, and the
-  /// per-shard aggregation chains on top of them. At K = 1 there are no
-  /// shard boards or keys: the one chain runs on the main board.
-  std::vector<std::unique_ptr<CommitmentBoard>> shard_boards_;
+  /// The per-shard aggregation chains. At K = 1 the one chain runs on the
+  /// main board; at K >= 2 each chain has no board and commits its
+  /// sub-batches under their own hashes.
   // zkt-lint: shared(one chain per shard; parallel_for workers touch disjoint entries only)
   std::vector<std::unique_ptr<AggregationService>> shards_;
-  std::vector<crypto::SchnorrKeyPair> shard_keys_;
   u64 rounds_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end test of the CLI tools: simulate -> prove -> verify -> inspect,
-# a sharded run's tree seals, plus the tamper path (a doctored store must
-# make zkt-prove fail).
+# a sharded run's tree seals, unknown flags, plus the tamper path (a
+# doctored store must make zkt-prove fail).
 # Run by ctest with the build directory as $1.
 set -e
 
@@ -45,6 +45,20 @@ if "$TOOLS/zkt-prove" --data-dir "$WORK/sharded" --shards 2 \
   exit 1
 fi
 grep -q "at least 2" "$WORK/fanout.err"
+
+echo "== unknown flags are errors, not ignored =="
+if "$TOOLS/zkt-verify" --data-dir "$WORK/data" --stream \
+    > /dev/null 2> "$WORK/stream.err"; then
+  echo "FAIL: zkt-verify accepted the unknown flag --stream"
+  exit 1
+fi
+grep -q "unknown flag --stream" "$WORK/stream.err"
+if "$TOOLS/zkt-prove" --data-dir "$WORK/sharded" --shard 2 \
+    > /dev/null 2> "$WORK/shard.err"; then
+  echo "FAIL: zkt-prove accepted the unknown flag --shard"
+  exit 1
+fi
+grep -q "unknown flag --shard" "$WORK/shard.err"
 
 echo "== wrong expected query must be rejected =="
 if "$TOOLS/zkt-verify" --data-dir "$WORK/data" --query "sum(bytes)" \

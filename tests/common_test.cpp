@@ -1,10 +1,11 @@
 // Unit tests for the common substrate: hex/bytes utilities, Result/Status,
-// binary serialization, and the simulation PRNGs.
+// binary serialization, the simulation PRNGs, and the tools' flag checks.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/bytes.h"
+#include "common/flags.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/serial.h"
@@ -306,6 +307,41 @@ TEST(Zipf, NearUniformWhenSIsSmall) {
   for (u64 c : counts) {
     EXPECT_GT(c, static_cast<u64>(n) / 20);  // every rank gets real mass
   }
+}
+
+// ---------------------------------------------------------------------------
+// Flags
+
+TEST(Flags, UnknownNamesAreReportedNotStored) {
+  const char* argv[] = {"zkt-verify", "--data-dir", "d",        "--stream",
+                        "--batch",    "2",          "--shard=2", "file.bin"};
+  const Flags flags(8, argv, {"data-dir", "query"});
+  EXPECT_EQ(flags.unknown(),
+            (std::vector<std::string>{"stream", "batch", "shard"}));
+  EXPECT_EQ(flags.get("data-dir"), "d");
+  EXPECT_FALSE(flags.has("stream"));
+  EXPECT_FALSE(flags.has("batch"));
+  // An unknown flag's value is still consumed, not taken as positional.
+  EXPECT_EQ(flags.positional(), std::vector<std::string>{"file.bin"});
+
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.check("usage: zkt-verify --data-dir DIR"));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err,
+            "unknown flag --stream\nunknown flag --batch\n"
+            "unknown flag --shard\nusage: zkt-verify --data-dir DIR\n");
+}
+
+TEST(Flags, AcceptedNamesPassTheCheck) {
+  const char* argv[] = {"zkt-prove", "--data-dir=d", "--query", "count",
+                        "--metrics"};
+  const Flags flags(5, argv, {"data-dir", "query", "metrics"});
+  EXPECT_TRUE(flags.unknown().empty());
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(flags.check("usage"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(flags.get("query"), "count");
+  EXPECT_TRUE(flags.has("metrics"));
 }
 
 }  // namespace

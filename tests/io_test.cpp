@@ -1,10 +1,11 @@
 // Artifact-file tests: commitment/receipt save-load round-trips, CRC
-// protection, and CLI flag parsing.
+// protection, read and write failures, and CLI flag parsing.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "common/flags.h"
+#include "core/epoch.h"
 #include "core/io.h"
 #include "core/auditor.h"
 #include "core/service.h"
@@ -128,6 +129,33 @@ TEST_F(IoTest, MissingFileReported) {
   EXPECT_FALSE(load_receipts(path("nope.bin")).ok());
 }
 
+TEST_F(IoTest, FailedReadIsIoError) {
+  // A directory opens for reading, but every read of it fails (EISDIR):
+  // that is the device's fault, not a short or malformed file.
+  const std::string dir = dir_.string();
+  auto data = read_file(dir);
+  ASSERT_FALSE(data.ok());
+  EXPECT_EQ(data.error().code, Errc::io_error) << data.error().to_string();
+
+  CommitmentBoard board;
+  const Status commitments = load_commitments(dir, board);
+  EXPECT_EQ(commitments.code(), Errc::io_error) << commitments.to_string();
+
+  auto receipts = load_receipts(dir);
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_EQ(receipts.error().code, Errc::io_error)
+      << receipts.error().to_string();
+
+  auto seals = load_epoch_seals(dir);
+  ASSERT_FALSE(seals.ok());
+  EXPECT_EQ(seals.error().code, Errc::io_error) << seals.error().to_string();
+
+  auto source = ReceiptFileSource::open(dir);
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.error().code, Errc::io_error)
+      << source.error().to_string();
+}
+
 TEST_F(IoTest, WriteFailingAtFlushReported) {
   // /dev/full accepts the buffered write and fails the flush with ENOSPC.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
@@ -144,7 +172,9 @@ namespace {
 
 Flags make_flags(std::vector<const char*> args) {
   args.insert(args.begin(), "prog");
-  return Flags(static_cast<int>(args.size()), args.data());
+  return Flags(static_cast<int>(args.size()), args.data(),
+               {"out-dir", "count", "rate", "verbose", "next-flag", "flag",
+                "n"});
 }
 
 TEST(Flags, NamedWithEquals) {

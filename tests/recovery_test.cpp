@@ -1,7 +1,8 @@
 // Crash-safe prover recovery tests: ProviderPipeline::recover() over
 // durable stores — snapshot adoption, roll-forward replay of receipts
-// proven after the last snapshot, tamper detection on the replay path, and
-// the deterministic fault-injection sweep from docs/RECOVERY.md (every
+// proven after the last snapshot, tamper detection on the replay path, a
+// failed persist that halts the live pipeline, and the deterministic
+// fault-injection sweep from docs/RECOVERY.md (every
 // injected crash point must either recover fully or fail with a typed
 // Errc; none may corrupt the chain).
 #include <gtest/gtest.h>
@@ -524,6 +525,44 @@ TEST_F(RecoveryTest, PreBundleStoreLayoutsFailTyped) {
 // that recovery completes the chain — or, where the injected fault kills
 // the run, that the failure was a typed transient error. No (point, index)
 // pair may corrupt the chain or trip an untyped failure.
+TEST_F(RecoveryTest, FailedPersistHaltsThePipelineUntilRestart) {
+  // Window 2's receipt append fails after its round proved: the chain in
+  // memory is one round ahead of the store, so the same pipeline must not
+  // prove window 2 again on top of it. A restarted pipeline resumes.
+  CommitmentBoard board;
+  store::FaultInjector faults;
+  PipelineOptions options;
+  options.retry.max_attempts = 1;
+  {
+    store::LogStore store(config());
+    ASSERT_TRUE(store.recover().ok());
+    store_window(store, board, 1, 1);
+    store_window(store, board, 2, 1);
+    // Appends: snapshot(1), receipt(1), snapshot(2), then receipt(2).
+    faults.arm(store::FaultPoint::wal_append, 3);
+    store.set_fault_injector(&faults);
+    ProviderPipeline pipeline(store, board, options);
+    auto failed = pipeline.aggregate_pending();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code, Errc::io_error);
+    store.set_fault_injector(nullptr);
+
+    auto retried = pipeline.aggregate_pending();
+    ASSERT_FALSE(retried.ok());
+    EXPECT_EQ(retried.error().code, Errc::invalid_argument);
+    EXPECT_EQ(store.row_count(store::kTableReceipts), 1u);
+    EXPECT_FALSE(pipeline.recover().ok());
+  }
+  store::LogStore store(config());
+  ASSERT_TRUE(store.recover().ok());
+  ProviderPipeline pipeline(store, board, options);
+  ASSERT_TRUE(pipeline.recover().ok());
+  auto rounds = pipeline.aggregate_pending();
+  ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
+  EXPECT_EQ(rounds.value().size(), 1u);
+  expect_chain_audits(board, pipeline, 2);
+}
+
 TEST_F(RecoveryTest, FaultSweepEveryCrashPointRecoversOrFailsTyped) {
   struct Case {
     store::FaultPoint point;

@@ -1,10 +1,12 @@
 // Sharded pipeline tests: end-to-end windows through split -> shard chains
 // -> tree seal, pipeline-depth equivalence (byte-identical receipts at
 // every depth), crash-restart recovery over the chain tables (verified
-// prefix adopted, receipts replayed never re-proven, missing seals
-// re-folded), mixed-mode store rejection, and the sharded fault-injection
-// sweep with crash points inside the fold persist and while the next
-// window is staged.
+// prefix adopted, receipts replayed never re-proven, the tip's missing
+// seal re-folded, a mid-chain one refused), a failed call that keeps every
+// seal or halts the pipeline, mixed-mode store rejection, and the sharded
+// fault-injection sweeps with crash points inside the fold persist and
+// while the next window is staged, with and without the raw logs of sealed
+// windows.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -336,35 +338,26 @@ TEST_F(TreePipelineTest, MissingSealIsRefoldedOnRecovery) {
   EXPECT_TRUE(verify_join_receipt(verifier, pipeline.tree_seals()[0]).ok());
 }
 
-TEST_F(TreePipelineTest, StoreWithoutTreeSealsRefoldsEveryRound) {
-  // A K >= 2 store holding no tree seals at all — what a run with the fold
-  // disabled (join fanout below 2) used to leave — recovers by re-folding
-  // every round's seal from its stored receipts, byte-identical to the
-  // seals the live run folded.
+TEST_F(TreePipelineTest, MidChainMissingSealIsChainBroken) {
+  // Each window's seal lands before the next window's first row, so a seal
+  // missing below the chain tip is damage, not a crash — and the shard
+  // sketches its re-fold would need are gone from the live services.
   store::LogStore store;
   CommitmentBoard board;
   for (u64 w = 1; w <= 3; ++w) store_window(store, board, w);
-  std::vector<Bytes> live;
   {
     ProviderPipeline pipeline(store, board, sharded_options(2));
     ASSERT_TRUE(pipeline.aggregate_pending().ok());
-    for (const auto& seal : pipeline.tree_seals()) {
-      live.push_back(seal.to_bytes());
-    }
   }
-  ASSERT_EQ(live.size(), 3u);
-  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, ~0ULL), 3u);
+  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, 1), 1u);
 
   ProviderPipeline pipeline(store, board, sharded_options(2));
   auto recovery = pipeline.recover();
-  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
-  EXPECT_EQ(recovery.value().seals_refolded, 3u);
-  EXPECT_EQ(store.row_count(store::kTableTreeSeals), 3u);
-  std::vector<Bytes> refolded;
-  for (const auto& seal : pipeline.tree_seals()) {
-    refolded.push_back(seal.to_bytes());
-  }
-  EXPECT_EQ(refolded, live);
+  ASSERT_FALSE(recovery.ok());
+  EXPECT_EQ(recovery.error().code, Errc::chain_broken);
+  EXPECT_NE(recovery.error().message.find("window 1 "), std::string::npos)
+      << recovery.error().to_string();
+  EXPECT_EQ(store.row_count(store::kTableTreeSeals), 2u);
 }
 
 TEST_F(TreePipelineTest, MixedModeStoresAreRejected) {
@@ -512,6 +505,148 @@ TEST_F(TreePipelineTest, FaultSweepShardedCrashPointsRecoverOrFailTyped) {
     zvm::Verifier verifier;
     for (const auto& seal : pipeline.tree_seals()) {
       ASSERT_TRUE(verify_join_receipt(verifier, seal).ok());
+    }
+  }
+}
+
+// A failed call on a live pipeline, at depth 2 where window 1 folds while
+// window 2 stages and proves. Window 2's late commitment fails its stage:
+// window 1's seal still lands, and the same pipeline goes on once the
+// commitment is published. A failed seal append after window 2 proved
+// halts the pipeline instead, so no later call persists window 2 over a
+// store without window 1's seal; a restart re-folds it.
+TEST_F(TreePipelineTest, FailedRoundNeverLeavesASealMidChain) {
+  PipelineOptions options = sharded_options(2, 2, /*depth=*/2);
+  options.retry.max_attempts = 1;
+  zvm::Verifier verifier;
+  {
+    store::LogStore store;
+    CommitmentBoard board;
+    store_window(store, board, 1);
+    const RLogBatch late = make_batch(2, 0);
+    ASSERT_TRUE(
+        store.append(store::kTableRlogs, 2, 0, late.canonical_bytes()).ok());
+    ProviderPipeline pipeline(store, board, options);
+    auto first = pipeline.aggregate_pending();
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.error().code, Errc::commitment_missing);
+    EXPECT_EQ(store.row_count(store::kTableTreeSeals), 1u);
+
+    ASSERT_TRUE(board.publish(make_commitment(late, key_, 2).value()).ok());
+    store_window(store, board, 3);
+    auto second = pipeline.aggregate_pending();
+    ASSERT_TRUE(second.ok()) << second.error().to_string();
+    EXPECT_EQ(second.value().size(), 2u);
+
+    ProviderPipeline restarted(store, board, options);
+    auto recovery = restarted.recover();
+    ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+    EXPECT_EQ(recovery.value().seals_refolded, 0u);
+    ASSERT_EQ(restarted.tree_seals().size(), 3u);
+    for (const auto& seal : restarted.tree_seals()) {
+      ASSERT_TRUE(verify_join_receipt(verifier, seal).ok());
+    }
+  }
+
+  CommitmentBoard board;
+  store::FaultInjector faults;
+  {
+    store::LogStore store(config());
+    ASSERT_TRUE(store.recover().ok());
+    store_window(store, board, 1);
+    store_window(store, board, 2);
+    // Appends: window 1's snapshot and two receipts, then its seal, which
+    // lands after window 2's shards proved.
+    faults.arm(store::FaultPoint::wal_append, 3);
+    store.set_fault_injector(&faults);
+    ProviderPipeline pipeline(store, board, options);
+    auto failed = pipeline.aggregate_pending();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code, Errc::io_error);
+    store.set_fault_injector(nullptr);
+
+    auto retried = pipeline.aggregate_pending();
+    ASSERT_FALSE(retried.ok());
+    EXPECT_EQ(retried.error().code, Errc::invalid_argument);
+    EXPECT_EQ(store.row_count(store::kTableReceipts), 2u);
+    EXPECT_EQ(store.row_count(store::kTableTreeSeals), 0u);
+  }
+  store::LogStore store(config());
+  ASSERT_TRUE(store.recover().ok());
+  ProviderPipeline pipeline(store, board, options);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(recovery.value().seals_refolded, 1u);
+  auto rounds = pipeline.aggregate_pending();
+  ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
+  EXPECT_EQ(rounds.value().size(), 1u);
+  ASSERT_EQ(pipeline.tree_seals().size(), 2u);
+  for (const auto& seal : pipeline.tree_seals()) {
+    ASSERT_TRUE(verify_join_receipt(verifier, seal).ok());
+  }
+}
+
+// The pruned sharded sweep: the raw logs of sealed windows are gone, so a
+// lost seal can only be re-folded from the shard sketches recovery holds —
+// the chain tip's. A clean call proves and prunes windows 1-2; a second
+// call over windows 3-5 takes one fault at each of its appends. However it
+// crashed, the restarted process re-folds at most one seal and finishes
+// the chain.
+TEST_F(TreePipelineTest, PrunedStoreRecoversFromEveryShardedCrashPoint) {
+  // Windows 3-5 × (1 snapshot + 2 shard receipts + 1 seal).
+  constexpr u64 kAppends = 12;
+  for (u32 depth : {2u, 3u}) {
+    PipelineOptions options = sharded_options(2, 2, depth);
+    options.prune_aggregated = true;
+    options.retry.max_attempts = 1;
+    for (store::FaultPoint point :
+         {store::FaultPoint::wal_append, store::FaultPoint::wal_torn_write,
+          store::FaultPoint::fsync}) {
+      for (u64 n = 0; n < kAppends; ++n) {
+        SCOPED_TRACE("pipeline_depth=" + std::to_string(depth) + ", " +
+                     store::fault_point_name(point) + " after " +
+                     std::to_string(n) + " hits");
+        clean();
+        CommitmentBoard board;
+        store::FaultInjector faults;
+        {
+          store::LogStore store(config());
+          ASSERT_TRUE(store.recover().ok());
+          store_window(store, board, 1);
+          store_window(store, board, 2);
+          ProviderPipeline pipeline(store, board, options);
+          ASSERT_TRUE(pipeline.aggregate_pending().ok());
+          // The prune is durable once the store checkpoints.
+          ASSERT_TRUE(store.checkpoint().ok());
+          ASSERT_EQ(store.row_count(store::kTableRlogs), 0u);
+          for (u64 w = 3; w <= 5; ++w) store_window(store, board, w);
+          faults.arm(point, n);
+          store.set_fault_injector(&faults);
+          auto rounds = pipeline.aggregate_pending();
+          ASSERT_FALSE(rounds.ok());
+          EXPECT_EQ(rounds.error().code, Errc::io_error)
+              << rounds.error().to_string();
+          store.set_fault_injector(nullptr);
+        }
+
+        store::LogStore store(config());
+        ASSERT_TRUE(store.recover().ok());
+        ProviderPipeline pipeline(store, board, options);
+        auto recovery = pipeline.recover();
+        ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+        EXPECT_LE(recovery.value().seals_refolded, 1u);
+        const u64 already_proven = recovery.value().rounds_restored +
+                                   recovery.value().rounds_replayed;
+        auto rounds = pipeline.aggregate_pending();
+        ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
+        EXPECT_EQ(already_proven + rounds.value().size(), 5u);
+        EXPECT_TRUE(pipeline.pending_windows().value().empty());
+        ASSERT_EQ(pipeline.tree_seals().size(), 5u);
+        zvm::Verifier verifier;
+        for (const auto& seal : pipeline.tree_seals()) {
+          ASSERT_TRUE(verify_join_receipt(verifier, seal).ok());
+        }
+      }
     }
   }
 }

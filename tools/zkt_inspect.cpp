@@ -89,10 +89,15 @@ int inspect_commitments(const std::string& path) {
   return 0;
 }
 
+constexpr std::string_view kUsage =
+    "usage: zkt-inspect [--commitments FILE] "
+    "[receipts.bin|epoch_seals.bin...]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"commitments"});
+  if (!flags.check(kUsage)) return 1;
   int rc = 0;
   if (flags.has("commitments")) {
     rc |= inspect_commitments(flags.get("commitments"));
@@ -101,9 +106,8 @@ int main(int argc, char** argv) {
     rc |= inspect_file(path);
   }
   if (!flags.has("commitments") && flags.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: zkt-inspect [--commitments FILE] "
-                 "[receipts.bin|epoch_seals.bin...]\n");
+    std::fprintf(stderr, "%.*s\n", static_cast<int>(kUsage.size()),
+                 kUsage.data());
     return 1;
   }
   return rc;

@@ -12,6 +12,8 @@
 //             [--recover] [--checkpoint-every N] [--retry-attempts N]
 //             [--prune] [--metrics] [--metrics-json [PATH]]
 //
+// Any other --flag prints the usage line and exits 1.
+//
 // --shards N (>= 2) proves each window as N parallel shard chains behind
 // split proofs and folds each round's shard receipts into one tree seal
 // (saved to DIR/tree_seals.bin) with --join-fanout children per join node
@@ -49,7 +51,6 @@
 // --metrics-json also a metrics snapshot (default DIR/metrics.json, schema
 // in docs/OBSERVABILITY.md).
 #include <cstdio>
-#include <fstream>
 
 #include "common/flags.h"
 #include "core/grouped_query.h"
@@ -57,56 +58,49 @@
 #include "core/pipeline.h"
 #include "core/query_parser.h"
 #include "core/service.h"
+#include "metrics_dump.h"
 #include "netflow/record.h"
-#include "obs/metrics.h"
 #include "store/logstore.h"
 
 using namespace zkt;
 
 namespace {
 
-/// Final act of every exit path: dump the process-wide metrics as requested.
-int finish(const Flags& flags, const std::string& data_dir, int exit_code) {
-  const auto snapshot = obs::Registry::instance().snapshot();
-  if (flags.has("metrics")) {
-    std::fprintf(stderr, "%s", snapshot.to_table().c_str());
-  }
-  if (flags.has("metrics-json")) {
-    std::string path = flags.get("metrics-json");
-    if (path.empty()) path = data_dir + "/metrics.json";
-    if (path == "-") {
-      std::printf("%s", snapshot.to_json().c_str());
-    } else {
-      std::ofstream out(path);
-      out << snapshot.to_json();
-      if (!out) {
-        std::fprintf(stderr, "metrics-json: cannot write %s\n", path.c_str());
-        return exit_code == 0 ? 1 : exit_code;
-      }
-      std::printf("  metrics -> %s\n", path.c_str());
-    }
-  }
-  return exit_code;
-}
+constexpr std::string_view kUsage =
+    "usage: zkt-prove --data-dir DIR [--query Q] [--group-by FIELD] "
+    "[--selective] [--composite] [--agg-mode auto|full|incremental] "
+    "[--no-sketch] [--heavy-hitters T] [--cardinality] [--shards N] "
+    "[--join-fanout F] [--pipeline-depth D] [--epoch-every N] [--recover] "
+    "[--checkpoint-every N] [--retry-attempts N] [--prune] [--metrics] "
+    "[--metrics-json [PATH]]";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"data-dir", "query", "group-by", "selective", "composite",
+               "agg-mode", "no-sketch", "heavy-hitters", "cardinality",
+               "shards", "join-fanout", "pipeline-depth", "epoch-every",
+               "recover", "checkpoint-every", "retry-attempts", "prune",
+               "metrics", "metrics-json"});
+  if (!flags.check(kUsage)) return 1;
   const std::string data_dir = flags.get("data-dir", "zkt-data");
+  auto finish = [&](int exit_code) {
+    return tools::finish(flags, data_dir + "/metrics.json", exit_code);
+  };
 
   // Load the provider's artifacts.
   store::LogStore logs(
       store::StoreConfig{.wal_path = data_dir + "/rlogs.wal"});
   if (auto s = logs.recover(); !s.ok()) {
     std::fprintf(stderr, "store: %s\n", s.to_string().c_str());
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   core::CommitmentBoard board;
   if (auto s = core::load_commitments(data_dir + "/commitments.bin", board);
       !s.ok()) {
     std::fprintf(stderr, "commitments: %s\n", s.to_string().c_str());
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   std::printf("zkt-prove: %llu stored rlog rows, %zu commitments\n",
               (unsigned long long)logs.row_count(store::kTableRlogs),
@@ -125,7 +119,7 @@ int main(int argc, char** argv) {
   } else if (agg_mode != "auto") {
     std::fprintf(stderr, "unknown --agg-mode: %s (auto|full|incremental)\n",
                  agg_mode.c_str());
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   pipeline_options.checkpoint_every_n_rounds =
       flags.get_u64("checkpoint-every", 1);
@@ -140,7 +134,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--join-fanout must be at least 2 (every sharded round "
                  "folds into one tree seal)\n");
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   pipeline_options.sharded.pipeline_depth =
       static_cast<u32>(flags.get_u64("pipeline-depth", 1));
@@ -151,7 +145,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--epoch-every is incompatible with --shards (epoch seals "
                  "fold the single round chain)\n");
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   if (sharded &&
       (flags.has("heavy-hitters") || flags.has("cardinality"))) {
@@ -159,13 +153,13 @@ int main(int argc, char** argv) {
                  "--heavy-hitters/--cardinality are incompatible with "
                  "--shards (sketch queries run over the single-chain "
                  "state)\n");
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   if (sharded && flags.has("query")) {
     std::fprintf(stderr,
                  "--query is incompatible with --shards (query proofs run "
                  "over the single-chain state)\n");
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
 
   // The pipeline aggregates every committed window, in order, and persists
@@ -176,7 +170,7 @@ int main(int argc, char** argv) {
     if (!recovery.ok()) {
       std::fprintf(stderr, "recovery FAILED: %s\n",
                    recovery.error().to_string().c_str());
-      return finish(flags, data_dir, 2);
+      return finish(2);
     }
     if (recovery.value().resumed) {
       std::printf(
@@ -196,7 +190,7 @@ int main(int argc, char** argv) {
                  "aggregation FAILED: %s\n(by design: tampered or "
                  "uncommitted data cannot be proven)\n",
                  rounds.error().to_string().c_str());
-    return finish(flags, data_dir, 2);
+    return finish(2);
   }
   for (const auto& round : rounds.value()) {
     u64 entries = 0;
@@ -220,18 +214,18 @@ int main(int argc, char** argv) {
     if (auto s = core::save_receipts(pipeline.tree_seals(), seals_path);
         !s.ok()) {
       std::fprintf(stderr, "save tree seals: %s\n", s.to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     std::printf("  tree seals -> %s (%zu rounds)\n", seals_path.c_str(),
                 pipeline.tree_seals().size());
-    return finish(flags, data_dir, 0);
+    return finish(0);
   }
   const core::AggregationService& aggregation = pipeline.aggregation();
   const std::string receipts_path = data_dir + "/aggregation_receipts.bin";
   if (auto s = core::save_receipts(pipeline.receipts(), receipts_path);
       !s.ok()) {
     std::fprintf(stderr, "save receipts: %s\n", s.to_string().c_str());
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
   std::printf("  receipts -> %s (%zu rounds)\n", receipts_path.c_str(),
               pipeline.receipts().size());
@@ -241,12 +235,12 @@ int main(int argc, char** argv) {
     if (!seals.ok()) {
       std::fprintf(stderr, "epoch seals: %s\n",
                    seals.error().to_string().c_str());
-      return finish(flags, data_dir, 2);
+      return finish(2);
     }
     const std::string seals_path = data_dir + "/epoch_seals.bin";
     if (auto s = core::save_epoch_seals(seals.value(), seals_path); !s.ok()) {
       std::fprintf(stderr, "save epoch seals: %s\n", s.to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     u64 sealed_rounds = 0;
     for (const auto& seal : seals.value()) sealed_rounds += seal.rounds;
@@ -268,7 +262,7 @@ int main(int argc, char** argv) {
       if (!response.ok()) {
         std::fprintf(stderr, "heavy-hitters proof: %s\n",
                      response.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       const zvm::Receipt& receipt = response.value().used_sketch
                                         ? response.value().sketch->receipt
@@ -277,7 +271,7 @@ int main(int argc, char** argv) {
           !s.ok()) {
         std::fprintf(stderr, "save sketch query receipt: %s\n",
                      s.to_string().c_str());
-        return finish(flags, data_dir, 1);
+        return finish(1);
       }
       if (response.value().used_sketch) {
         std::printf("  heavy hitters >= %llu: %zu flow(s) via sketch -> %s\n",
@@ -296,7 +290,7 @@ int main(int argc, char** argv) {
       if (!response.ok()) {
         std::fprintf(stderr, "cardinality proof: %s\n",
                      response.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       const zvm::Receipt& receipt = response.value().used_sketch
                                         ? response.value().sketch->receipt
@@ -305,7 +299,7 @@ int main(int argc, char** argv) {
           !s.ok()) {
         std::fprintf(stderr, "save sketch query receipt: %s\n",
                      s.to_string().c_str());
-        return finish(flags, data_dir, 1);
+        return finish(1);
       }
       const u64 distinct =
           response.value().used_sketch
@@ -324,7 +318,7 @@ int main(int argc, char** argv) {
     if (!query.ok()) {
       std::fprintf(stderr, "query parse: %s\n",
                    query.error().to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     std::printf("  query: %s\n", query.value().to_string().c_str());
     const std::string query_path = data_dir + "/query_receipt.bin";
@@ -343,18 +337,18 @@ int main(int argc, char** argv) {
       if (!group.has_value()) {
         std::fprintf(stderr, "unknown group-by field: %s\n",
                      field_name.c_str());
-        return finish(flags, data_dir, 1);
+        return finish(1);
       }
       auto response = queries.grouped(query.value(), *group);
       if (!response.ok()) {
         std::fprintf(stderr, "grouped query proof: %s\n",
                      response.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       if (auto s = core::save_receipts({response.value().receipt}, query_path);
           !s.ok()) {
         std::fprintf(stderr, "save query receipt: %s\n", s.to_string().c_str());
-        return finish(flags, data_dir, 1);
+        return finish(1);
       }
       std::printf("  %zu groups proven (%.1f ms) -> %s\n",
                   response.value().journal.groups.size(),
@@ -365,7 +359,7 @@ int main(int argc, char** argv) {
                     (unsigned long long)group_entry.stats.value(
                         query.value().agg));
       }
-      return finish(flags, data_dir, 0);
+      return finish(0);
     }
 
     core::QueryOptions query_options;
@@ -376,18 +370,18 @@ int main(int argc, char** argv) {
     if (!response.ok()) {
       std::fprintf(stderr, "query proof: %s\n",
                    response.error().to_string().c_str());
-      return finish(flags, data_dir, 2);
+      return finish(2);
     }
     if (auto s = core::save_receipts({response.value().receipt}, query_path);
         !s.ok()) {
       std::fprintf(stderr, "save query receipt: %s\n",
                    s.to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     std::printf("  result = %llu (%s mode, %.1f ms) -> %s\n",
                 (unsigned long long)response.value().value,
                 flags.has("selective") ? "selective" : "complete",
                 response.value().prove_info.total_ms, query_path.c_str());
   }
-  return finish(flags, data_dir, 0);
+  return finish(0);
 }

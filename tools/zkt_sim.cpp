@@ -5,8 +5,11 @@
 // Usage:
 //   zkt-sim --out-dir DIR [--routers 4] [--window-ms 5000]
 //           [--packets 30000] [--flows 150] [--duration-ms 25000]
-//           [--workload zipf|sla|neutrality] [--seed 42] [--path-length 2]
+//           [--workload zipf|sla|neutrality] [--violating-fraction 0.05]
+//           [--discriminate] [--seed 42] [--path-length 2]
 //           [--metrics] [--metrics-json [PATH]] [--metrics-every-ms N]
+//
+// Any other --flag prints the usage line and exits 1.
 //
 // --metrics-every-ms dumps the sim.* metrics table to stderr every N ms
 // while the simulation runs; --metrics prints it once at the end;
@@ -16,18 +19,25 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <thread>
 
 #include "common/flags.h"
 #include "core/io.h"
+#include "metrics_dump.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 
 using namespace zkt;
 
 namespace {
+
+constexpr std::string_view kUsage =
+    "usage: zkt-sim --out-dir DIR [--routers N] [--window-ms MS] "
+    "[--packets N] [--flows N] [--duration-ms MS] "
+    "[--workload zipf|sla|neutrality] [--violating-fraction F] "
+    "[--discriminate] [--seed S] [--path-length N] [--metrics] "
+    "[--metrics-json [PATH]] [--metrics-every-ms N]";
 
 /// Dumps the metrics table to stderr every `period_ms` until stopped.
 class PeriodicMetricsDump {
@@ -67,7 +77,12 @@ class PeriodicMetricsDump {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"out-dir", "routers", "window-ms", "packets", "flows",
+               "duration-ms", "workload", "violating-fraction",
+               "discriminate", "seed", "path-length", "metrics",
+               "metrics-json", "metrics-every-ms"});
+  if (!flags.check(kUsage)) return 1;
   const std::string out_dir = flags.get("out-dir", "zkt-data");
   std::filesystem::create_directories(out_dir);
   const std::string wal_path = out_dir + "/rlogs.wal";
@@ -141,24 +156,5 @@ int main(int argc, char** argv) {
   std::printf("  commitments -> %s (%zu published)\n",
               commitments_path.c_str(), board.size());
 
-  const auto snapshot = obs::Registry::instance().snapshot();
-  if (flags.has("metrics")) {
-    std::fprintf(stderr, "%s", snapshot.to_table().c_str());
-  }
-  if (flags.has("metrics-json")) {
-    std::string path = flags.get("metrics-json");
-    if (path.empty()) path = out_dir + "/sim_metrics.json";
-    if (path == "-") {
-      std::printf("%s", snapshot.to_json().c_str());
-    } else {
-      std::ofstream out(path);
-      out << snapshot.to_json();
-      if (!out) {
-        std::fprintf(stderr, "metrics-json: cannot write %s\n", path.c_str());
-        return 1;
-      }
-      std::printf("  metrics     -> %s\n", path.c_str());
-    }
-  }
-  return 0;
+  return tools::finish(flags, out_dir + "/sim_metrics.json", 0);
 }

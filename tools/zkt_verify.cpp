@@ -8,6 +8,8 @@
 //              [--sketch-query] [--catch-up] [--backend scalar|shani|avx2]
 //              [--metrics] [--metrics-json [PATH]]
 //
+// Any other --flag prints the usage line and exits 1.
+//
 // --sketch-query verifies DIR/sketch_query_receipt.bin (written by
 // zkt-prove --heavy-hitters/--cardinality), dispatching on the guest image:
 // sketch-routed receipts bind the accepted chain head's sketch digest,
@@ -25,7 +27,6 @@
 // --metrics / --metrics-json dump the obs registry (core.auditor.* counters
 // included; schema in docs/OBSERVABILITY.md), matching zkt-prove's flags.
 #include <cstdio>
-#include <fstream>
 
 #include "common/flags.h"
 #include "core/epoch.h"
@@ -34,42 +35,28 @@
 #include "core/query_parser.h"
 #include "core/zkt.h"
 #include "crypto/sha256_backend.h"
-#include "obs/metrics.h"
+#include "metrics_dump.h"
 
 using namespace zkt;
 
 namespace {
 
-/// Final act of every exit path: dump the process-wide metrics as requested
-/// (same surface as zkt-prove).
-int finish(const Flags& flags, const std::string& data_dir, int exit_code) {
-  const auto snapshot = obs::Registry::instance().snapshot();
-  if (flags.has("metrics")) {
-    std::fprintf(stderr, "%s", snapshot.to_table().c_str());
-  }
-  if (flags.has("metrics-json")) {
-    std::string path = flags.get("metrics-json");
-    if (path.empty()) path = data_dir + "/metrics.json";
-    if (path == "-") {
-      std::printf("%s", snapshot.to_json().c_str());
-    } else {
-      std::ofstream out(path);
-      out << snapshot.to_json();
-      if (!out) {
-        std::fprintf(stderr, "metrics-json: cannot write %s\n", path.c_str());
-        return exit_code == 0 ? 1 : exit_code;
-      }
-      std::printf("  metrics -> %s\n", path.c_str());
-    }
-  }
-  return exit_code;
-}
+constexpr std::string_view kUsage =
+    "usage: zkt-verify --data-dir DIR [--query Q] [--sketch-query] "
+    "[--catch-up] [--backend scalar|shani|avx2] [--metrics] "
+    "[--metrics-json [PATH]]";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"data-dir", "query", "sketch-query", "catch-up", "backend",
+               "metrics", "metrics-json"});
+  if (!flags.check(kUsage)) return 1;
   const std::string data_dir = flags.get("data-dir", "zkt-data");
+  auto finish = [&](int exit_code) {
+    return tools::finish(flags, data_dir + "/metrics.json", exit_code);
+  };
 
   if (flags.has("backend")) {
     const std::string name = flags.get("backend");
@@ -78,7 +65,7 @@ int main(int argc, char** argv) {
         !crypto::sha256_force_backend(*backend)) {
       std::fprintf(stderr, "backend: '%s' unknown or unavailable here\n",
                    name.c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
   }
 
@@ -86,7 +73,7 @@ int main(int argc, char** argv) {
   if (auto s = core::load_commitments(data_dir + "/commitments.bin", board);
       !s.ok()) {
     std::fprintf(stderr, "commitments: %s\n", s.to_string().c_str());
-    return finish(flags, data_dir, 1);
+    return finish(1);
   }
 
   core::Auditor auditor(board);
@@ -99,13 +86,13 @@ int main(int argc, char** argv) {
     if (!seals.ok()) {
       std::fprintf(stderr, "epoch seals: %s\n",
                    seals.error().to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     auto receipts = core::load_receipts(receipts_path);
     if (!receipts.ok()) {
       std::fprintf(stderr, "receipts: %s\n",
                    receipts.error().to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     u64 sealed = 0;
     for (const auto& seal : seals.value()) sealed += seal.rounds;
@@ -114,7 +101,7 @@ int main(int argc, char** argv) {
                    "epoch seals cover %llu rounds but only %zu receipts are "
                    "present\n",
                    (unsigned long long)sealed, receipts.value().size());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     std::printf(
         "zkt-verify: %zu commitments, %zu epoch seal(s) + %llu suffix "
@@ -127,7 +114,7 @@ int main(int argc, char** argv) {
     if (!report.ok()) {
       std::printf("catch-up: REJECTED — %s\n",
                   report.error().to_string().c_str());
-      return finish(flags, data_dir, 2);
+      return finish(2);
     }
     std::printf("  caught up: %llu seal(s) covering %llu rounds, %llu "
                 "suffix round(s) replayed\n",
@@ -141,7 +128,7 @@ int main(int argc, char** argv) {
     if (!source.ok()) {
       std::fprintf(stderr, "receipts: %s\n",
                    source.error().to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     std::printf("zkt-verify: %zu commitments, %llu aggregation receipts\n",
                 board.size(),
@@ -151,7 +138,7 @@ int main(int argc, char** argv) {
       std::printf("round %llu: REJECTED — %s\n",
                   (unsigned long long)auditor.rounds_accepted(),
                   report.error().to_string().c_str());
-      return finish(flags, data_dir, 2);
+      return finish(2);
     }
   }
   std::printf("aggregation chain VERIFIED: %llu rounds, final state root %s"
@@ -172,7 +159,7 @@ int main(int argc, char** argv) {
         core::load_receipts(data_dir + "/sketch_query_receipt.bin");
     if (!sketch_receipts.ok() || sketch_receipts.value().size() != 1) {
       std::fprintf(stderr, "sketch query receipt missing or malformed\n");
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     const zvm::Receipt& receipt = sketch_receipts.value()[0];
     if (receipt.claim.image_id == core::sketch_heavy_image()) {
@@ -180,7 +167,7 @@ int main(int argc, char** argv) {
       if (!verified.ok()) {
         std::printf("sketch heavy-hitters proof: REJECTED — %s\n",
                     verified.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       std::printf("sketch heavy-hitters proof: OK (threshold %llu, %zu "
                   "flow(s), flat in chain size)\n",
@@ -197,7 +184,7 @@ int main(int argc, char** argv) {
       if (!verified.ok()) {
         std::printf("sketch cardinality proof: REJECTED — %s\n",
                     verified.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       std::printf("sketch cardinality proof: OK — %llu distinct flow(s) "
                   "(CMS lower bound %llu)\n",
@@ -209,7 +196,7 @@ int main(int argc, char** argv) {
       if (!verified.ok()) {
         std::printf("sketch query (exact fallback): REJECTED — %s\n",
                     verified.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       std::printf("sketch query (exact fallback): OK — %s => %llu\n",
                   verified.value().query.to_string().c_str(),
@@ -223,13 +210,13 @@ int main(int argc, char** argv) {
     if (!expected.ok()) {
       std::fprintf(stderr, "query parse: %s\n",
                    expected.error().to_string().c_str());
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     auto query_receipts =
         core::load_receipts(data_dir + "/query_receipt.bin");
     if (!query_receipts.ok() || query_receipts.value().size() != 1) {
       std::fprintf(stderr, "query receipt missing or malformed\n");
-      return finish(flags, data_dir, 1);
+      return finish(1);
     }
     const zvm::Receipt& query_receipt = query_receipts.value()[0];
 
@@ -240,7 +227,7 @@ int main(int argc, char** argv) {
       if (!grouped.ok()) {
         std::printf("grouped query proof: REJECTED — %s\n",
                     grouped.error().to_string().c_str());
-        return finish(flags, data_dir, 2);
+        return finish(2);
       }
       std::printf("grouped query proof: OK\n  %s GROUP BY %s\n",
                   grouped.value().query.to_string().c_str(),
@@ -253,7 +240,7 @@ int main(int argc, char** argv) {
                         grouped.value().query.agg),
                     (unsigned long long)group.stats.matched);
       }
-      return finish(flags, data_dir, 0);
+      return finish(0);
     }
 
     auto verified = auditor.verify_query(
@@ -261,7 +248,7 @@ int main(int argc, char** argv) {
     if (!verified.ok()) {
       std::printf("query proof: REJECTED — %s\n",
                   verified.error().to_string().c_str());
-      return finish(flags, data_dir, 2);
+      return finish(2);
     }
     const auto& j = verified.value();
     std::printf("query proof: OK (%s mode)\n",
@@ -277,5 +264,5 @@ int main(int argc, char** argv) {
                   " (see docs)\n");
     }
   }
-  return finish(flags, data_dir, 0);
+  return finish(0);
 }
