@@ -39,14 +39,18 @@ BytesView as_bytes_view(const T& v) {
   return {reinterpret_cast<const u8*>(&v), sizeof(T)};
 }
 
-/// Append a byte span to a buffer.
+/// Append a byte span to a buffer (which `data` must not view): one resize,
+/// one copy.
 inline void append(Bytes& out, BytesView data) {
-  out.insert(out.end(), data.begin(), data.end());
+  if (data.empty()) return;
+  const size_t at = out.size();
+  out.resize(at + data.size());
+  std::memcpy(out.data() + at, data.data(), data.size());
 }
 
 /// Append the bytes of a string.
 inline void append(Bytes& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
+  append(out, BytesView(reinterpret_cast<const u8*>(s.data()), s.size()));
 }
 
 /// Bytes from a string literal/view.

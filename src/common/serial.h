@@ -46,15 +46,22 @@ class Writer {
     raw(BytesView(a.data(), N));
   }
 
+  /// Make room for `n` more bytes, so writing them does not regrow the
+  /// buffer.
+  void reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
   const Bytes& bytes() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 
  private:
+  // Grows the buffer once per value; the shifts compile to one store.
   template <typename T>
   void put_le(T v) {
+    const size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
     for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<u8>(v >> (8 * i)));
+      buf_[at + i] = static_cast<u8>(v >> (8 * i));
     }
   }
 

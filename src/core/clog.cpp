@@ -217,13 +217,4 @@ Status CLogState::check_consistency() const {
   return {};
 }
 
-std::vector<Bytes> CLogState::entry_bytes() const {
-  std::vector<Bytes> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    out.push_back(entry.canonical_bytes());
-  }
-  return out;
-}
-
 }  // namespace zkt::core

@@ -99,10 +99,6 @@ class CLogState {
   /// state moved since the plan.
   Status commit(CLogTransition&& transition);
 
-  /// Canonical serialization of every entry, in index (= key-sorted) order
-  /// (the guest input representing the previous aggregation state).
-  std::vector<Bytes> entry_bytes() const;
-
   /// Adopt an entry list in index order (key-sorted: the persisted order
   /// *is* the key index) and build its tree. The tree is derived, so a
   /// persisted entry list stays small and cannot disagree with it. Rejects

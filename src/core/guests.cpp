@@ -470,8 +470,7 @@ Bytes AggregateInput::to_bytes() const {
   w.fixed(prev_root.bytes);
   w.u8v(has_sketch ? 1 : 0);
   if (has_sketch) w.blob(prev_sketch);
-  w.u64v(prev_entries.size());
-  for (const auto& e : prev_entries) w.blob(e);
+  write_full_state(w, prev_entries);
   w.u64v(batches.size());
   for (const auto& [ref, rlog] : batches) {
     w.u32v(ref.router_id);
@@ -512,16 +511,23 @@ Bytes DeltaAggregateInput::to_bytes() const {
   return std::move(w).take();
 }
 
-Bytes QueryInput::to_bytes() const {
-  Writer w;
+void write_full_state(Writer& w, std::span<const CLogEntry> entries) {
+  constexpr size_t kSize = CLogEntry::kCanonicalSize;
+  static_assert(kSize < 0x80, "an entry's blob length is one varint byte");
+  w.reserve(sizeof(u64) + entries.size() * (1 + kSize));
   w.u64v(entries.size());
-  for (const auto& e : entries) w.blob(e);
-  w.blob(query.to_bytes());
-  return std::move(w).take();
+  for (const CLogEntry& entry : entries) {
+    w.varint(kSize);
+    entry.serialize(w);
+  }
 }
 
-Bytes SelectiveQueryInput::to_bytes() const {
-  Writer w;
+void QueryInput::write(Writer& w) const {
+  write_full_state(w, entries);
+  w.blob(query.to_bytes());
+}
+
+void SelectiveQueryInput::write(Writer& w) const {
   w.blob(query.to_bytes());
   w.u64v(opened.size());
   for (const auto& o : opened) {
@@ -533,7 +539,6 @@ Bytes SelectiveQueryInput::to_bytes() const {
     proof.serialize(pw);
     w.blob(pw.bytes());
   }
-  return std::move(w).take();
 }
 
 // ---------------------------------------------------------------------------

@@ -149,8 +149,9 @@ struct AggregateInput {
   /// ignored when has_prev is false).
   RoundKind prev_image_kind = RoundKind::full;
   Digest32 prev_root;  ///< empty-tree root when has_prev is false
-  /// Canonical CLog entry bytes, in key-sorted index order.
-  std::vector<Bytes> prev_entries;
+  /// The previous CLog state's entries, in key-sorted index order (written
+  /// by write_full_state; they must outlive to_bytes()).
+  std::span<const CLogEntry> prev_entries;
   /// Proof-carrying sketch state: when set, `prev_sketch` holds the
   /// previous round's canonical RoundSketch bytes (the empty sketch at
   /// genesis); the guest hashes them, folds every record in, and publishes
@@ -222,13 +223,18 @@ struct QueryJournal {
   static Result<QueryJournal> parse(BytesView journal);
 };
 
+/// The entries section of the complete-scan, grouped and full-rebuild
+/// guests' input, written straight from the entries: their count, then
+/// each entry's canonical bytes as a blob (what load_full_state reads).
+void write_full_state(Writer& w, std::span<const CLogEntry> entries);
+
 /// Host-side input to the complete-scan query guest: the bytes that follow
 /// the bound round's claim and journal (see prove_on_round).
 struct QueryInput {
-  std::vector<Bytes> entries;  ///< full CLog state, canonical bytes in order
+  std::span<const CLogEntry> entries;  ///< full CLog state, in index order
   Query query;
 
-  Bytes to_bytes() const;
+  void write(Writer& w) const;
 };
 
 /// Host-side input to the selective query guest: only the matching entries,
@@ -248,24 +254,26 @@ struct SelectiveQueryInput {
   crypto::MerkleMultiProof proof;
   Query query;
 
-  Bytes to_bytes() const;
+  void write(Writer& w) const;
 };
 
 /// The one proving step of every query guest bound to an aggregation round
 /// (complete, selective, grouped, sketch heavy-hitters and cardinality): the
 /// guest input is `round`'s claim and journal — what
-/// detail::bind_aggregation reads back — followed by `body`; `round` rides
-/// as the assumption that binding resolves; the journal is parsed into
+/// detail::bind_aggregation reads back — followed by what
+/// `write_body(Writer&)` appends, in the same buffer; `round` rides as the
+/// assumption that binding resolves; the journal is parsed into
 /// Response::journal. Response is one of the {receipt, journal, prove_info}
 /// response structs.
-template <class Response>
+template <class Response, class WriteBody>
 Result<Response> prove_on_round(const zvm::ImageID& image,
-                                const zvm::Receipt& round, BytesView body,
+                                const zvm::Receipt& round,
+                                const WriteBody& write_body,
                                 const zvm::ProveOptions& options) {
   Writer input;
   round.claim.serialize(input);
   input.blob(round.journal);
-  input.raw(body);
+  write_body(input);
   zvm::ProveOptions prove = options;
   prove.assumptions.push_back(round);
 

@@ -126,7 +126,31 @@ Status ProviderPipeline::append_row(const char* what, std::string_view table,
   });
 }
 
-Status ProviderPipeline::persist_chain(u64 window, const RoundResult& round) {
+std::optional<ProviderPipeline::SnapshotRow>
+ProviderPipeline::capture_snapshot(u64 window) {
+  if (options_.checkpoint_every_n_rounds == 0 ||
+      rounds_since_snapshot_ + 1 < options_.checkpoint_every_n_rounds) {
+    return std::nullopt;
+  }
+  // A delta, unless this process has no full bundle to extend yet or the
+  // deltas since the last full bundle would outweigh it: writes stay
+  // amortised O(touched entries) per round, and recovery reads at most
+  // about two full bundles.
+  SnapshotRow row;
+  row.full = !snapshot_base_.has_value();
+  if (!row.full) {
+    row.payload = service_->capture(window, snapshot_base_).to_bytes();
+    row.full =
+        delta_bytes_since_full_ + row.payload.size() > full_snapshot_bytes_;
+  }
+  if (row.full) {
+    row.payload = service_->capture(window, std::nullopt).to_bytes();
+  }
+  return row;
+}
+
+Status ProviderPipeline::persist_chain(u64 window, const RoundResult& round,
+                                       std::optional<SnapshotRow> snapshot) {
   obs::Registry& metrics = obs::Registry::instance();
   const u32 shard_count = service_->shard_count();
   // Snapshot BEFORE receipts: a crash between the appends leaves an orphan
@@ -134,49 +158,32 @@ Status ProviderPipeline::persist_chain(u64 window, const RoundResult& round) {
   // would have to re-prove. The tree seal is appended later by
   // persist_seal (its fold may still be running); a crash before it is
   // repaired at recover() by re-folding. See docs/RECOVERY.md.
-  const bool snapshot_due =
-      options_.checkpoint_every_n_rounds > 0 &&
-      rounds_since_snapshot_ + 1 >= options_.checkpoint_every_n_rounds;
   // Until every row of this round lands, the next bundle has no base.
   const std::optional<u64> base = std::exchange(snapshot_base_, std::nullopt);
-  u64 snapshot_bytes = 0;
-  bool full = false;
-  if (snapshot_due) {
-    // A delta, unless this process has no full bundle to extend yet or the
-    // deltas since the last full bundle would outweigh it: writes stay
-    // amortised O(touched entries) per round, and recovery reads at most
-    // about two full bundles.
-    Bytes payload;
-    full = !base.has_value();
-    if (!full) {
-      payload = service_->capture(window, base).to_bytes();
-      full = delta_bytes_since_full_ + payload.size() > full_snapshot_bytes_;
-    }
-    if (full) payload = service_->capture(window, std::nullopt).to_bytes();
-    snapshot_bytes = payload.size();
+  if (snapshot.has_value()) {
     ZKT_TRY(append_row("chain snapshot append", store::kTableChainState,
-                       window, round.round_id, payload));
+                       window, round.round_id, snapshot->payload));
     metrics.counter("core.pipeline.snapshots").add(1);
-    if (full) metrics.counter("core.pipeline.snapshots_full").add(1);
+    if (snapshot->full) metrics.counter("core.pipeline.snapshots_full").add(1);
     metrics.histogram("core.pipeline.snapshot_bytes")
-        .record(static_cast<double>(snapshot_bytes));
+        .record(static_cast<double>(snapshot->payload.size()));
   }
   for (u32 s = 0; s < shard_count; ++s) {
     ZKT_TRY(append_row("receipt append", store::kTableReceipts, window, s,
                        round.shard_rounds[s].receipt.to_bytes()));
   }
-  if (!snapshot_due) {
+  if (!snapshot.has_value()) {
     snapshot_base_ = base;
     ++rounds_since_snapshot_;
     return {};
   }
   snapshot_base_ = round.round_id;
   rounds_since_snapshot_ = 0;
-  if (full) {
-    full_snapshot_bytes_ = snapshot_bytes;
+  if (snapshot->full) {
+    full_snapshot_bytes_ = snapshot->payload.size();
     delta_bytes_since_full_ = 0;
   } else {
-    delta_bytes_since_full_ += snapshot_bytes;
+    delta_bytes_since_full_ += snapshot->payload.size();
   }
   return {};
 }
@@ -288,10 +295,12 @@ Status ProviderPipeline::recover_epoch_ladder(
   return {};
 }
 
-u64 ProviderPipeline::prune_aggregated() {
-  if (!last_window_.has_value()) return 0;
-  const u64 dropped = store_->drop_rows(store::kTableRlogs, *last_window_);
-  obs::Registry::instance().counter("core.pipeline.pruned_rows").add(dropped);
+Result<u64> ProviderPipeline::prune_aggregated() {
+  if (!last_window_.has_value()) return u64{0};
+  auto dropped = store_->drop_rows(store::kTableRlogs, *last_window_);
+  if (!dropped.ok()) return dropped.error();
+  obs::Registry::instance().counter("core.pipeline.pruned_rows")
+      .add(dropped.value());
   return dropped;
 }
 
@@ -433,9 +442,14 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     // order, because chains link round i+1 onto round i. Pipelining can
     // only hide stage_ms and fold_wait_ms around it.
     metrics.histogram("core.pipeline.prove_ms").record(elapsed_ms(prove_start));
-    // The previous window's seal lands before this window's first row.
+    // The previous window's seal lands before this window's first row; the
+    // snapshot bundle is captured first, while that fold may still run.
+    std::optional<SnapshotRow> snapshot = capture_snapshot(entry.window);
     Status persisted = drain_seal();
-    if (persisted.ok()) persisted = persist_chain(entry.window, round.value());
+    if (persisted.ok()) {
+      persisted =
+          persist_chain(entry.window, round.value(), std::move(snapshot));
+    }
     if (!persisted.ok()) return fail(persisted.error(), true);
     last_window_ = entry.window;
     if (!sharded()) receipts_.push_back(round.value().primary().receipt);
@@ -484,7 +498,8 @@ Result<std::vector<RoundResult>> ProviderPipeline::aggregate_pending() {
     if (!settled.ok()) return fail(settled.error(), true);
   }
   if (options_.prune_aggregated && !rounds.empty()) {
-    prune_aggregated();
+    auto pruned = prune_aggregated();
+    if (!pruned.ok()) return pruned.error();
   }
   return rounds;
 }

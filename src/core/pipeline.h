@@ -175,9 +175,10 @@ class ProviderPipeline {
   /// Drop raw logs whose windows have been aggregated under proof — the
   /// paper's retention model (§2.2: "raw logs are often discarded after a
   /// period of time"; the commitments and receipts keep the history
-  /// verifiable). Returns the number of rows dropped. Call
-  /// store.checkpoint() afterwards to reclaim durable space.
-  u64 prune_aggregated();
+  /// verifiable). Returns the number of rows dropped. A durable store
+  /// checkpoints as it drops them (LogStore::drop_rows), so the prune
+  /// survives a restart.
+  Result<u64> prune_aggregated();
 
  private:
   /// Run `op` (returning Status) with bounded retry on transient errors.
@@ -188,9 +189,19 @@ class ProviderPipeline {
   /// Append one row with bounded retry.
   Status append_row(const char* what, std::string_view table, u64 k1, u64 k2,
                     BytesView payload);
-  /// Append the round's snapshot bundle (when due; full or delta), then its
-  /// K receipts.
-  Status persist_chain(u64 window, const RoundResult& round);
+  /// A captured chain snapshot bundle, waiting to be appended.
+  struct SnapshotRow {
+    Bytes payload;
+    bool full = false;
+  };
+  /// The round's snapshot bundle when the checkpoint interval is due (full
+  /// or delta), else nullopt. It reads only the chain services, so it runs
+  /// while the previous window's fold is still in flight.
+  std::optional<SnapshotRow> capture_snapshot(u64 window);
+  /// Append the round's captured snapshot bundle (if any), then its K
+  /// receipts.
+  Status persist_chain(u64 window, const RoundResult& round,
+                       std::optional<SnapshotRow> snapshot);
   Status persist_seal(u64 window, u64 round_id, const zvm::Receipt& seal);
   Status persist_epoch_seal(const EpochSeal& seal);
   Status load_batches(u64 window,

@@ -408,7 +408,7 @@ Result<AggregationRound> AggregationService::aggregate_impl(
       input.has_sketch = true;
       input.prev_sketch = sketch_.canonical_bytes();
     }
-    input.prev_entries = state_.entry_bytes();
+    input.prev_entries = state_.entries();
     auto committed = committed_batches(board_, batches, order);
     if (!committed.ok()) return committed.error();
     input.batches = std::move(committed.value());
@@ -586,13 +586,15 @@ Status AggregationService::replay_round(
   return {};
 }
 
-Bytes QueryService::query_body(const Query& query, QueryMode mode) const {
+void QueryService::write_query_body(Writer& w, const Query& query,
+                                    QueryMode mode) const {
   const CLogState& state = aggregation_->state();
   if (mode == QueryMode::complete) {
     QueryInput input;
-    input.entries = state.entry_bytes();
+    input.entries = state.entries();
     input.query = query;
-    return input.to_bytes();
+    input.write(w);
+    return;
   }
   SelectiveQueryInput input;
   input.query = query;
@@ -608,7 +610,7 @@ Bytes QueryService::query_body(const Query& query, QueryMode mode) const {
   if (!indices.empty()) {
     input.proof = state.prove_multi(indices);
   }
-  return input.to_bytes();
+  input.write(w);
 }
 
 Result<QueryResponse> QueryService::run(const Query& query,
@@ -623,7 +625,8 @@ Result<QueryResponse> QueryService::run(const Query& query,
   if (aggregation_->has_rounds()) {
     response = prove_on_round<QueryResponse>(
         selective ? guest_images().query_selective : guest_images().query,
-        aggregation_->last_receipt(), query_body(query, options.mode),
+        aggregation_->last_receipt(),
+        [&](Writer& w) { write_query_body(w, query, options.mode); },
         prove_options(options));
   }
 
@@ -658,14 +661,13 @@ Result<GroupedQueryResponse> QueryService::grouped(
   if (!aggregation_->has_rounds()) {
     return Error{Errc::chain_broken, "no aggregation round to query against"};
   }
-  const CLogState& state = aggregation_->state();
-  Writer body;
-  body.blob(query.to_bytes());
-  body.u8v(static_cast<u8>(group_field));
-  body.u64v(state.entry_count());
-  for (const auto& bytes : state.entry_bytes()) body.blob(bytes);
+  auto write_body = [&](Writer& w) {
+    w.blob(query.to_bytes());
+    w.u8v(static_cast<u8>(group_field));
+    write_full_state(w, aggregation_->state().entries());
+  };
   return prove_on_round<GroupedQueryResponse>(
-      grouped_query_image(), aggregation_->last_receipt(), body.bytes(),
+      grouped_query_image(), aggregation_->last_receipt(), write_body,
       prove_options(options));
 }
 

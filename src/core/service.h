@@ -348,9 +348,9 @@ class QueryService {
       const QueryOptions& options = {}) const;
 
  private:
-  /// The guest input after the round binding for a complete or selective
-  /// query against the current state.
-  Bytes query_body(const Query& query, QueryMode mode) const;
+  /// Append the guest input after the round binding for a complete or
+  /// selective query against the current state.
+  void write_query_body(Writer& w, const Query& query, QueryMode mode) const;
   /// The call's prove options: its override, else the service default.
   const zvm::ProveOptions& prove_options(const QueryOptions& options) const {
     return options.prove_options_override.has_value()

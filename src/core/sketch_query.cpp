@@ -303,11 +303,13 @@ Result<SketchHeavyResponse> prove_sketch_heavy(
     return Error{Errc::invalid_argument,
                  "threshold below the sketch's provable floor"};
   }
-  Writer body;
-  body.blob(sketch.canonical_bytes());
-  body.u64v(threshold);
-  return prove_on_round<SketchHeavyResponse>(sketch_heavy_image(), agg_receipt,
-                                             body.bytes(), options);
+  return prove_on_round<SketchHeavyResponse>(
+      sketch_heavy_image(), agg_receipt,
+      [&](Writer& w) {
+        w.blob(sketch.canonical_bytes());
+        w.u64v(threshold);
+      },
+      options);
 }
 
 Result<SketchCardinalityResponse> prove_sketch_cardinality(
@@ -319,10 +321,9 @@ Result<SketchCardinalityResponse> prove_sketch_cardinality(
     return Error{Errc::invalid_argument,
                  "aggregation round carries no sketch"};
   }
-  Writer body;
-  body.blob(sketch.canonical_bytes());
   return prove_on_round<SketchCardinalityResponse>(
-      sketch_card_image(), agg_receipt, body.bytes(), options);
+      sketch_card_image(), agg_receipt,
+      [&](Writer& w) { w.blob(sketch.canonical_bytes()); }, options);
 }
 
 }  // namespace zkt::core

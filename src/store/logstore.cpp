@@ -28,9 +28,13 @@ u32 crc32(BytesView data) {
 
 namespace {
 // "ZKW2": v2 frames carry the row's per-table id so replay can skip rows a
-// checkpoint snapshot already holds (crash between rename and truncation).
+// checkpoint snapshot already accounts for (crash between rename and
+// truncation).
 constexpr u32 kWalMagic = 0x5A4B5732;
-constexpr u32 kSnapMagic = 0x5A4B5331;  // "ZKS1"
+// "ZKS2" snapshots record each table's next row id; "ZKS1" ones, which
+// predate drop_rows checkpointing, still load (next id = row count).
+constexpr u32 kSnapMagic = 0x5A4B5332;
+constexpr u32 kSnapV1Magic = 0x5A4B5331;
 }
 
 LogStore::LogStore(StoreConfig config) : config_(std::move(config)) {
@@ -60,7 +64,8 @@ Status LogStore::recover() {
 
     Reader r(contents);
     auto magic = r.u32v();
-    if (!magic.ok() || magic.value() != kSnapMagic) {
+    if (!magic.ok() ||
+        (magic.value() != kSnapMagic && magic.value() != kSnapV1Magic)) {
       return Error{Errc::parse_error, "bad snapshot magic"};
     }
     auto n_tables = r.varint();
@@ -68,9 +73,21 @@ Status LogStore::recover() {
     for (u64 t = 0; t < n_tables.value(); ++t) {
       auto name = r.str();
       if (!name.ok()) return name.error();
+      u64 next_id = 0;
+      if (magic.value() == kSnapMagic) {
+        auto id = r.varint();
+        if (!id.ok()) return id.error();
+        next_id = id.value();
+      }
       auto n_rows = r.varint();
       if (!n_rows.ok()) return n_rows.error();
+      if (magic.value() == kSnapV1Magic) next_id = n_rows.value();
+      if (next_id < n_rows.value()) {
+        return Error{Errc::parse_error, "snapshot row count above next id"};
+      }
       auto& table = tables_[name.value()];
+      // Kept rows' ids only need to be distinct and below the next id.
+      table.next_id = next_id - n_rows.value();
       for (u64 i = 0; i < n_rows.value(); ++i) {
         auto k1 = r.u64v();
         auto k2 = k1.ok() ? r.u64v() : Result<u64>(Errc::parse_error);
@@ -80,7 +97,7 @@ Status LogStore::recover() {
           return Error{Errc::parse_error, "snapshot row failed CRC"};
         }
         StoredRow row;
-        row.id = table.rows.size();
+        row.id = table.next_id++;
         row.k1 = k1.value();
         row.k2 = k2.value();
         row.payload = std::move(payload.value());
@@ -129,21 +146,22 @@ Status LogStore::recover() {
         break;
       }
       auto& t = tables_[std::string(table.value())];
-      if (id.value() < t.rows.size()) {
-        // The snapshot already holds this row — the WAL survived a crash
-        // between checkpoint()'s rename and its truncation.
+      if (id.value() < t.next_id) {
+        // The snapshot already accounts for this row (holds it, or dropped
+        // it) — the WAL survived a crash between checkpoint()'s rename and
+        // its truncation.
         ++stats_.deduped_frames;
         continue;
       }
-      if (id.value() > t.rows.size()) {
+      if (id.value() > t.next_id) {
         ZKT_LOG(warn) << "WAL frame at offset " << frame_start
-                      << " skips row ids (have " << t.rows.size()
+                      << " skips row ids (next " << t.next_id
                       << ", frame claims " << id.value() << "); truncating";
         ++stats_.truncated_frames;
         break;
       }
       StoredRow row;
-      row.id = t.rows.size();
+      row.id = t.next_id++;
       row.k1 = k1.value();
       row.k2 = k2.value();
       row.payload = std::move(payload.value());
@@ -208,12 +226,12 @@ Result<u64> LogStore::append(std::string_view table, u64 k1, u64 k2,
     it = tables_.emplace(std::string(table), Table{}).first;
   }
   StoredRow row;
-  row.id = it->second.rows.size();
+  row.id = it->second.next_id;
   row.k1 = k1;
   row.k2 = k2;
   row.payload.assign(payload.begin(), payload.end());
   ZKT_TRY(wal_append_locked(table, row));
-  const u64 id = row.id;
+  const u64 id = it->second.next_id++;
   it->second.rows.push_back(std::move(row));
   ++stats_.appends;
   return id;
@@ -296,10 +314,10 @@ LogStore::Stats LogStore::stats() const {
   return stats_;
 }
 
-u64 LogStore::drop_rows(std::string_view table, u64 k1_max) {
+Result<u64> LogStore::drop_rows(std::string_view table, u64 k1_max) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tables_.find(table);
-  if (it == tables_.end()) return 0;
+  if (it == tables_.end()) return u64{0};
   auto& rows = it->second.rows;
   const size_t before = rows.size();
   rows.erase(std::remove_if(rows.begin(), rows.end(),
@@ -307,11 +325,17 @@ u64 LogStore::drop_rows(std::string_view table, u64 k1_max) {
                               return row.k1 <= k1_max;
                             }),
              rows.end());
-  return before - rows.size();
+  const u64 dropped = before - rows.size();
+  if (dropped > 0) ZKT_TRY(checkpoint_locked());
+  return dropped;
 }
 
 Status LogStore::checkpoint() {
   std::lock_guard<std::mutex> lock(mutex_);
+  return checkpoint_locked();
+}
+
+Status LogStore::checkpoint_locked() {
   if (config_.wal_path.empty()) return {};  // in-memory store: nothing to do
   if (wal_file_ == nullptr) {
     return Error{Errc::io_error, "recover() must run before checkpoint"};
@@ -322,6 +346,7 @@ Status LogStore::checkpoint() {
   w.varint(tables_.size());
   for (const auto& [name, table] : tables_) {
     w.str(name);
+    w.varint(table.next_id);
     w.varint(table.rows.size());
     for (const auto& row : table.rows) {
       w.u64v(row.k1);

@@ -9,9 +9,11 @@
 // Durability: when configured with a WAL path, every append is framed and
 // CRC-protected on disk and recover() replays it after a restart, truncating
 // at the first corrupt frame (standard WAL torn-write handling). Frames
-// carry the row's per-table id, so a WAL that survives a crash between
-// checkpoint()'s snapshot rename and its WAL truncation replays without
-// duplicating rows already in the snapshot.
+// carry the row's per-table id, which is never reused (not even after
+// drop_rows), and the snapshot records each table's next id, so a WAL that
+// survives a crash between checkpoint()'s snapshot rename and its WAL
+// truncation replays without duplicating or resurrecting rows the snapshot
+// already accounts for.
 //
 // Failure testing: set_fault_injector() installs a store::FaultInjector
 // whose armed fault points make appends, flushes, scans and checkpoints
@@ -42,7 +44,7 @@ struct StoreConfig {
 };
 
 struct StoredRow {
-  u64 id = 0;  ///< per-table monotonically increasing row id
+  u64 id = 0;  ///< per-table row id: increasing, never reused
   u64 k1 = 0;
   u64 k2 = 0;
   Bytes payload;
@@ -111,9 +113,11 @@ class LogStore {
   /// Drop every row of `table` with k1 <= k1_max (e.g. raw logs whose
   /// window has been aggregated under proof — the paper's "logs are
   /// ephemeral" retention model; the commitments and receipts stay).
-  /// Durable stores must checkpoint() afterwards to reclaim disk.
-  /// Returns the number of rows dropped.
-  u64 drop_rows(std::string_view table, u64 k1_max);
+  /// A durable store checkpoint()s when rows went, so the drop survives a
+  /// restart and the disk is reclaimed; if that fails the rows are gone in
+  /// memory only, and a restart brings them back. Returns the number of
+  /// rows dropped.
+  Result<u64> drop_rows(std::string_view table, u64 k1_max);
 
   /// Install (or clear, with nullptr) a fault injector. Not owned; must
   /// outlive the store or be cleared first. Testing hook — production
@@ -123,9 +127,11 @@ class LogStore {
  private:
   struct Table {
     std::vector<StoredRow> rows;
+    u64 next_id = 0;  ///< id of the table's next append
   };
 
   Status wal_append_locked(std::string_view table, const StoredRow& row);
+  Status checkpoint_locked();
 
   StoreConfig config_;
   mutable std::mutex mutex_;

@@ -1,18 +1,52 @@
 #include "zvm/env.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "crypto/sha256.h"
 
 namespace zkt::zvm {
+
+namespace {
+
+/// The buffers of finished segments, waiting for the next segment any Env
+/// opens.
+struct SegmentFreeList {
+  std::mutex mutex;
+  // zkt-lint: guarded_by(mutex) Envs on any thread take and give back
+  std::vector<TraceSegment> buffers;
+};
+
+SegmentFreeList& free_list() {
+  static SegmentFreeList list;
+  return list;
+}
+
+}  // namespace
+
+size_t free_segment_buffers() {
+  SegmentFreeList& list = free_list();
+  std::lock_guard<std::mutex> lock(list.mutex);
+  return list.buffers.size();
+}
 
 Env::Env(BytesView input, std::span<const Receipt> assumption_receipts,
          u64 max_segment_rows)
     : input_(input.begin(), input.end()),
       reader_(BytesView(input_.data(), input_.size())),
       max_segment_rows_(std::max<u64>(max_segment_rows, 1)),
-      segments_(1),
-      assumption_receipts_(assumption_receipts) {}
+      assumption_receipts_(assumption_receipts) {
+  open_segment();
+}
+
+Env::~Env() {
+  SegmentFreeList& list = free_list();
+  std::lock_guard<std::mutex> lock(list.mutex);
+  for (TraceSegment& segment : segments_) {
+    if (list.buffers.size() == kMaxFreeSegmentBuffers) break;
+    list.buffers.push_back(std::move(segment));
+  }
+}
 
 Result<u8> Env::read_u8() { return reader_.u8v(); }
 Result<u32> Env::read_u32() { return reader_.u32v(); }
@@ -34,15 +68,25 @@ void Env::commit_digest(const Digest32& d) { journal_.fixed(d.bytes); }
 void Env::commit_string(std::string_view s) { journal_.str(s); }
 void Env::commit_raw(BytesView data) { journal_.raw(data); }
 
-void Env::record(const EncodedRow& row) {
-  if (segments_.back().rows() == max_segment_rows_) {
-    // Open the next segment. Only the first one grows from empty: a later
-    // one exists because a full segment came before it, so reserve a full
-    // segment's worth of the largest rows.
-    TraceSegment& next = segments_.emplace_back();
-    next.bytes.reserve(max_segment_rows_ * EncodedRow::kMaxBytes);
-    next.ends.reserve(max_segment_rows_);
+void Env::open_segment() {
+  TraceSegment& segment = segments_.emplace_back();
+  {
+    SegmentFreeList& list = free_list();
+    std::lock_guard<std::mutex> lock(list.mutex);
+    if (!list.buffers.empty()) {
+      segment = std::move(list.buffers.back());
+      list.buffers.pop_back();
+      ++buffers_reused_;
+    }
   }
+  segment.bytes.clear();
+  segment.ends.clear();
+  segment.bytes.reserve(max_segment_rows_ * EncodedRow::kMaxBytes);
+  segment.ends.reserve(max_segment_rows_);
+}
+
+void Env::record(const EncodedRow& row) {
+  if (segments_.back().rows() == max_segment_rows_) open_segment();
   TraceSegment& segment = segments_.back();
   const BytesView bytes = row.view();
   segment.bytes.insert(segment.bytes.end(), bytes.begin(), bytes.end());

@@ -12,6 +12,12 @@
 // what the prover commits to and the verifier samples. Reads consume the
 // private input stream (already bound to the claim by traced hashing);
 // commits append to the public journal.
+//
+// Segment buffers outlive their Env: a destroyed Env gives its segments'
+// buffers to a process-wide free list (at most kMaxFreeSegmentBuffers), and
+// every segment an Env opens takes one from there, cleared, before it
+// allocates. A proof then writes its rows into memory earlier proofs
+// already mapped instead of faulting in a fresh reservation per segment.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +39,14 @@ namespace zkt::zvm {
 /// Rows per trace segment unless the prover asks for another size
 /// (ProveOptions::max_segment_rows).
 constexpr u64 kDefaultSegmentRows = 1ULL << 14;
+
+/// Segment buffers the free list keeps for later Envs: every segment of a
+/// 50k-entry complete scan (74 at kDefaultSegmentRows) comes back, and the
+/// list never holds more than ≈180 MB of reservations (2.2 MB each).
+constexpr size_t kMaxFreeSegmentBuffers = 80;
+
+/// Segment buffers waiting in the free list for the next Env.
+size_t free_segment_buffers();
 
 /// One continuation segment of the trace: its rows' encoded bytes back to
 /// back, and where each row ends.
@@ -73,6 +87,9 @@ class Env {
   // other threads: an Env stays where it was built.
   Env(const Env&) = delete;
   Env& operator=(const Env&) = delete;
+  /// Gives every segment's buffers to the free list, so whoever reads the
+  /// segments on other threads must be done first.
+  ~Env();
 
   // ---- Input (private) ----
   Result<u8> read_u8();
@@ -125,6 +142,11 @@ class Env {
   u64 cycles() const { return cycles_; }
   /// Of those, SHA-256 compression rows.
   u64 sha_rows() const { return sha_rows_; }
+  /// Segments opened on a buffer from the free list, and on a new one.
+  u64 segment_buffers_reused() const { return buffers_reused_; }
+  u64 segment_buffers_fresh() const {
+    return segments_.size() - buffers_reused_;
+  }
 
   // ---- Profiling regions (host-side metadata, not part of the proof) ----
   /// Attribute subsequent cycles to a named region until end_region().
@@ -156,6 +178,9 @@ class Env {
   }
 
  private:
+  /// Open the next segment on a cleared buffer, from the free list when it
+  /// has one, with room for a full segment of the largest rows.
+  void open_segment();
   /// Append one encoded row to the open segment; hands the segment to the
   /// sink when it fills.
   void record(const EncodedRow& row);
@@ -171,6 +196,7 @@ class Env {
   SegmentSink sink_;
   u64 cycles_ = 0;
   u64 sha_rows_ = 0;
+  u64 buffers_reused_ = 0;
   std::vector<Assumption> assumptions_;
   std::span<const Receipt> assumption_receipts_;
   std::vector<std::pair<std::string, u64>> regions_;

@@ -120,6 +120,15 @@ class SegmentCommitter {
   std::vector<std::future<void>> pending_;
 };
 
+/// How many of a proof's segments reused a buffer an earlier proof gave
+/// back, and how many allocated one.
+void publish_buffer_metrics(obs::Registry& metrics, const Env& env) {
+  metrics.counter("zvm.prover.segment_buffers_reused")
+      .add(env.segment_buffers_reused());
+  metrics.counter("zvm.prover.segment_buffers_fresh")
+      .add(env.segment_buffers_fresh());
+}
+
 /// crypto cannot depend on obs (layer DAG), so backend/pool activity is
 /// published into the metrics registry here, by the caller.
 void publish_hash_metrics(obs::Registry& metrics) {
@@ -202,7 +211,8 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
 
   phase.emplace("execute");
   Env env(input, options.assumptions, options.max_segment_rows);
-  SegmentCommitter committer;  // after env: drains before env's log is freed
+  // After env: drains before env gives its segments' buffers back.
+  SegmentCommitter committer;
   env.set_segment_sink(
       [&committer](const TraceSegment& segment) { committer.submit(segment); });
   Claim claim;
@@ -211,6 +221,7 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
 
   if (auto guest = image->fn(env); !guest.ok()) {
     metrics.counter("zvm.prover.guest_aborts").add(1);
+    publish_buffer_metrics(metrics, env);
     return guest.error();
   }
   env.end_region();  // close any region the guest left open
@@ -288,6 +299,7 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
   metrics.counter("zvm.prover.cycles").add(claim.cycle_count);
   metrics.counter("zvm.prover.sha_rows").add(env.sha_rows());
   metrics.counter("zvm.prover.segments").add(segment_count);
+  publish_buffer_metrics(metrics, env);
   metrics.histogram("zvm.prover.execute_ms").record(execute_ms);
   metrics.histogram("zvm.prover.commit_ms").record(ms_since(commit_start));
   metrics.histogram("zvm.prover.total_ms").record(ms_since(start));

@@ -92,8 +92,8 @@ TEST(CLogState, RootMatchesFreshTreeOverEntryBytes) {
   commit_round(state, std::vector<FlowRecord>{rec(5, 100), rec(21, 1)});
 
   std::vector<crypto::Digest32> leaves;
-  for (const auto& bytes : state.entry_bytes()) {
-    leaves.push_back(crypto::MerkleTree::hash_leaf(bytes));
+  for (const auto& entry : state.entries()) {
+    leaves.push_back(crypto::MerkleTree::hash_leaf(entry.canonical_bytes()));
   }
   crypto::MerkleTree fresh(leaves);
   EXPECT_EQ(state.root(), fresh.root());

@@ -154,11 +154,13 @@ TEST(Pipeline, PruneDropsOnlyAggregatedWindows) {
   fx.store_window(1, 2);
   fx.store_window(2, 2);
   ProviderPipeline pipeline(fx.store, fx.board);
-  EXPECT_EQ(pipeline.prune_aggregated(), 0u);  // nothing aggregated yet
+  // Nothing aggregated yet.
+  EXPECT_EQ(pipeline.prune_aggregated().value(), 0u);
   ASSERT_TRUE(pipeline.aggregate_pending().ok());
 
   fx.store_window(3, 2);  // arrives after the last aggregation
-  EXPECT_EQ(pipeline.prune_aggregated(), 4u);  // windows 1 and 2 dropped
+  // Windows 1 and 2 dropped.
+  EXPECT_EQ(pipeline.prune_aggregated().value(), 4u);
   EXPECT_EQ(fx.store.row_count(store::kTableRlogs), 2u);
   EXPECT_EQ(pipeline.pending_windows().value(), (std::vector<u64>{3}));
 

@@ -253,7 +253,7 @@ TEST_F(RecoveryTest, TamperedRawLogHaltsReplay) {
     ASSERT_TRUE(pipeline.aggregate_pending().ok());
   }
   // Swap the stored batch for a doctored one after its receipt was proven.
-  ASSERT_EQ(store.drop_rows(store::kTableRlogs, 1), 1u);
+  ASSERT_EQ(store.drop_rows(store::kTableRlogs, 1).value(), 1u);
   RLogBatch tampered = make_batch(1, 0);
   tampered.records[0].bytes += 1;
   ASSERT_TRUE(store
@@ -276,7 +276,8 @@ TEST_F(RecoveryTest, PrunedLogsBeyondTheLastSnapshotBreakTheChain) {
   {
     ProviderPipeline pipeline(store, board, options);
     ASSERT_TRUE(pipeline.aggregate_pending().ok());
-    EXPECT_EQ(pipeline.prune_aggregated(), 1u);  // ...and no raw logs left
+    // ...and no raw logs left.
+    EXPECT_EQ(pipeline.prune_aggregated().value(), 1u);
   }
   ProviderPipeline fresh(store, board, options);
   auto recovery = fresh.recover();
@@ -398,7 +399,7 @@ TEST_F(RecoveryTest, DroppingRowsOlderThanTheNewestFullBundleStillRecovers) {
   ASSERT_EQ(snapshot_kinds(store), "FDFD");
   // Retention may drop every row older than the newest full bundle (the
   // one of window 3).
-  ASSERT_EQ(store.drop_rows(store::kTableChainState, 2), 2u);
+  ASSERT_EQ(store.drop_rows(store::kTableChainState, 2).value(), 2u);
 
   ProviderPipeline pipeline(store, board);
   auto recovery = pipeline.recover();
@@ -448,7 +449,7 @@ TEST_F(RecoveryTest, DeltasWhoseBaseWasDroppedFallBackNeverFail) {
 
   // To raw-log replay: with every full bundle gone, the lone delta is
   // skipped and the whole chain replays.
-  ASSERT_EQ(store.drop_rows(store::kTableChainState, 3), 3u);
+  ASSERT_EQ(store.drop_rows(store::kTableChainState, 3).value(), 3u);
   ASSERT_EQ(snapshot_kinds(store), "D");
   ProviderPipeline pipeline(store, board);
   auto recovery = pipeline.recover();
@@ -488,6 +489,41 @@ TEST_F(RecoveryTest, PrunedStoreRecoversFromTheDeltaChainAlone) {
   store_window(store, board, 5, 1);
   ASSERT_TRUE(pipeline.aggregate_pending().ok());
   expect_chain_audits(board, pipeline, 5);
+}
+
+// A pruning pipeline whose caller never checkpoints: reopening the store
+// must neither bring the pruned windows back nor lose a later window's raw
+// logs (an append that reused a dropped row's id would replay as a
+// duplicate of it).
+TEST_F(RecoveryTest, RestartAfterPruneKeepsLaterRawLogs) {
+  CommitmentBoard board;
+  PipelineOptions options;
+  options.prune_aggregated = true;
+  {
+    store::LogStore store(config());
+    ASSERT_TRUE(store.recover().ok());
+    store_window(store, board, 1, 2);
+    store_window(store, board, 2, 2);
+    ProviderPipeline pipeline(store, board, options);
+    ASSERT_TRUE(pipeline.aggregate_pending().ok());
+    ASSERT_EQ(store.row_count(store::kTableRlogs), 0u);
+    store_window(store, board, 3, 2);
+  }
+
+  store::LogStore store(config());
+  ASSERT_TRUE(store.recover().ok());
+  EXPECT_EQ(store.stats().deduped_frames, 0u);
+  const auto rlogs = store.scan(store::kTableRlogs, 0, ~0ULL);
+  ASSERT_EQ(rlogs.size(), 2u);
+  for (const auto& row : rlogs) EXPECT_EQ(row.k1, 3u);
+  ProviderPipeline pipeline(store, board, options);
+  auto recovery = pipeline.recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().to_string();
+  EXPECT_EQ(pipeline.pending_windows().value(), (std::vector<u64>{3}));
+  auto rounds = pipeline.aggregate_pending();
+  ASSERT_TRUE(rounds.ok()) << rounds.error().to_string();
+  EXPECT_EQ(rounds.value().size(), 1u);
+  expect_chain_audits(board, pipeline, 3);
 }
 
 TEST_F(RecoveryTest, PreBundleStoreLayoutsFailTyped) {

@@ -129,14 +129,10 @@ TEST(StateTamper, ModifiedHostStateBreaksNextRound) {
   input.has_prev = true;
   input.prev_claim_digest = service.last_claim_digest().value();
   input.prev_root = service.state().root();
-  input.prev_entries = service.state().entry_bytes();
   // Tamper: inflate a counter in entry 0 (root no longer matches entries).
-  {
-    Reader r(input.prev_entries[0]);
-    auto entry = FlowRecord::deserialize(r).value();
-    entry.packets += 1000;
-    input.prev_entries[0] = entry.canonical_bytes();
-  }
+  std::vector<CLogEntry> doctored = service.state().entries();
+  doctored[0].packets += 1000;
+  input.prev_entries = doctored;
   CommitmentRef ref;
   ref.router_id = 0;
   ref.window_id = 2;
@@ -197,7 +193,7 @@ TEST(QueryTamper, SelectiveCannotIncludeNonMatchingEntry) {
   input.proof = service.state().prove_multi(indices);
   auto receipt = prove_on_round<QueryResponse>(
       guest_images().query_selective, service.last_receipt(),
-      input.to_bytes(), {});
+      [&](Writer& w) { input.write(w); }, {});
   ASSERT_FALSE(receipt.ok());
   EXPECT_EQ(receipt.error().code, Errc::guest_abort);
 }
@@ -224,7 +220,7 @@ TEST(QueryTamper, SelectiveCannotDoubleCount) {
   input.proof = service.state().prove_multi(std::vector<u64>{0});
   auto receipt = prove_on_round<QueryResponse>(
       guest_images().query_selective, service.last_receipt(),
-      input.to_bytes(), {});
+      [&](Writer& w) { input.write(w); }, {});
   ASSERT_FALSE(receipt.ok());
 }
 
@@ -255,7 +251,7 @@ TEST(QueryTamper, SelectiveCannotUseForeignEntry) {
 
   auto receipt = prove_on_round<QueryResponse>(
       guest_images().query_selective, service.last_receipt(),
-      input.to_bytes(), {});
+      [&](Writer& w) { input.write(w); }, {});
   ASSERT_FALSE(receipt.ok());
 }
 

@@ -322,7 +322,7 @@ TEST_F(TreePipelineTest, MissingSealIsRefoldedOnRecovery) {
     ProviderPipeline pipeline(store, board, sharded_options(2));
     ASSERT_TRUE(pipeline.aggregate_pending().ok());
   }
-  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, ~0ULL), 1u);
+  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, ~0ULL).value(), 1u);
   const u64 receipt_rows_before =
       store.row_count(store::kTableReceipts);
 
@@ -349,7 +349,7 @@ TEST_F(TreePipelineTest, MidChainMissingSealIsChainBroken) {
     ProviderPipeline pipeline(store, board, sharded_options(2));
     ASSERT_TRUE(pipeline.aggregate_pending().ok());
   }
-  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, 1), 1u);
+  ASSERT_EQ(store.drop_rows(store::kTableTreeSeals, 1).value(), 1u);
 
   ProviderPipeline pipeline(store, board, sharded_options(2));
   auto recovery = pipeline.recover();
@@ -413,7 +413,7 @@ TEST_F(TreePipelineTest, ShardCountMismatchOnRecoveryIsTerminal) {
   // Re-check with fewer shards than the store holds: receipt rows for
   // shard ids past the configured count make the mismatch visible even
   // without a snapshot.
-  ASSERT_EQ(store.drop_rows(store::kTableChainState, ~0ULL), 1u);
+  ASSERT_EQ(store.drop_rows(store::kTableChainState, ~0ULL).value(), 1u);
   auto narrower_recovery = narrower.recover();
   ASSERT_FALSE(narrower_recovery.ok());
   EXPECT_EQ(narrower_recovery.error().code, Errc::invalid_argument);

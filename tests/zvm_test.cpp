@@ -401,12 +401,16 @@ u64 commits_during_failed_prove(ProveAndCheck prove_and_check) {
   return commits.count() - before;
 }
 
-TEST(ProveVerify, GuestAbortDrainsQueuedSegmentCommits) {
-  static const ImageID image = ImageRegistry::instance().add(
+ImageID long_then_abort_image() {
+  static const ImageID id = ImageRegistry::instance().add(
       "test.long_then_abort", 1, long_then_abort_guest);
+  return id;
+}
+
+TEST(ProveVerify, GuestAbortDrainsQueuedSegmentCommits) {
   const u64 commits = commits_during_failed_prove(
       [](const Prover& prover, const ProveOptions& options) {
-        auto receipt = prover.prove(image, {}, options);
+        auto receipt = prover.prove(long_then_abort_image(), {}, options);
         ASSERT_FALSE(receipt.ok());
         EXPECT_EQ(receipt.error().code, Errc::guest_abort);
       });
@@ -426,6 +430,185 @@ TEST(ProveVerify, GuestExceptionDrainsQueuedSegmentCommits) {
       });
   EXPECT_GE(g_abort_cycles / kAbortSegmentRows, 4u);
   EXPECT_EQ(commits, g_abort_cycles / kAbortSegmentRows);
+}
+
+// ---------------------------------------------------------------------------
+// Segment buffers reused across proofs
+
+/// ALU-only guest: reads a row count n and records add(i, 1) for i < n.
+Status alu_rows_guest(Env& env) {
+  auto rows = env.read_u64();
+  if (!rows.ok()) return rows.error();
+  u64 last = 0;
+  for (u64 i = 0; i < rows.value(); ++i) last = env.alu(AluOp::add, i, 1);
+  env.commit_u64(last);
+  return {};
+}
+
+/// SHA-heavy guest: hashes the blob it reads (129-byte rows).
+Status sha_blob_guest(Env& env) {
+  auto blob = env.read_blob();
+  if (!blob.ok()) return blob.error();
+  env.commit_digest(env.sha256(blob.value()));
+  return {};
+}
+
+ImageID alu_rows_image() {
+  static const ImageID id =
+      ImageRegistry::instance().add("test.alu_rows", 1, alu_rows_guest);
+  return id;
+}
+
+ImageID sha_blob_image() {
+  static const ImageID id =
+      ImageRegistry::instance().add("test.sha_blob", 1, sha_blob_guest);
+  return id;
+}
+
+Bytes rows_input(u64 rows) {
+  Writer w;
+  w.u64v(rows);
+  return std::move(w).take();
+}
+
+Bytes blob_input(size_t size, u8 fill) {
+  Writer w;
+  w.blob(Bytes(size, fill));
+  return std::move(w).take();
+}
+
+/// Composite seals carry the opened rows, so a receipt shows any stale row
+/// a reused buffer might leak into a segment.
+ProveOptions reuse_options(u64 segment_rows = kAbortSegmentRows) {
+  ProveOptions options;
+  options.seal_kind = SealKind::composite;
+  options.max_segment_rows = segment_rows;
+  return options;
+}
+
+Bytes receipt_bytes(const ImageID& image, const Bytes& input,
+                    const ProveOptions& options) {
+  auto receipt = Prover().prove(image, input, options);
+  EXPECT_TRUE(receipt.ok()) << receipt.error().to_string();
+  return receipt.ok() ? receipt.value().to_bytes() : Bytes{};
+}
+
+TEST(SegmentBuffers, ReusedBuffersHoldOnlyTheirOwnRows) {
+  constexpr u64 kRows = 3 * kAbortSegmentRows + 10;
+  const Bytes alone =
+      receipt_bytes(alu_rows_image(), rows_input(kRows), reuse_options());
+  // 640 SHA rows over ten 64-row segments, all given back full.
+  ASSERT_FALSE(receipt_bytes(sha_blob_image(), blob_input(40'000, 0xa5),
+                             reuse_options())
+                   .empty());
+  ASSERT_GE(free_segment_buffers(), 4u);
+
+  Env env({}, {}, kAbortSegmentRows);
+  for (u64 i = 0; i < kRows; ++i) env.alu(AluOp::add, i, 1);
+  ASSERT_EQ(env.segments().size(), 4u);
+  EXPECT_EQ(env.segment_buffers_reused(), 4u);
+  EXPECT_EQ(env.segment_buffers_fresh(), 0u);
+  u64 row = 0;
+  for (const TraceSegment& segment : env.segments()) {
+    Writer expected;
+    std::vector<u64> ends;
+    for (u64 i = 0; i < segment.rows(); ++i, ++row) {
+      TraceRow{RowAlu{AluOp::add, row, 1, row + 1}}.serialize(expected);
+      ends.push_back(expected.size());
+    }
+    EXPECT_EQ(segment.bytes, expected.bytes()) << "segment at row " << row;
+    EXPECT_EQ(segment.ends, ends) << "segment at row " << row;
+  }
+  EXPECT_EQ(row, kRows);
+
+  EXPECT_EQ(receipt_bytes(alu_rows_image(), rows_input(kRows),
+                          reuse_options()),
+            alone);
+}
+
+TEST(SegmentBuffers, ConcurrentProofsMatchTheirSequentialTwins) {
+  struct Job {
+    ImageID image;
+    Bytes input;
+    u64 segment_rows;
+  };
+  // One segment to many, ALU- and SHA-shaped, two segment sizes.
+  const std::vector<Job> jobs = {
+      {alu_rows_image(), rows_input(20), kAbortSegmentRows},
+      {sha_blob_image(), blob_input(20'000, 0x11), kAbortSegmentRows},
+      {alu_rows_image(), rows_input(5 * kAbortSegmentRows + 7),
+       kAbortSegmentRows},
+      {sha_blob_image(), blob_input(3'000, 0x22), kDefaultSegmentRows},
+      {alu_rows_image(), rows_input(kAbortSegmentRows), kAbortSegmentRows},
+      {alu_rows_image(), rows_input(1'000), kDefaultSegmentRows},
+  };
+  std::vector<Bytes> twins;
+  for (const Job& job : jobs) {
+    twins.push_back(
+        receipt_bytes(job.image, job.input, reuse_options(job.segment_rows)));
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 5;
+  std::atomic<size_t> proofs{0};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < jobs.size(); ++j) {
+          const size_t pick = (j + t + round) % jobs.size();
+          const Job& job = jobs[pick];
+          auto receipt = Prover().prove(job.image, job.input,
+                                        reuse_options(job.segment_rows));
+          proofs.fetch_add(1);
+          if (!receipt.ok() || receipt.value().to_bytes() != twins[pick]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(proofs.load(), kThreads * kRounds * jobs.size());
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(SegmentBuffers, GuestAbortGivesEachBufferBackOnceAfterItsCommits) {
+  const Bytes before = receipt_bytes(alu_rows_image(), rows_input(kAbortRows),
+                                     reuse_options());
+  obs::Registry& metrics = obs::Registry::instance();
+  obs::Counter& reused = metrics.counter("zvm.prover.segment_buffers_reused");
+  obs::Counter& fresh = metrics.counter("zvm.prover.segment_buffers_fresh");
+  obs::Histogram& batches = metrics.histogram("zvm.prover.leaf_batch_rows");
+  const size_t free_before = free_segment_buffers();
+  const u64 reused_before = reused.value();
+  const u64 fresh_before = fresh.value();
+  const u64 batches_before = batches.count();
+
+  commits_during_failed_prove(
+      [](const Prover& prover, const ProveOptions& options) {
+        auto receipt = prover.prove(long_then_abort_image(), {}, options);
+        ASSERT_FALSE(receipt.ok());
+        EXPECT_EQ(receipt.error().code, Errc::guest_abort);
+      });
+  const u64 segments = (g_abort_cycles + kAbortSegmentRows - 1) /
+                       kAbortSegmentRows;
+  const u64 took = reused.value() - reused_before;
+  const u64 made = fresh.value() - fresh_before;
+  EXPECT_EQ(took + made, segments);
+  // Every buffer the Env held came back, once: the ones it took and the
+  // ones it made.
+  EXPECT_EQ(free_segment_buffers(),
+            std::min<size_t>(free_before + made, kMaxFreeSegmentBuffers));
+  // The queued commits (one 64-row leaf batch per full segment) read the
+  // segments' rows before the buffers went back.
+  EXPECT_EQ(batches.count() - batches_before,
+            g_abort_cycles / kAbortSegmentRows);
+
+  EXPECT_EQ(receipt_bytes(alu_rows_image(), rows_input(kAbortRows),
+                          reuse_options()),
+            before);
 }
 
 TEST(ProveVerify, UnknownImageFails) {
