@@ -111,8 +111,7 @@ int main() {
       core::Query q = core::Query::sum(core::QField::bytes).and_any(clause);
       auto complete = queries.run(q);
       auto selective = queries.run(
-          q, {.mode = core::QueryMode::selective,
-              .prove_options_override = {}});
+          q, {.mode = core::QueryMode::selective});
       if (!complete.ok() || !selective.ok()) return 1;
       if (complete.value().value != selective.value().value) return 1;
       std::printf("%12llu | %14.1f %14llu | %14.1f %14llu\n",

@@ -18,6 +18,13 @@
 // most expensive phase at equal size (more in-zkVM hashing), verification
 // stays flat (see bench_verify), and zkVM cycle counts — the quantity
 // that drives the paper's latency — grow the same way.
+//
+// Exits 1 unless the cycle columns have Fig. 4's shape: aggregation cycles
+// rise at every step of the sweep and are at least 10x the selective
+// query's at every N. Cycles are deterministic, so the check holds on any
+// machine. The growth from the first N to the last is printed, not
+// checked: a fixed per-round cost keeps it below the growth in records
+// (x49 for x60), although each added record costs more at larger N.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -32,7 +39,10 @@ int main() {
   std::printf("---------+----------------------------+------------------------"
               "---------+---------------------------------\n");
 
-  for (u64 n : bench::paper_sweep()) {
+  const std::vector<u64>& sweep = bench::paper_sweep();
+  std::vector<u64> agg_cycles;
+  std::vector<u64> selective_cycles;
+  for (u64 n : sweep) {
     auto workload = bench::make_committed_workload(n);
     core::AggregationService aggregation(*workload.board);
     auto genesis = aggregation.aggregate(workload.batches);
@@ -59,8 +69,7 @@ int main() {
             .and_where(core::QField::dst_ip, core::CmpOp::eq, first_key.dst_ip);
     core::QueryService queries(aggregation);
     auto selective = queries.run(
-        query, {.mode = core::QueryMode::selective,
-                .prove_options_override = {}});
+        query, {.mode = core::QueryMode::selective});
     auto complete = queries.run(query);
     if (!selective.ok() || !complete.ok()) {
       std::printf("query failed at %llu\n", (unsigned long long)n);
@@ -78,6 +87,8 @@ int main() {
                 (unsigned long long)selective.value().prove_info.cycles,
                 complete.value().prove_info.total_ms,
                 (unsigned long long)complete.value().prove_info.cycles);
+    agg_cycles.push_back(round.value().prove_info.cycles);
+    selective_cycles.push_back(selective.value().prove_info.cycles);
 
     if (n == 3000) {
       // The paper: "Profiling with RISC Zero indicates the majority of this
@@ -104,5 +115,21 @@ int main() {
               "selective query cheapest because it only opens relevant "
               "entries, exactly as §4.2 describes).\n");
   zkt::bench::write_metrics_snapshot("fig4_proofgen");
-  return 0;
+
+  bool rising = true;
+  bool dominant = true;
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    rising = rising && (i == 0 || agg_cycles[i] > agg_cycles[i - 1]);
+    dominant = dominant && agg_cycles[i] >= 10 * selective_cycles[i];
+  }
+  const double cycle_growth = static_cast<double>(agg_cycles.back()) /
+                              static_cast<double>(agg_cycles.front());
+  const double record_growth = static_cast<double>(sweep.back()) /
+                               static_cast<double>(sweep.front());
+  std::printf("\nFig. 4 shape: aggregation cycles rise at every N: %s; "
+              ">= 10x the selective query at every N: %s (they grow x%.1f "
+              "for x%.0f records)\n",
+              rising ? "yes" : "NO", dominant ? "yes" : "NO", cycle_growth,
+              record_growth);
+  return rising && dominant ? 0 : 1;
 }

@@ -54,8 +54,8 @@ class Writer {
   Bytes take() && { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 
- private:
-  // Grows the buffer once per value; the shifts compile to one store.
+  /// Any unsigned integer, little-endian at its own width. Grows the buffer
+  /// once per value; the shifts compile to one store.
   template <typename T>
   void put_le(T v) {
     const size_t at = buf_.size();
@@ -65,6 +65,7 @@ class Writer {
     }
   }
 
+ private:
   Bytes buf_;
 };
 
@@ -104,7 +105,7 @@ class Reader {
   bool done() const { return remaining() == 0; }
   size_t position() const { return pos_; }
 
- private:
+  /// Any unsigned integer, little-endian at its own width.
   template <typename T>
   Result<T> get_le() {
     if (remaining() < sizeof(T))
@@ -117,6 +118,7 @@ class Reader {
     return v;
   }
 
+ private:
   BytesView data_;
   size_t pos_ = 0;
 };

@@ -226,98 +226,6 @@ Status chain_summary_guest(Env& env) {
 
 }  // namespace
 
-void ChainSummaryJournal::write(Writer& w) const {
-  w.str("EPOCH1");
-  w.u64v(rounds);
-  w.u8v(genesis ? 1 : 0);
-  w.fixed(first_claim_digest.bytes);
-  w.fixed(first_root.bytes);
-  w.u64v(first_entry_count);
-  w.fixed(final_claim_digest.bytes);
-  w.fixed(final_root.bytes);
-  w.u64v(final_entry_count);
-  w.u64v(commitment_count);
-  w.fixed(first_commitments_digest.bytes);
-  w.fixed(final_commitments_digest.bytes);
-  w.u8v(has_sketch ? 1 : 0);
-  if (has_sketch) {
-    w.u32v(sketch_params.cm.width);
-    w.u32v(sketch_params.cm.depth);
-    w.u64v(sketch_params.cm.seed);
-    w.u32v(sketch_params.heavy_capacity);
-    w.fixed(first_sketch_digest.bytes);
-    w.fixed(final_sketch_digest.bytes);
-    w.u64v(final_sketch_total);
-  }
-}
-
-Result<ChainSummaryJournal> ChainSummaryJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "EPOCH1") {
-    return Error{Errc::parse_error, "bad chain summary magic"};
-  }
-  ChainSummaryJournal j;
-  auto rounds = r.u64v();
-  if (!rounds.ok()) return rounds.error();
-  j.rounds = rounds.value();
-  auto genesis = r.u8v();
-  if (!genesis.ok()) return genesis.error();
-  if (genesis.value() > 1) {
-    return Error{Errc::parse_error, "bad summary genesis flag"};
-  }
-  j.genesis = genesis.value() == 1;
-  ZKT_TRY(r.fixed(j.first_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.first_root.bytes));
-  auto first_count = r.u64v();
-  if (!first_count.ok()) return first_count.error();
-  j.first_entry_count = first_count.value();
-  ZKT_TRY(r.fixed(j.final_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.final_root.bytes));
-  auto final_count = r.u64v();
-  if (!final_count.ok()) return final_count.error();
-  j.final_entry_count = final_count.value();
-  auto commitment_count = r.u64v();
-  if (!commitment_count.ok()) return commitment_count.error();
-  j.commitment_count = commitment_count.value();
-  ZKT_TRY(r.fixed(j.first_commitments_digest.bytes));
-  ZKT_TRY(r.fixed(j.final_commitments_digest.bytes));
-  auto has_sketch = r.u8v();
-  if (!has_sketch.ok()) return has_sketch.error();
-  if (has_sketch.value() > 1) {
-    return Error{Errc::parse_error, "bad summary sketch flag"};
-  }
-  j.has_sketch = has_sketch.value() == 1;
-  if (j.has_sketch) {
-    auto width = r.u32v();
-    if (!width.ok()) return width.error();
-    j.sketch_params.cm.width = width.value();
-    auto depth = r.u32v();
-    if (!depth.ok()) return depth.error();
-    j.sketch_params.cm.depth = depth.value();
-    auto seed = r.u64v();
-    if (!seed.ok()) return seed.error();
-    j.sketch_params.cm.seed = seed.value();
-    auto cap = r.u32v();
-    if (!cap.ok()) return cap.error();
-    j.sketch_params.heavy_capacity = cap.value();
-    if (j.sketch_params.cm.width == 0 || j.sketch_params.cm.depth == 0 ||
-        j.sketch_params.heavy_capacity == 0) {
-      return Error{Errc::parse_error, "degenerate summary sketch params"};
-    }
-    ZKT_TRY(r.fixed(j.first_sketch_digest.bytes));
-    ZKT_TRY(r.fixed(j.final_sketch_digest.bytes));
-    auto total = r.u64v();
-    if (!total.ok()) return total.error();
-    j.final_sketch_total = total.value();
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing summary journal bytes"};
-  }
-  return j;
-}
-
 zvm::ImageID chain_summary_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.chain_summary", 2, chain_summary_guest);

@@ -66,8 +66,33 @@ struct ChainSummaryJournal {
   Digest32 final_sketch_digest;  ///< sketch digest after the span
   u64 final_sketch_total = 0;
 
-  void write(Writer& w) const;
-  static Result<ChainSummaryJournal> parse(BytesView journal);
+  /// The EPOCH1 layout (common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("EPOCH1");
+    v.field("rounds", j.rounds);
+    v.field("genesis", j.genesis);
+    v.field("first_claim_digest", j.first_claim_digest.bytes);
+    v.field("first_root", j.first_root.bytes);
+    v.field("first_entry_count", j.first_entry_count);
+    v.field("final_claim_digest", j.final_claim_digest.bytes);
+    v.field("final_root", j.final_root.bytes);
+    v.field("final_entry_count", j.final_entry_count);
+    v.field("commitment_count", j.commitment_count);
+    v.field("first_commitments_digest", j.first_commitments_digest.bytes);
+    v.field("final_commitments_digest", j.final_commitments_digest.bytes);
+    v.field("has_sketch", j.has_sketch);
+    if (j.has_sketch) {
+      v.field("sketch_params", j.sketch_params);
+      v.field("first_sketch_digest", j.first_sketch_digest.bytes);
+      v.field("final_sketch_digest", j.final_sketch_digest.bytes);
+      v.field("final_sketch_total", j.final_sketch_total);
+    }
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<ChainSummaryJournal> parse(BytesView journal) {
+    return decode<ChainSummaryJournal>(journal);
+  }
 };
 
 zvm::ImageID chain_summary_image();

@@ -3,8 +3,8 @@
 #include <sstream>
 
 #include "core/chain_summary.h"
+#include "core/epoch.h"
 #include "core/grouped_query.h"
-#include "core/histogram_query.h"
 #include "core/guests.h"
 #include "core/sharded.h"
 #include "core/sketch_query.h"
@@ -19,198 +19,140 @@ double fraction_below(const HistogramQueryJournal& j) {
 
 namespace {
 
-const char* image_name(const zvm::ImageID& id) {
-  const auto& images = guest_images();
-  if (id == images.aggregate) return "zkt.guest.aggregate";
-  if (id == images.aggregate_incremental) {
-    return "zkt.guest.aggregate_incremental";
+std::string short_hex(BytesView bytes) {
+  return to_hex(bytes).substr(0, 16) + "…";
+}
+
+/// The describing walker over a field list (common/codec.h): one line per
+/// field, "name value", with nested and listed fields under their path
+/// ("commitments[0].router_id"). Queries print as SQL, QFields by name,
+/// digests as short hex.
+class FieldPrinter {
+ public:
+  explicit FieldPrinter(std::ostringstream& os) : os_(os) {}
+
+  void magic(std::string_view m) { line("magic") << m << "\n"; }
+  template <class E>
+  void magic(const E& which, std::span<const std::string_view> names) {
+    magic(names[static_cast<size_t>(which)]);
   }
-  if (id == images.query) return "zkt.guest.query";
-  if (id == images.query_selective) return "zkt.guest.query_selective";
-  if (id == grouped_query_image()) return "zkt.guest.query_grouped";
-  if (id == shard_split_image()) return "zkt.guest.shard_split";
-  if (id == join_image()) return "zkt.guest.join";
-  if (id == sketch_heavy_image()) return "zkt.guest.sketch_heavy";
-  if (id == sketch_card_image()) return "zkt.guest.sketch_card";
-  if (id == chain_summary_image()) return "zkt.guest.chain_summary";
-  if (id == histogram_query_image()) return "zkt.guest.histogram_query";
+
+  template <class T>
+  void field(std::string_view name, const T& value) {
+    if constexpr (std::is_same_v<T, QField>) {
+      line(name) << qfield_name(value) << "\n";
+    } else if constexpr (std::is_enum_v<T>) {
+      line(name) << static_cast<u64>(value) << "\n";
+    } else if constexpr (std::is_integral_v<T>) {
+      line(name) << static_cast<u64>(value) << "\n";
+    } else if constexpr (zkt::detail::is_byte_array_v<T>) {
+      line(name) << short_hex(value) << "\n";
+    } else if constexpr (zkt::detail::OwnCodec<T>) {
+      line(name) << value.to_string() << "\n";
+    } else {
+      nested(std::string(name), value);
+    }
+  }
+
+  template <class T>
+  void blob(std::string_view name, const T& value) {
+    if constexpr (std::is_same_v<T, zvm::Receipt>) {
+      line(name) << summarize_receipt(value) << "\n";
+    } else {
+      line(name) << value.to_string() << "\n";
+    }
+  }
+
+  template <class T>
+  void list(std::string_view name, const std::vector<T>& items, u64) {
+    line(name) << items.size() << "\n";
+    for (size_t i = 0; i < items.size(); ++i) {
+      nested(std::string(name) + "[" + std::to_string(i) + "]", items[i]);
+    }
+  }
+
+  template <class T>
+  void derived(const T&, BytesView) {}
+  void check(bool, std::string_view) {}
+
+ private:
+  std::ostream& line(std::string_view name) {
+    return os_ << "    " << prefix_ << name << " ";
+  }
+
+  template <class T>
+  void nested(const std::string& path, const T& value) {
+    const size_t outer = prefix_.size();
+    prefix_ += path + ".";
+    T::fields(*this, value);
+    prefix_.resize(outer);
+  }
+
+  std::ostringstream& os_;
+  std::string prefix_;
+};
+
+template <class T>
+JournalCodec codec(std::string_view name, std::vector<zvm::ImageID> images) {
+  return JournalCodec{
+      name, std::move(images),
+      [](BytesView bytes) -> Result<Bytes> {
+        auto value = decode<T>(bytes);
+        if (!value.ok()) return value.error();
+        Writer w;
+        encode(w, value.value());
+        return std::move(w).take();
+      },
+      [](BytesView bytes) -> Result<std::string> {
+        auto value = decode<T>(bytes);
+        if (!value.ok()) return value.error();
+        std::ostringstream os;
+        FieldPrinter printer(os);
+        T::fields(printer, value.value());
+        return os.str();
+      }};
+}
+
+const JournalCodec* codec_for(const zvm::ImageID& image) {
+  for (const JournalCodec& c : journal_codecs()) {
+    for (const zvm::ImageID& id : c.images) {
+      if (id == image) return &c;
+    }
+  }
   return nullptr;
 }
 
-std::string short_hex(const crypto::Digest32& d) {
-  return d.hex().substr(0, 16) + "…";
-}
-
-void describe_journal(std::ostringstream& os, const zvm::Receipt& receipt) {
-  const char* name = image_name(receipt.claim.image_id);
-  if (name == nullptr) {
-    os << "  journal: " << receipt.journal.size()
-       << " bytes (unknown image; not decoded)\n";
-    return;
-  }
-  const std::string kind = name;
-  if (kind == "zkt.guest.aggregate" ||
-      kind == "zkt.guest.aggregate_incremental") {
-    auto j = AggJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  aggregation round ("
-       << (j.value().kind == RoundKind::incremental ? "incremental"
-                                                    : "full rebuild")
-       << "):\n"
-       << "    prev root    " << short_hex(j.value().prev_root)
-       << (j.value().has_prev ? "" : " (genesis)") << "\n"
-       << "    new root     " << short_hex(j.value().new_root) << "\n"
-       << "    entries      " << j.value().prev_entry_count << " -> "
-       << j.value().new_entry_count << "\n"
-       << "    commitments  " << j.value().commitments.size() << " batch(es)";
-    for (const auto& c : j.value().commitments) {
-      os << "\n      router " << c.router_id << " window " << c.window_id
-         << ": " << c.record_count << " records, H=" << short_hex(c.rlog_hash);
-    }
-    os << "\n    updates      " << j.value().update_count << " entr"
-       << (j.value().update_count == 1 ? "y" : "ies") << " (digest "
-       << short_hex(j.value().updates_digest) << ")\n";
-    if (j.value().kind == RoundKind::incremental) {
-      os << "    delta shape  " << j.value().touched_entries
-         << " opened entr"
-         << (j.value().touched_entries == 1 ? "y" : "ies") << ", "
-         << j.value().multiproof_siblings << " multiproof sibling(s)\n";
-    }
-    if (j.value().has_sketch) {
-      os << "    sketch       " << short_hex(j.value().prev_sketch_digest)
-         << " -> " << short_hex(j.value().sketch_digest) << " ("
-         << j.value().sketch_params.cm.width << "x"
-         << j.value().sketch_params.cm.depth << ", heavy cap "
-         << j.value().sketch_params.heavy_capacity << ", "
-         << j.value().sketch_total << " updates)\n";
-    }
-  } else if (kind == "zkt.guest.query" ||
-             kind == "zkt.guest.query_selective") {
-    auto j = QueryJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  query ("
-       << (j.value().mode == QueryMode::complete ? "complete scan"
-                                                 : "selective")
-       << "):\n"
-       << "    " << j.value().query.to_string() << "\n"
-       << "    against root " << short_hex(j.value().agg_root) << " ("
-       << j.value().entry_count << " entries)\n"
-       << "    result: " << j.value().result.value(j.value().query.agg)
-       << "  [matched " << j.value().result.matched << ", scanned "
-       << j.value().result.scanned << "]\n";
-  } else if (kind == "zkt.guest.query_grouped") {
-    auto j = GroupedQueryJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  grouped query:\n    " << j.value().query.to_string()
-       << " GROUP BY " << qfield_name(j.value().group_field) << "\n"
-       << "    " << j.value().groups.size() << " group(s):\n";
-    for (const auto& g : j.value().groups) {
-      os << "      " << qfield_name(j.value().group_field) << "="
-         << g.group_value << " -> "
-         << g.stats.value(j.value().query.agg) << " (" << g.stats.matched
-         << " flows)\n";
-    }
-  } else if (kind == "zkt.guest.shard_split") {
-    auto j = SplitJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  shard split: router " << j.value().source.router_id
-       << " window " << j.value().source.window_id << " ("
-       << j.value().source.record_count << " records) -> "
-       << j.value().shard_count << " shards\n";
-  } else if (kind == "zkt.guest.chain_summary") {
-    auto j = ChainSummaryJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  epoch seal: " << j.value().rounds << " round(s)"
-       << (j.value().genesis ? " from genesis" : " mid-chain") << ", "
-       << j.value().commitment_count << " commitment(s)\n"
-       << "    span  " << short_hex(j.value().first_claim_digest) << " -> "
-       << short_hex(j.value().final_claim_digest) << "\n"
-       << "    final root " << short_hex(j.value().final_root) << " ("
-       << j.value().final_entry_count << " entries)\n"
-       << "    commitment chain "
-       << short_hex(j.value().first_commitments_digest) << " -> "
-       << short_hex(j.value().final_commitments_digest) << "\n";
-    if (j.value().has_sketch) {
-      os << "    sketch chain " << short_hex(j.value().first_sketch_digest)
-         << " -> " << short_hex(j.value().final_sketch_digest) << " ("
-         << j.value().final_sketch_total << " updates)\n";
-    }
-  } else if (kind == "zkt.guest.join") {
-    auto j = JoinJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  join tree: height " << j.value().height << ", "
-       << j.value().leaf_count << " leaf (shard) chain(s), "
-       << j.value().total_entries << " entries\n"
-       << "    fold digest  " << short_hex(j.value().fold_digest) << "\n";
-    if (j.value().has_sketch) {
-      os << "    round sketch " << short_hex(j.value().sketch_digest) << " ("
-         << j.value().sketch_params.cm.width << "x"
-         << j.value().sketch_params.cm.depth << ", heavy cap "
-         << j.value().sketch_params.heavy_capacity << ", "
-         << j.value().sketch_total << " updates)\n";
-    }
-  } else if (kind == "zkt.guest.sketch_heavy") {
-    auto j = SketchHeavyJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  sketch heavy hitters: threshold " << j.value().threshold
-       << " over " << j.value().total << " updates (sketch "
-       << short_hex(j.value().sketch_digest) << ", round claim "
-       << short_hex(j.value().agg_claim_digest) << ")\n"
-       << "    " << j.value().hits.size() << " hit(s):\n";
-    for (const auto& hit : j.value().hits) {
-      os << "      " << hit.key.to_string() << " count " << hit.count
-         << " (err<=" << hit.error << ", cms " << hit.cms_estimate << ")\n";
-    }
-  } else if (kind == "zkt.guest.sketch_card") {
-    auto j = SketchCardinalityJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  sketch cardinality: " << j.value().distinct_flows
-       << " distinct flow(s), CMS lower bound "
-       << j.value().cms_lower_bound << " (sketch "
-       << short_hex(j.value().sketch_digest) << ", round claim "
-       << short_hex(j.value().agg_claim_digest) << ")\n";
-  } else if (kind == "zkt.guest.histogram_query") {
-    auto j = HistogramQueryJournal::parse(receipt.journal);
-    if (!j.ok()) {
-      os << "  journal: MALFORMED (" << j.error().to_string() << ")\n";
-      return;
-    }
-    os << "  histogram quantile bound: " << j.value().count_below << " of "
-       << j.value().total << " samples < " << j.value().bound_us << " us ("
-       << 100.0 * fraction_below(j.value()) << "%)\n";
-  }
+std::string image_name(const zvm::ImageID& image) {
+  journal_codecs();  // registers the guests by name
+  const zvm::Image* found = zvm::ImageRegistry::instance().find(image);
+  return found != nullptr ? found->name : "unknown-image";
 }
 
 }  // namespace
 
+std::span<const JournalCodec> journal_codecs() {
+  static const std::vector<JournalCodec> codecs = [] {
+    const GuestImages& guests = guest_images();
+    return std::vector<JournalCodec>{
+        codec<AggJournal>("AGG1/AGGI",
+                          {guests.aggregate, guests.aggregate_incremental}),
+        codec<QueryJournal>("QRY1", {guests.query, guests.query_selective}),
+        codec<GroupedQueryJournal>("GQRY1", {grouped_query_image()}),
+        codec<HistogramQueryJournal>("HQRY1", {histogram_query_image()}),
+        codec<SketchHeavyJournal>("SKHH", {sketch_heavy_image()}),
+        codec<SketchCardinalityJournal>("SKCD", {sketch_card_image()}),
+        codec<SplitJournal>("SPLIT1", {shard_split_image()}),
+        codec<JoinJournal>("JOIN1", {join_image()}),
+        codec<ChainSummaryJournal>("EPOCH1", {chain_summary_image()}),
+        codec<EpochSeal>("EPSEAL1", {}),
+    };
+  }();
+  return codecs;
+}
+
 std::string summarize_receipt(const zvm::Receipt& receipt) {
   std::ostringstream os;
-  const char* name = image_name(receipt.claim.image_id);
-  os << (name != nullptr ? name : "unknown-image") << ", "
+  os << image_name(receipt.claim.image_id) << ", "
      << receipt.claim.cycle_count << " cycles, journal "
      << receipt.journal.size() << " B, "
      << (receipt.seal_kind == zvm::SealKind::succinct ? "succinct"
@@ -223,9 +165,9 @@ std::string summarize_receipt(const zvm::Receipt& receipt) {
 std::string describe_receipt(const zvm::Receipt& receipt) {
   std::ostringstream os;
   os << summarize_receipt(receipt) << "\n";
-  os << "  claim " << short_hex(receipt.claim.digest()) << ", input "
-     << short_hex(receipt.claim.input_digest) << ", journal "
-     << short_hex(receipt.claim.journal_digest) << "\n";
+  os << "  claim " << short_hex(receipt.claim.digest().view()) << ", input "
+     << short_hex(receipt.claim.input_digest.view()) << ", journal "
+     << short_hex(receipt.claim.journal_digest.view()) << "\n";
   if (!receipt.claim.assumptions.empty()) {
     os << "  assumptions: " << receipt.claim.assumptions.size()
        << " inner claim(s)\n";
@@ -241,7 +183,18 @@ std::string describe_receipt(const zvm::Receipt& receipt) {
     }
     os << ")\n";
   }
-  describe_journal(os, receipt);
+  const JournalCodec* codec = codec_for(receipt.claim.image_id);
+  if (codec == nullptr) {
+    os << "  journal: " << receipt.journal.size()
+       << " bytes (unknown image; not decoded)\n";
+    return os.str();
+  }
+  auto fields = codec->describe(receipt.journal);
+  if (!fields.ok()) {
+    os << "  journal: MALFORMED (" << fields.error().to_string() << ")\n";
+    return os.str();
+  }
+  os << "  journal:\n" << fields.value();
   return os.str();
 }
 

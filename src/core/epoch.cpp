@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/thread_pool.h"
 #include "core/io.h"
 #include "obs/metrics.h"
 #include "zvm/verifier.h"
@@ -10,7 +11,6 @@ namespace zkt::core {
 
 namespace {
 
-constexpr std::string_view kEpochSealMagic = "EPSEAL1";
 constexpr std::string_view kEpochFileMagic = "ZKTEPCH1";
 /// Item cap of an epoch-seal file. A ladder holds one seal per set bit of
 /// its round count, so a real file holds at most 64.
@@ -41,72 +41,6 @@ ChainSpan span_of(const ChainSummaryJournal& journal) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// EpochSeal serialization
-
-Bytes EpochSeal::to_bytes() const {
-  Writer w;
-  w.str(kEpochSealMagic);
-  w.u32v(level);
-  w.u64v(start_round);
-  w.u64v(rounds);
-  w.u64v(first_window);
-  w.u64v(last_window);
-  w.blob(receipt.to_bytes());
-  w.varint(commitments.size());
-  for (const auto& ref : commitments) write_commitment_ref(w, ref);
-  return std::move(w).take();
-}
-
-Result<EpochSeal> EpochSeal::from_bytes(BytesView data) {
-  Reader r(data);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != kEpochSealMagic) {
-    return Error{Errc::parse_error, "bad epoch seal magic"};
-  }
-  EpochSeal seal;
-  auto level = r.u32v();
-  if (!level.ok()) return level.error();
-  seal.level = level.value();
-  auto start = r.u64v();
-  if (!start.ok()) return start.error();
-  seal.start_round = start.value();
-  auto rounds = r.u64v();
-  if (!rounds.ok()) return rounds.error();
-  seal.rounds = rounds.value();
-  auto first_window = r.u64v();
-  if (!first_window.ok()) return first_window.error();
-  seal.first_window = first_window.value();
-  auto last_window = r.u64v();
-  if (!last_window.ok()) return last_window.error();
-  seal.last_window = last_window.value();
-  auto receipt_bytes = r.blob();
-  if (!receipt_bytes.ok()) return receipt_bytes.error();
-  auto receipt = zvm::Receipt::from_bytes(receipt_bytes.value());
-  if (!receipt.ok()) return receipt.error();
-  seal.receipt = std::move(receipt.value());
-  auto journal = ChainSummaryJournal::parse(seal.receipt.journal);
-  if (!journal.ok()) return journal.error();
-  seal.journal = journal.value();
-  auto n = r.varint();
-  if (!n.ok()) return n.error();
-  if (n.value() != seal.journal.commitment_count) {
-    return Error{Errc::parse_error,
-                 "epoch seal ref count disagrees with its journal"};
-  }
-  seal.commitments.reserve(n.value());
-  for (u64 i = 0; i < n.value(); ++i) {
-    auto ref = parse_commitment_ref(r);
-    if (!ref.ok()) return ref.error();
-    seal.commitments.push_back(ref.value());
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing epoch seal bytes"};
-  }
-  return seal;
-}
 
 // ---------------------------------------------------------------------------
 // Ladder plan + recovery validation
@@ -215,8 +149,6 @@ Status validate_recovered_seal(const EpochSeal& seal,
 
 EpochLadder::EpochLadder(EpochLadderOptions options)
     : options_(std::move(options)),
-      pool_(options_.pool != nullptr ? options_.pool
-                                     : &common::ThreadPool::shared()),
       actor_commitments_digest_(epoch_commitments_init()) {
   if (options_.epoch_every == 0) options_.epoch_every = 1;
   // Succinct seals are load-bearing: constant size, O(1) verify, and the
@@ -254,7 +186,9 @@ Status EpochLadder::feed(const zvm::Receipt& receipt, u64 window) {
       dispatch = true;
     }
   }
-  if (dispatch) pool_->submit([this] { drain_units(); });
+  if (dispatch) {
+    common::ThreadPool::shared().submit([this] { drain_units(); });
+  }
   return {};
 }
 

@@ -11,8 +11,8 @@
 // seal and then merged with its left neighbour while the two tails have
 // equal levels (the binary-counter carry), so the amortized cost is O(1)
 // summary proofs per round and no seal is ever proven from more than two
-// children. All ladder proving runs asynchronously on a common::ThreadPool
-// so window proving never waits on a seal.
+// children. All ladder proving runs asynchronously on the shared
+// common::ThreadPool so window proving never waits on a seal.
 //
 // Seals are proven with SUCCINCT receipts: constant 256-byte seal, O(1)
 // verification, and the merge guest still binds them as assumptions — which
@@ -24,7 +24,6 @@
 #include <deque>
 #include <mutex>
 
-#include "common/thread_pool.h"
 #include "core/chain_summary.h"
 
 namespace zkt::core {
@@ -44,8 +43,30 @@ struct EpochSeal {
   /// from journal.first_commitments_digest to final_commitments_digest.
   std::vector<CommitmentRef> commitments;
 
-  Bytes to_bytes() const;
-  static Result<EpochSeal> from_bytes(BytesView data);
+  /// The EPSEAL1 layout (common/codec.h): the journal is parsed from the
+  /// receipt and must count exactly the refs that follow.
+  template <class V, class Self>
+  static void fields(V& v, Self& seal) {
+    v.magic("EPSEAL1");
+    v.field("level", seal.level);
+    v.field("start_round", seal.start_round);
+    v.field("rounds", seal.rounds);
+    v.field("first_window", seal.first_window);
+    v.field("last_window", seal.last_window);
+    v.blob("receipt", seal.receipt);
+    v.derived(seal.journal, seal.receipt.journal);
+    v.list("commitments", seal.commitments, seal.journal.commitment_count);
+    v.check(seal.commitments.size() == seal.journal.commitment_count,
+            "epoch seal ref count disagrees with its journal");
+  }
+  Bytes to_bytes() const {
+    Writer w;
+    encode(w, *this);
+    return std::move(w).take();
+  }
+  static Result<EpochSeal> from_bytes(BytesView data) {
+    return decode<EpochSeal>(data);
+  }
 };
 
 /// One span of the expected live ladder (epoch_ladder_plan output).
@@ -80,9 +101,6 @@ struct EpochLadderOptions {
   /// Proving options for seal proofs. seal_kind is forced to succinct and
   /// assumptions are managed internally — see the header comment.
   zvm::ProveOptions prove_options;
-  /// Worker pool for the asynchronous ladder proving; nullptr uses
-  /// common::ThreadPool::shared().
-  common::ThreadPool* pool = nullptr;
 };
 
 /// The provider-side ladder builder. feed() is called once per completed
@@ -139,7 +157,6 @@ class EpochLadder {
   Status build_unit(PendingUnit unit);
 
   EpochLadderOptions options_;
-  common::ThreadPool* pool_;
 
   mutable std::mutex mu_;
   std::condition_variable idle_;

@@ -71,69 +71,6 @@ Status grouped_query_guest(Env& env) {
 
 }  // namespace
 
-void GroupedQueryJournal::write(Writer& w) const {
-  w.str("GQRY1");
-  w.fixed(agg_claim_digest.bytes);
-  w.fixed(agg_root.bytes);
-  w.u64v(entry_count);
-  w.blob(query.to_bytes());
-  w.u8v(static_cast<u8>(group_field));
-  w.varint(groups.size());
-  for (const auto& g : groups) {
-    w.u64v(g.group_value);
-    w.u64v(g.stats.matched);
-    w.u64v(g.stats.scanned);
-    w.u64v(g.stats.sum);
-    w.u64v(g.stats.min);
-    w.u64v(g.stats.max);
-  }
-}
-
-Result<GroupedQueryJournal> GroupedQueryJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "GQRY1") {
-    return Error{Errc::parse_error, "bad grouped query journal magic"};
-  }
-  GroupedQueryJournal j;
-  ZKT_TRY(r.fixed(j.agg_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.agg_root.bytes));
-  auto ec = r.u64v();
-  if (!ec.ok()) return ec.error();
-  j.entry_count = ec.value();
-  auto qb = r.blob();
-  if (!qb.ok()) return qb.error();
-  auto q = Query::from_bytes(qb.value());
-  if (!q.ok()) return q.error();
-  j.query = std::move(q.value());
-  auto gf = r.u8v();
-  if (!gf.ok()) return gf.error();
-  if (gf.value() < 1 || gf.value() > static_cast<u8>(QField::jitter_avg_us)) {
-    return Error{Errc::parse_error, "bad group field"};
-  }
-  j.group_field = static_cast<QField>(gf.value());
-  auto n = r.varint();
-  if (!n.ok()) return n.error();
-  if (n.value() > (1u << 24)) {
-    return Error{Errc::parse_error, "too many groups"};
-  }
-  j.groups.resize(n.value());
-  for (auto& g : j.groups) {
-    u64* fields[] = {&g.group_value,  &g.stats.matched, &g.stats.scanned,
-                     &g.stats.sum,    &g.stats.min,     &g.stats.max};
-    for (u64* f : fields) {
-      auto v = r.u64v();
-      if (!v.ok()) return v.error();
-      *f = v.value();
-    }
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing grouped query journal"};
-  }
-  return j;
-}
-
 zvm::ImageID grouped_query_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.query_grouped", 1, grouped_query_guest);

@@ -19,6 +19,12 @@ struct GroupEntry {
   QueryResult stats;    ///< aggregates over entries in this group
 
   friend bool operator==(const GroupEntry&, const GroupEntry&) = default;
+
+  template <class V, class Self>
+  static void fields(V& v, Self& g) {
+    v.field("group_value", g.group_value);
+    v.field("stats", g.stats);
+  }
 };
 
 struct GroupedQueryJournal {
@@ -30,8 +36,24 @@ struct GroupedQueryJournal {
   /// Groups with at least one matching entry, ascending by group value.
   std::vector<GroupEntry> groups;
 
-  void write(Writer& w) const;
-  static Result<GroupedQueryJournal> parse(BytesView journal);
+  /// The GQRY1 layout (common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("GQRY1");
+    v.field("agg_claim_digest", j.agg_claim_digest.bytes);
+    v.field("agg_root", j.agg_root.bytes);
+    v.field("entry_count", j.entry_count);
+    v.blob("query", j.query);
+    v.field("group_field", j.group_field);
+    v.check(j.group_field >= QField::src_ip &&
+                j.group_field <= QField::jitter_avg_us,
+            "bad group field");
+    v.list("groups", j.groups, u64{1} << 24);
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<GroupedQueryJournal> parse(BytesView journal) {
+    return decode<GroupedQueryJournal>(journal);
+  }
 };
 
 zvm::ImageID grouped_query_image();

@@ -273,190 +273,11 @@ Digest32 merkle_root_traced(zvm::Env& env, std::vector<Digest32> leaves) {
 // Journal schemas
 
 void write_commitment_ref(Writer& w, const CommitmentRef& ref) {
-  w.u8v(static_cast<u8>(ref.kind));
-  w.u32v(ref.router_id);
-  w.u64v(ref.window_id);
-  w.fixed(ref.rlog_hash.bytes);
-  w.u64v(ref.record_count);
+  encode(w, ref);
 }
 
 Result<CommitmentRef> parse_commitment_ref(Reader& r) {
-  CommitmentRef ref;
-  auto kind = r.u8v();
-  if (!kind.ok()) return kind.error();
-  if (kind.value() != static_cast<u8>(CommitmentKind::rlog)) {
-    return Error{Errc::parse_error, "unknown commitment kind"};
-  }
-  ref.kind = CommitmentKind::rlog;
-  auto rid = r.u32v();
-  if (!rid.ok()) return rid.error();
-  ref.router_id = rid.value();
-  auto wid = r.u64v();
-  if (!wid.ok()) return wid.error();
-  ref.window_id = wid.value();
-  ZKT_TRY(r.fixed(ref.rlog_hash.bytes));
-  auto rc = r.u64v();
-  if (!rc.ok()) return rc.error();
-  ref.record_count = rc.value();
-  return ref;
-}
-
-void AggJournal::write(Writer& w) const {
-  w.str(kind == RoundKind::incremental ? "AGGI" : "AGG1");
-  w.u8v(has_prev ? 1 : 0);
-  w.fixed(prev_claim_digest.bytes);
-  w.fixed(prev_root.bytes);
-  w.fixed(new_root.bytes);
-  w.u64v(prev_entry_count);
-  w.u64v(new_entry_count);
-  w.varint(commitments.size());
-  for (const auto& c : commitments) {
-    write_commitment_ref(w, c);
-  }
-  w.u64v(update_count);
-  w.fixed(updates_digest.bytes);
-  if (kind == RoundKind::incremental) {
-    w.u64v(touched_entries);
-    w.u64v(multiproof_siblings);
-  }
-  w.u8v(has_sketch ? 1 : 0);
-  if (has_sketch) {
-    w.u32v(sketch_params.cm.width);
-    w.u32v(sketch_params.cm.depth);
-    w.u64v(sketch_params.cm.seed);
-    w.u32v(sketch_params.heavy_capacity);
-    w.fixed(prev_sketch_digest.bytes);
-    w.fixed(sketch_digest.bytes);
-    w.u64v(sketch_total);
-  }
-}
-
-Result<AggJournal> AggJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "AGG1" && magic.value() != "AGGI") {
-    return Error{Errc::parse_error, "bad aggregation journal magic"};
-  }
-  AggJournal j;
-  j.kind = magic.value() == "AGGI" ? RoundKind::incremental : RoundKind::full;
-  auto hp = r.u8v();
-  if (!hp.ok()) return hp.error();
-  j.has_prev = hp.value() != 0;
-  ZKT_TRY(r.fixed(j.prev_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.prev_root.bytes));
-  ZKT_TRY(r.fixed(j.new_root.bytes));
-  auto pec = r.u64v();
-  if (!pec.ok()) return pec.error();
-  j.prev_entry_count = pec.value();
-  auto nec = r.u64v();
-  if (!nec.ok()) return nec.error();
-  j.new_entry_count = nec.value();
-  auto nc = r.varint();
-  if (!nc.ok()) return nc.error();
-  if (nc.value() > (1u << 20)) {
-    return Error{Errc::parse_error, "too many commitments"};
-  }
-  j.commitments.resize(nc.value());
-  for (auto& c : j.commitments) {
-    auto ref = parse_commitment_ref(r);
-    if (!ref.ok()) return ref.error();
-    c = ref.value();
-  }
-  auto nu = r.u64v();
-  if (!nu.ok()) return nu.error();
-  j.update_count = nu.value();
-  ZKT_TRY(r.fixed(j.updates_digest.bytes));
-  if (j.kind == RoundKind::incremental) {
-    auto te = r.u64v();
-    if (!te.ok()) return te.error();
-    j.touched_entries = te.value();
-    auto ms = r.u64v();
-    if (!ms.ok()) return ms.error();
-    j.multiproof_siblings = ms.value();
-  }
-  auto hs = r.u8v();
-  if (!hs.ok()) return hs.error();
-  if (hs.value() > 1) {
-    return Error{Errc::parse_error, "bad sketch flag"};
-  }
-  j.has_sketch = hs.value() != 0;
-  if (j.has_sketch) {
-    auto width = r.u32v();
-    if (!width.ok()) return width.error();
-    j.sketch_params.cm.width = width.value();
-    auto depth = r.u32v();
-    if (!depth.ok()) return depth.error();
-    j.sketch_params.cm.depth = depth.value();
-    auto seed = r.u64v();
-    if (!seed.ok()) return seed.error();
-    j.sketch_params.cm.seed = seed.value();
-    auto cap = r.u32v();
-    if (!cap.ok()) return cap.error();
-    j.sketch_params.heavy_capacity = cap.value();
-    if (j.sketch_params.cm.width == 0 || j.sketch_params.cm.depth == 0 ||
-        j.sketch_params.heavy_capacity == 0) {
-      return Error{Errc::parse_error, "degenerate sketch params"};
-    }
-    ZKT_TRY(r.fixed(j.prev_sketch_digest.bytes));
-    ZKT_TRY(r.fixed(j.sketch_digest.bytes));
-    auto st = r.u64v();
-    if (!st.ok()) return st.error();
-    j.sketch_total = st.value();
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing aggregation journal bytes"};
-  }
-  return j;
-}
-
-void QueryJournal::write(Writer& w) const {
-  w.str("QRY1");
-  w.u8v(static_cast<u8>(mode));
-  w.fixed(agg_claim_digest.bytes);
-  w.fixed(agg_root.bytes);
-  w.u64v(entry_count);
-  w.blob(query.to_bytes());
-  w.u64v(result.matched);
-  w.u64v(result.scanned);
-  w.u64v(result.sum);
-  w.u64v(result.min);
-  w.u64v(result.max);
-}
-
-Result<QueryJournal> QueryJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "QRY1") {
-    return Error{Errc::parse_error, "bad query journal magic"};
-  }
-  QueryJournal j;
-  auto mode = r.u8v();
-  if (!mode.ok()) return mode.error();
-  if (mode.value() > 1) return Error{Errc::parse_error, "bad query mode"};
-  j.mode = static_cast<QueryMode>(mode.value());
-  ZKT_TRY(r.fixed(j.agg_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.agg_root.bytes));
-  auto ec = r.u64v();
-  if (!ec.ok()) return ec.error();
-  j.entry_count = ec.value();
-  auto qb = r.blob();
-  if (!qb.ok()) return qb.error();
-  auto q = Query::from_bytes(qb.value());
-  if (!q.ok()) return q.error();
-  j.query = std::move(q.value());
-  u64* fields[] = {&j.result.matched, &j.result.scanned, &j.result.sum,
-                   &j.result.min, &j.result.max};
-  for (u64* f : fields) {
-    auto v = r.u64v();
-    if (!v.ok()) return v.error();
-    *f = v.value();
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing query journal bytes"};
-  }
-  return j;
+  return decode<CommitmentRef>(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -815,7 +636,7 @@ Result<ReceiptBinding> bind_receipt(Env& env,
   if (!journal_bytes.ok()) return journal_bytes.error();
   const Digest32 jd = env.sha256(journal_bytes.value());
   ZKT_TRY(env.assert_eq(jd, claim.journal_digest, "child journal vs claim"));
-  binding.journal = std::move(journal_bytes.value());
+  binding.journal = journal_bytes.value();
   return binding;
 }
 

@@ -29,6 +29,7 @@
 
 #include <optional>
 
+#include "common/codec.h"
 #include "core/clog.h"
 #include "core/query.h"
 #include "netflow/sketch.h"
@@ -83,14 +84,34 @@ struct CommitmentRef {
   CommitmentKind kind = CommitmentKind::rlog;
 
   friend bool operator==(const CommitmentRef&, const CommitmentRef&) = default;
+
+  /// Canonical serialized form, kind tag first. Every journal that embeds
+  /// commitment references uses it (AGG1/AGGI, JOIN1, EPSEAL1; EPOCH1
+  /// hashes them into its commitments digest); any tag other than rlog is
+  /// parse_error "unknown commitment kind".
+  template <class V, class Self>
+  static void fields(V& v, Self& ref) {
+    v.field("kind", ref.kind);
+    v.check(ref.kind == CommitmentKind::rlog, "unknown commitment kind");
+    untagged_fields(v, ref);
+  }
+  /// The form without the tag, which SPLIT1's source and HQRY1's
+  /// commitment keep.
+  template <class V, class Self>
+  static void untagged_fields(V& v, Self& ref) {
+    v.field("router_id", ref.router_id);
+    v.field("window_id", ref.window_id);
+    v.field("rlog_hash", ref.rlog_hash.bytes);
+    v.field("record_count", ref.record_count);
+  }
 };
 
-/// Canonical serialized form of a CommitmentRef, kind tag included. Every
-/// journal that embeds commitment references uses these (AGG1/AGGI, JOIN1,
-/// EPSEAL1; EPOCH1 hashes them into its commitments digest); parse rejects
-/// any tag other than rlog with parse_error "unknown commitment kind".
+/// The tagged form of one CommitmentRef (CommitmentRef::fields).
 void write_commitment_ref(Writer& w, const CommitmentRef& ref);
 Result<CommitmentRef> parse_commitment_ref(Reader& r);
+
+/// Most commitment references one journal list may hold.
+inline constexpr u64 kMaxJournalCommitments = u64{1} << 20;
 
 /// One CLog entry touched by a round (public part: index + new leaf digest).
 struct UpdateRef {
@@ -137,8 +158,36 @@ struct AggJournal {
   Digest32 sketch_digest;       ///< hash of the round's folded sketch bytes
   u64 sketch_total = 0;         ///< folded sketch total after this round
 
-  void write(Writer& w) const;
-  static Result<AggJournal> parse(BytesView journal);
+  /// The AGG1/AGGI layout (common/codec.h); the magic names the kind.
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    static constexpr std::string_view kMagic[] = {"AGG1", "AGGI"};
+    v.magic(j.kind, kMagic);
+    v.field("has_prev", j.has_prev);
+    v.field("prev_claim_digest", j.prev_claim_digest.bytes);
+    v.field("prev_root", j.prev_root.bytes);
+    v.field("new_root", j.new_root.bytes);
+    v.field("prev_entry_count", j.prev_entry_count);
+    v.field("new_entry_count", j.new_entry_count);
+    v.list("commitments", j.commitments, kMaxJournalCommitments);
+    v.field("update_count", j.update_count);
+    v.field("updates_digest", j.updates_digest.bytes);
+    if (j.kind == RoundKind::incremental) {
+      v.field("touched_entries", j.touched_entries);
+      v.field("multiproof_siblings", j.multiproof_siblings);
+    }
+    v.field("has_sketch", j.has_sketch);
+    if (j.has_sketch) {
+      v.field("sketch_params", j.sketch_params);
+      v.field("prev_sketch_digest", j.prev_sketch_digest.bytes);
+      v.field("sketch_digest", j.sketch_digest.bytes);
+      v.field("sketch_total", j.sketch_total);
+    }
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<AggJournal> parse(BytesView journal) {
+    return decode<AggJournal>(journal);
+  }
 };
 
 /// Host-side input to the full-rebuild aggregation guest.
@@ -219,8 +268,22 @@ struct QueryJournal {
   Query query;
   QueryResult result;
 
-  void write(Writer& w) const;
-  static Result<QueryJournal> parse(BytesView journal);
+  /// The QRY1 layout (common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("QRY1");
+    v.field("mode", j.mode);
+    v.check(j.mode <= QueryMode::selective, "bad query mode");
+    v.field("agg_claim_digest", j.agg_claim_digest.bytes);
+    v.field("agg_root", j.agg_root.bytes);
+    v.field("entry_count", j.entry_count);
+    v.blob("query", j.query);
+    v.field("result", j.result);
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<QueryJournal> parse(BytesView journal) {
+    return decode<QueryJournal>(journal);
+  }
 };
 
 /// The entries section of the complete-scan, grouped and full-rebuild
@@ -296,11 +359,11 @@ Digest32 merkle_root_traced(zvm::Env& env, std::vector<Digest32> leaves);
 namespace detail {
 /// One child receipt bound inside a recursive guest: its claim (read from
 /// the input stream in Claim::serialize framing), the traced claim digest,
-/// and the authenticated journal bytes.
+/// and the authenticated journal bytes (a view into the guest input).
 struct ReceiptBinding {
   zvm::Claim claim;
   Digest32 claim_digest;
-  Bytes journal;
+  BytesView journal;
 };
 
 /// Shared head of every receipt-consuming guest (queries, chain summaries,

@@ -73,45 +73,6 @@ Status histogram_query_guest(Env& env) {
 
 }  // namespace
 
-void HistogramQueryJournal::write(Writer& w) const {
-  w.str("HQRY1");
-  w.u32v(commitment.router_id);
-  w.u64v(commitment.window_id);
-  w.fixed(commitment.rlog_hash.bytes);
-  w.u64v(commitment.record_count);
-  w.u64v(bound_us);
-  w.u64v(count_below);
-  w.u64v(total);
-}
-
-Result<HistogramQueryJournal> HistogramQueryJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "HQRY1") {
-    return Error{Errc::parse_error, "bad histogram query journal magic"};
-  }
-  HistogramQueryJournal j;
-  auto rid = r.u32v();
-  if (!rid.ok()) return rid.error();
-  j.commitment.router_id = rid.value();
-  auto wid = r.u64v();
-  if (!wid.ok()) return wid.error();
-  j.commitment.window_id = wid.value();
-  ZKT_TRY(r.fixed(j.commitment.rlog_hash.bytes));
-  u64* fields[] = {&j.commitment.record_count, &j.bound_us, &j.count_below,
-                   &j.total};
-  for (u64* f : fields) {
-    auto v = r.u64v();
-    if (!v.ok()) return v.error();
-    *f = v.value();
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing histogram query journal"};
-  }
-  return j;
-}
-
 zvm::ImageID histogram_query_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.histogram_query", 1, histogram_query_guest);

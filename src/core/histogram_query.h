@@ -28,8 +28,19 @@ struct HistogramQueryJournal {
   // core/describe.h as free function fraction_below() — this header is
   // guest-reachable and must stay float-free (rule guest-determinism).
 
-  void write(Writer& w) const;
-  static Result<HistogramQueryJournal> parse(BytesView journal);
+  /// The HQRY1 layout (common/codec.h): the commitment without its tag.
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("HQRY1");
+    CommitmentRef::untagged_fields(v, j.commitment);
+    v.field("bound_us", j.bound_us);
+    v.field("count_below", j.count_below);
+    v.field("total", j.total);
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<HistogramQueryJournal> parse(BytesView journal) {
+    return decode<HistogramQueryJournal>(journal);
+  }
 };
 
 zvm::ImageID histogram_query_image();

@@ -172,137 +172,6 @@ Status join_guest(Env& env) {
 
 }  // namespace
 
-void JoinJournal::write(Writer& w) const {
-  w.str("JOIN1");
-  w.u32v(height);
-  w.u64v(leaf_count);
-  w.u64v(total_entries);
-  w.fixed(fold_digest.bytes);
-  w.varint(links.size());
-  for (const auto& link : links) {
-    w.fixed(link.claim_digest.bytes);
-    w.u8v(link.has_prev ? 1 : 0);
-    w.fixed(link.prev_claim_digest.bytes);
-    w.fixed(link.prev_root.bytes);
-    w.fixed(link.new_root.bytes);
-    w.u64v(link.prev_entry_count);
-    w.u64v(link.new_entry_count);
-    w.varint(link.commitments.size());
-    for (const auto& c : link.commitments) write_commitment_ref(w, c);
-    w.u8v(link.has_sketch ? 1 : 0);
-    if (link.has_sketch) {
-      w.fixed(link.prev_sketch_digest.bytes);
-      w.fixed(link.sketch_digest.bytes);
-    }
-  }
-  w.u8v(has_sketch ? 1 : 0);
-  if (has_sketch) {
-    w.u32v(sketch_params.cm.width);
-    w.u32v(sketch_params.cm.depth);
-    w.u64v(sketch_params.cm.seed);
-    w.u32v(sketch_params.heavy_capacity);
-    w.fixed(sketch_digest.bytes);
-    w.u64v(sketch_total);
-  }
-}
-
-Result<JoinJournal> JoinJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "JOIN1") {
-    return Error{Errc::parse_error, "bad join journal magic"};
-  }
-  JoinJournal j;
-  auto height = r.u32v();
-  if (!height.ok()) return height.error();
-  j.height = height.value();
-  auto leaves = r.u64v();
-  if (!leaves.ok()) return leaves.error();
-  j.leaf_count = leaves.value();
-  auto entries = r.u64v();
-  if (!entries.ok()) return entries.error();
-  j.total_entries = entries.value();
-  ZKT_TRY(r.fixed(j.fold_digest.bytes));
-  auto n = r.varint();
-  if (!n.ok()) return n.error();
-  if (n.value() != j.leaf_count || n.value() > (1u << 20)) {
-    return Error{Errc::parse_error, "join link count mismatch"};
-  }
-  j.links.resize(n.value());
-  for (auto& link : j.links) {
-    ZKT_TRY(r.fixed(link.claim_digest.bytes));
-    auto has_prev = r.u8v();
-    if (!has_prev.ok()) return has_prev.error();
-    if (has_prev.value() > 1) {
-      return Error{Errc::parse_error, "bad join link has_prev flag"};
-    }
-    link.has_prev = has_prev.value() == 1;
-    ZKT_TRY(r.fixed(link.prev_claim_digest.bytes));
-    ZKT_TRY(r.fixed(link.prev_root.bytes));
-    ZKT_TRY(r.fixed(link.new_root.bytes));
-    auto prev_count = r.u64v();
-    if (!prev_count.ok()) return prev_count.error();
-    link.prev_entry_count = prev_count.value();
-    auto new_count = r.u64v();
-    if (!new_count.ok()) return new_count.error();
-    link.new_entry_count = new_count.value();
-    auto nc = r.varint();
-    if (!nc.ok()) return nc.error();
-    if (nc.value() > (1u << 20)) {
-      return Error{Errc::parse_error, "too many join link commitments"};
-    }
-    link.commitments.resize(nc.value());
-    for (auto& c : link.commitments) {
-      auto parsed = parse_commitment_ref(r);
-      if (!parsed.ok()) return parsed.error();
-      c = std::move(parsed.value());
-    }
-    auto link_sketch = r.u8v();
-    if (!link_sketch.ok()) return link_sketch.error();
-    if (link_sketch.value() > 1) {
-      return Error{Errc::parse_error, "bad join link sketch flag"};
-    }
-    link.has_sketch = link_sketch.value() == 1;
-    if (link.has_sketch) {
-      ZKT_TRY(r.fixed(link.prev_sketch_digest.bytes));
-      ZKT_TRY(r.fixed(link.sketch_digest.bytes));
-    }
-  }
-  auto has_sketch = r.u8v();
-  if (!has_sketch.ok()) return has_sketch.error();
-  if (has_sketch.value() > 1) {
-    return Error{Errc::parse_error, "bad join journal sketch flag"};
-  }
-  j.has_sketch = has_sketch.value() == 1;
-  if (j.has_sketch) {
-    auto width = r.u32v();
-    if (!width.ok()) return width.error();
-    j.sketch_params.cm.width = width.value();
-    auto depth = r.u32v();
-    if (!depth.ok()) return depth.error();
-    j.sketch_params.cm.depth = depth.value();
-    auto seed = r.u64v();
-    if (!seed.ok()) return seed.error();
-    j.sketch_params.cm.seed = seed.value();
-    auto cap = r.u32v();
-    if (!cap.ok()) return cap.error();
-    j.sketch_params.heavy_capacity = cap.value();
-    if (j.sketch_params.cm.width == 0 || j.sketch_params.cm.depth == 0 ||
-        j.sketch_params.heavy_capacity == 0) {
-      return Error{Errc::parse_error, "degenerate sketch params"};
-    }
-    ZKT_TRY(r.fixed(j.sketch_digest.bytes));
-    auto total = r.u64v();
-    if (!total.ok()) return total.error();
-    j.sketch_total = total.value();
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing join journal bytes"};
-  }
-  return j;
-}
-
 zvm::ImageID join_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.join", 1, join_guest);

@@ -46,6 +46,23 @@ struct ShardLink {
   Digest32 sketch_digest;
 
   friend bool operator==(const ShardLink&, const ShardLink&) = default;
+
+  template <class V, class Self>
+  static void fields(V& v, Self& link) {
+    v.field("claim_digest", link.claim_digest.bytes);
+    v.field("has_prev", link.has_prev);
+    v.field("prev_claim_digest", link.prev_claim_digest.bytes);
+    v.field("prev_root", link.prev_root.bytes);
+    v.field("new_root", link.new_root.bytes);
+    v.field("prev_entry_count", link.prev_entry_count);
+    v.field("new_entry_count", link.new_entry_count);
+    v.list("commitments", link.commitments, kMaxJournalCommitments);
+    v.field("has_sketch", link.has_sketch);
+    if (link.has_sketch) {
+      v.field("prev_sketch_digest", link.prev_sketch_digest.bytes);
+      v.field("sketch_digest", link.sketch_digest.bytes);
+    }
+  }
 };
 
 /// Public journal of a join proof ("JOIN1" magic).
@@ -69,8 +86,27 @@ struct JoinJournal {
   Digest32 sketch_digest;  ///< hash of the merged round sketch bytes
   u64 sketch_total = 0;
 
-  void write(Writer& w) const;
-  static Result<JoinJournal> parse(BytesView journal);
+  /// The JOIN1 layout (common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("JOIN1");
+    v.field("height", j.height);
+    v.field("leaf_count", j.leaf_count);
+    v.field("total_entries", j.total_entries);
+    v.field("fold_digest", j.fold_digest.bytes);
+    v.list("links", j.links, u64{1} << 20);
+    v.check(j.links.size() == j.leaf_count, "join link count mismatch");
+    v.field("has_sketch", j.has_sketch);
+    if (j.has_sketch) {
+      v.field("sketch_params", j.sketch_params);
+      v.field("sketch_digest", j.sketch_digest.bytes);
+      v.field("sketch_total", j.sketch_total);
+    }
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<JoinJournal> parse(BytesView journal) {
+    return decode<JoinJournal>(journal);
+  }
 };
 
 /// Child kind tags in a join guest's input stream.

@@ -124,6 +124,16 @@ struct QueryResult {
   u64 value(AggKind kind) const;
 
   friend bool operator==(const QueryResult&, const QueryResult&) = default;
+
+  /// Journal layout (QRY1, GQRY1 groups; see common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& r) {
+    v.field("matched", r.matched);
+    v.field("scanned", r.scanned);
+    v.field("sum", r.sum);
+    v.field("min", r.min);
+    v.field("max", r.max);
+  }
 };
 
 /// Plain (non-proving) reference evaluator; the proof-generating guest must

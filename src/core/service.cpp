@@ -627,7 +627,7 @@ Result<QueryResponse> QueryService::run(const Query& query,
         selective ? guest_images().query_selective : guest_images().query,
         aggregation_->last_receipt(),
         [&](Writer& w) { write_query_body(w, query, options.mode); },
-        prove_options(options));
+        prove_options_);
   }
 
   metrics
@@ -668,7 +668,7 @@ Result<GroupedQueryResponse> QueryService::grouped(
   };
   return prove_on_round<GroupedQueryResponse>(
       grouped_query_image(), aggregation_->last_receipt(), write_body,
-      prove_options(options));
+      prove_options_);
 }
 
 bool QueryService::pick_sketch() const {
@@ -710,7 +710,7 @@ Result<HeavyHittersResponse> QueryService::heavy_hitters(
   if (bound_ok && pick_sketch()) {
     auto response = prove_sketch_heavy(aggregation_->last_receipt(),
                                        aggregation_->sketch(), threshold,
-                                       prove_options(options));
+                                       prove_options_);
     if (!response.ok()) {
       metrics.counter("core.sketch.query_failures").add(1);
       return response.error();
@@ -745,7 +745,7 @@ Result<CardinalityResponse> QueryService::cardinality(
   if (pick_sketch()) {
     auto response = prove_sketch_cardinality(aggregation_->last_receipt(),
                                              aggregation_->sketch(),
-                                             prove_options(options));
+                                             prove_options_);
     if (!response.ok()) {
       metrics.counter("core.sketch.query_failures").add(1);
       return response.error();

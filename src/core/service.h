@@ -282,15 +282,11 @@ struct QueryOptions {
   ///   (O(matches · log n)), but the receipt's QueryMode::selective tells
   ///   the verifier that completeness is not proven.
   QueryMode mode = QueryMode::complete;
-  /// When set, replaces the service's construction-time ProveOptions for
-  /// this call (e.g. a composite seal for one audit query).
-  std::optional<zvm::ProveOptions> prove_options_override;
 };
 
 /// Construction-time knobs for QueryService, mirroring AggregationOptions.
 struct QueryServiceOptions {
-  /// Default ProveOptions for every query; QueryOptions::
-  /// prove_options_override still wins per call.
+  /// ProveOptions for every query (e.g. composite seals for an audit).
   zvm::ProveOptions prove_options;
 };
 
@@ -351,12 +347,6 @@ class QueryService {
   /// Append the guest input after the round binding for a complete or
   /// selective query against the current state.
   void write_query_body(Writer& w, const Query& query, QueryMode mode) const;
-  /// The call's prove options: its override, else the service default.
-  const zvm::ProveOptions& prove_options(const QueryOptions& options) const {
-    return options.prove_options_override.has_value()
-               ? *options.prove_options_override
-               : prove_options_;
-  }
   /// Traced-hash cost estimate: route to the sketch guest? Shared by both
   /// sketch-backed queries (pick_incremental's twin on the query side).
   bool pick_sketch() const;

@@ -79,61 +79,6 @@ Status shard_split_guest(Env& env) {
 
 }  // namespace
 
-void SplitJournal::write(Writer& w) const {
-  w.str("SPLIT1");
-  w.u32v(source.router_id);
-  w.u64v(source.window_id);
-  w.fixed(source.rlog_hash.bytes);
-  w.u64v(source.record_count);
-  w.u32v(shard_count);
-  w.varint(shards.size());
-  for (const auto& s : shards) {
-    w.u32v(s.shard_id);
-    w.fixed(s.sub_batch_hash.bytes);
-    w.u64v(s.record_count);
-  }
-}
-
-Result<SplitJournal> SplitJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "SPLIT1") {
-    return Error{Errc::parse_error, "bad split journal magic"};
-  }
-  SplitJournal j;
-  auto rid = r.u32v();
-  if (!rid.ok()) return rid.error();
-  j.source.router_id = rid.value();
-  auto wid = r.u64v();
-  if (!wid.ok()) return wid.error();
-  j.source.window_id = wid.value();
-  ZKT_TRY(r.fixed(j.source.rlog_hash.bytes));
-  auto rcount = r.u64v();
-  if (!rcount.ok()) return rcount.error();
-  j.source.record_count = rcount.value();
-  auto sc = r.u32v();
-  if (!sc.ok()) return sc.error();
-  j.shard_count = sc.value();
-  auto n = r.varint();
-  if (!n.ok()) return n.error();
-  if (n.value() != j.shard_count || n.value() > 1024) {
-    return Error{Errc::parse_error, "shard list size mismatch"};
-  }
-  j.shards.resize(n.value());
-  for (auto& s : j.shards) {
-    auto sid = r.u32v();
-    if (!sid.ok()) return sid.error();
-    s.shard_id = sid.value();
-    ZKT_TRY(r.fixed(s.sub_batch_hash.bytes));
-    auto c = r.u64v();
-    if (!c.ok()) return c.error();
-    s.record_count = c.value();
-  }
-  if (!r.done()) return Error{Errc::parse_error, "trailing split journal"};
-  return j;
-}
-
 zvm::ImageID shard_split_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(
       "zkt.guest.shard_split", 1, shard_split_guest);

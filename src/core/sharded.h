@@ -47,6 +47,13 @@ struct ShardRef {
   u64 record_count = 0;
 
   friend bool operator==(const ShardRef&, const ShardRef&) = default;
+
+  template <class V, class Self>
+  static void fields(V& v, Self& ref) {
+    v.field("shard_id", ref.shard_id);
+    v.field("sub_batch_hash", ref.sub_batch_hash.bytes);
+    v.field("record_count", ref.record_count);
+  }
 };
 
 /// Public journal of a split proof.
@@ -55,8 +62,19 @@ struct SplitJournal {
   u32 shard_count = 0;
   std::vector<ShardRef> shards;
 
-  void write(Writer& w) const;
-  static Result<SplitJournal> parse(BytesView journal);
+  /// The SPLIT1 layout (common/codec.h): the source without its tag.
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("SPLIT1");
+    CommitmentRef::untagged_fields(v, j.source);
+    v.field("shard_count", j.shard_count);
+    v.list("shards", j.shards, 1024);
+    v.check(j.shards.size() == j.shard_count, "shard list size mismatch");
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<SplitJournal> parse(BytesView journal) {
+    return decode<SplitJournal>(journal);
+  }
 };
 
 /// The split guest's image (registered on first use).

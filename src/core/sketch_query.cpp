@@ -140,136 +140,7 @@ Status sketch_card_guest(Env& env) {
   return {};
 }
 
-void write_sketch_params(Writer& w, const netflow::SketchParams& p) {
-  w.u32v(p.cm.width);
-  w.u32v(p.cm.depth);
-  w.u64v(p.cm.seed);
-  w.u32v(p.heavy_capacity);
-}
-
-Result<netflow::SketchParams> parse_sketch_params(Reader& r) {
-  netflow::SketchParams p;
-  auto width = r.u32v();
-  if (!width.ok()) return width.error();
-  p.cm.width = width.value();
-  auto depth = r.u32v();
-  if (!depth.ok()) return depth.error();
-  p.cm.depth = depth.value();
-  auto seed = r.u64v();
-  if (!seed.ok()) return seed.error();
-  p.cm.seed = seed.value();
-  auto cap = r.u32v();
-  if (!cap.ok()) return cap.error();
-  p.heavy_capacity = cap.value();
-  if (p.cm.width == 0 || p.cm.depth == 0 || p.heavy_capacity == 0) {
-    return Error{Errc::parse_error, "degenerate sketch params"};
-  }
-  return p;
-}
-
 }  // namespace
-
-void SketchHeavyJournal::write(Writer& w) const {
-  w.str("SKHH");
-  w.fixed(agg_claim_digest.bytes);
-  w.fixed(sketch_digest.bytes);
-  write_sketch_params(w, params);
-  w.u64v(total);
-  w.u64v(threshold);
-  w.varint(hits.size());
-  for (const auto& hit : hits) {
-    hit.key.serialize(w);
-    w.u64v(hit.count);
-    w.u64v(hit.error);
-    w.u64v(hit.cms_estimate);
-  }
-}
-
-Result<SketchHeavyJournal> SketchHeavyJournal::parse(BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "SKHH") {
-    return Error{Errc::parse_error, "bad heavy-hitter journal magic"};
-  }
-  SketchHeavyJournal j;
-  ZKT_TRY(r.fixed(j.agg_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.sketch_digest.bytes));
-  auto params = parse_sketch_params(r);
-  if (!params.ok()) return params.error();
-  j.params = params.value();
-  auto total = r.u64v();
-  if (!total.ok()) return total.error();
-  j.total = total.value();
-  auto threshold = r.u64v();
-  if (!threshold.ok()) return threshold.error();
-  j.threshold = threshold.value();
-  auto n = r.varint();
-  if (!n.ok()) return n.error();
-  if (n.value() > j.params.heavy_capacity) {
-    return Error{Errc::parse_error, "more hits than the tracker can hold"};
-  }
-  j.hits.reserve(n.value());
-  for (u64 i = 0; i < n.value(); ++i) {
-    SketchHeavyHit hit;
-    auto key = netflow::FlowKey::deserialize(r);
-    if (!key.ok()) return key.error();
-    hit.key = key.value();
-    auto count = r.u64v();
-    if (!count.ok()) return count.error();
-    hit.count = count.value();
-    auto error = r.u64v();
-    if (!error.ok()) return error.error();
-    hit.error = error.value();
-    auto est = r.u64v();
-    if (!est.ok()) return est.error();
-    hit.cms_estimate = est.value();
-    j.hits.push_back(hit);
-  }
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing heavy-hitter journal bytes"};
-  }
-  return j;
-}
-
-void SketchCardinalityJournal::write(Writer& w) const {
-  w.str("SKCD");
-  w.fixed(agg_claim_digest.bytes);
-  w.fixed(sketch_digest.bytes);
-  write_sketch_params(w, params);
-  w.u64v(total);
-  w.u64v(distinct_flows);
-  w.u64v(cms_lower_bound);
-}
-
-Result<SketchCardinalityJournal> SketchCardinalityJournal::parse(
-    BytesView journal) {
-  Reader r(journal);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "SKCD") {
-    return Error{Errc::parse_error, "bad cardinality journal magic"};
-  }
-  SketchCardinalityJournal j;
-  ZKT_TRY(r.fixed(j.agg_claim_digest.bytes));
-  ZKT_TRY(r.fixed(j.sketch_digest.bytes));
-  auto params = parse_sketch_params(r);
-  if (!params.ok()) return params.error();
-  j.params = params.value();
-  auto total = r.u64v();
-  if (!total.ok()) return total.error();
-  j.total = total.value();
-  auto distinct = r.u64v();
-  if (!distinct.ok()) return distinct.error();
-  j.distinct_flows = distinct.value();
-  auto lower = r.u64v();
-  if (!lower.ok()) return lower.error();
-  j.cms_lower_bound = lower.value();
-  if (!r.done()) {
-    return Error{Errc::parse_error, "trailing cardinality journal bytes"};
-  }
-  return j;
-}
 
 zvm::ImageID sketch_heavy_image() {
   static const zvm::ImageID id = zvm::ImageRegistry::instance().add(

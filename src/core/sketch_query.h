@@ -39,6 +39,14 @@ struct SketchHeavyHit {
 
   friend bool operator==(const SketchHeavyHit&,
                          const SketchHeavyHit&) = default;
+
+  template <class V, class Self>
+  static void fields(V& v, Self& hit) {
+    v.field("key", hit.key);
+    v.field("count", hit.count);
+    v.field("error", hit.error);
+    v.field("cms_estimate", hit.cms_estimate);
+  }
 };
 
 /// Public journal of a heavy-hitters proof ("SKHH").
@@ -52,8 +60,21 @@ struct SketchHeavyJournal {
   /// Complete by the in-trace floor check threshold * capacity > total.
   std::vector<SketchHeavyHit> hits;
 
-  void write(Writer& w) const;
-  static Result<SketchHeavyJournal> parse(BytesView journal);
+  /// The SKHH layout (common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("SKHH");
+    v.field("agg_claim_digest", j.agg_claim_digest.bytes);
+    v.field("sketch_digest", j.sketch_digest.bytes);
+    v.field("params", j.params);
+    v.field("total", j.total);
+    v.field("threshold", j.threshold);
+    v.list("hits", j.hits, j.params.heavy_capacity);
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<SketchHeavyJournal> parse(BytesView journal) {
+    return decode<SketchHeavyJournal>(journal);
+  }
 };
 
 /// Public journal of a distinct-flow cardinality proof ("SKCD").
@@ -65,8 +86,21 @@ struct SketchCardinalityJournal {
   u64 distinct_flows = 0;   ///< exact: the bound round's CLog entry count
   u64 cms_lower_bound = 0;  ///< max over rows of nonzero counters (<= exact)
 
-  void write(Writer& w) const;
-  static Result<SketchCardinalityJournal> parse(BytesView journal);
+  /// The SKCD layout (common/codec.h).
+  template <class V, class Self>
+  static void fields(V& v, Self& j) {
+    v.magic("SKCD");
+    v.field("agg_claim_digest", j.agg_claim_digest.bytes);
+    v.field("sketch_digest", j.sketch_digest.bytes);
+    v.field("params", j.params);
+    v.field("total", j.total);
+    v.field("distinct_flows", j.distinct_flows);
+    v.field("cms_lower_bound", j.cms_lower_bound);
+  }
+  void write(Writer& w) const { encode(w, *this); }
+  static Result<SketchCardinalityJournal> parse(BytesView journal) {
+    return decode<SketchCardinalityJournal>(journal);
+  }
 };
 
 zvm::ImageID sketch_heavy_image();

@@ -94,6 +94,12 @@ Result<CountMinSketch> CountMinSketch::deserialize(Reader& r) {
   auto seed = r.u64v();
   if (!seed.ok()) return seed.error();
   params.seed = seed.value();
+  // The counters must be there before they are allocated: a hostile
+  // width * depth may not claim more memory than the input holds.
+  if (r.remaining() / sizeof(u64) <
+      1 + static_cast<u64>(params.width) * params.depth) {
+    return Error{Errc::parse_error, "short sketch counters"};
+  }
 
   CountMinSketch sketch(params);
   auto total = r.u64v();

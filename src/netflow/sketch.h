@@ -145,6 +145,18 @@ struct SketchParams {
   u32 heavy_capacity = 64;
 
   friend bool operator==(const SketchParams&, const SketchParams&) = default;
+
+  /// The params block of the AGG1/AGGI, JOIN1, EPOCH1, SKHH and SKCD
+  /// journals (common/codec.h); RoundSketch's own bytes keep their layout.
+  template <class V, class Self>
+  static void fields(V& v, Self& p) {
+    v.field("width", p.cm.width);
+    v.field("depth", p.cm.depth);
+    v.field("seed", p.cm.seed);
+    v.field("heavy_capacity", p.heavy_capacity);
+    v.check(p.cm.width != 0 && p.cm.depth != 0 && p.heavy_capacity != 0,
+            "degenerate sketch params");
+  }
 };
 
 /// The per-round committed sketch state: one Count-Min sketch (point

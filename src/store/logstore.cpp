@@ -27,10 +27,12 @@ u32 crc32(BytesView data) {
 }
 
 namespace {
-// "ZKW2": v2 frames carry the row's per-table id so replay can skip rows a
+// "ZKW3" frames carry the row's per-table id, so replay can skip rows a
 // checkpoint snapshot already accounts for (crash between rename and
-// truncation).
-constexpr u32 kWalMagic = 0x5A4B5732;
+// truncation), and their CRC covers every field after the magic. "ZKW2"
+// frames, whose CRC covers only the payload, still replay.
+constexpr u32 kWalMagic = 0x5A4B5733;
+constexpr u32 kWalV2Magic = 0x5A4B5732;
 // "ZKS2" snapshots record each table's next row id; "ZKS1" ones, which
 // predate drop_rows checkpointing, still load (next id = row count).
 constexpr u32 kSnapMagic = 0x5A4B5332;
@@ -124,22 +126,29 @@ Status LogStore::recover() {
     while (!r.done()) {
       const size_t frame_start = r.position();
       auto magic = r.u32v();
-      if (!magic.ok() || magic.value() != kWalMagic) {
+      if (!magic.ok() ||
+          (magic.value() != kWalMagic && magic.value() != kWalV2Magic)) {
         ++stats_.truncated_frames;
         break;
       }
+      const size_t body_start = r.position();
       auto table = r.str();
       auto id = table.ok() ? r.u64v() : Result<u64>(Errc::parse_error);
       auto k1 = id.ok() ? r.u64v() : Result<u64>(Errc::parse_error);
       auto k2 = k1.ok() ? r.u64v() : Result<u64>(Errc::parse_error);
       Result<Bytes> payload =
           k2.ok() ? r.blob() : Result<Bytes>(Errc::parse_error);
+      const size_t body_end = r.position();
       auto crc = payload.ok() ? r.u32v() : Result<u32>(Errc::parse_error);
       if (!crc.ok()) {
         ++stats_.truncated_frames;
         break;
       }
-      if (crc32(payload.value()) != crc.value()) {
+      const BytesView checked =
+          magic.value() == kWalMagic
+              ? BytesView(contents).subspan(body_start, body_end - body_start)
+              : BytesView(payload.value());
+      if (crc32(checked) != crc.value()) {
         ZKT_LOG(warn) << "WAL frame at offset " << frame_start
                       << " failed CRC; truncating";
         ++stats_.truncated_frames;
@@ -191,7 +200,7 @@ Status LogStore::wal_append_locked(std::string_view table,
   w.u64v(row.k1);
   w.u64v(row.k2);
   w.blob(row.payload);
-  w.u32v(crc32(row.payload));
+  w.u32v(crc32(BytesView(w.bytes()).subspan(sizeof(kWalMagic))));
   const auto& frame = w.bytes();
   if (faults_ != nullptr && faults_->fire(FaultPoint::wal_torn_write)) {
     // Leave exactly what a mid-write crash would: a prefix of the frame on

@@ -147,7 +147,6 @@ class LogStore {
 // epoch_seals (K = 1 with a ladder).
 inline constexpr const char* kTableRlogs = "rlogs";
 inline constexpr const char* kTableCommitments = "commitments";
-inline constexpr const char* kTableClogs = "clogs";
 /// Aggregation receipts (k1 = window id, k2 = shard id; latest row per
 /// (window, shard) wins on recovery). A plain chain writes shard 0 only.
 inline constexpr const char* kTableReceipts = "receipts";

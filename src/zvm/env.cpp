@@ -32,8 +32,8 @@ size_t free_segment_buffers() {
 
 Env::Env(BytesView input, std::span<const Receipt> assumption_receipts,
          u64 max_segment_rows)
-    : input_(input.begin(), input.end()),
-      reader_(BytesView(input_.data(), input_.size())),
+    : input_(input),
+      reader_(input),
       max_segment_rows_(std::max<u64>(max_segment_rows, 1)),
       assumption_receipts_(assumption_receipts) {
   open_segment();
@@ -52,7 +52,7 @@ Result<u8> Env::read_u8() { return reader_.u8v(); }
 Result<u32> Env::read_u32() { return reader_.u32v(); }
 Result<u64> Env::read_u64() { return reader_.u64v(); }
 Result<u64> Env::read_varint() { return reader_.varint(); }
-Result<Bytes> Env::read_blob() { return reader_.blob(); }
+Result<BytesView> Env::read_blob() { return reader_.blob_view(); }
 
 Result<Digest32> Env::read_digest() {
   Digest32 d;
@@ -281,7 +281,7 @@ void Env::end_region() {
 }
 
 Digest32 Env::bind_input() {
-  const Digest32 d = sha256(BytesView(input_.data(), input_.size()));
+  const Digest32 d = sha256(input_);
   record(encode_row(RowBindDigest{BindTarget::input, d}));
   return d;
 }

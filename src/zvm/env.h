@@ -79,12 +79,14 @@ class Env {
   using SegmentSink = std::function<void(const TraceSegment&)>;
 
   /// Host-side: construct over the guest input and the receipts backing any
-  /// assumptions the guest will make. The trace is cut into segments of
-  /// `max_segment_rows` rows (at least 1).
+  /// assumptions the guest will make. The input is read in place, so its
+  /// buffer must outlive the Env (Prover::prove holds it for the whole
+  /// proof). The trace is cut into segments of `max_segment_rows` rows (at
+  /// least 1).
   Env(BytesView input, std::span<const Receipt> assumption_receipts,
       u64 max_segment_rows = kDefaultSegmentRows);
-  // The input reader views input_, and the sink hands full segments to
-  // other threads: an Env stays where it was built.
+  // The sink hands full segments to other threads: an Env stays where it
+  // was built.
   Env(const Env&) = delete;
   Env& operator=(const Env&) = delete;
   /// Gives every segment's buffers to the free list, so whoever reads the
@@ -96,7 +98,8 @@ class Env {
   Result<u32> read_u32();
   Result<u64> read_u64();
   Result<u64> read_varint();
-  Result<Bytes> read_blob();
+  /// A view into the input buffer (no copy).
+  Result<BytesView> read_blob();
   Result<Digest32> read_digest();
   size_t input_remaining() const;
 
@@ -188,7 +191,7 @@ class Env {
   /// compression, without materializing the concatenation.
   Digest32 traced_sha256(std::optional<u8> tag, BytesView a, BytesView b);
 
-  Bytes input_;
+  BytesView input_;
   Reader reader_;
   Writer journal_;
   u64 max_segment_rows_;

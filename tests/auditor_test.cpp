@@ -180,8 +180,7 @@ TEST(Auditor, ModeConfusionRejected) {
   ASSERT_TRUE(auditor.accept_round(r0.receipt).ok());
   QueryService queries(p.service);
   const Query q = Query::count();
-  auto selective = queries.run(q, {.mode = QueryMode::selective,
-                                   .prove_options_override = {}});
+  auto selective = queries.run(q, {.mode = QueryMode::selective});
   ASSERT_TRUE(selective.ok());
 
   auto confused = selective.value().receipt;
@@ -224,8 +223,7 @@ struct FloorReceipts {
     composite.seal_kind = zvm::SealKind::composite;
     composite.num_queries = 24;
     QueryOptions options;
-    options.prove_options_override = composite;
-    QueryService service(p.service);
+    QueryService service(p.service, QueryServiceOptions{composite});
     const Query q = Query::sum(QField::packets);
     auto add = [&](const std::string& kind, const auto& response) {
       ASSERT_TRUE(response.ok()) << kind << ": " << response.error().to_string();

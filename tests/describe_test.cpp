@@ -1,5 +1,5 @@
-// Receipt introspection tests: describe/summarize must decode every guest's
-// journal and never crash on malformed input.
+// Receipt introspection tests: describe/summarize must walk every guest's
+// journal field by field and never crash on malformed input.
 #include <gtest/gtest.h>
 
 #include "core/describe.h"
@@ -39,9 +39,13 @@ TEST(Describe, AggregationReceipt) {
   Fixture fx;
   const std::string text = describe_receipt(fx.service.last_receipt());
   EXPECT_NE(text.find("zkt.guest.aggregate"), std::string::npos);
-  EXPECT_NE(text.find("genesis"), std::string::npos);
-  EXPECT_NE(text.find("entries      0 -> 1"), std::string::npos);
-  EXPECT_NE(text.find("router 0 window 1"), std::string::npos);
+  EXPECT_NE(text.find("    magic AGG1\n"), std::string::npos);
+  EXPECT_NE(text.find("    has_prev 0\n"), std::string::npos);
+  EXPECT_NE(text.find("    prev_entry_count 0\n"), std::string::npos);
+  EXPECT_NE(text.find("    new_entry_count 1\n"), std::string::npos);
+  EXPECT_NE(text.find("    commitments[0].router_id 0\n"), std::string::npos);
+  EXPECT_NE(text.find("    commitments[0].window_id 1\n"), std::string::npos);
+  EXPECT_NE(text.find("    sketch_params.width "), std::string::npos);
 }
 
 TEST(Describe, IncrementalAggregationReceipt) {
@@ -69,8 +73,9 @@ TEST(Describe, IncrementalAggregationReceipt) {
 
   const std::string text = describe_receipt(inc.last_receipt());
   EXPECT_NE(text.find("zkt.guest.aggregate_incremental"), std::string::npos);
-  EXPECT_NE(text.find("aggregation round (incremental)"), std::string::npos);
-  EXPECT_NE(text.find("delta shape  1 opened entry"), std::string::npos);
+  EXPECT_NE(text.find("    magic AGGI\n"), std::string::npos);
+  EXPECT_NE(text.find("    touched_entries 1\n"), std::string::npos);
+  EXPECT_NE(text.find("    multiproof_siblings "), std::string::npos);
 }
 
 TEST(Describe, QueryReceiptBothModes) {
@@ -78,16 +83,18 @@ TEST(Describe, QueryReceiptBothModes) {
   QueryService queries(fx.service);
   Query q = Query::sum(QField::bytes);
   auto complete = queries.run(q);
-  auto selective = queries.run(q, {.mode = QueryMode::selective,
-                                   .prove_options_override = {}});
+  auto selective = queries.run(q, {.mode = QueryMode::selective});
   ASSERT_TRUE(complete.ok());
   ASSERT_TRUE(selective.ok());
-  EXPECT_NE(describe_receipt(complete.value().receipt).find("complete scan"),
+  EXPECT_NE(describe_receipt(complete.value().receipt).find("    mode 0\n"),
             std::string::npos);
-  EXPECT_NE(describe_receipt(selective.value().receipt).find("selective"),
+  EXPECT_NE(describe_receipt(selective.value().receipt).find("    mode 1\n"),
             std::string::npos);
   EXPECT_NE(describe_receipt(complete.value().receipt)
-                .find("SELECT SUM(bytes)"),
+                .find("    query SELECT SUM(bytes)"),
+            std::string::npos);
+  EXPECT_NE(describe_receipt(complete.value().receipt)
+                .find("    result.matched 1\n"),
             std::string::npos);
 }
 
@@ -97,8 +104,10 @@ TEST(Describe, GroupedReceipt) {
       QueryService(fx.service).grouped(Query::count(), QField::protocol);
   ASSERT_TRUE(grouped.ok());
   const std::string text = describe_receipt(grouped.value().receipt);
-  EXPECT_NE(text.find("GROUP BY protocol"), std::string::npos);
-  EXPECT_NE(text.find("protocol=6"), std::string::npos);
+  EXPECT_NE(text.find("    group_field protocol\n"), std::string::npos);
+  EXPECT_NE(text.find("    groups 1\n"), std::string::npos);
+  EXPECT_NE(text.find("    groups[0].group_value 6\n"), std::string::npos);
+  EXPECT_NE(text.find("    groups[0].stats.matched 1\n"), std::string::npos);
 }
 
 TEST(Describe, UnknownImageAndMalformedJournal) {

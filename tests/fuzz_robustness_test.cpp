@@ -5,19 +5,32 @@
 // campaign and run deterministically from seeded DRBGs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+
+#include "common/log.h"
 #include "core/chain_summary.h"
 #include "core/commitment.h"
+#include "core/describe.h"
+#include "core/epoch.h"
 #include "core/grouped_query.h"
 #include "core/guests.h"
 #include "core/histogram_query.h"
+#include "core/io.h"
+#include "core/join.h"
 #include "core/query.h"
+#include "core/sharded.h"
 #include "core/sketch_query.h"
 #include "crypto/chacha20.h"
+#include "netflow/histogram.h"
 #include "netflow/record.h"
 #include "netflow/sketch.h"
+#include "netflow/v5.h"
 #include "netflow/v9.h"
+#include "store/logstore.h"
 #include "zvm/env.h"
 #include "zvm/prover.h"
 #include "zvm/receipt.h"
@@ -67,13 +80,10 @@ TEST_P(GarbageInputs, AllParsersSurvive) {
       (void)zvm::TraceRow::deserialize(r);
     }
     (void)zvm::Receipt::from_bytes(junk);
-    (void)core::AggJournal::parse(junk);
-    (void)core::QueryJournal::parse(junk);
-    (void)core::GroupedQueryJournal::parse(junk);
-    (void)core::HistogramQueryJournal::parse(junk);
-    (void)core::SketchHeavyJournal::parse(junk);
-    (void)core::SketchCardinalityJournal::parse(junk);
-    (void)core::ChainSummaryJournal::parse(junk);
+    for (const core::JournalCodec& codec : core::journal_codecs()) {
+      (void)codec.reencode(junk);
+      (void)codec.describe(junk);
+    }
     netflow::V9Collector collector;
     (void)collector.ingest(junk);
   }
@@ -147,53 +157,145 @@ TEST(Truncation, QueryEveryPrefixRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// The journals the Auditor parses off query receipts and epoch seals: every
-// strict prefix fails, and every single-byte mutant either fails with a
-// parse error or parses to a value that re-serializes to exactly the
-// mutant's bytes (no second encoding of any value).
+// Hostile bytes against one wire format, given a valid encoding and the
+// format's decode-then-encode: the sample re-encodes to its own bytes,
+// every strict prefix fails, and every single-byte mutant either fails with
+// parse_error or re-encodes to exactly its own bytes (no second encoding of
+// any value). `flip_stride` 1 tries all 255 flips of every byte; a larger
+// stride tries every stride-th.
 
-struct JournalFormat {
-  const char* name;
-  Bytes valid;
-  /// Parse `bytes`; on success, the parsed value's serialization.
-  Result<Bytes> (*reserialize)(BytesView bytes);
-};
-
-template <class Journal>
-Result<Bytes> reserialize(BytesView bytes) {
-  auto parsed = Journal::parse(bytes);
-  if (!parsed.ok()) return parsed.error();
-  Writer w;
-  parsed.value().write(w);
-  return std::move(w).take();
+template <class Reencode>
+void sweep_format(std::string_view name, const Bytes& valid,
+                  const Reencode& reencode, u32 flip_stride = 1) {
+  SCOPED_TRACE(std::string(name));
+  auto whole = reencode(BytesView(valid));
+  ASSERT_TRUE(whole.ok()) << whole.error().to_string();
+  ASSERT_EQ(whole.value(), valid);
+  for (size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(reencode(BytesView(valid.data(), len)).ok())
+        << "prefix length " << len;
+  }
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    for (u32 flip = 1; flip < 256; flip += flip_stride) {
+      Bytes mutated = valid;
+      mutated[pos] ^= static_cast<u8>(flip);
+      auto parsed = reencode(BytesView(mutated));
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.error().code, Errc::parse_error)
+            << "byte " << pos << ": " << parsed.error().to_string();
+      } else {
+        EXPECT_EQ(parsed.value(), mutated)
+            << "byte " << pos << " mutant parsed non-canonically";
+      }
+    }
+  }
 }
 
-template <class Journal>
-JournalFormat format(const char* name, const Journal& journal) {
-  Writer w;
-  journal.write(w);
-  return JournalFormat{name, std::move(w).take(), &reserialize<Journal>};
-}
+// ---------------------------------------------------------------------------
+// Every registered journal format (core::journal_codecs()): the journals
+// the Auditor, zkt-verify and zkt-inspect parse off receipts, and the epoch
+// seal item.
 
 crypto::Digest32 tag(std::string_view label) { return crypto::sha256(label); }
 
-std::vector<JournalFormat> journal_formats() {
+template <class Journal>
+Bytes journal_bytes(const Journal& journal) {
+  Writer w;
+  journal.write(w);
+  return std::move(w).take();
+}
+
+core::ChainSummaryJournal sample_summary(const netflow::SketchParams& params) {
+  core::ChainSummaryJournal summary;
+  summary.rounds = 4;
+  summary.genesis = true;
+  summary.first_claim_digest = tag("first claim");
+  summary.first_root = tag("first root");
+  summary.final_claim_digest = tag("final claim");
+  summary.final_root = tag("final root");
+  summary.final_entry_count = 77;
+  summary.commitment_count = 2;
+  summary.first_commitments_digest = tag("first refs");
+  summary.final_commitments_digest = tag("final refs");
+  summary.has_sketch = true;
+  summary.sketch_params = params;
+  summary.first_sketch_digest = tag("first sketch");
+  summary.final_sketch_digest = tag("final sketch");
+  summary.final_sketch_total = 5000;
+  return summary;
+}
+
+netflow::SketchParams sample_params() {
+  netflow::SketchParams params;
+  params.cm = {.width = 64, .depth = 2, .seed = 7};
+  params.heavy_capacity = 8;
+  return params;
+}
+
+std::vector<core::CommitmentRef> sample_refs() {
+  return {{3, 7, tag("rlog a"), 100}, {4, 7, tag("rlog b"), 90}};
+}
+
+/// An epoch seal over a hand-made succinct receipt whose journal counts
+/// the seal's two refs.
+core::EpochSeal sample_epoch_seal() {
+  core::EpochSeal seal;
+  seal.level = 2;
+  seal.start_round = 4;
+  seal.rounds = 4;
+  seal.first_window = 4;
+  seal.last_window = 7;
+  seal.journal = sample_summary(sample_params());
+  seal.receipt.claim.image_id = core::chain_summary_image();
+  seal.receipt.claim.input_digest = tag("summary input");
+  seal.receipt.journal = journal_bytes(seal.journal);
+  seal.receipt.claim.journal_digest = crypto::sha256(seal.receipt.journal);
+  seal.receipt.claim.cycle_count = 5000;
+  seal.receipt.seal_kind = zvm::SealKind::succinct;
+  seal.receipt.succinct =
+      zvm::SuccinctSeal::wrap(seal.receipt.claim.digest(), tag("trace"));
+  seal.commitments = sample_refs();
+  return seal;
+}
+
+/// Valid samples of every registered format, by codec name: one per
+/// branch of its layout (AGG1 and AGGI, sketch blocks on and off).
+std::map<std::string_view, std::vector<Bytes>> journal_samples() {
   const core::Query query =
       core::Query::sum(core::QField::bytes)
           .and_where(core::QField::protocol, core::CmpOp::eq, 6)
           .and_any({{core::QField::dst_port, core::CmpOp::lt, 1024},
                     {core::QField::packets, core::CmpOp::ge, 300}});
-  netflow::SketchParams params;
-  params.cm = {.width = 64, .depth = 2, .seed = 7};
-  params.heavy_capacity = 8;
+  const netflow::SketchParams params = sample_params();
+  const std::vector<core::CommitmentRef> refs = sample_refs();
+  std::map<std::string_view, std::vector<Bytes>> samples;
 
-  core::GroupedQueryJournal grouped;
-  grouped.agg_claim_digest = tag("claim");
-  grouped.agg_root = tag("root");
-  grouped.entry_count = 40;
-  grouped.query = query;
-  grouped.group_field = core::QField::dst_port;
-  grouped.groups = {{53, {3, 3, 900, 100, 500}}, {443, {9, 9, 7000, 20, 2000}}};
+  core::AggJournal full;
+  full.prev_root = tag("empty root");
+  full.new_root = tag("root");
+  full.new_entry_count = 40;
+  full.commitments = refs;
+  full.update_count = 40;
+  full.updates_digest = tag("updates");
+  full.has_sketch = true;
+  full.sketch_params = params;
+  full.prev_sketch_digest = tag("empty sketch");
+  full.sketch_digest = tag("sketch");
+  full.sketch_total = 190;
+  core::AggJournal delta;
+  delta.kind = core::RoundKind::incremental;
+  delta.has_prev = true;
+  delta.prev_claim_digest = tag("claim");
+  delta.prev_root = tag("root");
+  delta.new_root = tag("next root");
+  delta.prev_entry_count = 40;
+  delta.new_entry_count = 44;
+  delta.commitments = {refs[0]};
+  delta.update_count = 9;
+  delta.updates_digest = tag("delta updates");
+  delta.touched_entries = 5;
+  delta.multiproof_siblings = 11;
+  samples["AGG1/AGGI"] = {journal_bytes(full), journal_bytes(delta)};
 
   core::QueryJournal scan;
   scan.mode = core::QueryMode::complete;
@@ -202,12 +304,23 @@ std::vector<JournalFormat> journal_formats() {
   scan.entry_count = 40;
   scan.query = query;
   scan.result = {12, 40, 9000, 20, 2000};
+  samples["QRY1"] = {journal_bytes(scan)};
+
+  core::GroupedQueryJournal grouped;
+  grouped.agg_claim_digest = tag("claim");
+  grouped.agg_root = tag("root");
+  grouped.entry_count = 40;
+  grouped.query = query;
+  grouped.group_field = core::QField::dst_port;
+  grouped.groups = {{53, {3, 3, 900, 100, 500}}, {443, {9, 9, 7000, 20, 2000}}};
+  samples["GQRY1"] = {journal_bytes(grouped)};
 
   core::HistogramQueryJournal histogram;
   histogram.commitment = {3, 7, tag("histogram"), 1000};
   histogram.bound_us = 65'535;
   histogram.count_below = 912;
   histogram.total = 1000;
+  samples["HQRY1"] = {journal_bytes(histogram)};
 
   core::SketchHeavyJournal heavy;
   heavy.agg_claim_digest = tag("claim");
@@ -221,6 +334,7 @@ std::vector<JournalFormat> journal_formats() {
                           i,
                           910 - i});
   }
+  samples["SKHH"] = {journal_bytes(heavy)};
 
   core::SketchCardinalityJournal card;
   card.agg_claim_digest = tag("claim");
@@ -229,59 +343,323 @@ std::vector<JournalFormat> journal_formats() {
   card.total = 5000;
   card.distinct_flows = 120;
   card.cms_lower_bound = 60;
+  samples["SKCD"] = {journal_bytes(card)};
 
-  core::ChainSummaryJournal summary;
-  summary.rounds = 4;
-  summary.genesis = true;
-  summary.first_claim_digest = tag("first claim");
-  summary.first_root = tag("first root");
-  summary.final_claim_digest = tag("final claim");
-  summary.final_root = tag("final root");
-  summary.final_entry_count = 77;
-  summary.commitment_count = 8;
-  summary.first_commitments_digest = tag("first refs");
-  summary.final_commitments_digest = tag("final refs");
-  summary.has_sketch = true;
-  summary.sketch_params = params;
-  summary.first_sketch_digest = tag("first sketch");
-  summary.final_sketch_digest = tag("final sketch");
-  summary.final_sketch_total = 5000;
+  core::SplitJournal split;
+  split.source = refs[0];
+  split.shard_count = 2;
+  split.shards = {{0, tag("shard 0"), 60}, {1, tag("shard 1"), 40}};
+  samples["SPLIT1"] = {journal_bytes(split)};
 
-  return {format("QRY1", scan), format("GQRY1", grouped),
-          format("HQRY1", histogram),
-          format("SKHH", heavy), format("SKCD", card),
-          format("EPOCH1", summary)};
+  core::JoinJournal join;
+  join.height = 1;
+  join.leaf_count = 2;
+  join.total_entries = 70;
+  join.fold_digest = tag("fold");
+  for (u32 s = 0; s < 2; ++s) {
+    core::ShardLink& link = join.links.emplace_back();
+    link.claim_digest = tag("leaf claim " + std::to_string(s));
+    link.has_prev = s == 0;
+    link.prev_claim_digest = tag("prev leaf claim");
+    link.prev_root = tag("prev leaf root");
+    link.new_root = tag("leaf root");
+    link.prev_entry_count = 20 * s;
+    link.new_entry_count = 30 + 10 * s;
+    link.commitments = {refs[s]};
+  }
+  core::JoinJournal sketched = join;
+  for (core::ShardLink& link : sketched.links) {
+    link.has_sketch = true;
+    link.prev_sketch_digest = tag("prev leaf sketch");
+    link.sketch_digest = tag("leaf sketch");
+  }
+  sketched.has_sketch = true;
+  sketched.sketch_params = params;
+  sketched.sketch_digest = tag("merged sketch");
+  sketched.sketch_total = 190;
+  samples["JOIN1"] = {journal_bytes(join), journal_bytes(sketched)};
+
+  const core::ChainSummaryJournal summary = sample_summary(params);
+  core::ChainSummaryJournal plain = summary;
+  plain.genesis = false;
+  plain.has_sketch = false;
+  samples["EPOCH1"] = {journal_bytes(summary), journal_bytes(plain)};
+
+  samples["EPSEAL1"] = {sample_epoch_seal().to_bytes()};
+  return samples;
 }
 
-TEST(Truncation, QueryJournalsEveryPrefixRejected) {
-  for (const JournalFormat& f : journal_formats()) {
-    auto whole = f.reserialize(f.valid);
-    ASSERT_TRUE(whole.ok()) << f.name << ": " << whole.error().to_string();
-    EXPECT_EQ(whole.value(), f.valid) << f.name;
-    for (size_t len = 0; len < f.valid.size(); ++len) {
-      EXPECT_FALSE(f.reserialize(BytesView(f.valid.data(), len)).ok())
-          << f.name << " prefix length " << len;
+TEST(JournalCodecs, EveryFormatHasSamplesThatRoundTrip) {
+  const auto samples = journal_samples();
+  for (const core::JournalCodec& codec : core::journal_codecs()) {
+    SCOPED_TRACE(std::string(codec.name));
+    const auto found = samples.find(codec.name);
+    ASSERT_NE(found, samples.end()) << "registered format with no sample";
+    for (const Bytes& sample : found->second) {
+      auto again = codec.reencode(sample);
+      ASSERT_TRUE(again.ok()) << again.error().to_string();
+      EXPECT_EQ(again.value(), sample);
+      auto text = codec.describe(sample);
+      ASSERT_TRUE(text.ok()) << text.error().to_string();
+      EXPECT_EQ(text.value().find("magic "), 4u) << text.value();
+    }
+  }
+  for (const auto& [name, bytes] : samples) {
+    EXPECT_TRUE(std::any_of(
+        core::journal_codecs().begin(), core::journal_codecs().end(),
+        [&](const core::JournalCodec& c) { return c.name == name; }))
+        << name << " samples a format that is not registered";
+  }
+}
+
+TEST(Mutation, JournalCodecsRejectPrefixesAndSecondEncodings) {
+  const auto samples = journal_samples();
+  for (const core::JournalCodec& codec : core::journal_codecs()) {
+    const auto found = samples.find(codec.name);
+    ASSERT_NE(found, samples.end()) << codec.name;
+    for (const Bytes& sample : found->second) {
+      sweep_format(codec.name, sample, codec.reencode);
     }
   }
 }
 
-TEST(Mutation, QueryJournalsParseCanonicallyOrFail) {
-  for (const JournalFormat& f : journal_formats()) {
-    for (size_t trial = 0; trial < 255 * f.valid.size(); ++trial) {
-      Bytes mutated = f.valid;
-      const size_t pos = trial % f.valid.size();
-      mutated[pos] ^= static_cast<u8>(1 + trial / f.valid.size());
-      auto parsed = f.reserialize(mutated);
+// ---------------------------------------------------------------------------
+// The formats outside the registry: sketches and the latency histogram,
+// NetFlow v5, the artifact file framings and WAL frames.
+
+/// Decode-then-encode through a type's own deserialize/serialize.
+template <class T>
+Result<Bytes> reencode_own(BytesView bytes) {
+  Reader r(bytes);
+  auto value = T::deserialize(r);
+  if (!value.ok()) return value.error();
+  if (!r.done()) return Error{Errc::parse_error, "trailing bytes"};
+  Writer w;
+  value.value().serialize(w);
+  return std::move(w).take();
+}
+
+TEST(Mutation, SketchesAndHistogramRejectPrefixesAndSecondEncodings) {
+  netflow::SketchParams params;
+  params.cm = {.width = 16, .depth = 2, .seed = 7};
+  params.heavy_capacity = 4;
+  netflow::RoundSketch sketch(params);
+  for (const netflow::FlowRecord& record : sample_batch().records) {
+    sketch.update(record.key, record.packets + record.key.src_ip);
+  }
+  Writer cms;
+  sketch.cm().serialize(cms);
+  Writer ssk;
+  sketch.heavy().serialize(ssk);
+  netflow::LatencyHistogram histogram;
+  for (u64 i = 0; i < 50; ++i) histogram.add(1000 + (i * 37) % 9000);
+
+  sweep_format("RSK1", sketch.canonical_bytes(),
+               reencode_own<netflow::RoundSketch>);
+  sweep_format("CMS1", cms.bytes(), reencode_own<netflow::CountMinSketch>);
+  sweep_format("SSK1", ssk.bytes(), reencode_own<netflow::SpaceSaving>);
+  sweep_format("HIST1", histogram.canonical_bytes(),
+               reencode_own<netflow::LatencyHistogram>);
+}
+
+TEST(Mutation, V5MutantsFailOrChangeOnlyTheirOwnRecord) {
+  netflow::V5Exporter exporter(netflow::V5Config{});
+  const std::vector<netflow::FlowRecord> records = sample_batch().records;
+  const auto packets = exporter.export_records(records, 1000);
+  ASSERT_EQ(packets.size(), 1u);
+  const Bytes& valid = packets[0];
+  const netflow::V5Collector collector;
+  auto whole = collector.ingest(valid);
+  ASSERT_TRUE(whole.ok()) << whole.error().to_string();
+  ASSERT_EQ(whole.value().records.size(), records.size());
+  for (size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(collector.ingest(BytesView(valid.data(), len)).ok()) << len;
+  }
+  // v5 drops fields zktel does not keep, so a mutant need not re-encode to
+  // its own bytes; it must fail, or decode every record but the one that
+  // holds the flipped byte exactly as before (header bytes: all of them).
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    for (u32 flip = 1; flip < 256; ++flip) {
+      Bytes mutated = valid;
+      mutated[pos] ^= static_cast<u8>(flip);
+      auto parsed = collector.ingest(mutated);
       if (!parsed.ok()) {
-        EXPECT_EQ(parsed.error().code, Errc::parse_error)
-            << f.name << " byte " << pos << ": "
-            << parsed.error().to_string();
+        EXPECT_EQ(parsed.error().code, Errc::parse_error) << pos;
         continue;
       }
-      EXPECT_EQ(parsed.value(), mutated)
-          << f.name << ": byte " << pos << " mutant parsed non-canonically";
+      ASSERT_EQ(parsed.value().records.size(), records.size()) << pos;
+      for (size_t i = 0; i < records.size(); ++i) {
+        const size_t begin = netflow::kV5HeaderSize + i * netflow::kV5RecordSize;
+        if (pos >= begin && pos < begin + netflow::kV5RecordSize) continue;
+        EXPECT_EQ(parsed.value().records[i], whole.value().records[i])
+            << "byte " << pos << " changed record " << i;
+      }
     }
   }
+}
+
+/// A directory under the system temp directory, removed with its files.
+class ScratchDir {
+ public:
+  explicit ScratchDir(std::string_view name)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("zkt_fuzz_" + std::to_string(::getpid()) + "_" +
+              std::string(name))) {
+    std::filesystem::create_directories(dir_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(dir_); }
+  std::string path(std::string_view file) const {
+    return (dir_ / file).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+/// Decode-then-encode of an artifact file format through its loader and
+/// saver, both of which work on files.
+template <class Load, class Save>
+auto through_files(const ScratchDir& dir, Load load, Save save) {
+  return [in = dir.path("in.bin"), out = dir.path("out.bin"), load,
+          save](BytesView bytes) -> Result<Bytes> {
+    ZKT_TRY(core::write_file(in, bytes));
+    auto loaded = load(in);
+    if (!loaded.ok()) return loaded.error();
+    ZKT_TRY(save(loaded.value(), out));
+    return core::read_file(out);
+  };
+}
+
+TEST(Mutation, ArtifactFilesRejectPrefixesAndSecondEncodings) {
+  // Eight of the 255 flips of every byte: each trial writes and reads
+  // files.
+  constexpr u32 kFlipStride = 32;
+
+  static const zvm::ImageID image = zvm::ImageRegistry::instance().add(
+      "fuzz.framed", 1, [](zvm::Env& env) -> Status {
+        env.commit_u64(env.alu(zvm::AluOp::add, 2, 3));
+        return {};
+      });
+  auto receipt = zvm::Prover().prove(image, {});
+  ASSERT_TRUE(receipt.ok()) << receipt.error().to_string();
+  {
+    ScratchDir dir("receipts");
+    const std::vector<zvm::Receipt> receipts(2, receipt.value());
+    ASSERT_TRUE(core::save_receipts(receipts, dir.path("valid.bin")).ok());
+    sweep_format("ZKTRCPT1", core::read_file(dir.path("valid.bin")).value(),
+                 through_files(dir, core::load_receipts, core::save_receipts),
+                 kFlipStride);
+  }
+  {
+    ScratchDir dir("epochs");
+    ASSERT_TRUE(
+        core::save_epoch_seals({sample_epoch_seal()}, dir.path("valid.bin"))
+            .ok());
+    sweep_format(
+        "ZKTEPCH1", core::read_file(dir.path("valid.bin")).value(),
+        through_files(dir, core::load_epoch_seals, core::save_epoch_seals),
+        kFlipStride);
+  }
+  {
+    ScratchDir dir("commitments");
+    const auto key = crypto::schnorr_keygen_from_seed("fuzz-commitments");
+    core::CommitmentBoard board;
+    netflow::RLogBatch batch = sample_batch();
+    ASSERT_TRUE(board.publish(core::make_commitment(batch, key, 500).value())
+                    .ok());
+    batch.window_id += 1;
+    ASSERT_TRUE(board.publish(core::make_commitment(batch, key, 900).value())
+                    .ok());
+    ASSERT_TRUE(core::save_commitments(board, dir.path("valid.bin")).ok());
+    const auto load = [](const std::string& path) -> Result<std::vector<core::Commitment>> {
+      core::CommitmentBoard loaded;
+      ZKT_TRY(core::load_commitments(path, loaded));
+      return loaded.all();
+    };
+    const auto save = [](const std::vector<core::Commitment>& commitments,
+                         const std::string& path) -> Status {
+      core::CommitmentBoard again;
+      for (const core::Commitment& c : commitments) ZKT_TRY(again.publish(c));
+      return core::save_commitments(again, path);
+    };
+    sweep_format("ZKTCOMM1", core::read_file(dir.path("valid.bin")).value(),
+                 through_files(dir, load, save), kFlipStride);
+  }
+}
+
+TEST(Mutation, WalFramesRecoverAnUnchangedPrefix) {
+  ScratchDir dir("wal");
+  const std::string wal = dir.path("store.wal");
+  struct Written {
+    std::string table;
+    store::StoredRow row;
+  };
+  std::vector<Written> written;
+  {
+    store::LogStore s(store::StoreConfig{.wal_path = wal});
+    ASSERT_TRUE(s.recover().ok());
+    for (u64 i = 0; i < 5; ++i) {
+      Written& w = written.emplace_back();
+      w.table = i % 2 == 0 ? "rlogs" : "commits";
+      w.row = {.k1 = 10 + i,
+               .k2 = i,
+               .payload = bytes_of("payload " + std::to_string(i))};
+      auto id = s.append(w.table, w.row.k1, w.row.k2, w.row.payload);
+      ASSERT_TRUE(id.ok());
+      w.row.id = id.value();
+    }
+  }
+  const Bytes valid = core::read_file(wal).value();
+
+  // Replay of `bytes` keeps the first recovered_rows() rows, each exactly
+  // as written, and nothing else.
+  const auto replay_is_prefix = [&](BytesView bytes) -> u64 {
+    EXPECT_TRUE(core::write_file(wal, bytes).ok());
+    store::LogStore s(store::StoreConfig{.wal_path = wal});
+    EXPECT_TRUE(s.recover().ok());
+    const u64 kept = s.stats().recovered_rows;
+    EXPECT_LE(kept, written.size());
+    for (const std::string table : {"rlogs", "commits"}) {
+      std::vector<store::StoredRow> expected;
+      for (size_t i = 0; i < kept && i < written.size(); ++i) {
+        if (written[i].table == table) expected.push_back(written[i].row);
+      }
+      const auto rows = s.scan(table, 0, ~u64{0});
+      EXPECT_EQ(rows.size(), expected.size()) << table;
+      for (size_t i = 0; i < std::min(rows.size(), expected.size()); ++i) {
+        EXPECT_EQ(rows[i].id, expected[i].id);
+        EXPECT_EQ(rows[i].k1, expected[i].k1);
+        EXPECT_EQ(rows[i].k2, expected[i].k2);
+        EXPECT_EQ(rows[i].payload, expected[i].payload);
+      }
+    }
+    u64 rows = 0;
+    for (const std::string& table : s.table_names()) {
+      rows += s.row_count(table);
+    }
+    EXPECT_EQ(rows, kept) << "a row recovered into another table";
+    return kept;
+  };
+
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::error);  // each corrupt frame logs a warning
+  EXPECT_EQ(replay_is_prefix(valid), written.size());
+  u64 last = 0;
+  for (size_t len = 0; len < valid.size(); ++len) {
+    const u64 kept = replay_is_prefix(BytesView(valid.data(), len));
+    EXPECT_GE(kept, last) << "prefix length " << len;
+    EXPECT_LT(kept, written.size()) << "prefix length " << len;
+    last = kept;
+  }
+  // 32 of the 255 flips of every byte: each trial writes and replays a WAL.
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    for (u32 flip = 1; flip < 256; flip += 8) {
+      Bytes mutated = valid;
+      mutated[pos] ^= static_cast<u8>(flip);
+      EXPECT_LT(replay_is_prefix(mutated), written.size()) << "byte " << pos;
+    }
+  }
+  set_log_level(level);
 }
 
 // ---------------------------------------------------------------------------

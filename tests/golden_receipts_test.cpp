@@ -249,10 +249,10 @@ Pinned query_receipts() {
   const CommitmentRef ref{7, 1, histogram.hash(), histogram.total()};
   append_receipt(all, prove_histogram_query(ref, histogram, 4095));
   // Composite complete scan: pins the Fiat–Shamir openings.
-  QueryOptions composite;
-  composite.prove_options_override = zvm::ProveOptions{};
-  composite.prove_options_override->seal_kind = zvm::SealKind::composite;
-  append_receipt(all, queries.run(Query::count(), composite));
+  zvm::ProveOptions composite;
+  composite.seal_kind = zvm::SealKind::composite;
+  append_receipt(all, QueryService(aggregation, QueryServiceOptions{composite})
+                          .run(Query::count()));
   return all;
 }
 

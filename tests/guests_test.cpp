@@ -246,8 +246,7 @@ TEST_P(QueryModes, SelectiveMatchesCompleteAndReference) {
         evaluate_query(q, service.state().entries());
     auto complete = queries.run(q);
     ASSERT_TRUE(complete.ok()) << complete.error().to_string();
-    auto selective = queries.run(q, {.mode = QueryMode::selective,
-                                     .prove_options_override = {}});
+    auto selective = queries.run(q, {.mode = QueryMode::selective});
     ASSERT_TRUE(selective.ok()) << selective.error().to_string();
 
     // Complete mode reproduces the reference exactly.
@@ -292,8 +291,7 @@ TEST(QueryModesSpecial, SelectiveWithNoMatches) {
   QueryService queries(service);
   const Query q =
       Query::count().and_where(QField::protocol, CmpOp::eq, 250);
-  auto resp = queries.run(q, {.mode = QueryMode::selective,
-                              .prove_options_override = {}});
+  auto resp = queries.run(q, {.mode = QueryMode::selective});
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().journal.result.matched, 0u);
 }

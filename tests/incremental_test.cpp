@@ -171,8 +171,7 @@ TEST(Incremental, MixedChainVerifiesEndToEnd) {
   auto complete = queries.run(Query::sum(QField::packets));
   ASSERT_TRUE(complete.ok()) << complete.error().to_string();
   EXPECT_TRUE(auditor.verify_query(complete.value().receipt).ok());
-  auto selective = queries.run(Query::count(), {.mode = QueryMode::selective,
-                                                .prove_options_override = {}});
+  auto selective = queries.run(Query::count(), {.mode = QueryMode::selective});
   ASSERT_TRUE(selective.ok()) << selective.error().to_string();
   EXPECT_TRUE(auditor.verify_query(selective.value().receipt).ok());
 }

@@ -274,8 +274,7 @@ TEST(Service, QueryBeforeAnyRoundFails) {
   AggregationService service(fx.board);
   QueryService queries(service);
   EXPECT_FALSE(queries.run(Query::count()).ok());
-  EXPECT_FALSE(queries.run(Query::count(), {.mode = QueryMode::selective,
-                                            .prove_options_override = {}})
+  EXPECT_FALSE(queries.run(Query::count(), {.mode = QueryMode::selective})
                    .ok());
 }
 
@@ -329,21 +328,19 @@ TEST(Service, ShardedOptionsConfigureDeterministically) {
   }
 }
 
-TEST(Service, QueryOptionsProveOverrideTakesEffect) {
+TEST(Service, QueryServiceProveOptionsTakeEffect) {
   Fixture fx;
   auto batch = fx.committed(0, 1, {1});
   AggregationService service(fx.board);
   ASSERT_TRUE(service.aggregate({batch}).ok());
-  QueryService queries(service);  // service default: succinct seals
   zvm::ProveOptions composite;
   composite.seal_kind = zvm::SealKind::composite;
-  auto resp = queries.run(Query::count(),
-                          {.mode = QueryMode::complete,
-                           .prove_options_override = composite});
+  auto resp = QueryService(service, QueryServiceOptions{composite})
+                  .run(Query::count());
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().receipt.seal_kind, zvm::SealKind::composite);
-  // Without the override the construction-time options still apply.
-  auto plain = queries.run(Query::count());
+  // The default service seals succinctly.
+  auto plain = QueryService(service).run(Query::count());
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().receipt.seal_kind, zvm::SealKind::succinct);
 }

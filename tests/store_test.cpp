@@ -551,6 +551,42 @@ TEST_F(StoreTest, Zks1SnapshotStillLoads) {
   EXPECT_EQ(reopened.stats().deduped_frames, 0u);
 }
 
+// "ZKW2" frames, whose CRC covers only the payload, from before frames
+// were checked whole: they replay, and later appends follow them.
+TEST_F(StoreTest, Zkw2FramesStillReplay) {
+  {
+    Writer w;
+    for (u64 id = 0; id < 2; ++id) {
+      w.u32v(0x5A4B5732);  // "ZKW2"
+      w.str("t");
+      w.u64v(id);
+      w.u64v(id + 1);
+      w.u64v(0);
+      w.blob(bytes_of("old"));
+      w.u32v(crc32(bytes_of("old")));
+    }
+    std::FILE* f = std::fopen(wal_path_.string().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(w.bytes().data(), 1, w.size(), f);
+    std::fclose(f);
+  }
+  {
+    LogStore store(StoreConfig{.wal_path = wal_path_.string()});
+    ASSERT_TRUE(store.recover().ok());
+    EXPECT_EQ(store.stats().recovered_rows, 2u);
+    auto id = store.append("t", 3, 0, bytes_of("new"));
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(id.value(), 2u);
+  }
+  LogStore reopened(StoreConfig{.wal_path = wal_path_.string()});
+  ASSERT_TRUE(reopened.recover().ok());
+  const auto rows = reopened.scan("t", 0, ~0ULL);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1].k1, 2u);
+  EXPECT_EQ(rows[2].payload, bytes_of("new"));
+  EXPECT_EQ(reopened.stats().truncated_frames, 0u);
+}
+
 TEST(LogStoreMem, ConcurrentAppendsSafe) {
   LogStore store;
   constexpr int kThreads = 8;

@@ -179,6 +179,22 @@ TEST(Env, ReadPastEndFails) {
   EXPECT_FALSE(env.read_u64().ok());
 }
 
+TEST(Env, ReadBlobPointsIntoTheInputBuffer) {
+  Writer w;
+  w.u64v(7);
+  w.blob(bytes_of("payload"));
+  const Bytes& input = w.bytes();
+  Env env(input, {});
+  EXPECT_EQ(env.read_u64().value(), 7u);
+  auto blob = env.read_blob();
+  ASSERT_TRUE(blob.ok());
+  // Past the u64 and the one-byte length: read in place, not copied.
+  EXPECT_EQ(blob.value().data(), input.data() + 9);
+  EXPECT_EQ(Bytes(blob.value().begin(), blob.value().end()),
+            bytes_of("payload"));
+  EXPECT_EQ(env.input_remaining(), 0u);
+}
+
 TEST(Env, JournalFraming) {
   Env env({}, {});
   env.commit_u64(7);
@@ -223,7 +239,8 @@ TEST(Env, RecordedRowsRoundTripThroughTraceRow) {
   Receipt inner;
   inner.claim.image_id = sha256(std::string_view("inner image"));
   inner.claim.input_digest = sha256(std::string_view("inner input"));
-  Env env(bytes_of("input"), std::span<const Receipt>(&inner, 1));
+  const Bytes input = bytes_of("input");
+  Env env(input, std::span<const Receipt>(&inner, 1));
   env.bind_input();
   env.sha256(Bytes(100, 0x5a));
   env.alu(AluOp::mul, 6, 7);
@@ -759,7 +776,8 @@ using LeafMutation = std::function<void(Bytes&, const TraceSegment&)>;
 /// that lies about the shape of one leaf: `mutate` rewrites leaf `target`
 /// before the trace is committed, and every leaf is opened.
 Receipt commit_with_bad_leaf(u64 target, const LeafMutation& mutate) {
-  Env env(adder_input(1, 2, std::string(500, 'q')), {});
+  const Bytes input = adder_input(1, 2, std::string(500, 'q'));
+  Env env(input, {});
   Claim claim;
   claim.image_id = register_adder();
   claim.input_digest = env.bind_input();

@@ -21,7 +21,12 @@
 //   --catch-up   — cold-verifier sync off DIR/epoch_seals.bin (written by
 //                  zkt-prove --epoch-every): verify the O(log T) ladder
 //                  seals, adopt the sealed head, and replay only the
-//                  unsealed suffix receipts.
+//                  unsealed suffix receipts. On a composite chain
+//                  (zkt-prove --composite) this saves nothing: the first
+//                  suffix receipt embeds the whole sealed prefix and is
+//                  verified in full. That stays, because skipping embedded
+//                  receipts a seal covers would accept a forged embedded
+//                  seal that the full audit rejects.
 //
 // --backend pins the SHA-256 implementation.
 // --metrics / --metrics-json dump the obs registry (core.auditor.* counters
