@@ -20,11 +20,11 @@
 // that drives the paper's latency — grow the same way.
 //
 // Exits 1 unless the cycle columns have Fig. 4's shape: aggregation cycles
-// rise at every step of the sweep and are at least 10x the selective
-// query's at every N. Cycles are deterministic, so the check holds on any
-// machine. The growth from the first N to the last is printed, not
-// checked: a fixed per-round cost keeps it below the growth in records
-// (x49 for x60), although each added record costs more at larger N.
+// rise at every step of the sweep, the cycles per added record rise at
+// every step too (the n·log n growth, stated without the fixed per-round
+// cost that dominates the smallest N), and aggregation is at least 10x the
+// selective query's cycles at every N. Cycles are deterministic, so the
+// check holds on any machine.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -90,9 +90,10 @@ int main() {
     agg_cycles.push_back(round.value().prove_info.cycles);
     selective_cycles.push_back(selective.value().prove_info.cycles);
 
-    if (n == 3000) {
+    if (n == sweep.front() || n == 3000) {
       // The paper: "Profiling with RISC Zero indicates the majority of this
       // overhead stems from Merkle tree updates performed within the zkVM."
+      // At the smallest N the same regions show the fixed per-round cost.
       std::printf("\naggregation cycle breakdown at %llu records "
                   "(weighted: SHA-256 row = 68 cycle-equivalents, as in a "
                   "STARK prover; total %llu weighted):\n",
@@ -117,19 +118,26 @@ int main() {
   zkt::bench::write_metrics_snapshot("fig4_proofgen");
 
   bool rising = true;
+  bool marginal_rising = true;
   bool dominant = true;
+  double prev_marginal = 0;
+  std::printf("\naggregation cycles per added record:");
   for (size_t i = 0; i < sweep.size(); ++i) {
-    rising = rising && (i == 0 || agg_cycles[i] > agg_cycles[i - 1]);
     dominant = dominant && agg_cycles[i] >= 10 * selective_cycles[i];
+    if (i == 0) continue;
+    rising = rising && agg_cycles[i] > agg_cycles[i - 1];
+    const double marginal =
+        (static_cast<double>(agg_cycles[i]) -
+         static_cast<double>(agg_cycles[i - 1])) /
+        static_cast<double>(sweep[i] - sweep[i - 1]);
+    std::printf(" %.1f", marginal);
+    marginal_rising = marginal_rising && (i == 1 || marginal > prev_marginal);
+    prev_marginal = marginal;
   }
-  const double cycle_growth = static_cast<double>(agg_cycles.back()) /
-                              static_cast<double>(agg_cycles.front());
-  const double record_growth = static_cast<double>(sweep.back()) /
-                               static_cast<double>(sweep.front());
-  std::printf("\nFig. 4 shape: aggregation cycles rise at every N: %s; "
-              ">= 10x the selective query at every N: %s (they grow x%.1f "
-              "for x%.0f records)\n",
-              rising ? "yes" : "NO", dominant ? "yes" : "NO", cycle_growth,
-              record_growth);
-  return rising && dominant ? 0 : 1;
+  std::printf("\n\nFig. 4 shape: aggregation cycles rise at every N: %s; "
+              "cycles per added record rise at every N: %s; >= 10x the "
+              "selective query at every N: %s\n",
+              rising ? "yes" : "NO", marginal_rising ? "yes" : "NO",
+              dominant ? "yes" : "NO");
+  return rising && marginal_rising && dominant ? 0 : 1;
 }

@@ -15,23 +15,33 @@
 //   v.magic(kind, names)        one of `names`; its index is `kind`
 //   v.field(name, x)            bool (u8 0/1), unsigned integer (fixed LE),
 //                               enum (its underlying type; range-check it
-//                               with v.check), std::array<u8, N> (raw),
-//                               a type with its own serialize/deserialize,
-//                               or a type with a field list (nested)
+//                               with v.check), std::array<u8, N> (raw), a
+//                               struct whose `bytes` member is one (a
+//                               digest, a signature: raw), std::array of
+//                               unsigned integers (each fixed LE, no
+//                               count), a type with a field list (nested),
+//                               or else a type with its own
+//                               serialize/deserialize
+//   v.bytes(name, x)            Bytes: varint length, then the bytes
 //   v.blob(name, x)             blob of x.to_bytes(); T::from_bytes on read
 //   v.list(name, items, max)    varint count (at most `max`), then each item
-//                               through its own field list
-//   v.derived(out, bytes)       decode `out` from bytes already read (no
+//                               as v.field would write it
+//   v.list(name, items, max, Count::u16)   the same after a fixed-width LE
+//                               count (Count::u16 or Count::u32); the list
+//                               must fit the width, so a producer refuses a
+//                               longer one before it is encoded
+//   v.derived(name, out, bytes) decode `out` from bytes already read (no
 //                               wire bytes of its own)
 //   v.check(cond, message)      reject the decode with `message` unless
 //                               `cond` holds for the fields read so far
 //
-// Every decode failure is Errc::parse_error.
+// Every decode failure is Errc::parse_error. One decode nests field lists
+// at most kMaxFieldDepth deep, so a recursive format (a receipt holds its
+// assumption receipts) cannot grow the decoder's stack with its input.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <concepts>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,14 +52,38 @@
 
 namespace zkt {
 
+/// Deepest nesting of field lists one decode accepts: the value decoded is
+/// depth 1, and each nested field or list item one level more. 260 lets a
+/// chain of 256 nested receipts (zvm::kMaxReceiptDepth) decode with a
+/// composite seal's four levels (seal, segment, opening, Merkle proof)
+/// below the innermost one.
+inline constexpr u32 kMaxFieldDepth = 260;
+
+/// The count in front of a list: a varint, or a fixed-width LE integer.
+enum class Count : u8 { varint, u16, u32 };
+
 namespace detail {
 template <class T>
 inline constexpr bool is_byte_array_v =
     std::is_same_v<T, std::array<u8, sizeof(T)>>;
 
 template <class T>
-concept OwnCodec = requires(Reader& r) {
-  { T::deserialize(r) } -> std::same_as<Result<T>>;
+struct uint_array : std::false_type {};
+template <class U, size_t N>
+struct uint_array<std::array<U, N>>
+    : std::bool_constant<std::is_unsigned_v<U> && !std::is_same_v<U, u8>> {};
+template <class T>
+inline constexpr bool is_uint_array_v = uint_array<T>::value;
+
+/// A struct that is a fixed byte string (crypto::Digest32, signatures).
+template <class T>
+concept ByteString = requires(const T& value) {
+  requires is_byte_array_v<std::remove_cvref_t<decltype(value.bytes)>>;
+};
+
+template <class T>
+concept HasFields = requires(int& walker, T& value) {
+  T::fields(walker, value);
 };
 }  // namespace detail
 
@@ -75,12 +109,18 @@ class FieldWriter {
       w_.put_le(value);
     } else if constexpr (detail::is_byte_array_v<T>) {
       w_.fixed(value);
-    } else if constexpr (detail::OwnCodec<T>) {
-      value.serialize(w_);
-    } else {
+    } else if constexpr (detail::ByteString<T>) {
+      w_.fixed(value.bytes);
+    } else if constexpr (detail::is_uint_array_v<T>) {
+      for (const auto& x : value) w_.put_le(x);
+    } else if constexpr (detail::HasFields<T>) {
       T::fields(*this, value);
+    } else {
+      value.serialize(w_);
     }
   }
+
+  void bytes(std::string_view, const Bytes& value) { w_.blob(value); }
 
   template <class T>
   void blob(std::string_view, const T& value) {
@@ -88,13 +128,18 @@ class FieldWriter {
   }
 
   template <class T>
-  void list(std::string_view, const std::vector<T>& items, u64) {
-    w_.varint(items.size());
-    for (const T& item : items) T::fields(*this, item);
+  void list(std::string_view name, const std::vector<T>& items, u64,
+            Count count = Count::varint) {
+    switch (count) {
+      case Count::varint: w_.varint(items.size()); break;
+      case Count::u16: w_.u16v(static_cast<u16>(items.size())); break;
+      case Count::u32: w_.u32v(static_cast<u32>(items.size())); break;
+    }
+    for (const T& item : items) field(name, item);
   }
 
   template <class T>
-  void derived(const T&, BytesView) {}
+  void derived(std::string_view, const T&, BytesView) {}
   void check(bool, std::string_view) {}
 
  private:
@@ -108,6 +153,16 @@ class FieldReader {
   explicit FieldReader(Reader& r) : r_(r) {}
 
   const Status& status() const { return status_; }
+
+  /// Read `value` through its field list, one nesting level down.
+  template <class T>
+  void walk(T& value) {
+    if (!status_.ok()) return;
+    if (depth_ == kMaxFieldDepth) return fail("field lists nest too deep");
+    ++depth_;
+    T::fields(*this, value);
+    --depth_;
+  }
 
   void magic(std::string_view m) {
     std::string_view names[] = {m};
@@ -144,13 +199,28 @@ class FieldReader {
       value = v.value();
     } else if constexpr (detail::is_byte_array_v<T>) {
       if (auto s = r_.fixed(value); !s.ok()) return fail(s.error());
-    } else if constexpr (detail::OwnCodec<T>) {
+    } else if constexpr (detail::ByteString<T>) {
+      if (auto s = r_.fixed(value.bytes); !s.ok()) return fail(s.error());
+    } else if constexpr (detail::is_uint_array_v<T>) {
+      for (auto& x : value) {
+        auto v = r_.get_le<std::remove_reference_t<decltype(x)>>();
+        if (!v.ok()) return fail(v.error());
+        x = v.value();
+      }
+    } else if constexpr (detail::HasFields<T>) {
+      walk(value);
+    } else {
       auto v = T::deserialize(r_);
       if (!v.ok()) return fail(v.error());
       value = std::move(v.value());
-    } else {
-      T::fields(*this, value);
     }
+  }
+
+  void bytes(std::string_view, Bytes& value) {
+    if (!status_.ok()) return;
+    auto v = r_.blob_view();
+    if (!v.ok()) return fail(v.error());
+    value.assign(v.value().begin(), v.value().end());
   }
 
   template <class T>
@@ -164,26 +234,38 @@ class FieldReader {
   }
 
   template <class T>
-  void list(std::string_view name, std::vector<T>& items, u64 max) {
+  void list(std::string_view name, std::vector<T>& items, u64 max,
+            Count count = Count::varint) {
     if (!status_.ok()) return;
-    auto n = r_.varint();
+    Result<u64> n = u64{0};
+    switch (count) {
+      case Count::varint: n = r_.varint(); break;
+      case Count::u16: n = widen(r_.u16v()); break;
+      case Count::u32: n = widen(r_.u32v()); break;
+    }
     if (!n.ok()) return fail(n.error());
     if (n.value() > max) return fail("too many " + std::string(name));
     // No reserve: a hostile count must not allocate before the bytes are
     // there, and every item consumes some.
     for (u64 i = 0; i < n.value() && status_.ok(); ++i) {
-      T::fields(*this, items.emplace_back());
+      field(name, items.emplace_back());
     }
   }
 
   template <class T>
-  void derived(T& out, BytesView bytes);
+  void derived(std::string_view, T& out, BytesView bytes);
 
   void check(bool ok, std::string_view message) {
     if (status_.ok() && !ok) fail(message);
   }
 
  private:
+  template <class U>
+  static Result<u64> widen(const Result<U>& v) {
+    if (!v.ok()) return v.error();
+    return u64{v.value()};
+  }
+
   void fail(std::string_view message) {
     status_ = Error{Errc::parse_error, std::string(message)};
   }
@@ -193,6 +275,7 @@ class FieldReader {
 
   Reader& r_;
   Status status_;
+  u32 depth_ = 0;
 };
 
 /// Append `value`'s fields to `w`.
@@ -202,12 +285,20 @@ void encode(Writer& w, const T& value) {
   T::fields(walker, value);
 }
 
+/// Encode `value` into a fresh buffer.
+template <class T>
+Bytes encode(const T& value) {
+  Writer w;
+  encode(w, value);
+  return std::move(w).take();
+}
+
 /// Read one T from `r`, which may hold more bytes after it.
 template <class T>
 Result<T> decode(Reader& r) {
   FieldReader walker(r);
   T value;
-  T::fields(walker, value);
+  walker.walk(value);
   if (!walker.status().ok()) return walker.status().error();
   return value;
 }
@@ -224,7 +315,7 @@ Result<T> decode(BytesView bytes) {
 }
 
 template <class T>
-void FieldReader::derived(T& out, BytesView bytes) {
+void FieldReader::derived(std::string_view, T& out, BytesView bytes) {
   if (!status_.ok()) return;
   auto v = decode<T>(bytes);
   if (!v.ok()) return fail(v.error());

@@ -69,8 +69,10 @@ class CLogState {
   /// Inclusion proof for an entry.
   crypto::MerkleProof prove(u64 index) const { return tree_.prove(index); }
 
-  /// Batch inclusion proof for several entries.
-  crypto::MerkleMultiProof prove_multi(std::span<const u64> indices) const {
+  /// Batch inclusion proof for several entries (`unsupported` beyond the
+  /// multiproof's wire limits).
+  Result<crypto::MerkleMultiProof> prove_multi(
+      std::span<const u64> indices) const {
     return tree_.prove_multi(indices);
   }
 

@@ -7,48 +7,18 @@ namespace zkt::core {
 Digest32 Commitment::signing_digest() const {
   Writer w;
   w.str("zkt.commitment.v1");
-  w.u32v(router_id);
-  w.u64v(window_id);
-  w.fixed(rlog_hash.bytes);
-  w.u64v(record_count);
-  w.u64v(published_at_ms);
-  w.fixed(router_pubkey);
+  FieldWriter walker(w);
+  signed_fields(walker, *this);
   return crypto::sha256(w.bytes());
 }
 
-void Commitment::serialize(Writer& w) const {
-  w.u32v(router_id);
-  w.u64v(window_id);
-  w.fixed(rlog_hash.bytes);
-  w.u64v(record_count);
-  w.u64v(published_at_ms);
-  w.fixed(router_pubkey);
-  w.fixed(signature.bytes);
-}
-
-Result<Commitment> Commitment::deserialize(Reader& r) {
-  Commitment c;
-  auto rid = r.u32v();
-  if (!rid.ok()) return rid.error();
-  c.router_id = rid.value();
-  auto wid = r.u64v();
-  if (!wid.ok()) return wid.error();
-  c.window_id = wid.value();
-  ZKT_TRY(r.fixed(c.rlog_hash.bytes));
-  auto count = r.u64v();
-  if (!count.ok()) return count.error();
-  c.record_count = count.value();
-  auto ts = r.u64v();
-  if (!ts.ok()) return ts.error();
-  c.published_at_ms = ts.value();
-  ZKT_TRY(r.fixed(c.router_pubkey));
-  ZKT_TRY(r.fixed(c.signature.bytes));
-  return c;
-}
-
 Bytes Commitment::to_bytes() const {
+  // Sized up front (every field is fixed-width): growing the buffer field
+  // by field here draws a false -Warray-bounds/-Wstringop-overflow from
+  // GCC 12.
   Writer w;
-  serialize(w);
+  w.reserve(4 + 8 + 32 + 8 + 8 + 32 + 64);
+  encode(w, *this);
   return std::move(w).take();
 }
 

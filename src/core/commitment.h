@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "crypto/digest.h"
@@ -33,11 +34,29 @@ struct Commitment {
   std::array<u8, 32> router_pubkey{};
   crypto::SchnorrSignature signature;
 
-  /// The digest the router signs (everything but the signature).
+  /// Every field the router signs: all but the signature.
+  template <class V, class Self>
+  static void signed_fields(V& v, Self& c) {
+    v.field("router_id", c.router_id);
+    v.field("window_id", c.window_id);
+    v.field("rlog_hash", c.rlog_hash);
+    v.field("record_count", c.record_count);
+    v.field("published_at_ms", c.published_at_ms);
+    v.field("router_pubkey", c.router_pubkey);
+  }
+  template <class V, class Self>
+  static void fields(V& v, Self& c) {
+    signed_fields(v, c);
+    v.field("signature", c.signature);
+  }
+
+  /// The digest the router signs: a domain tag, then signed_fields.
   Digest32 signing_digest() const;
 
-  void serialize(Writer& w) const;
-  static Result<Commitment> deserialize(Reader& r);
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<Commitment> deserialize(Reader& r) {
+    return decode<Commitment>(r);
+  }
   Bytes to_bytes() const;
 };
 

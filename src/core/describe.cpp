@@ -24,9 +24,9 @@ std::string short_hex(BytesView bytes) {
 }
 
 /// The describing walker over a field list (common/codec.h): one line per
-/// field, "name value", with nested and listed fields under their path
-/// ("commitments[0].router_id"). Queries print as SQL, QFields by name,
-/// digests as short hex.
+/// field, "name value", with nested, listed and derived fields under their
+/// path ("commitments[0].router_id"). Queries print as SQL, QFields by name,
+/// digests as short hex, byte strings by size, receipts as one summary line.
 class FieldPrinter {
  public:
   explicit FieldPrinter(std::ostringstream& os) : os_(os) {}
@@ -47,11 +47,23 @@ class FieldPrinter {
       line(name) << static_cast<u64>(value) << "\n";
     } else if constexpr (zkt::detail::is_byte_array_v<T>) {
       line(name) << short_hex(value) << "\n";
-    } else if constexpr (zkt::detail::OwnCodec<T>) {
-      line(name) << value.to_string() << "\n";
-    } else {
+    } else if constexpr (zkt::detail::ByteString<T>) {
+      line(name) << short_hex(value.bytes) << "\n";
+    } else if constexpr (zkt::detail::is_uint_array_v<T>) {
+      std::ostream& os = line(name);
+      for (size_t i = 0; i < value.size(); ++i) {
+        os << (i > 0 ? " " : "") << static_cast<u64>(value[i]);
+      }
+      os << "\n";
+    } else if constexpr (zkt::detail::HasFields<T>) {
       nested(std::string(name), value);
+    } else {
+      line(name) << value.to_string() << "\n";
     }
+  }
+
+  void bytes(std::string_view name, const Bytes& value) {
+    line(name) << value.size() << " B\n";
   }
 
   template <class T>
@@ -64,15 +76,18 @@ class FieldPrinter {
   }
 
   template <class T>
-  void list(std::string_view name, const std::vector<T>& items, u64) {
+  void list(std::string_view name, const std::vector<T>& items, u64,
+            Count = Count::varint) {
     line(name) << items.size() << "\n";
     for (size_t i = 0; i < items.size(); ++i) {
-      nested(std::string(name) + "[" + std::to_string(i) + "]", items[i]);
+      field(std::string(name) + "[" + std::to_string(i) + "]", items[i]);
     }
   }
 
   template <class T>
-  void derived(const T&, BytesView) {}
+  void derived(std::string_view name, const T& value, BytesView) {
+    nested(std::string(name), value);
+  }
   void check(bool, std::string_view) {}
 
  private:
@@ -148,6 +163,13 @@ std::span<const JournalCodec> journal_codecs() {
     };
   }();
   return codecs;
+}
+
+std::string describe_commitment(const Commitment& commitment) {
+  std::ostringstream os;
+  FieldPrinter printer(os);
+  Commitment::fields(printer, commitment);
+  return os.str();
 }
 
 std::string summarize_receipt(const zvm::Receipt& receipt) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/commitment.h"
 #include "core/histogram_query.h"
 #include "zvm/receipt.h"
 
@@ -35,6 +36,9 @@ struct JournalCodec {
 
 /// Every journal format of the system's guests (registering those guests).
 std::span<const JournalCodec> journal_codecs();
+
+/// Every field of a commitment by name, one per line (its field list).
+std::string describe_commitment(const Commitment& commitment);
 
 /// Multi-line description of a receipt. Never fails: unknown images or
 /// malformed journals are described as such.

@@ -54,7 +54,7 @@ struct EpochSeal {
     v.field("first_window", seal.first_window);
     v.field("last_window", seal.last_window);
     v.blob("receipt", seal.receipt);
-    v.derived(seal.journal, seal.receipt.journal);
+    v.derived("journal", seal.journal, seal.receipt.journal);
     v.list("commitments", seal.commitments, seal.journal.commitment_count);
     v.check(seal.commitments.size() == seal.journal.commitment_count,
             "epoch seal ref count disagrees with its journal");

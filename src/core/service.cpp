@@ -241,13 +241,16 @@ Result<DeltaAggregateInput> AggregationService::build_delta_input_ordered(
     proof_indices.push_back(n + r);
   }
   const u64 slots = n + shape.fresh.size();
-  if (std::bit_ceil(std::max<u64>(slots, 1)) > state_.tree().capacity()) {
+  auto proof = [&] {
+    if (std::bit_ceil(std::max<u64>(slots, 1)) <= state_.tree().capacity()) {
+      return state_.prove_multi(proof_indices);
+    }
     crypto::MerkleTree grown = state_.tree();
     grown.grow_capacity(slots);
-    input.proof = grown.prove_multi(proof_indices);
-  } else {
-    input.proof = state_.prove_multi(proof_indices);
-  }
+    return grown.prove_multi(proof_indices);
+  }();
+  if (!proof.ok()) return proof.error();
+  input.proof = std::move(proof.value());
 
   auto committed = committed_batches(board_, batches, order);
   if (!committed.ok()) return committed.error();
@@ -382,20 +385,28 @@ Result<AggregationRound> AggregationService::aggregate_impl(
   // Pick the guest for this round. Genesis and empty-state rounds always go
   // through the full rebuild; otherwise mode_ decides (with auto_select
   // comparing estimated traced-hash costs).
-  std::optional<DeltaShape> shape;
+  std::optional<DeltaAggregateInput> delta;
   if (mode_ != AggMode::full && last_receipt_.has_value() &&
       state_.entry_count() > 0) {
-    shape = delta_shape(batches, order);
-    if (!pick_incremental(*shape)) shape.reset();
+    const DeltaShape shape = delta_shape(batches, order);
+    if (pick_incremental(shape)) {
+      auto built = build_delta_input_ordered(batches, order, shape);
+      // A multiproof too large for its wire format (`unsupported`) sends an
+      // auto-selected round to the full rebuild.
+      if (built.ok()) {
+        delta = std::move(built.value());
+      } else if (mode_ == AggMode::incremental ||
+                 built.error().code != Errc::unsupported) {
+        return built.error();
+      }
+    }
   }
-  const bool incremental = shape.has_value();
+  const bool incremental = delta.has_value();
 
   Bytes input_bytes;
   zvm::ImageID image;
   if (incremental) {
-    auto delta = build_delta_input_ordered(batches, order, *shape);
-    if (!delta.ok()) return delta.error();
-    input_bytes = delta.value().to_bytes();
+    input_bytes = delta->to_bytes();
     image = guest_images().aggregate_incremental;
   } else {
     AggregateInput input;
@@ -586,16 +597,9 @@ Status AggregationService::replay_round(
   return {};
 }
 
-void QueryService::write_query_body(Writer& w, const Query& query,
-                                    QueryMode mode) const {
+Result<SelectiveQueryInput> QueryService::selective_input(
+    const Query& query) const {
   const CLogState& state = aggregation_->state();
-  if (mode == QueryMode::complete) {
-    QueryInput input;
-    input.entries = state.entries();
-    input.query = query;
-    input.write(w);
-    return;
-  }
   SelectiveQueryInput input;
   input.query = query;
   std::vector<u64> indices;
@@ -608,9 +612,11 @@ void QueryService::write_query_body(Writer& w, const Query& query,
     indices.push_back(i);
   }
   if (!indices.empty()) {
-    input.proof = state.prove_multi(indices);
+    auto proof = state.prove_multi(indices);
+    if (!proof.ok()) return proof.error();
+    input.proof = std::move(proof.value());
   }
-  input.write(w);
+  return input;
 }
 
 Result<QueryResponse> QueryService::run(const Query& query,
@@ -622,11 +628,26 @@ Result<QueryResponse> QueryService::run(const Query& query,
 
   Result<QueryResponse> response =
       Error{Errc::chain_broken, "no aggregation round to query against"};
-  if (aggregation_->has_rounds()) {
+  // A selective query's openings are built before the proof, so one whose
+  // multiproof cannot be encoded fails without running the guest.
+  Result<SelectiveQueryInput> opened = SelectiveQueryInput{};
+  if (selective && aggregation_->has_rounds()) opened = selective_input(query);
+  if (!opened.ok()) {
+    response = opened.error();
+  } else if (aggregation_->has_rounds()) {
     response = prove_on_round<QueryResponse>(
         selective ? guest_images().query_selective : guest_images().query,
         aggregation_->last_receipt(),
-        [&](Writer& w) { write_query_body(w, query, options.mode); },
+        [&](Writer& w) {
+          if (selective) {
+            opened.value().write(w);
+            return;
+          }
+          QueryInput input;
+          input.entries = aggregation_->state().entries();
+          input.query = query;
+          input.write(w);
+        },
         prove_options_);
   }
 

@@ -344,9 +344,10 @@ class QueryService {
       const QueryOptions& options = {}) const;
 
  private:
-  /// Append the guest input after the round binding for a complete or
-  /// selective query against the current state.
-  void write_query_body(Writer& w, const Query& query, QueryMode mode) const;
+  /// The selective guest's input after the round binding: the entries
+  /// matching `query` and one multiproof over them (`unsupported` when that
+  /// proof exceeds its wire limits).
+  Result<SelectiveQueryInput> selective_input(const Query& query) const;
   /// Traced-hash cost estimate: route to the sketch guest? Shared by both
   /// sketch-backed queries (pick_incremental's twin on the query side).
   bool pick_sketch() const;

@@ -30,31 +30,6 @@ constexpr size_t kPairGrain = 512;
 
 }  // namespace
 
-void MerkleProof::serialize(Writer& w) const {
-  w.u64v(leaf_index);
-  w.u64v(leaf_count);
-  w.u16v(static_cast<u16>(siblings.size()));
-  for (const auto& s : siblings) w.fixed(s.bytes);
-}
-
-Result<MerkleProof> MerkleProof::deserialize(Reader& r) {
-  MerkleProof p;
-  auto idx = r.u64v();
-  if (!idx.ok()) return idx.error();
-  p.leaf_index = idx.value();
-  auto cnt = r.u64v();
-  if (!cnt.ok()) return cnt.error();
-  p.leaf_count = cnt.value();
-  auto n = r.u16v();
-  if (!n.ok()) return n.error();
-  if (n.value() > 64) return Error{Errc::parse_error, "merkle proof too deep"};
-  p.siblings.resize(n.value());
-  for (auto& s : p.siblings) {
-    ZKT_TRY(r.fixed(s.bytes));
-  }
-  return p;
-}
-
 Digest32 MerkleTree::hash_leaf(BytesView data) {
   Sha256 h;
   const u8 tag = 0x00;
@@ -381,40 +356,8 @@ Status MerkleTree::verify_batch(const Digest32& root,
   return {};
 }
 
-void MerkleMultiProof::serialize(Writer& w) const {
-  w.u64v(leaf_count);
-  w.u32v(static_cast<u32>(indices.size()));
-  for (u64 i : indices) w.u64v(i);
-  w.u16v(static_cast<u16>(siblings.size()));
-  for (const auto& s : siblings) w.fixed(s.bytes);
-}
-
-Result<MerkleMultiProof> MerkleMultiProof::deserialize(Reader& r) {
-  MerkleMultiProof p;
-  auto count = r.u64v();
-  if (!count.ok()) return count.error();
-  p.leaf_count = count.value();
-  auto n = r.u32v();
-  if (!n.ok()) return n.error();
-  if (n.value() > (1u << 24)) {
-    return Error{Errc::parse_error, "too many multiproof indices"};
-  }
-  p.indices.resize(n.value());
-  for (auto& i : p.indices) {
-    auto v = r.u64v();
-    if (!v.ok()) return v.error();
-    i = v.value();
-  }
-  auto ns = r.u16v();
-  if (!ns.ok()) return ns.error();
-  p.siblings.resize(ns.value());
-  for (auto& s : p.siblings) {
-    ZKT_TRY(r.fixed(s.bytes));
-  }
-  return p;
-}
-
-MerkleMultiProof MerkleTree::prove_multi(std::span<const u64> indices) const {
+Result<MerkleMultiProof> MerkleTree::prove_multi(
+    std::span<const u64> indices) const {
   MerkleMultiProof proof;
   proof.leaf_count = leaf_count_;
   proof.indices.assign(indices.begin(), indices.end());
@@ -441,6 +384,13 @@ MerkleMultiProof MerkleTree::prove_multi(std::span<const u64> indices) const {
       parents.push_back(idx >> 1);
     }
     known = std::move(parents);
+  }
+  if (proof.indices.size() > kMaxMultiproofIndices ||
+      proof.siblings.size() > kMaxMultiproofSiblings) {
+    return Error{Errc::unsupported,
+                 "multiproof of " + std::to_string(proof.indices.size()) +
+                     " indices and " + std::to_string(proof.siblings.size()) +
+                     " siblings exceeds its wire format"};
   }
   return proof;
 }

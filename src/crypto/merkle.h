@@ -16,19 +16,35 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "crypto/digest.h"
 
 namespace zkt::crypto {
 
+/// Most siblings a single inclusion proof carries (a tree of 2^64 leaves).
+inline constexpr u64 kMaxProofSiblings = 64;
+/// Wire limits of a MerkleMultiProof: its u32 index count and its u16
+/// sibling count. prove_multi refuses a proof beyond them.
+inline constexpr u64 kMaxMultiproofIndices = u64{1} << 24;
+inline constexpr u64 kMaxMultiproofSiblings = 0xFFFF;
+
 struct MerkleProof {
   u64 leaf_index = 0;
   u64 leaf_count = 0;              ///< number of real (unpadded) leaves
   std::vector<Digest32> siblings;  ///< bottom-up sibling digests
 
-  void serialize(Writer& w) const;
-  static Result<MerkleProof> deserialize(Reader& r);
+  template <class V, class Self>
+  static void fields(V& v, Self& p) {
+    v.field("leaf_index", p.leaf_index);
+    v.field("leaf_count", p.leaf_count);
+    v.list("siblings", p.siblings, kMaxProofSiblings, Count::u16);
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<MerkleProof> deserialize(Reader& r) {
+    return decode<MerkleProof>(r);
+  }
 
   friend bool operator==(const MerkleProof&, const MerkleProof&) = default;
 
@@ -62,8 +78,16 @@ struct MerkleMultiProof {
   std::vector<u64> indices;          ///< sorted, unique leaf indices
   std::vector<Digest32> siblings;    ///< bottom-up, left-to-right order
 
-  void serialize(Writer& w) const;
-  static Result<MerkleMultiProof> deserialize(Reader& r);
+  template <class V, class Self>
+  static void fields(V& v, Self& p) {
+    v.field("leaf_count", p.leaf_count);
+    v.list("indices", p.indices, kMaxMultiproofIndices, Count::u32);
+    v.list("siblings", p.siblings, kMaxMultiproofSiblings, Count::u16);
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<MerkleMultiProof> deserialize(Reader& r) {
+    return decode<MerkleMultiProof>(r);
+  }
   size_t byte_size() const { return 16 + 4 + indices.size() * 8 + 2 + siblings.size() * 32; }
 };
 
@@ -159,8 +183,10 @@ class MerkleTree {
                              PathBatchStats* stats = nullptr);
 
   /// Batch inclusion proof for `indices` (each < leaf_count(); duplicates
-  /// ignored).
-  MerkleMultiProof prove_multi(std::span<const u64> indices) const;
+  /// ignored). A proof beyond the wire limits (kMaxMultiproofIndices
+  /// indices, kMaxMultiproofSiblings siblings) is `unsupported`: it could
+  /// not be encoded.
+  Result<MerkleMultiProof> prove_multi(std::span<const u64> indices) const;
 
   /// Verify a batch proof. `leaves` must be the (index, digest) pairs for
   /// exactly the proof's indices, sorted ascending by index.

@@ -35,47 +35,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   total_ += other.total_;
 }
 
-void LatencyHistogram::serialize(Writer& w) const {
-  w.str("HIST1");
-  w.u32v(kBuckets);
-  w.u64v(total_);
-  for (u64 b : buckets_) w.u64v(b);
-}
-
-Result<LatencyHistogram> LatencyHistogram::deserialize(Reader& r) {
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != "HIST1") {
-    return Error{Errc::parse_error, "bad histogram magic"};
-  }
-  auto n = r.u32v();
-  if (!n.ok()) return n.error();
-  if (n.value() != kBuckets) {
-    return Error{Errc::parse_error, "histogram bucket count mismatch"};
-  }
-  LatencyHistogram h;
-  auto total = r.u64v();
-  if (!total.ok()) return total.error();
-  h.total_ = total.value();
-  u64 sum = 0;
-  for (auto& b : h.buckets_) {
-    auto v = r.u64v();
-    if (!v.ok()) return v.error();
-    b = v.value();
-    sum += b;
-  }
-  if (sum != h.total_) {
-    return Error{Errc::parse_error, "histogram total inconsistent"};
-  }
-  return h;
-}
-
-Bytes LatencyHistogram::canonical_bytes() const {
-  Writer w;
-  serialize(w);
-  return std::move(w).take();
-}
-
 crypto::Digest32 LatencyHistogram::hash() const {
   return crypto::sha256(canonical_bytes());
 }

@@ -9,6 +9,7 @@
 #include <array>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "crypto/digest.h"
@@ -38,9 +39,23 @@ class LatencyHistogram {
   /// Counter-wise sum.
   void merge(const LatencyHistogram& other);
 
-  void serialize(Writer& w) const;
-  static Result<LatencyHistogram> deserialize(Reader& r);
-  Bytes canonical_bytes() const;
+  template <class V, class Self>
+  static void fields(V& v, Self& h) {
+    v.magic("HIST1");
+    u32 bucket_count = kBuckets;
+    v.field("bucket_count", bucket_count);
+    v.check(bucket_count == kBuckets, "histogram bucket count mismatch");
+    v.field("total", h.total_);
+    v.field("buckets", h.buckets_);
+    u64 sum = 0;
+    for (u64 b : h.buckets_) sum += b;
+    v.check(sum == h.total_, "histogram total inconsistent");
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<LatencyHistogram> deserialize(Reader& r) {
+    return decode<LatencyHistogram>(r);
+  }
+  Bytes canonical_bytes() const { return encode(*this); }
   crypto::Digest32 hash() const;
 
   friend bool operator==(const LatencyHistogram&, const LatencyHistogram&) =

@@ -146,7 +146,6 @@ class LogStore {
 // chain_state + receipts, plus tree_seals (K >= 2 with a fold) and
 // epoch_seals (K = 1 with a ladder).
 inline constexpr const char* kTableRlogs = "rlogs";
-inline constexpr const char* kTableCommitments = "commitments";
 /// Aggregation receipts (k1 = window id, k2 = shard id; latest row per
 /// (window, shard) wins on recovery). A plain chain writes shard 0 only.
 inline constexpr const char* kTableReceipts = "receipts";

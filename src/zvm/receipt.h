@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "crypto/digest.h"
@@ -26,9 +27,25 @@
 
 namespace zkt::zvm {
 
+/// Wire limits of a receipt's lists.
+inline constexpr u64 kMaxClaimAssumptions = 4096;
+inline constexpr u64 kMaxSegmentOpenings = 65536;
+inline constexpr u64 kMaxSegments = 4096;
+inline constexpr u64 kMaxAssumptionReceipts = 1024;
+/// Deepest chain of nested receipts that decodes (a composite chain of R
+/// rounds nests R receipts deep): each receipt takes one field-list level,
+/// and the innermost one's composite seal four more (common/codec.h).
+inline constexpr u32 kMaxReceiptDepth = kMaxFieldDepth - 4;
+
 struct Assumption {
   Digest32 image_id;
   Digest32 claim_digest;
+
+  template <class V, class Self>
+  static void fields(V& v, Self& a) {
+    v.field("image_id", a.image_id);
+    v.field("claim_digest", a.claim_digest);
+  }
 
   friend bool operator==(const Assumption&, const Assumption&) = default;
 };
@@ -40,8 +57,16 @@ struct Claim {
   u64 cycle_count = 0;      ///< trace rows executed
   std::vector<Assumption> assumptions;
 
-  void serialize(Writer& w) const;
-  static Result<Claim> deserialize(Reader& r);
+  template <class V, class Self>
+  static void fields(V& v, Self& c) {
+    v.field("image_id", c.image_id);
+    v.field("input_digest", c.input_digest);
+    v.field("journal_digest", c.journal_digest);
+    v.field("cycle_count", c.cycle_count);
+    v.list("assumptions", c.assumptions, kMaxClaimAssumptions);
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<Claim> deserialize(Reader& r) { return decode<Claim>(r); }
 
   /// Canonical digest binding every claim field.
   Digest32 digest() const;
@@ -71,8 +96,16 @@ struct SealOpening {
   Bytes leaf_bytes;
   crypto::MerkleProof proof;
 
-  void serialize(Writer& w) const;
-  static Result<SealOpening> deserialize(Reader& r);
+  template <class V, class Self>
+  static void fields(V& v, Self& o) {
+    v.field("leaf_index", o.leaf_index);
+    v.bytes("leaf_bytes", o.leaf_bytes);
+    v.field("proof", o.proof);
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<SealOpening> deserialize(Reader& r) {
+    return decode<SealOpening>(r);
+  }
 
   friend bool operator==(const SealOpening&, const SealOpening&) = default;
 };
@@ -86,8 +119,16 @@ struct SegmentSeal {
   u64 row_count = 0;
   std::vector<SealOpening> openings;
 
-  void serialize(Writer& w) const;
-  static Result<SegmentSeal> deserialize(Reader& r);
+  template <class V, class Self>
+  static void fields(V& v, Self& s) {
+    v.field("trace_root", s.trace_root);
+    v.field("row_count", s.row_count);
+    v.list("openings", s.openings, kMaxSegmentOpenings);
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<SegmentSeal> deserialize(Reader& r) {
+    return decode<SegmentSeal>(r);
+  }
 
   friend bool operator==(const SegmentSeal&, const SegmentSeal&) = default;
 };
@@ -102,8 +143,15 @@ struct CompositeSeal {
   /// over and what anchors the Fiat–Shamir challenges across segments).
   Digest32 roots_digest() const;
 
-  void serialize(Writer& w) const;
-  static Result<CompositeSeal> deserialize(Reader& r);
+  template <class V, class Self>
+  static void fields(V& v, Self& seal) {
+    v.list("segments", seal.segments, kMaxSegments);
+    v.check(!seal.segments.empty(), "bad segment count");
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<CompositeSeal> deserialize(Reader& r) {
+    return decode<CompositeSeal>(r);
+  }
 
   friend bool operator==(const CompositeSeal&, const CompositeSeal&) = default;
 };
@@ -134,10 +182,29 @@ struct Receipt {
   /// wrapping resolves/drops them, as in RISC Zero).
   std::vector<Receipt> assumption_receipts;
 
-  void serialize(Writer& w) const;
-  static Result<Receipt> deserialize(Reader& r);
-  Bytes to_bytes() const;
-  static Result<Receipt> from_bytes(BytesView data);
+  template <class V, class Self>
+  static void fields(V& v, Self& r) {
+    v.magic("ZKTR1");
+    v.field("claim", r.claim);
+    v.bytes("journal", r.journal);
+    v.field("seal_kind", r.seal_kind);
+    v.check(r.seal_kind == SealKind::composite ||
+                r.seal_kind == SealKind::succinct,
+            "unknown seal kind");
+    if (r.seal_kind == SealKind::composite) {
+      v.field("composite", r.composite);
+      v.list("assumption_receipts", r.assumption_receipts,
+             kMaxAssumptionReceipts);
+    } else {
+      v.field("succinct", r.succinct);
+    }
+  }
+  void serialize(Writer& w) const { encode(w, *this); }
+  static Result<Receipt> deserialize(Reader& r) { return decode<Receipt>(r); }
+  Bytes to_bytes() const { return encode(*this); }
+  static Result<Receipt> from_bytes(BytesView data) {
+    return decode<Receipt>(data);
+  }
 
   /// "Proof" size as reported in the paper's Table 1: the constant-size
   /// SNARK proof for succinct seals, or the full seal size for composites.

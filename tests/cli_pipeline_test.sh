@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end test of the CLI tools: simulate -> prove -> verify -> inspect,
-# a sharded run's tree seals, unknown flags, plus the tamper path (a
-# doctored store must make zkt-prove fail).
+# a sharded run's tree seals, the epoch ladder's catch-up, unknown flags,
+# plus the tamper paths (a doctored store must make zkt-prove fail, and
+# corrupted receipt or seal files zkt-verify).
 # Run by ctest with the build directory as $1.
 set -e
 
@@ -45,6 +46,30 @@ if "$TOOLS/zkt-prove" --data-dir "$WORK/sharded" --shards 2 \
   exit 1
 fi
 grep -q "at least 2" "$WORK/fanout.err"
+
+echo "== epoch ladder: catch-up, inspect, a flipped byte =="
+"$TOOLS/zkt-sim" --out-dir "$WORK/epoch" --packets 3000 --flows 40 \
+    --duration-ms 25000 --seed 7
+"$TOOLS/zkt-prove" --data-dir "$WORK/epoch" --epoch-every 2
+"$TOOLS/zkt-verify" --data-dir "$WORK/epoch" --catch-up > "$WORK/catchup.out"
+grep -q "caught up: 1 seal(s) covering 4 rounds, 1 suffix" "$WORK/catchup.out"
+"$TOOLS/zkt-inspect" "$WORK/epoch/epoch_seals.bin" > "$WORK/seals.out"
+DECLARED=$(sed -n 's/^.*: \([0-9]*\) epoch seal(s)$/\1/p' "$WORK/seals.out")
+DECODED=$(grep -c "^    magic EPSEAL1$" "$WORK/seals.out")
+JOURNALS=$(grep -c "^    journal.magic EPOCH1$" "$WORK/seals.out")
+if [ "$DECLARED" -lt 1 ] || [ "$DECODED" -ne "$DECLARED" ] || \
+    [ "$JOURNALS" -ne "$DECLARED" ]; then
+  echo "FAIL: $DECLARED epoch seals but $DECODED decoded, $JOURNALS journals"
+  exit 1
+fi
+SIZE=$(wc -c < "$WORK/epoch/epoch_seals.bin")
+printf '\377' | dd of="$WORK/epoch/epoch_seals.bin" bs=1 \
+    seek=$((SIZE / 2)) count=1 conv=notrunc 2> /dev/null
+if "$TOOLS/zkt-verify" --data-dir "$WORK/epoch" --catch-up \
+    > /dev/null 2>&1; then
+  echo "FAIL: catch-up accepted a corrupted epoch_seals.bin"
+  exit 1
+fi
 
 echo "== unknown flags are errors, not ignored =="
 if "$TOOLS/zkt-verify" --data-dir "$WORK/data" --stream \

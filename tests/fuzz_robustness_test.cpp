@@ -28,7 +28,6 @@
 #include "netflow/histogram.h"
 #include "netflow/record.h"
 #include "netflow/sketch.h"
-#include "netflow/v5.h"
 #include "netflow/v9.h"
 #include "store/logstore.h"
 #include "zvm/env.h"
@@ -423,81 +422,6 @@ TEST(Mutation, JournalCodecsRejectPrefixesAndSecondEncodings) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// The formats outside the registry: sketches and the latency histogram,
-// NetFlow v5, the artifact file framings and WAL frames.
-
-/// Decode-then-encode through a type's own deserialize/serialize.
-template <class T>
-Result<Bytes> reencode_own(BytesView bytes) {
-  Reader r(bytes);
-  auto value = T::deserialize(r);
-  if (!value.ok()) return value.error();
-  if (!r.done()) return Error{Errc::parse_error, "trailing bytes"};
-  Writer w;
-  value.value().serialize(w);
-  return std::move(w).take();
-}
-
-TEST(Mutation, SketchesAndHistogramRejectPrefixesAndSecondEncodings) {
-  netflow::SketchParams params;
-  params.cm = {.width = 16, .depth = 2, .seed = 7};
-  params.heavy_capacity = 4;
-  netflow::RoundSketch sketch(params);
-  for (const netflow::FlowRecord& record : sample_batch().records) {
-    sketch.update(record.key, record.packets + record.key.src_ip);
-  }
-  Writer cms;
-  sketch.cm().serialize(cms);
-  Writer ssk;
-  sketch.heavy().serialize(ssk);
-  netflow::LatencyHistogram histogram;
-  for (u64 i = 0; i < 50; ++i) histogram.add(1000 + (i * 37) % 9000);
-
-  sweep_format("RSK1", sketch.canonical_bytes(),
-               reencode_own<netflow::RoundSketch>);
-  sweep_format("CMS1", cms.bytes(), reencode_own<netflow::CountMinSketch>);
-  sweep_format("SSK1", ssk.bytes(), reencode_own<netflow::SpaceSaving>);
-  sweep_format("HIST1", histogram.canonical_bytes(),
-               reencode_own<netflow::LatencyHistogram>);
-}
-
-TEST(Mutation, V5MutantsFailOrChangeOnlyTheirOwnRecord) {
-  netflow::V5Exporter exporter(netflow::V5Config{});
-  const std::vector<netflow::FlowRecord> records = sample_batch().records;
-  const auto packets = exporter.export_records(records, 1000);
-  ASSERT_EQ(packets.size(), 1u);
-  const Bytes& valid = packets[0];
-  const netflow::V5Collector collector;
-  auto whole = collector.ingest(valid);
-  ASSERT_TRUE(whole.ok()) << whole.error().to_string();
-  ASSERT_EQ(whole.value().records.size(), records.size());
-  for (size_t len = 0; len < valid.size(); ++len) {
-    EXPECT_FALSE(collector.ingest(BytesView(valid.data(), len)).ok()) << len;
-  }
-  // v5 drops fields zktel does not keep, so a mutant need not re-encode to
-  // its own bytes; it must fail, or decode every record but the one that
-  // holds the flipped byte exactly as before (header bytes: all of them).
-  for (size_t pos = 0; pos < valid.size(); ++pos) {
-    for (u32 flip = 1; flip < 256; ++flip) {
-      Bytes mutated = valid;
-      mutated[pos] ^= static_cast<u8>(flip);
-      auto parsed = collector.ingest(mutated);
-      if (!parsed.ok()) {
-        EXPECT_EQ(parsed.error().code, Errc::parse_error) << pos;
-        continue;
-      }
-      ASSERT_EQ(parsed.value().records.size(), records.size()) << pos;
-      for (size_t i = 0; i < records.size(); ++i) {
-        const size_t begin = netflow::kV5HeaderSize + i * netflow::kV5RecordSize;
-        if (pos >= begin && pos < begin + netflow::kV5RecordSize) continue;
-        EXPECT_EQ(parsed.value().records[i], whole.value().records[i])
-            << "byte " << pos << " changed record " << i;
-      }
-    }
-  }
-}
-
 /// A directory under the system temp directory, removed with its files.
 class ScratchDir {
  public:
@@ -515,6 +439,244 @@ class ScratchDir {
  private:
   std::filesystem::path dir_;
 };
+
+// ---------------------------------------------------------------------------
+// The field-list formats an auditor parses from the prover besides
+// journals: receipts and their parts, Merkle proofs, commitments and
+// latency histograms.
+
+/// Decode-then-encode through a type's field list.
+template <class T>
+Result<Bytes> reencode_fields(BytesView bytes) {
+  auto value = decode<T>(bytes);
+  if (!value.ok()) return value.error();
+  return encode(value.value());
+}
+
+struct FieldListFormat {
+  std::string_view name;
+  std::vector<Bytes> samples;
+  Result<Bytes> (*reencode)(BytesView);
+};
+
+template <class T>
+FieldListFormat format_of(std::string_view name, const std::vector<T>& values) {
+  FieldListFormat format{name, {}, reencode_fields<T>};
+  for (const T& value : values) format.samples.push_back(encode(value));
+  return format;
+}
+
+/// A hand-made succinct receipt (the codec does not check the seal).
+zvm::Receipt sample_succinct_receipt() {
+  zvm::Receipt receipt;
+  receipt.claim.image_id = tag("image");
+  receipt.claim.input_digest = tag("input");
+  receipt.journal = bytes_of("journal");
+  receipt.claim.journal_digest = crypto::sha256(receipt.journal);
+  receipt.claim.cycle_count = 77;
+  receipt.seal_kind = zvm::SealKind::succinct;
+  receipt.succinct = zvm::SuccinctSeal::wrap(receipt.claim.digest(),
+                                             tag("trace"));
+  return receipt;
+}
+
+/// A hand-made composite seal: one segment with one opened leaf.
+zvm::CompositeSeal sample_composite_seal() {
+  zvm::SealOpening opening;
+  opening.leaf_index = 1;
+  opening.leaf_bytes = bytes_of("rows");
+  opening.proof.leaf_index = 1;
+  opening.proof.leaf_count = 3;
+  opening.proof.siblings = {tag("sibling 0"), tag("sibling 1")};
+  zvm::CompositeSeal seal;
+  seal.segments.push_back({tag("trace root"), 20, {opening}});
+  return seal;
+}
+
+/// A composite receipt whose claim assumes, and whose seal embeds, one
+/// succinct receipt.
+zvm::Receipt sample_composite_receipt() {
+  const zvm::Receipt inner = sample_succinct_receipt();
+  zvm::Receipt receipt;
+  receipt.claim.image_id = tag("outer image");
+  receipt.claim.input_digest = tag("outer input");
+  receipt.claim.journal_digest = crypto::sha256(receipt.journal);
+  receipt.claim.cycle_count = 20;
+  receipt.claim.assumptions = {{inner.claim.image_id, inner.claim.digest()}};
+  receipt.seal_kind = zvm::SealKind::composite;
+  receipt.composite = sample_composite_seal();
+  receipt.assumption_receipts = {inner};
+  return receipt;
+}
+
+std::vector<FieldListFormat> field_list_samples() {
+  crypto::MerkleTree tree([] {
+    std::vector<crypto::Digest32> leaves;
+    for (u32 i = 0; i < 11; ++i) leaves.push_back(tag(std::to_string(i)));
+    return leaves;
+  }());
+  const zvm::Receipt composite = sample_composite_receipt();
+  const auto key = crypto::schnorr_keygen_from_seed("fuzz-commitment");
+  netflow::LatencyHistogram histogram;
+  for (u64 i = 0; i < 50; ++i) histogram.add(1000 + (i * 37) % 9000);
+  return {
+      format_of<crypto::MerkleProof>("MerkleProof", {tree.prove(6)}),
+      format_of<crypto::MerkleMultiProof>(
+          "MerkleMultiProof",
+          {tree.prove_multi(std::vector<u64>{1, 4, 5, 10}).value()}),
+      format_of<zvm::Claim>("Claim", {composite.claim}),
+      format_of<zvm::SealOpening>(
+          "SealOpening", {composite.composite.segments[0].openings[0]}),
+      format_of<zvm::SegmentSeal>("SegmentSeal",
+                                  {composite.composite.segments[0]}),
+      format_of<zvm::CompositeSeal>("CompositeSeal", {composite.composite}),
+      format_of<zvm::Receipt>("ZKTR1",
+                              {sample_succinct_receipt(), composite}),
+      format_of<core::Commitment>(
+          "Commitment",
+          {core::make_commitment(sample_batch(), key, 500).value()}),
+      format_of<netflow::LatencyHistogram>("HIST1", {histogram}),
+  };
+}
+
+TEST(Mutation, FieldListFormatsRejectPrefixesAndSecondEncodings) {
+  for (const FieldListFormat& format : field_list_samples()) {
+    for (const Bytes& sample : format.samples) {
+      sweep_format(format.name, sample, format.reencode);
+    }
+  }
+}
+
+TEST(FieldLists, CommitmentSignsItsFieldListWithoutTheSignature) {
+  const auto key = crypto::schnorr_keygen_from_seed("fuzz-commitment");
+  const core::Commitment c =
+      core::make_commitment(sample_batch(), key, 500).value();
+  const Bytes all = c.to_bytes();
+  Writer signed_part;
+  signed_part.str("zkt.commitment.v1");
+  signed_part.raw(BytesView(all.data(), all.size() - c.signature.bytes.size()));
+  EXPECT_EQ(c.signing_digest(), crypto::sha256(signed_part.bytes()));
+}
+
+// ---------------------------------------------------------------------------
+// Nesting: a receipt holds its assumption receipts, so the decoder bounds
+// how deep field lists nest (kMaxFieldDepth) instead of recursing as deep
+// as the bytes say.
+
+/// One receipt nested `depth` receipts deep: every level a composite
+/// receipt whose one assumption receipt is the next level down, the
+/// innermost with a seal that opens one leaf, so its Merkle proof sits
+/// four field lists below it.
+Bytes nested_receipt_bytes(u32 depth) {
+  zvm::Receipt level;
+  level.seal_kind = zvm::SealKind::composite;
+  level.composite.segments.emplace_back().row_count = 8;
+  const Bytes shell = level.to_bytes();  // ends with its receipt count, 0
+  level.composite = sample_composite_seal();
+  Bytes out;
+  for (u32 i = 1; i < depth; ++i) {
+    out.insert(out.end(), shell.begin(), shell.end() - 1);
+    out.push_back(1);
+  }
+  const Bytes innermost = level.to_bytes();
+  out.insert(out.end(), innermost.begin(), innermost.end());
+  return out;
+}
+
+TEST(Nesting, ReceiptAtTheDepthLimitParses) {
+  const Bytes at_limit = nested_receipt_bytes(zvm::kMaxReceiptDepth);
+  auto parsed = zvm::Receipt::from_bytes(at_limit);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().to_bytes(), at_limit);
+
+  auto deeper = zvm::Receipt::from_bytes(
+      nested_receipt_bytes(zvm::kMaxReceiptDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.error().code, Errc::parse_error);
+}
+
+TEST(Nesting, DeeplyNestedReceiptIsAParseErrorThroughEveryLoader) {
+  // 20,000 levels, about 3 MB: far past what the stack holds.
+  const Bytes deep = nested_receipt_bytes(20'000);
+  const auto expect_parse_error = [](const Error& e) {
+    EXPECT_EQ(e.code, Errc::parse_error) << e.to_string();
+  };
+
+  auto direct = zvm::Receipt::from_bytes(deep);
+  ASSERT_FALSE(direct.ok());
+  expect_parse_error(direct.error());
+
+  ScratchDir dir("nesting");
+  const std::string receipts = dir.path("receipts.bin");
+  ASSERT_TRUE(
+      core::write_file(receipts, core::frame_items("ZKTRCPT1", {deep})).ok());
+  auto loaded = core::load_receipts(receipts);
+  ASSERT_FALSE(loaded.ok());
+  expect_parse_error(loaded.error());
+  auto source = core::ReceiptFileSource::open(receipts);
+  ASSERT_TRUE(source.ok()) << source.error().to_string();
+  auto next = source.value().next();
+  ASSERT_FALSE(next.ok());
+  expect_parse_error(next.error());
+
+  // The same receipt as an epoch seal's receipt blob.
+  const core::EpochSeal seal = sample_epoch_seal();
+  const Bytes item = seal.to_bytes();
+  const Bytes inner = seal.receipt.to_bytes();
+  const auto at = std::search(item.begin(), item.end(), inner.begin(),
+                              inner.end());
+  ASSERT_NE(at, item.end());
+  const size_t begin = static_cast<size_t>(at - item.begin());
+  const size_t end = begin + inner.size();
+  Writer inner_length;
+  inner_length.varint(inner.size());
+  Writer hostile;
+  hostile.raw(BytesView(item.data(), begin - inner_length.size()));
+  hostile.blob(deep);
+  hostile.raw(BytesView(item.data() + end, item.size() - end));
+  const std::string seals = dir.path("epoch_seals.bin");
+  ASSERT_TRUE(core::write_file(seals, core::frame_items(
+                                          "ZKTEPCH1", {hostile.bytes()}))
+                  .ok());
+  auto epochs = core::load_epoch_seals(seals);
+  ASSERT_FALSE(epochs.ok());
+  expect_parse_error(epochs.error());
+}
+
+// ---------------------------------------------------------------------------
+// The formats outside the registry: sketches, the artifact file framings
+// and WAL frames.
+
+/// Decode-then-encode through a type's own deserialize/serialize.
+template <class T>
+Result<Bytes> reencode_own(BytesView bytes) {
+  Reader r(bytes);
+  auto value = T::deserialize(r);
+  if (!value.ok()) return value.error();
+  if (!r.done()) return Error{Errc::parse_error, "trailing bytes"};
+  Writer w;
+  value.value().serialize(w);
+  return std::move(w).take();
+}
+
+TEST(Mutation, SketchesRejectPrefixesAndSecondEncodings) {
+  netflow::SketchParams params;
+  params.cm = {.width = 16, .depth = 2, .seed = 7};
+  params.heavy_capacity = 4;
+  netflow::RoundSketch sketch(params);
+  for (const netflow::FlowRecord& record : sample_batch().records) {
+    sketch.update(record.key, record.packets + record.key.src_ip);
+  }
+  Writer cms;
+  sketch.cm().serialize(cms);
+  Writer ssk;
+  sketch.heavy().serialize(ssk);
+
+  sweep_format("RSK1", sketch.canonical_bytes(),
+               reencode_own<netflow::RoundSketch>);
+  sweep_format("CMS1", cms.bytes(), reencode_own<netflow::CountMinSketch>);
+  sweep_format("SSK1", ssk.bytes(), reencode_own<netflow::SpaceSaving>);
+}
 
 /// Decode-then-encode of an artifact file format through its loader and
 /// saver, both of which work on files.

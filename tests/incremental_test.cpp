@@ -315,7 +315,7 @@ TEST(IncrementalSoundness, DuplicateKeyInsertionRejectedByAdjacency) {
     opened.entry = state.entry(idx).canonical_bytes();
     input.opened.push_back(std::move(opened));
   }
-  input.proof = state.prove_multi(std::vector<u64>{3, 5, n});
+  input.proof = state.prove_multi(std::vector<u64>{3, 5, n}).value();
   CommitmentRef ref;
   ref.router_id = batch.router_id;
   ref.window_id = batch.window_id;
@@ -347,7 +347,7 @@ TEST(IncrementalSoundness, InsertWithoutCascadeRejected) {
     opened.entry = state.entry(idx).canonical_bytes();
     input.opened.push_back(std::move(opened));
   }
-  input.proof = state.prove_multi(std::vector<u64>{1, 2, n});
+  input.proof = state.prove_multi(std::vector<u64>{1, 2, n}).value();
   CommitmentRef ref;
   ref.router_id = batch.router_id;
   ref.window_id = batch.window_id;

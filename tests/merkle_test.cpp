@@ -211,7 +211,7 @@ class MerkleMulti : public ::testing::TestWithParam<MultiCase> {};
 TEST_P(MerkleMulti, VerifiesAndIsSmallerThanSingles) {
   const auto& param = GetParam();
   MerkleTree tree(make_leaves(param.tree_size));
-  const auto proof = tree.prove_multi(param.indices);
+  const auto proof = tree.prove_multi(param.indices).value();
 
   std::vector<std::pair<u64, Digest32>> leaves;
   for (u64 i : proof.indices) leaves.emplace_back(i, tree.leaf(i));
@@ -239,7 +239,7 @@ TEST_P(MerkleMulti, VerifiesAndIsSmallerThanSingles) {
 TEST_P(MerkleMulti, TamperDetected) {
   const auto& param = GetParam();
   MerkleTree tree(make_leaves(param.tree_size));
-  const auto proof = tree.prove_multi(param.indices);
+  const auto proof = tree.prove_multi(param.indices).value();
   std::vector<std::pair<u64, Digest32>> leaves;
   for (u64 i : proof.indices) leaves.emplace_back(i, tree.leaf(i));
 
@@ -275,13 +275,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MerkleMultiEdge, AllLeavesNeedsNoSiblingsBeyondPadding) {
   MerkleTree tree(make_leaves(8));
   std::vector<u64> all = {0, 1, 2, 3, 4, 5, 6, 7};
-  const auto proof = tree.prove_multi(all);
+  const auto proof = tree.prove_multi(all).value();
   EXPECT_TRUE(proof.siblings.empty());
 }
 
 TEST(MerkleMultiEdge, MismatchedLeafSetRejected) {
   MerkleTree tree(make_leaves(16));
-  const auto proof = tree.prove_multi(std::vector<u64>{2, 5});
+  const auto proof = tree.prove_multi(std::vector<u64>{2, 5}).value();
   std::vector<std::pair<u64, Digest32>> wrong_count = {{2, tree.leaf(2)}};
   EXPECT_FALSE(
       MerkleTree::verify_multi(tree.root(), wrong_count, proof).ok());
@@ -289,6 +289,30 @@ TEST(MerkleMultiEdge, MismatchedLeafSetRejected) {
                                                        {6, tree.leaf(6)}};
   EXPECT_FALSE(
       MerkleTree::verify_multi(tree.root(), wrong_index, proof).ok());
+}
+
+TEST(MerkleMultiEdge, ProofBeyondItsWireCountsIsRefused) {
+  // Every even index of 2^17 leaves needs every odd leaf as a sibling:
+  // 65,536 of them, one more than the u16 count holds.
+  const u64 n = u64{1} << 17;
+  MerkleTree tree(make_leaves(n));
+  std::vector<u64> even;
+  for (u64 i = 0; i < n; i += 2) even.push_back(i);
+  auto refused = tree.prove_multi(even);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, Errc::unsupported);
+
+  // Left unopened, the last block of four leaves costs one sibling above
+  // it instead of two odd leaves: 65,535 siblings, which the wire holds.
+  even.resize(even.size() - 2);
+  auto fits = tree.prove_multi(even);
+  ASSERT_TRUE(fits.ok()) << fits.error().to_string();
+  EXPECT_EQ(fits.value().siblings.size(), kMaxMultiproofSiblings);
+  Writer w;
+  fits.value().serialize(w);
+  auto parsed = decode<MerkleMultiProof>(BytesView(w.bytes()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().siblings, fits.value().siblings);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +429,7 @@ TEST(Merkle, GrowCapacityKeepsLeafCountAndLiftsRootByEmptySubtrees) {
   EXPECT_EQ(tree.root(), lifted);
 
   // Multiproofs over occupied + padded slots verify against the grown root.
-  auto proof = tree.prove_multi(std::vector<u64>{2, 8, 9});
+  auto proof = tree.prove_multi(std::vector<u64>{2, 8, 9}).value();
   std::vector<std::pair<u64, Digest32>> opened = {
       {2, tree.leaf(2)}, {8, MerkleTree::empty_leaf()},
       {9, MerkleTree::empty_leaf()}};

@@ -347,5 +347,45 @@ TEST(V9, SequenceNumberAdvances) {
   EXPECT_EQ(exporter.packets_emitted(), 2u);
 }
 
+// ---------------------------------------------------------------------------
+// v9 options templates (sampling metadata)
+
+TEST(V9Options, TemplateAndDataDecoded) {
+  V9Exporter exporter(V9Config{.source_id = 11,
+                               .include_options = true,
+                               .sampling_interval = 64,
+                               .sampling_algorithm = 2});
+  FlowRecord record;
+  record.key = {1, 0x08080808, 1234, 53, 17};
+  record.first_ms = 1000;
+  record.last_ms = 2000;
+  record.packets = 2;
+  record.bytes = 300;
+  std::vector<FlowRecord> records = {record};
+  auto packets = exporter.export_records(records, 500);
+  ASSERT_EQ(packets.size(), 1u);
+
+  V9Collector collector;
+  auto decoded = collector.ingest(packets[0]);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(decoded.value().size(), 1u);  // flow records still decode
+  EXPECT_EQ(collector.stats().options_templates_learned, 1u);
+  ASSERT_EQ(collector.stats().options_records, 1u);
+  const auto& options = collector.options()[0];
+  EXPECT_EQ(options.source_id, 11u);
+  EXPECT_EQ(options.values.at(kFieldSamplingInterval), 64u);
+  EXPECT_EQ(options.values.at(kFieldSamplingAlgorithm), 2u);
+  EXPECT_TRUE(options.values.count(kFieldTotalFlowsExported));
+}
+
+TEST(V9Options, DisabledEmitsNone) {
+  V9Exporter exporter(V9Config{.source_id = 1, .include_options = false});
+  auto packets = exporter.export_records({}, 0);
+  V9Collector collector;
+  ASSERT_TRUE(collector.ingest(packets[0]).ok());
+  EXPECT_EQ(collector.stats().options_templates_learned, 0u);
+  EXPECT_EQ(collector.stats().options_records, 0u);
+}
+
 }  // namespace
 }  // namespace zkt::netflow

@@ -190,7 +190,7 @@ TEST(QueryTamper, SelectiveCannotIncludeNonMatchingEntry) {
     input.opened.push_back(std::move(opened));
     indices.push_back(i);
   }
-  input.proof = service.state().prove_multi(indices);
+  input.proof = service.state().prove_multi(indices).value();
   auto receipt = prove_on_round<QueryResponse>(
       guest_images().query_selective, service.last_receipt(),
       [&](Writer& w) { input.write(w); }, {});
@@ -217,7 +217,7 @@ TEST(QueryTamper, SelectiveCannotDoubleCount) {
   }
   // A multiproof cannot even express a duplicated index (it deduplicates);
   // the guest's alignment/ascension asserts must catch the mismatch.
-  input.proof = service.state().prove_multi(std::vector<u64>{0});
+  input.proof = service.state().prove_multi(std::vector<u64>{0}).value();
   auto receipt = prove_on_round<QueryResponse>(
       guest_images().query_selective, service.last_receipt(),
       [&](Writer& w) { input.write(w); }, {});
@@ -247,7 +247,7 @@ TEST(QueryTamper, SelectiveCannotUseForeignEntry) {
   opened.index = 0;
   opened.entry = foreign.entry(0).canonical_bytes();
   input.opened.push_back(std::move(opened));
-  input.proof = foreign.prove_multi(std::vector<u64>{0});
+  input.proof = foreign.prove_multi(std::vector<u64>{0}).value();
 
   auto receipt = prove_on_round<QueryResponse>(
       guest_images().query_selective, service.last_receipt(),

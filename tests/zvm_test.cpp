@@ -149,7 +149,7 @@ TEST(Env, VerifyMerkleMultiTracedAgreesWithNative) {
     leaves.push_back(crypto::MerkleTree::hash_leaf(as_bytes_view(i)));
   }
   crypto::MerkleTree tree(leaves);
-  const auto proof = tree.prove_multi(std::vector<u64>{1, 4, 5, 10});
+  const auto proof = tree.prove_multi(std::vector<u64>{1, 4, 5, 10}).value();
   std::vector<std::pair<u64, Digest32>> opened;
   for (u64 i : proof.indices) opened.emplace_back(i, leaves[i]);
 

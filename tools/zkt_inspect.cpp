@@ -1,11 +1,13 @@
 // zkt-inspect: dump the contents of zktel artifact files — receipts (with
 // journals decoded per guest type), epoch-seal ladders, and commitment
-// boards. Receipt bundles (ZKTRCPT1) and epoch-seal files (ZKTEPCH1) are
-// told apart by their magic.
+// boards, the last two field by field through their field lists. Receipt
+// bundles (ZKTRCPT1) and epoch-seal files (ZKTEPCH1) are told apart by
+// their magic.
 //
 // Usage:
 //   zkt-inspect receipts.bin epoch_seals.bin [more files...]
 //   zkt-inspect --commitments commitments.bin
+#include <algorithm>
 #include <cstdio>
 
 #include "common/flags.h"
@@ -40,18 +42,23 @@ int inspect_epoch_seals(const std::string& path) {
                  seals.error().to_string().c_str());
     return 1;
   }
+  const auto codecs = core::journal_codecs();
+  const auto epseal = std::find_if(
+      codecs.begin(), codecs.end(),
+      [](const core::JournalCodec& c) { return c.name == "EPSEAL1"; });
   std::printf("%s: %zu epoch seal(s)\n", path.c_str(), seals.value().size());
+  int rc = 0;
   for (size_t i = 0; i < seals.value().size(); ++i) {
-    const auto& seal = seals.value()[i];
-    std::printf("[%zu] level %u, rounds [%llu, %llu), windows %llu..%llu, "
-                "%zu commitment ref(s)\n     %s\n",
-                i, seal.level, (unsigned long long)seal.start_round,
-                (unsigned long long)(seal.start_round + seal.rounds),
-                (unsigned long long)seal.first_window,
-                (unsigned long long)seal.last_window, seal.commitments.size(),
-                core::describe_receipt(seal.receipt).c_str());
+    auto text = epseal->describe(seals.value()[i].to_bytes());
+    if (!text.ok()) {
+      std::fprintf(stderr, "%s [%zu]: %s\n", path.c_str(), i,
+                   text.error().to_string().c_str());
+      rc = 1;
+      continue;
+    }
+    std::printf("[%zu]\n%s", i, text.value().c_str());
   }
-  return 0;
+  return rc;
 }
 
 /// Dispatch on the file's leading magic string.
@@ -77,14 +84,10 @@ int inspect_commitments(const std::string& path) {
     return 1;
   }
   std::printf("%s: %zu commitment(s)\n", path.c_str(), board.size());
-  for (const auto& c : board.all()) {
-    std::printf("  router %u window %llu: %llu records, H=%s..., signed %s"
-                "..., at t=%llu ms\n",
-                c.router_id, (unsigned long long)c.window_id,
-                (unsigned long long)c.record_count,
-                c.rlog_hash.hex().substr(0, 16).c_str(),
-                to_hex(BytesView(c.router_pubkey.data(), 32)).substr(0, 12).c_str(),
-                (unsigned long long)c.published_at_ms);
+  const auto commitments = board.all();
+  for (size_t i = 0; i < commitments.size(); ++i) {
+    std::printf("[%zu]\n%s", i,
+                core::describe_commitment(commitments[i]).c_str());
   }
   return 0;
 }
